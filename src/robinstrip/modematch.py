@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NotAtRootError, NumericalError, PoleError
 from .quadrature import composite_gl
-from .transverse import (RobinCrossSection, mode_eval, overlap_matrix,
-                         transversal_eigenvalues, transversal_mode)
+from .transverse import (RobinCrossSection, _levels, _Levels, overlap_matrix,
+                         transversal_eigenvalues)
 
 # Acceptance threshold for a scanned minimum: sigma_min < RES_ACCEPT * sigma_max.
 _ROOT_ACCEPT = 1e-8
@@ -115,8 +115,9 @@ class BoundState:
     a_coeffs are the channel amplitudes at the interface (the inner axial
     profiles are normalized to value 1 at x = a), with ||a||_2 = 1 and the
     largest-magnitude entry positive.  trunc_err is |lambda(N) -
-    lambda(N/2)| when the state is identifiable at half truncation;
-    lam_coarse keeps the signed companion value for extrapolation.
+    lambda(N/2)| when the state is identifiable at half truncation (the
+    two roots are each other's nearest); lam_coarse keeps the signed
+    companion value for extrapolation.
     """
 
     lam: float
@@ -149,29 +150,30 @@ class WavefunctionGrid:
 
 
 # --------------------------------------------------------------------------
-# cached per-(config, N) tables
+# cached per-(inner, outer, N) tables
 
 
 @dataclass(frozen=True, eq=False)
 class _ModeTable:
-    config: WellConfig
-    N: int
-    inner_energies: np.ndarray
-    outer_energies: np.ndarray
+    """Transversal levels of both cross-sections and their read-only
+    overlap matrix; independent of the well half-width a."""
+
+    inner: _Levels
+    outer: _Levels
     overlaps: np.ndarray
-    modes_in: tuple
-    modes_out: tuple
+
+    def prefix(self, n: int) -> _ModeTable:
+        """The table at truncation n: the first n levels and the top-left
+        overlap block, bitwise equal to a table built at n."""
+        return _ModeTable(self.inner.prefix(n), self.outer.prefix(n),
+                          self.overlaps[:n, :n])
 
 
 @lru_cache(maxsize=64)
-def _mode_table(config: WellConfig, N: int) -> _ModeTable:
-    inner, outer = config.inner, config.outer
-    Ein = transversal_eigenvalues(inner, N)
-    Eout = transversal_eigenvalues(outer, N)
+def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _ModeTable:
     O = overlap_matrix(inner, outer, N)
-    modes_in = tuple(transversal_mode(inner, n) for n in range(1, N + 1))
-    modes_out = tuple(transversal_mode(outer, m) for m in range(1, N + 1))
-    return _ModeTable(config, N, Ein, Eout, O, modes_in, modes_out)
+    O.flags.writeable = False
+    return _ModeTable(_levels(inner, N), _levels(outer, N), O)
 
 
 # --------------------------------------------------------------------------
@@ -260,24 +262,24 @@ def matching_matrix(config: WellConfig, parity: ParitySector, lam: float, N: int
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
-    table = _mode_table(config, N)
-    if not lam < table.outer_energies[0]:
+    table = _mode_table(config.inner, config.outer, N)
+    if not lam < table.outer.energy[0]:
         raise ContractError(
             f"lambda={lam!r} must lie below the outer threshold "
-            f"E_1(alpha0)={table.outer_energies[0]!r}"
+            f"E_1(alpha0)={table.outer.energy[0]!r}"
         )
     L = np.array([axial_stiffness(lam, En, config.a, parity)
-                  for En in table.inner_energies])
-    k = np.sqrt(table.outer_energies - lam)
+                  for En in table.inner.energy])
+    k = np.sqrt(table.outer.energy - lam)
     C = (L[None, :] + k[:, None]) * table.overlaps
     C = C / (1.0 + k)[:, None]
     return MatchingSystem(config=config, parity=parity, N=N, lam=lam, C=C,
                           overlaps=table.overlaps,
-                          inner_energies=table.inner_energies,
-                          outer_energies=table.outer_energies)
+                          inner_energies=table.inner.energy,
+                          outer_energies=table.outer.energy)
 
 
-def _regularized_matrix(table: _ModeTable, parity: ParitySector, lam: float):
+def _regularized_matrix(table: _ModeTable, a: float, parity: ParitySector, lam: float):
     """Pole-free scan matrix and the column factors mapping its null vector
     back to interface-value amplitudes.
 
@@ -285,10 +287,9 @@ def _regularized_matrix(table: _ModeTable, parity: ParitySector, lam: float):
     normalization; same null space as C wherever C is defined, regular
     across the stiffness poles.
     """
-    a = table.config.a
-    V, D = _channel_value_deriv(lam, table.inner_energies, a, parity)
+    V, D = _channel_value_deriv(lam, table.inner.energy, a, parity)
     s = 1.0 / np.hypot(V / a, D)
-    k = np.sqrt(np.maximum(table.outer_energies - lam, 0.0))
+    k = np.sqrt(np.maximum(table.outer.energy - lam, 0.0))
     C = (D[None, :] + k[:, None] * V[None, :]) * table.overlaps
     C = C * s[None, :]
     C = C / (1.0 + k)[:, None]
@@ -301,18 +302,19 @@ def _sigma_extremes(M: np.ndarray) -> tuple[float, float]:
 
 
 def _window(table: _ModeTable) -> tuple[float, float] | None:
-    lo = float(table.inner_energies[0])
-    hi = float(table.outer_energies[0])
+    lo = float(table.inner.energy[0])
+    hi = float(table.outer.energy[0])
     if hi - lo <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
         return None
     return lo, hi
 
 
-def _scan_roots(table: _ModeTable, parity: ParitySector, scan_points: int,
+def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: int,
                 tol: float) -> list[tuple[float, float]]:
     """Scan sigma_min of the regularized matrix over the window and refine
     each candidate local minimum by golden section.  Returns (lambda,
-    sigma_min/sigma_max) pairs for accepted roots, sorted."""
+    sigma_min/sigma_max) pairs for accepted roots, sorted.  Refinement
+    stops at width tol, or at 8 ulp of lambda where tol is finer than that."""
     win = _window(table)
     if win is None:
         return []
@@ -321,7 +323,7 @@ def _scan_roots(table: _ModeTable, parity: ParitySector, scan_points: int,
     lo, hi = lo + 1e-9 * w, hi - 1e-9 * w
 
     def f(lam: float) -> float:
-        return _sigma_extremes(_regularized_matrix(table, parity, lam)[0])[0]
+        return _sigma_extremes(_regularized_matrix(table, a, parity, lam)[0])[0]
 
     grid = np.linspace(lo, hi, scan_points)
     sig = np.array([f(x) for x in grid])
@@ -340,7 +342,7 @@ def _scan_roots(table: _ModeTable, parity: ParitySector, scan_points: int,
         x1 = gh - invphi * (gh - gl)
         x2 = gl + invphi * (gh - gl)
         f1, f2 = f(x1), f(x2)
-        while gh - gl > tol:
+        while gh - gl > max(tol, 8.0 * np.spacing(gh)):
             if f1 < f2:
                 gh, x2, f2 = x2, x1, f1
                 x1 = gh - invphi * (gh - gl)
@@ -350,7 +352,7 @@ def _scan_roots(table: _ModeTable, parity: ParitySector, scan_points: int,
                 x2 = gl + invphi * (gh - gl)
                 f2 = f(x2)
         lam = float(0.5 * (gl + gh))
-        smin, smax = _sigma_extremes(_regularized_matrix(table, parity, lam)[0])
+        smin, smax = _sigma_extremes(_regularized_matrix(table, a, parity, lam)[0])
         if smin < _ROOT_ACCEPT * smax:
             roots.append((lam, smin / smax))
     roots.sort()
@@ -370,9 +372,10 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
 
     The window is scanned at scan_points trial energies, local minima of
     the smallest singular value are refined by golden section to width
-    tol, and a root is accepted iff sigma_min < 1e-8 sigma_max there.  A
-    second scan at truncation N/2 supplies each state's truncation-error
-    estimate |lambda(N) - lambda(N/2)|.  An empty list is a valid result.
+    tol (or 8 ulp of lambda, where that is wider), and a root is accepted
+    iff sigma_min < 1e-8 sigma_max there.  A second scan at truncation N/2 supplies each state's truncation-error
+    estimate |lambda(N) - lambda(N/2)|, pairing roots that are each other's
+    nearest.  An empty list is a valid result.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
@@ -380,17 +383,18 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
         raise ContractError("scan_points must be >= 8")
     if not tol > 0.0:
         raise ContractError("tol must be positive")
-    table = _mode_table(config, N)
-    roots = _scan_roots(table, parity, scan_points, tol)
+    table = _mode_table(config.inner, config.outer, N)
+    roots = _scan_roots(table, config.a, parity, scan_points, tol)
     if not roots:
         return []
     coarse: list[tuple[float, float]] = []
     if N >= 4:
-        coarse = _scan_roots(_mode_table(config, N // 2), parity, scan_points, tol)
+        coarse = _scan_roots(table.prefix(N // 2), config.a, parity, scan_points, tol)
+    companions = _pair_nearest([lam for lam, _q in roots], [lam for lam, _q in coarse])
 
     states = []
-    for i, (lam, _q) in enumerate(roots):
-        Creg, colfac = _regularized_matrix(table, parity, lam)
+    for (lam, _q), lam_coarse in zip(roots, companions):
+        Creg, colfac = _regularized_matrix(table, config.a, parity, lam)
         vt = np.linalg.svd(Creg)[2]
         a = vt[-1] * colfac
         nrm = np.linalg.norm(a)
@@ -404,8 +408,7 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
             smin = _sigma_extremes(matching_matrix(config, parity, lam, N).C)[0]
         except PoleError:
             smin = _sigma_extremes(Creg)[0]
-        c0, c1 = _residual(table, parity, lam, a, b)
-        lam_coarse = coarse[i][0] if i < len(coarse) else None
+        c0, c1 = _residual(table, config, parity, lam, a, b)
         states.append(BoundState(
             lam=lam, parity=parity, a_coeffs=a, b_coeffs=b, sigma_min=smin,
             residual=(c0, c1), N=N,
@@ -413,6 +416,18 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
             lam_coarse=lam_coarse,
         ))
     return states
+
+
+def _pair_nearest(fine: list[float], coarse: list[float]) -> list[float | None]:
+    """For each fine root, the coarse root it is paired with: the nearest
+    one, provided the fine root is in turn the nearest to it; else None."""
+    if not coarse:
+        return [None] * len(fine)
+    dist = np.abs(np.subtract.outer(fine, coarse))
+    nearest_coarse = dist.argmin(axis=1)
+    nearest_fine = dist.argmin(axis=0)
+    return [coarse[j] if nearest_fine[j] == i else None
+            for i, j in enumerate(nearest_coarse)]
 
 
 def null_vector(system: MatchingSystem) -> np.ndarray:
@@ -523,9 +538,9 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
         raise ContractError("x_grid and y_grid must be 1d with at least 2 points")
     if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
         raise ContractError("grids must be strictly increasing")
-    table = _mode_table(config, state.N)
-    chi_in = np.array([mode_eval(m, y) for m in table.modes_in])
-    chi_out = np.array([mode_eval(m, y) for m in table.modes_out])
+    table = _mode_table(config.inner, config.outer, state.N)
+    chi_in = table.inner.chi(y)
+    chi_out = table.outer.chi(y)
     vals = np.zeros((len(x), len(y)))
     # The truncated expansion has a small jump across |x| = a, so grid points
     # within rounding distance of the interface must classify consistently at
@@ -536,13 +551,13 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
     inner = r <= config.a
     if np.any(inner):
         prof = _axial_profiles(config, state.parity, state.lam,
-                               table.inner_energies, r[inner])
+                               table.inner.energy, r[inner])
         vals[inner] = (state.a_coeffs[:, None] * prof).T @ chi_in
         if state.parity is ParitySector.ANTISYMMETRIC:
             vals[inner] *= np.where(x[inner] < 0.0, -1.0, 1.0)[:, None]
     outer = ~inner
     if np.any(outer):
-        k = np.sqrt(table.outer_energies - state.lam)
+        k = np.sqrt(table.outer.energy - state.lam)
         decay = np.exp(-k[:, None] * (r[outer][None, :] - config.a))
         if state.parity is ParitySector.ANTISYMMETRIC:
             decay = decay * np.sign(x[outer])[None, :]
@@ -556,18 +571,18 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
                             state=state, config=config)
 
 
-def _residual(table: _ModeTable, parity: ParitySector, lam: float,
+def _residual(table: _ModeTable, config: WellConfig, parity: ParitySector, lam: float,
               a: np.ndarray, b: np.ndarray, N_quad: int = 512) -> tuple[float, float]:
-    d = table.config.d
+    d = config.d
     npanels = max(1, int(np.ceil(N_quad / 64)))
     y, w = composite_gl(0.0, d, points_per_panel=64, max_panel_width=d / npanels)
-    chi_in = np.array([mode_eval(m, y) for m in table.modes_in])
-    chi_out = np.array([mode_eval(m, y) for m in table.modes_out])
-    V, D = _channel_value_deriv(lam, table.inner_energies, table.config.a, parity)
+    chi_in = table.inner.chi(y)
+    chi_out = table.outer.chi(y)
+    V, D = _channel_value_deriv(lam, table.inner.energy, config.a, parity)
     with np.errstate(divide="ignore", invalid="ignore"):
         L = D / V
     deriv_amp = np.where(np.abs(a) < 1e-13, 0.0, a * L)
-    k = np.sqrt(np.maximum(table.outer_energies - lam, 0.0))
+    k = np.sqrt(np.maximum(table.outer.energy - lam, 0.0))
     jump0 = a @ chi_in - b @ chi_out
     jump1 = deriv_amp @ chi_in + (b * k) @ chi_out
     c0 = float(np.sqrt(np.sum(w * jump0**2)))
@@ -581,7 +596,7 @@ def matching_residual(config: WellConfig, state: BoundState,
     the expansion across x = a, at the state's ||a||_2 = 1 scale.  Both
     shrink as the truncation order grows; c1 reacts sharply to a wrong
     lambda, which makes it a cheap consistency probe."""
-    table = _mode_table(config, state.N)
-    return _residual(table, state.parity, state.lam,
+    table = _mode_table(config.inner, config.outer, state.N)
+    return _residual(table, config, state.parity, state.lam,
                      np.asarray(state.a_coeffs, dtype=float),
                      np.asarray(state.b_coeffs, dtype=float), N_quad)

@@ -25,6 +25,7 @@ k = sqrt(E) unconditionally convergent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,10 @@ _LARGE_ALPHA_D = 1e8
 # Below this |k_a - k_b|*d the closed-form overlap loses digits to
 # cancellation and quadrature takes over.
 _NEAR_DEGENERATE_KD = 1e-6
+# Squares of arrays use np.float_power, which calls libm pow exactly as a
+# scalar x ** 2 does; array x ** 2 computes x * x, which differs in the last
+# bit on some inputs.  Every level and overlap thus has the bits of its
+# scalar definition, whatever the table size.
 
 
 @dataclass(frozen=True)
@@ -84,89 +89,142 @@ def dispersion(E, cs: RobinCrossSection):
     return f if f.ndim else float(f)
 
 
-def _bisect_k(cs: RobinCrossSection, lo: float, hi: float) -> float:
-    """Bisection for a root of dispersion(k^2) with a guaranteed sign change."""
+
+
+def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
+    """k_1 < ... < k_{n_max}: one bisection over all brackets
+    ((n-1) pi/d, n pi/d) at once.
+
+    Every level follows the steps of a bisection on its own bracket: it
+    stops at an exact zero of the dispersion or once hi - lo <= 1e-13 hi,
+    and is never stepped again, so its bits do not depend on n_max.
+    """
+    n = np.arange(1, n_max + 1)
+    lo = (n - 1) * np.pi / cs.d
+    lo[0] = 1e-12 / cs.d
+    hi = n * np.pi / cs.d
     flo = dispersion(lo * lo, cs)
     fhi = dispersion(hi * hi, cs)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    k = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
+    live = np.isnan(k)
+    bad = np.flatnonzero(live & (flo * fhi > 0.0))
+    if bad.size:
+        j = bad[0]
         raise BracketError(
-            f"no sign change of the dispersion on k in ({lo:g}, {hi:g}) "
-            f"for alpha={cs.alpha:g}, d={cs.d:g}"
+            f"no sign change of the dispersion on k in ({lo[j]:g}, {hi[j]:g}) "
+            f"for level n={j + 1}, alpha={cs.alpha:g}, d={cs.d:g}"
         )
-    while hi - lo > _K_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
+    live &= hi - lo > _K_REL_TOL * hi
+    while np.any(live):
+        i = np.flatnonzero(live)
+        mid = 0.5 * (lo[i] + hi[i])
         fm = dispersion(mid * mid, cs)
-        if fm == 0.0:
-            return mid
-        if fm * flo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        up = fm * flo[i] > 0.0
+        lo[i[up]] = mid[up]
+        hi[i[~up]] = mid[~up]
+        root = fm == 0.0
+        k[i[root]] = mid[root]
+        live[i] = ~root & (hi[i] - lo[i] > _K_REL_TOL * hi[i])
+    return np.where(np.isnan(k), 0.5 * (lo + hi), k)
 
 
-def transversal_eigenvalues(cs: RobinCrossSection, n_max: int) -> np.ndarray:
-    """The n_max lowest transversal energies E_1 < E_2 < ... < E_{n_max}."""
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        lo = (n - 1) * np.pi / cs.d if n > 1 else 1e-12 / cs.d
-        hi = n * np.pi / cs.d
-        out[n - 1] = _bisect_k(cs, lo, hi) ** 2
-    return out
-
-
-def _profile_norm_sq(alpha: float, d: float, k: float) -> float:
+def _profile_norm_sq(alpha: float, d: float, k):
     """Closed form of int_0^d ((alpha/k) sin(ky) + cos(ky))^2 dy."""
     A = alpha / k
     return (
         0.5 * d * (A * A + 1.0)
         + (1.0 - A * A) * np.sin(2.0 * k * d) / (4.0 * k)
-        + A * np.sin(k * d) ** 2 / k
+        + A * np.float_power(np.sin(k * d), 2.0) / k
     )
 
 
-def _profile_norm_sq_quad(alpha: float, d: float, k: float) -> float:
-    """Same integral by composite Gauss-Legendre, for the build-time check."""
-    npanels = max(1, int(np.ceil(k * d / (2.0 * np.pi)))) + 1
+def _check_norms(cs: RobinCrossSection, k: np.ndarray, I: np.ndarray) -> None:
+    """Cross-check closed-form norms against composite Gauss-Legendre with
+    one panel per wavelength of the highest level, plus one, accumulated
+    panel by panel so memory stays linear in the number of levels."""
+    alpha, d = cs.alpha, cs.d
+    npanels = max(1, int(np.ceil(k[-1] * d / (2.0 * np.pi)))) + 1
     y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)],
                         points_per_panel=64)
-    u = (alpha / k) * np.sin(k * y) + np.cos(k * y)
-    return float(np.sum(w * u * u))
+    A = (alpha / k)[:, None]
+    I_quad = np.zeros_like(k)
+    for yp, wp in zip(y.reshape(npanels, -1), w.reshape(npanels, -1)):
+        ky = np.outer(k, yp)
+        u = A * np.sin(ky) + np.cos(ky)
+        I_quad += (u * u) @ wp
+    bad = np.flatnonzero(np.abs(I - I_quad) > 1e-12 * np.maximum(np.abs(I), 1.0))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(
+            f"normalization cross-check failed for alpha={alpha:g}, "
+            f"d={d:g}, n={j + 1}: closed form {I[j]!r} vs quadrature {I_quad[j]!r}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Levels:
+    """The lowest levels of one cross-section as read-only arrays: energy
+    E_n, wavenumber k_n = sqrt(E_n) and normalization of chi_n."""
+
+    cs: RobinCrossSection
+    energy: np.ndarray
+    k: np.ndarray
+    norm_const: np.ndarray
+
+    def prefix(self, n: int) -> _Levels:
+        """The table of the n lowest levels; bitwise equal to _levels(cs, n)."""
+        return _Levels(self.cs, self.energy[:n], self.k[:n], self.norm_const[:n])
+
+    def chi(self, y) -> np.ndarray:
+        """chi_n(y) for every level (rows) and every y (columns)."""
+        return _chi(self.cs, self.k[:, None], self.norm_const[:, None], y)
+
+
+@lru_cache(maxsize=128)
+def _levels(cs: RobinCrossSection, n_max: int) -> _Levels:
+    """The n_max lowest transversal levels of cs, built once per (cs, n_max)
+    and cached; the closed-form normalization of every level is
+    cross-checked against quadrature on construction."""
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    k_bisect = _bisect_levels(cs, n_max)
+    E = np.float_power(k_bisect, 2.0)
+    k = np.sqrt(E)
+    I = _profile_norm_sq(cs.alpha, cs.d, k)
+    _check_norms(cs, k, I)
+    table = _Levels(cs, E, k, 1.0 / np.sqrt(I))
+    for arr in (table.energy, table.k, table.norm_const):
+        arr.flags.writeable = False
+    return table
+
+
+def transversal_eigenvalues(cs: RobinCrossSection, n_max: int) -> np.ndarray:
+    """The n_max lowest transversal energies E_1 < E_2 < ... < E_{n_max}."""
+    return _levels(cs, n_max).energy.copy()
 
 
 def transversal_mode(cs: RobinCrossSection, n: int) -> TransversalMode:
-    """The n-th normalized mode; the closed-form normalization is
-    cross-checked against quadrature on every construction."""
+    """The n-th normalized mode, read from the mode table of cs."""
     if n < 1:
         raise ContractError("mode index n must be >= 1")
-    E = float(transversal_eigenvalues(cs, n)[n - 1])
-    k = np.sqrt(E)
-    I = _profile_norm_sq(cs.alpha, cs.d, k)
-    I_quad = _profile_norm_sq_quad(cs.alpha, cs.d, k)
-    if abs(I - I_quad) > 1e-12 * max(abs(I), 1.0):
-        raise NumericalError(
-            f"normalization cross-check failed for alpha={cs.alpha:g}, "
-            f"d={cs.d:g}, n={n}: closed form {I!r} vs quadrature {I_quad!r}"
-        )
-    return TransversalMode(n=n, energy=E, k=float(k), norm_const=float(1.0 / np.sqrt(I)),
-                           cross_section=cs)
+    table = _levels(cs, n)
+    return TransversalMode(n=n, energy=float(table.energy[-1]), k=float(table.k[-1]),
+                           norm_const=float(table.norm_const[-1]), cross_section=cs)
+
+
+def _chi(cs: RobinCrossSection, k, norm_const, y) -> np.ndarray:
+    """chi(y) for wavenumbers k and normalizations norm_const that
+    broadcast against y, which must lie in [0, d]."""
+    y = np.asarray(y, dtype=float)
+    d = cs.d
+    if np.any(y < -1e-12 * d) or np.any(y > d * (1.0 + 1e-12)):
+        raise ContractError(f"y out of range [0, {d:g}]")
+    return norm_const * ((cs.alpha / k) * np.sin(k * y) + np.cos(k * y))
 
 
 def mode_eval(mode: TransversalMode, y):
     """chi_n(y).  Accepts scalars or arrays; y must lie in [0, d]."""
-    y = np.asarray(y, dtype=float)
-    d = mode.cross_section.d
-    if np.any(y < -1e-12 * d) or np.any(y > d * (1.0 + 1e-12)):
-        raise ContractError(f"y out of range [0, {d:g}]")
-    alpha = mode.cross_section.alpha
-    k = mode.k
-    val = mode.norm_const * ((alpha / k) * np.sin(k * y) + np.cos(k * y))
+    val = _chi(mode.cross_section, mode.k, mode.norm_const, y)
     return val if val.ndim else float(val)
 
 
@@ -177,6 +235,31 @@ def mode_eval_derivative(mode: TransversalMode, y):
     k = mode.k
     val = mode.norm_const * (alpha * np.cos(k * y) - k * np.sin(k * y))
     return val if val.ndim else float(val)
+
+
+def _overlap_closed(Aa, ka, Ab, kb, d: float):
+    """int_0^d (Aa sin(ka y) + cos(ka y)) (Ab sin(kb y) + cos(kb y)) dy by
+    product-to-sum antiderivatives, broadcasting over its arguments."""
+    dk, sk = ka - kb, ka + kb
+    cd = np.sin(dk * d) / dk
+    cs_ = np.sin(sk * d) / sk
+    sd = 2.0 * np.float_power(np.sin(0.5 * dk * d), 2.0) / dk
+    ss = 2.0 * np.float_power(np.sin(0.5 * sk * d), 2.0) / sk
+    I_ss = 0.5 * (cd - cs_)
+    I_cc = 0.5 * (cd + cs_)
+    I_sc = 0.5 * (ss + sd)
+    I_cs = 0.5 * (ss - sd)
+    return Aa * Ab * I_ss + Aa * I_sc + Ab * I_cs + I_cc
+
+
+def _overlap_quad(Aa: float, ka: float, Ab: float, kb: float, d: float) -> float:
+    """The same integral by composite Gauss-Legendre."""
+    npanels = max(1, int(np.ceil((ka + kb) * d / (2.0 * np.pi)))) + 1
+    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)],
+                        points_per_panel=64)
+    u = Aa * np.sin(ka * y) + np.cos(ka * y)
+    v = Ab * np.sin(kb * y) + np.cos(kb * y)
+    return float(np.sum(w * u * v))
 
 
 def overlap(ma: TransversalMode, mb: TransversalMode) -> float:
@@ -193,24 +276,10 @@ def overlap(ma: TransversalMode, mb: TransversalMode) -> float:
     ka, kb = ma.k, mb.k
     Aa = ma.cross_section.alpha / ka
     Ab = mb.cross_section.alpha / kb
-    dk, sk = ka - kb, ka + kb
-    if abs(dk) * d <= _NEAR_DEGENERATE_KD:
-        npanels = max(1, int(np.ceil(sk * d / (2.0 * np.pi)))) + 1
-        y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)],
-                            points_per_panel=64)
-        u = Aa * np.sin(ka * y) + np.cos(ka * y)
-        v = Ab * np.sin(kb * y) + np.cos(kb * y)
-        I = float(np.sum(w * u * v))
+    if abs(ka - kb) * d <= _NEAR_DEGENERATE_KD:
+        I = _overlap_quad(Aa, ka, Ab, kb, d)
     else:
-        cd = np.sin(dk * d) / dk
-        cs_ = np.sin(sk * d) / sk
-        sd = 2.0 * np.sin(0.5 * dk * d) ** 2 / dk
-        ss = 2.0 * np.sin(0.5 * sk * d) ** 2 / sk
-        I_ss = 0.5 * (cd - cs_)
-        I_cc = 0.5 * (cd + cs_)
-        I_sc = 0.5 * (ss + sd)
-        I_cs = 0.5 * (ss - sd)
-        I = Aa * Ab * I_ss + Aa * I_sc + Ab * I_cs + I_cc
+        I = float(_overlap_closed(Aa, ka, Ab, kb, d))
     return ma.norm_const * mb.norm_const * I
 
 
@@ -219,13 +288,18 @@ def overlap_matrix(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -
 
     chi_n is even/odd about y = d/2 for n odd/even, so opposite-parity
     products integrate to exactly zero; those entries are set to 0.0
-    without evaluating anything (checkerboard sparsity).
+    (checkerboard sparsity).
     """
-    modes_in = [transversal_mode(inner, n) for n in range(1, N + 1)]
-    modes_out = [transversal_mode(outer, m) for m in range(1, N + 1)]
-    O = np.zeros((N, N))
-    for m in range(N):
-        for n in range(N):
-            if (m + n) % 2 == 0:
-                O[m, n] = overlap(modes_in[n], modes_out[m])
-    return O
+    if inner.d != outer.d:
+        raise ContractError("overlap requires modes on the same strip width")
+    d = inner.d
+    ti, to = _levels(inner, N), _levels(outer, N)
+    ka, kb = ti.k[None, :], to.k[:, None]
+    Aa, Ab = inner.alpha / ka, outer.alpha / kb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        I = _overlap_closed(Aa, ka, Ab, kb, d)
+    idx = np.arange(N)
+    same = (idx[:, None] + idx[None, :]) % 2 == 0
+    for m, n in zip(*np.nonzero(same & (np.abs(ka - kb) * d <= _NEAR_DEGENERATE_KD))):
+        I[m, n] = _overlap_quad(Aa[0, n], ka[0, n], Ab[m, 0], kb[m, 0], d)
+    return np.where(same, ti.norm_const[None, :] * to.norm_const[:, None] * I, 0.0)

@@ -1,9 +1,11 @@
 """Mode matching: axial stiffness, matching matrix, root scan, bound
 states, wavefunctions, residuals."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinstrip import (ConfigError, ContractError, NotAtRootError,
@@ -11,12 +13,18 @@ from robinstrip import (ConfigError, ContractError, NotAtRootError,
                         b_coefficients, bound_state_energies, matching_matrix,
                         matching_residual, minimax_brackets, neumann_state_cap,
                         null_vector, transversal_eigenvalues, wavefunction)
-from robinstrip.modematch import _channel_value_deriv
+from robinstrip.modematch import _channel_value_deriv, _mode_table, _pair_nearest
+from robinstrip.transverse import _levels
 
 SYM = ParitySector.SYMMETRIC
 ANTI = ParitySector.ANTISYMMETRIC
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
+
+
+@lru_cache(maxsize=None)
+def _energies(cfg, parity):
+    return [x.lam for x in bound_state_energies(cfg, parity, 32)]
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +209,44 @@ class TestBoundStates:
             width = hi - lo
             assert s.lam >= lo - 1e-9 * max(1.0, abs(lo)) - 1e-6 * width
             assert s.lam <= hi + 1e-9 * max(1.0, abs(hi)) + 1e-6 * width
+
+    @given(s=st.floats(1e-3, 1.0))
+    @example(s=1e-2)
+    @example(s=1e-3)
+    @settings(max_examples=4, deadline=None)
+    def test_scale_covariance(self, s):
+        # (alpha, a, d) -> (alpha/s, s a, s d) maps lambda to lambda/s^2;
+        # at s = 1e-2 lambda ~ 8e4, where one ulp exceeds the default tol
+        for cfg in (WELL, WellConfig(40.0, 2.0, 1.0, 0.8)):
+            scaled = WellConfig(cfg.alpha0 / s, cfg.alpha1 / s, s * cfg.a, s * cfg.d)
+            for parity in ParitySector:
+                ref = _energies(cfg, parity)
+                got = [x.lam * s * s for x in bound_state_energies(scaled, parity, 32)]
+                assert len(got) == len(ref)
+                assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    def test_a_sweep_bisects_each_cross_section_once_per_N(self):
+        # tables depend on (alpha, d) and N only; the N/2 companion reads
+        # the first N/2 levels of the N table
+        _levels.cache_clear()
+        _mode_table.cache_clear()
+        for r in (0.3, 0.6, 0.9):
+            for parity in ParitySector:
+                bound_state_energies(WellConfig(20.0, 5.0, r, 1.0), parity, 16)
+        assert _levels.cache_info().misses == 2
+        assert _mode_table.cache_info().misses == 1
+
+
+class TestCompanionPairing:
+    def test_pairs_by_proximity_not_index(self):
+        assert _pair_nearest([5.0, 6.0], [4.2, 5.001, 6.002]) == [5.001, 6.002]
+
+    def test_unmatched_roots_get_none(self):
+        assert _pair_nearest([5.0, 6.0], []) == [None, None]
+        # 5.004 is nearest to both fine roots but pairs only with 5.0
+        assert _pair_nearest([5.0, 5.01], [5.004]) == [5.004, None]
+        # 5.15's nearest fine root is 5.2, so 5.0 has no companion
+        assert _pair_nearest([5.0, 5.2], [5.15]) == [None, 5.15]
 
 
 class TestBrackets:

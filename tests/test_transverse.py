@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from robinstrip import (ConfigError, ContractError, RobinCrossSection,
+from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSection,
                         dispersion, mode_eval, mode_eval_derivative, overlap,
                         overlap_matrix, transversal_eigenvalues,
                         transversal_mode)
@@ -38,6 +38,38 @@ def factor_roots(cs, n_max):
         f = even_factor if n % 2 == 1 else odd_factor
         roots.append(brentq(f, lo, hi, args=(cs,), xtol=1e-15, rtol=1e-15))
     return np.array(roots)
+
+
+def _bisect_k(cs, lo, hi):
+    """Scalar reference: bisection of dispersion(k^2) on one bracket,
+    stopping at hi - lo <= 1e-13 hi or at an exact zero."""
+    flo = dispersion(lo * lo, cs)
+    fhi = dispersion(hi * hi, cs)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise BracketError("no sign change")
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        fm = dispersion(mid * mid, cs)
+        if fm == 0.0:
+            return mid
+        if fm * flo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_levels(cs, n_max):
+    """E_n = k_n**2 level by level with the scalar reference bisection."""
+    return np.array([
+        _bisect_k(cs, (n - 1) * np.pi / cs.d if n > 1 else 1e-12 / cs.d,
+                  n * np.pi / cs.d) ** 2
+        for n in range(1, n_max + 1)
+    ])
 
 
 class TestDispersion:
@@ -118,6 +150,31 @@ class TestEigenvalues:
         assert E1 < np.pi**2
         assert np.pi**2 - E1 < 1e-7 * np.pi**2
 
+    @given(log_alpha_d=st.floats(-5.0, 9.0), d=st.floats(3e-3, 10.0),
+           n_max=st.integers(1, 24))
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_scalar_bisection(self, log_alpha_d, d, n_max):
+        cs = RobinCrossSection(10.0**log_alpha_d / d, d)
+        E = transversal_eigenvalues(cs, n_max)
+        assert E.tolist() == scalar_levels(cs, n_max).tolist()
+
+    @given(alpha=st.floats(1e-4, 1e6), d=st.floats(0.01, 10.0),
+           n=st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_is_the_smaller_table(self, alpha, d, n):
+        cs = RobinCrossSection(alpha, d)
+        assert (transversal_eigenvalues(cs, 2 * n)[:n].tolist()
+                == transversal_eigenvalues(cs, n).tolist())
+
+    def test_returned_arrays_belong_to_the_caller(self):
+        cs = RobinCrossSection(3.0, 1.0)
+        E = transversal_eigenvalues(cs, 4)
+        O = overlap_matrix(cs, cs, 4)
+        E[:] = -1.0
+        O[:] = -1.0
+        assert np.all(transversal_eigenvalues(cs, 4) > 0.0)
+        assert np.all(np.diag(overlap_matrix(cs, cs, 4)) > 0.0)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             RobinCrossSection(0.0, 1.0)
@@ -175,6 +232,20 @@ class TestOverlap:
                             max_panel_width=d / (na + nb + 1))
         quad = w @ (mode_eval(ma, y) * mode_eval(mb, y))
         assert abs(overlap(ma, mb) - quad) < 1e-11
+
+    @pytest.mark.parametrize("alpha_in, alpha_out", [
+        (5.0, 20.0), (20.0, 5.0), (5.0, 5.0),
+        (5.0, 5.0 * (1.0 + 1e-9)),   # near-degenerate: quadrature on the diagonal
+        (300.0, 0.07),
+    ])
+    def test_matrix_equals_scalar_overlaps(self, alpha_in, alpha_out):
+        inner, outer = RobinCrossSection(alpha_in, 1.0), RobinCrossSection(alpha_out, 1.0)
+        O = overlap_matrix(inner, outer, 8)
+        for m in range(8):
+            for n in range(8):
+                ref = (overlap(transversal_mode(inner, n + 1), transversal_mode(outer, m + 1))
+                       if (m + n) % 2 == 0 else 0.0)
+                assert O[m, n] == ref
 
     def test_opposite_parity_entries_vanish(self):
         O = overlap_matrix(RobinCrossSection(5.0, 1.0),
