@@ -29,6 +29,18 @@ parameterization degenerates.  Those fake minima pass any singular-value
 threshold and violate the Neumann-bracketing bound on the state count;
 with the regularized matrix the computed counts match that rigorous bound
 exactly.
+
+The scan covers only the y-even block.  chi_n is even about y = d/2 for
+odd n and odd for even n, so the overlaps between the two families vanish
+and the matrix is exactly block-diagonal.  The y-odd block cannot be
+singular in the window: on y-odd functions the operator is bounded below
+by E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  All scan energies of one window
+go through one stack of y-even matrices and one batched SVD; golden-section
+refinement evaluates the same block one energy at a time.  Each accepted
+state's coefficients, sigma_min and residual are then taken from all N
+channels.  Scanning the full matrix would also lose states: where the
+y-even dip is narrower than the grid spacing, the scanned sigma_min sits
+on the y-odd block's floor and the dip never shows.
 """
 
 from __future__ import annotations
@@ -168,6 +180,12 @@ class _ModeTable:
         return _ModeTable(self.inner.prefix(n), self.outer.prefix(n),
                           self.overlaps[:n, :n])
 
+    def y_even(self) -> _ModeTable:
+        """The y-even block: the odd-n levels (chi_n even about y = d/2) and
+        their overlaps.  Overlaps across the two blocks are exact zeros."""
+        return _ModeTable(self.inner.y_even(), self.outer.y_even(),
+                          self.overlaps[::2, ::2])
+
 
 @lru_cache(maxsize=64)
 def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _ModeTable:
@@ -217,36 +235,29 @@ def axial_stiffness(lam: float, E_inner: float, a: float, parity: ParitySector) 
     return float(kap / np.tan(kap * a))
 
 
-def _channel_value_deriv(lam: float, E, a: float, parity: ParitySector):
-    """Boundary value V and x-derivative D of each channel profile at x = a,
-    both scaled by exp(-l a) in the evanescent branch.
+def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float, parity: ParitySector):
+    """Boundary value V and x-derivative D of each channel profile at x = a
+    for each trial energy: lam has shape (P,), E shape (n,), V and D shape
+    (P, n).  Both are scaled by exp(-l a) in the evanescent branch.
 
     V and D are entire functions of lambda (up to the smooth positive
     scaling), never vanish simultaneously, and satisfy D/V =
     axial_stiffness; they are what the pole-free scan matrix is built from.
     """
-    E = np.asarray(E, dtype=float)
-    sym = parity is ParitySector.SYMMETRIC
-    V = np.empty_like(E)
-    D = np.empty_like(E)
-    hyp = lam <= E
-    l = np.sqrt(np.maximum(E - lam, 0.0))
+    diff = E[None, :] - lam[:, None]
+    hyp = diff >= 0.0
+    l = np.sqrt(np.maximum(diff, 0.0))
+    kap = np.sqrt(np.maximum(-diff, 0.0))
     em = np.exp(-2.0 * l * a)
-    kap = np.sqrt(np.maximum(lam - E, 0.0))
-    if sym:
-        V[hyp] = 0.5 * (1.0 + em[hyp])
-        D[hyp] = 0.5 * l[hyp] * (1.0 - em[hyp])
-        V[~hyp] = np.cos(kap[~hyp] * a)
-        D[~hyp] = -kap[~hyp] * np.sin(kap[~hyp] * a)
-    else:
-        lh = l[hyp]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Vh = -np.expm1(-2.0 * lh * a) / (2.0 * lh)
-        V[hyp] = np.where(lh == 0.0, a, Vh)
-        D[hyp] = 0.5 * (1.0 + em[hyp])
-        kh = kap[~hyp]
-        V[~hyp] = np.sin(kh * a) / kh
-        D[~hyp] = np.cos(kh * a)
+    ka = kap * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if parity is ParitySector.SYMMETRIC:
+            V = np.where(hyp, 0.5 * (1.0 + em), np.cos(ka))
+            D = np.where(hyp, 0.5 * l * (1.0 - em), -kap * np.sin(ka))
+        else:
+            Vh = -np.expm1(-2.0 * l * a) / (2.0 * l)
+            V = np.where(hyp, np.where(l == 0.0, a, Vh), np.sin(ka) / kap)
+            D = np.where(hyp, 0.5 * (1.0 + em), np.cos(ka))
     return V, D
 
 
@@ -279,21 +290,33 @@ def matching_matrix(config: WellConfig, parity: ParitySector, lam: float, N: int
                           outer_energies=table.outer.energy)
 
 
-def _regularized_matrix(table: _ModeTable, a: float, parity: ParitySector, lam: float):
-    """Pole-free scan matrix and the column factors mapping its null vector
-    back to interface-value amplitudes.
+def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray):
+    """Pole-free scan matrices at the trial energies lam, shape (P, n, n),
+    and the column factors (P, n) mapping a null vector back to
+    interface-value amplitudes.
 
     C_hat = C diag(V_n s_n) entrywise, with s_n a smooth positive
     normalization; same null space as C wherever C is defined, regular
-    across the stiffness poles.
+    across the stiffness poles.  The stack is built in place, so its
+    temporaries are (P, n) arrays, not further stacks.
     """
-    V, D = _channel_value_deriv(lam, table.inner.energy, a, parity)
+    V, D = _value_deriv(lam, table.inner.energy, a, parity)
     s = 1.0 / np.hypot(V / a, D)
-    k = np.sqrt(np.maximum(table.outer.energy - lam, 0.0))
-    C = (D[None, :] + k[:, None] * V[None, :]) * table.overlaps
-    C = C * s[None, :]
-    C = C / (1.0 + k)[:, None]
-    return C, V * s
+    k = np.sqrt(np.maximum(table.outer.energy[None, :] - lam[:, None], 0.0))
+    C = k[:, :, None] * V[:, None, :]
+    C += D[:, None, :]
+    C *= table.overlaps
+    C *= s[:, None, :]
+    C /= (1.0 + k)[:, :, None]
+    V *= s
+    return C, V
+
+
+def _scan_sigma(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray) -> np.ndarray:
+    """sigma_min of the scan matrix at every trial energy in lam, from one
+    batched SVD."""
+    C = _scan_matrices(table, a, parity, lam)[0]
+    return np.linalg.svd(C, compute_uv=False)[:, -1]
 
 
 def _sigma_extremes(M: np.ndarray) -> tuple[float, float]:
@@ -311,22 +334,24 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
 
 def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: int,
                 tol: float) -> list[tuple[float, float]]:
-    """Scan sigma_min of the regularized matrix over the window and refine
-    each candidate local minimum by golden section.  Returns (lambda,
-    sigma_min/sigma_max) pairs for accepted roots, sorted.  Refinement
-    stops at width tol, or at 8 ulp of lambda where tol is finer than that."""
+    """Scan sigma_min of the regularized matrix of the y-even block over the
+    window and refine each candidate local minimum by golden section.
+    Returns (lambda, sigma_min/sigma_max) pairs for accepted roots, sorted.
+    Refinement stops at width tol, or at 8 ulp of lambda where tol is finer
+    than that."""
     win = _window(table)
     if win is None:
         return []
     lo, hi = win
     w = hi - lo
     lo, hi = lo + 1e-9 * w, hi - 1e-9 * w
+    block = table.y_even()
 
     def f(lam: float) -> float:
-        return _sigma_extremes(_regularized_matrix(table, a, parity, lam)[0])[0]
+        return float(_scan_sigma(block, a, parity, np.array([lam]))[0])
 
     grid = np.linspace(lo, hi, scan_points)
-    sig = np.array([f(x) for x in grid])
+    sig = _scan_sigma(block, a, parity, grid)
     cands = [j for j in range(1, scan_points - 1)
              if sig[j] < sig[j - 1] and sig[j] < sig[j + 1]]
     # descending toward an edge: near-threshold states hide there
@@ -352,7 +377,7 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: 
                 x2 = gl + invphi * (gh - gl)
                 f2 = f(x2)
         lam = float(0.5 * (gl + gh))
-        smin, smax = _sigma_extremes(_regularized_matrix(table, a, parity, lam)[0])
+        smin, smax = _sigma_extremes(_scan_matrices(block, a, parity, np.array([lam]))[0][0])
         if smin < _ROOT_ACCEPT * smax:
             roots.append((lam, smin / smax))
     roots.sort()
@@ -373,9 +398,12 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     The window is scanned at scan_points trial energies, local minima of
     the smallest singular value are refined by golden section to width
     tol (or 8 ulp of lambda, where that is wider), and a root is accepted
-    iff sigma_min < 1e-8 sigma_max there.  A second scan at truncation N/2 supplies each state's truncation-error
-    estimate |lambda(N) - lambda(N/2)|, pairing roots that are each other's
-    nearest.  An empty list is a valid result.
+    iff sigma_min < 1e-8 sigma_max there.  A second scan at truncation N/2
+    supplies each state's truncation-error estimate |lambda(N) -
+    lambda(N/2)|, pairing roots that are each other's nearest.  Both scans
+    use the y-even channels of their truncation; each state's coefficients,
+    sigma_min and residual come from all N channels.  An empty list is a
+    valid result.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
@@ -394,7 +422,7 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
 
     states = []
     for (lam, _q), lam_coarse in zip(roots, companions):
-        Creg, colfac = _regularized_matrix(table, config.a, parity, lam)
+        Creg, colfac = (x[0] for x in _scan_matrices(table, config.a, parity, np.array([lam])))
         vt = np.linalg.svd(Creg)[2]
         a = vt[-1] * colfac
         nrm = np.linalg.norm(a)
@@ -578,7 +606,7 @@ def _residual(table: _ModeTable, config: WellConfig, parity: ParitySector, lam: 
     y, w = composite_gl(0.0, d, points_per_panel=64, max_panel_width=d / npanels)
     chi_in = table.inner.chi(y)
     chi_out = table.outer.chi(y)
-    V, D = _channel_value_deriv(lam, table.inner.energy, config.a, parity)
+    V, D = (x[0] for x in _value_deriv(np.array([lam]), table.inner.energy, config.a, parity))
     with np.errstate(divide="ignore", invalid="ignore"):
         L = D / V
     deriv_amp = np.where(np.abs(a) < 1e-13, 0.0, a * L)

@@ -16,8 +16,11 @@ from .errors import ConvergenceError
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1];
+    cached and shared, so both arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    for arr in (x, w):
+        arr.flags.writeable = False
     return x, w
 
 

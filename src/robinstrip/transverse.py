@@ -175,6 +175,10 @@ class _Levels:
         """The table of the n lowest levels; bitwise equal to _levels(cs, n)."""
         return _Levels(self.cs, self.energy[:n], self.k[:n], self.norm_const[:n])
 
+    def y_even(self) -> _Levels:
+        """The odd-n levels, whose chi_n are even about y = d/2."""
+        return _Levels(self.cs, self.energy[::2], self.k[::2], self.norm_const[::2])
+
     def chi(self, y) -> np.ndarray:
         """chi_n(y) for every level (rows) and every y (columns)."""
         return _chi(self.cs, self.k[:, None], self.norm_const[:, None], y)

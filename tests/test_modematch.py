@@ -13,7 +13,8 @@ from robinstrip import (ConfigError, ContractError, NotAtRootError,
                         b_coefficients, bound_state_energies, matching_matrix,
                         matching_residual, minimax_brackets, neumann_state_cap,
                         null_vector, transversal_eigenvalues, wavefunction)
-from robinstrip.modematch import _channel_value_deriv, _mode_table, _pair_nearest
+from robinstrip.modematch import (_mode_table, _pair_nearest, _scan_matrices, _scan_roots,
+                                  _scan_sigma, _sigma_extremes, _value_deriv)
 from robinstrip.transverse import _levels
 
 SYM = ParitySector.SYMMETRIC
@@ -101,11 +102,12 @@ class TestAxialStiffness:
             L = axial_stiffness(lam, E, a, parity)
         except PoleError:
             return
-        V, D = _channel_value_deriv(lam, np.array([E]), a, parity)
-        if abs(V[0]) < 1e-12:
+        V, D = _value_deriv(np.array([lam]), np.array([E]), a, parity)
+        V, D = V[0, 0], D[0, 0]
+        if abs(V) < 1e-12:
             return
         scale = max(1.0, abs(L))
-        assert abs(D[0] / V[0] - L) <= 1e-9 * scale
+        assert abs(D / V - L) <= 1e-9 * scale
 
 
 class TestMatchingMatrix:
@@ -235,6 +237,64 @@ class TestBoundStates:
                 bound_state_energies(WellConfig(20.0, 5.0, r, 1.0), parity, 16)
         assert _levels.cache_info().misses == 2
         assert _mode_table.cache_info().misses == 1
+
+    def test_narrow_second_state_of_wide_well(self):
+        # the second symmetric state lies 3e-3 below threshold; its dip is
+        # narrower than the scan grid spacing in the full matrix, where the
+        # y-odd block's floor hides it, but not in the y-even block
+        cfg = WellConfig(8.0, 1.0, 1.5, 1.0)
+        E1_out = float(transversal_eigenvalues(cfg.outer, 1)[0])
+        lo, hi = minimax_brackets(cfg, 3)
+        lams = []
+        for N in (16, 24, 32, 48):
+            states = bound_state_energies(cfg, SYM, N)
+            assert len(states) == 2
+            assert lo < states[1].lam < hi <= E1_out
+            assert states[1].sigma_min < 1e-10
+            lams.append(states[1].lam)
+        # converging from below as N grows
+        assert np.all(np.diff(lams) > 0) and np.all(np.diff(lams) < 2e-4)
+
+
+class TestBlockScan:
+    WELLS = (WELL, WellConfig(8.0, 1.0, 1.5, 1.0), WellConfig(40.0, 2.0, 1.0, 0.8))
+
+    @staticmethod
+    def _grid(table, P=37):
+        return np.linspace(table.inner.energy[0], table.outer.energy[0], P)
+
+    def test_off_block_entries_are_exact_zeros(self):
+        for cfg in self.WELLS:
+            table = _mode_table(cfg.inner, cfg.outer, 16)
+            idx = np.arange(16)
+            off = (idx[:, None] + idx[None, :]) % 2 == 1
+            for parity in ParitySector:
+                C = _scan_matrices(table, cfg.a, parity, self._grid(table))[0]
+                assert np.all(C[:, off] == 0.0)
+
+    def test_batched_sigma_equals_per_energy_sigma(self):
+        for cfg in self.WELLS:
+            block = _mode_table(cfg.inner, cfg.outer, 32).y_even()
+            lam = self._grid(block)
+            for parity in ParitySector:
+                batched = _scan_sigma(block, cfg.a, parity, lam)
+                single = [_sigma_extremes(_scan_matrices(block, cfg.a, parity,
+                                                         np.array([x]))[0][0])[0]
+                          for x in lam]
+                assert batched.tolist() == single
+
+    def test_block_roots_are_roots_of_full_matrix(self):
+        found = 0
+        for cfg in self.WELLS + (WellConfig(1e5, 1e-5, 2.0, 1.0),):
+            for N in (8, 16, 32):
+                table = _mode_table(cfg.inner, cfg.outer, N)
+                for parity in ParitySector:
+                    for lam, _q in _scan_roots(table, cfg.a, parity, 400, 1e-12):
+                        C = _scan_matrices(table, cfg.a, parity, np.array([lam]))[0][0]
+                        smin, smax = _sigma_extremes(C)
+                        assert smin < 1e-8 * smax
+                        found += 1
+        assert found >= 20
 
 
 class TestCompanionPairing:

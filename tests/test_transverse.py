@@ -11,7 +11,7 @@ from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSect
                         dispersion, mode_eval, mode_eval_derivative, overlap,
                         overlap_matrix, transversal_eigenvalues,
                         transversal_mode)
-from robinstrip.quadrature import composite_gl
+from robinstrip.quadrature import composite_gl, gauss_legendre
 
 
 def even_factor(k, cs):
@@ -270,3 +270,15 @@ class TestOverlap:
         mb = transversal_mode(RobinCrossSection(1.0, 2.0), 1)
         with pytest.raises(ContractError):
             overlap(ma, mb)
+
+
+class TestQuadrature:
+    def test_cached_rule_is_read_only(self):
+        # gauss_legendre is cached: an in-place edit by one caller would
+        # change every later quadrature in the process
+        x, w = gauss_legendre(64)
+        with pytest.raises(ValueError):
+            w *= 2.0
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert composite_gl(0.0, 1.0)[1].sum() == pytest.approx(1.0, abs=1e-14)
