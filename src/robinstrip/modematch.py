@@ -17,30 +17,29 @@ continuity projected on the outer mode family leaves the square system
 
 with L_n the logarithmic derivative of the axial profile at x = a
 ("axial stiffness") and k_m = sqrt(E_m(alpha0) - lambda).  Bound-state
-energies are located by scanning the smallest singular value of C over
-the window.
+energies are the points of the window where C is singular.
 
 Root scanning uses a column-rescaled form of C built from entire
 functions of lambda (the channel boundary value and derivative instead of
 their ratio L_n).  The rescaling leaves the null space untouched but has
-no poles, which matters: scanning C itself produces spurious
-near-singular points close to the poles of L_n, where the value-normalized
-parameterization degenerates.  Those fake minima pass any singular-value
-threshold and violate the Neumann-bracketing bound on the state count;
-with the regularized matrix the computed counts match that rigorous bound
-exactly.
+no poles, which matters: C itself is near-singular close to the poles of
+L_n, where the value-normalized parameterization degenerates, and those
+fake roots violate the Neumann-bracketing bound on the state count.  The
+rescaled matrix is also continuous in lambda below threshold, so its
+determinant changes sign exactly across its simple singular points.
 
 The scan covers only the y-even block.  chi_n is even about y = d/2 for
 odd n and odd for even n, so the overlaps between the two families vanish
 and the matrix is exactly block-diagonal.  The y-odd block cannot be
 singular in the window: on y-odd functions the operator is bounded below
-by E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  All scan energies of one window
-go through one stack of y-even matrices and one batched SVD; golden-section
-refinement evaluates the same block one energy at a time.  Each accepted
-state's coefficients, sigma_min and residual are then taken from all N
-channels.  Scanning the full matrix would also lose states: where the
-y-even dip is narrower than the grid spacing, the scanned sigma_min sits
-on the y-odd block's floor and the dip never shows.
+by E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
+block is taken on a grid over the window with one batched LU; grid
+intervals where it changes sign are bisected together, one batched LU per
+step, and one batched SVD accepts the refined energies where sigma_min <
+1e-8 sigma_max.  Each accepted state's coefficients, sigma_min and
+residual are then taken from all N channels.  A sign change finds a root
+however narrow its singular-value dip is, which a scan of sigma_min on the
+grid does not.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .quadrature import composite_gl
 from .transverse import (RobinCrossSection, _levels, _Levels, overlap_matrix,
                          transversal_eigenvalues)
 
-# Acceptance threshold for a scanned minimum: sigma_min < RES_ACCEPT * sigma_max.
+# Acceptance threshold for a refined root: sigma_min < _ROOT_ACCEPT * sigma_max.
 _ROOT_ACCEPT = 1e-8
 # null_vector tolerates a looser ratio (diagnostics on slightly off-root systems).
 _NULLVEC_ACCEPT = 1e-6
@@ -312,93 +311,67 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
     return C, V
 
 
-def _scan_sigma(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray) -> np.ndarray:
-    """sigma_min of the scan matrix at every trial energy in lam, from one
-    batched SVD."""
-    C = _scan_matrices(table, a, parity, lam)[0]
-    return np.linalg.svd(C, compute_uv=False)[:, -1]
-
-
 def _sigma_extremes(M: np.ndarray) -> tuple[float, float]:
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[-1]), float(s[0])
 
 
 def _window(table: _ModeTable) -> tuple[float, float] | None:
+    """The scanned window (E_1(alpha1), E_1(alpha0)), pulled in by 1e-9 of
+    its width at both ends; None when it is empty to rounding."""
     lo = float(table.inner.energy[0])
     hi = float(table.outer.energy[0])
-    if hi - lo <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
+    w = hi - lo
+    if w <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
         return None
-    return lo, hi
+    return lo + 1e-9 * w, hi - 1e-9 * w
 
 
 def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: int,
-                tol: float) -> list[tuple[float, float]]:
-    """Scan sigma_min of the regularized matrix of the y-even block over the
-    window and refine each candidate local minimum by golden section.
-    Returns (lambda, sigma_min/sigma_max) pairs for accepted roots, sorted.
-    Refinement stops at width tol, or at 8 ulp of lambda where tol is finer
-    than that."""
+                tol: float) -> list[float]:
+    """Accepted roots of the regularized y-even block in the window, sorted.
+
+    The sign of det is taken at scan_points energies; every grid interval
+    where it changes sign is bisected, all of them together, until it is
+    tol wide (or 8 ulp of lambda, where tol is finer than that), and its
+    midpoint is kept iff sigma_min < 1e-8 sigma_max there.  A grid point
+    where det is exactly zero is a candidate as it stands.
+    """
     win = _window(table)
     if win is None:
         return []
-    lo, hi = win
-    w = hi - lo
-    lo, hi = lo + 1e-9 * w, hi - 1e-9 * w
     block = table.y_even()
 
-    def f(lam: float) -> float:
-        return float(_scan_sigma(block, a, parity, np.array([lam]))[0])
+    def sign(lam: np.ndarray) -> np.ndarray:
+        return np.linalg.slogdet(_scan_matrices(block, a, parity, lam)[0])[0]
 
-    grid = np.linspace(lo, hi, scan_points)
-    sig = _scan_sigma(block, a, parity, grid)
-    cands = [j for j in range(1, scan_points - 1)
-             if sig[j] < sig[j - 1] and sig[j] < sig[j + 1]]
-    # descending toward an edge: near-threshold states hide there
-    if sig[0] < sig[1]:
-        cands.append(0)
-    if sig[-1] < sig[-2]:
-        cands.append(scan_points - 1)
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    roots = []
-    for j in cands:
-        gl, gh = grid[max(j - 1, 0)], grid[min(j + 1, scan_points - 1)]
-        x1 = gh - invphi * (gh - gl)
-        x2 = gl + invphi * (gh - gl)
-        f1, f2 = f(x1), f(x2)
-        while gh - gl > max(tol, 8.0 * np.spacing(gh)):
-            if f1 < f2:
-                gh, x2, f2 = x2, x1, f1
-                x1 = gh - invphi * (gh - gl)
-                f1 = f(x1)
-            else:
-                gl, x1, f1 = x1, x2, f2
-                x2 = gl + invphi * (gh - gl)
-                f2 = f(x2)
-        lam = float(0.5 * (gl + gh))
-        smin, smax = _sigma_extremes(_scan_matrices(block, a, parity, np.array([lam]))[0][0])
-        if smin < _ROOT_ACCEPT * smax:
-            roots.append((lam, smin / smax))
-    roots.sort()
-    merged: list[tuple[float, float]] = []
-    for lam, q in roots:
-        if merged and lam - merged[-1][0] <= max(4.0 * tol, 1e-9 * max(1.0, abs(lam))):
-            if q < merged[-1][1]:
-                merged[-1] = (lam, q)
-        else:
-            merged.append((lam, q))
-    return merged
+    grid = np.linspace(*win, scan_points)
+    sg = sign(grid)
+    j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+    gl, gh, sl = grid[j], grid[j + 1], sg[j]
+    while True:
+        act = np.flatnonzero(gh - gl > np.maximum(tol, 8.0 * np.spacing(gh)))
+        if not act.size:
+            break
+        mid = 0.5 * (gl[act] + gh[act])
+        right = sign(mid) == sl[act]
+        gl[act] = np.where(right, mid, gl[act])
+        gh[act] = np.where(right, gh[act], mid)
+    lam = np.sort(np.concatenate([grid[sg == 0.0], 0.5 * (gl + gh)]))
+    if not lam.size:
+        return []
+    s = np.linalg.svd(_scan_matrices(block, a, parity, lam)[0], compute_uv=False)
+    return lam[s[:, -1] < _ROOT_ACCEPT * s[:, 0]].tolist()
 
 
 def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
                          scan_points: int = 400, tol: float = 1e-12) -> list[BoundState]:
     """All bound states of one parity sector in (E_1(alpha1), E_1(alpha0)).
 
-    The window is scanned at scan_points trial energies, local minima of
-    the smallest singular value are refined by golden section to width
-    tol (or 8 ulp of lambda, where that is wider), and a root is accepted
-    iff sigma_min < 1e-8 sigma_max there.  A second scan at truncation N/2
+    The sign of det of the regularized matrix is taken at scan_points
+    trial energies, every sign change is bisected to width tol (or 8 ulp
+    of lambda, where that is wider), and a root is accepted iff sigma_min
+    < 1e-8 sigma_max there.  A second scan at truncation N/2
     supplies each state's truncation-error estimate |lambda(N) -
     lambda(N/2)|, pairing roots that are each other's nearest.  Both scans
     use the y-even channels of their truncation; each state's coefficients,
@@ -415,13 +388,13 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     roots = _scan_roots(table, config.a, parity, scan_points, tol)
     if not roots:
         return []
-    coarse: list[tuple[float, float]] = []
+    coarse: list[float] = []
     if N >= 4:
         coarse = _scan_roots(table.prefix(N // 2), config.a, parity, scan_points, tol)
-    companions = _pair_nearest([lam for lam, _q in roots], [lam for lam, _q in coarse])
+    companions = _pair_nearest(roots, coarse)
 
     states = []
-    for (lam, _q), lam_coarse in zip(roots, companions):
+    for lam, lam_coarse in zip(roots, companions):
         Creg, colfac = (x[0] for x in _scan_matrices(table, config.a, parity, np.array([lam])))
         vt = np.linalg.svd(Creg)[2]
         a = vt[-1] * colfac

@@ -1,11 +1,16 @@
 """CLI: config loading, subcommands, export schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robinstrip
 from robinstrip import load_config, read_wavefunction
 from robinstrip.cli import main
 from robinstrip.errors import ConfigError
@@ -217,3 +222,15 @@ class TestExistenceCommand:
                      "--d", "1", "--n-max", "4", "--out-dir", str(tmp_path)])
         assert code == 0
         assert "no claim" in capsys.readouterr().out
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # importing scipy.optimize adds about 0.2 s to every CLI start
+        src = str(Path(robinstrip.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, robinstrip.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -13,8 +13,9 @@ from robinstrip import (ConfigError, ContractError, NotAtRootError,
                         b_coefficients, bound_state_energies, matching_matrix,
                         matching_residual, minimax_brackets, neumann_state_cap,
                         null_vector, transversal_eigenvalues, wavefunction)
+from robinstrip import modematch
 from robinstrip.modematch import (_mode_table, _pair_nearest, _scan_matrices, _scan_roots,
-                                  _scan_sigma, _sigma_extremes, _value_deriv)
+                                  _sigma_extremes, _value_deriv, _window)
 from robinstrip.transverse import _levels
 
 SYM = ParitySector.SYMMETRIC
@@ -246,7 +247,7 @@ class TestBoundStates:
         E1_out = float(transversal_eigenvalues(cfg.outer, 1)[0])
         lo, hi = minimax_brackets(cfg, 3)
         lams = []
-        for N in (16, 24, 32, 48):
+        for N in (16, 24, 32, 48, 64):
             states = bound_state_energies(cfg, SYM, N)
             assert len(states) == 2
             assert lo < states[1].lam < hi <= E1_out
@@ -254,6 +255,25 @@ class TestBoundStates:
             lams.append(states[1].lam)
         # converging from below as N grows
         assert np.all(np.diff(lams) > 0) and np.all(np.diff(lams) < 2e-4)
+        # the s = 1e-2 copy keeps it at lambda / s^2
+        s = 1e-2
+        scaled = WellConfig(cfg.alpha0 / s, cfg.alpha1 / s, s * cfg.a, s * cfg.d)
+        states = bound_state_energies(scaled, SYM, 64)
+        assert len(states) == 2
+        assert states[1].lam * s * s == pytest.approx(lams[-1], rel=1e-8, abs=0.0)
+
+    def test_antisymmetric_state_of_thin_strip(self):
+        # a sigma_min scan of the grid lost this state at N = 64
+        cfg = WellConfig(78.79295871732337, 3.9018661273165116,
+                         0.39662561687452436, 0.5549311055010613)
+        lams = []
+        for N in (32, 48, 64):
+            states = bound_state_energies(cfg, ANTI, N)
+            assert len(states) == 1
+            assert states[0].sigma_min < 1e-10
+            lams.append(states[0].lam)
+        assert lams[-1] == pytest.approx(29.3099721, abs=1e-7)
+        assert np.all(np.diff(lams) > 0) and np.all(np.diff(lams) < 5e-4)
 
 
 class TestBlockScan:
@@ -272,16 +292,29 @@ class TestBlockScan:
                 C = _scan_matrices(table, cfg.a, parity, self._grid(table))[0]
                 assert np.all(C[:, off] == 0.0)
 
-    def test_batched_sigma_equals_per_energy_sigma(self):
+    @staticmethod
+    def _signs(block, a, parity, lam):
+        return np.linalg.slogdet(_scan_matrices(block, a, parity, lam)[0])[0]
+
+    def test_batched_det_sign_equals_per_energy_sign(self):
         for cfg in self.WELLS:
             block = _mode_table(cfg.inner, cfg.outer, 32).y_even()
             lam = self._grid(block)
             for parity in ParitySector:
-                batched = _scan_sigma(block, cfg.a, parity, lam)
-                single = [_sigma_extremes(_scan_matrices(block, cfg.a, parity,
-                                                         np.array([x]))[0][0])[0]
-                          for x in lam]
+                batched = self._signs(block, cfg.a, parity, lam)
+                single = [self._signs(block, cfg.a, parity, np.array([x]))[0] for x in lam]
                 assert batched.tolist() == single
+
+    def test_sign_changes_count_accepted_roots(self):
+        # every bracket on the scan grid holds exactly one accepted root
+        for cfg in self.WELLS:
+            for N in (8, 16, 32):
+                table = _mode_table(cfg.inner, cfg.outer, N)
+                grid = np.linspace(*_window(table), 400)
+                for parity in ParitySector:
+                    sg = self._signs(table.y_even(), cfg.a, parity, grid)
+                    changes = np.count_nonzero(sg[:-1] * sg[1:] < 0.0)
+                    assert changes == len(_scan_roots(table, cfg.a, parity, 400, 1e-12))
 
     def test_block_roots_are_roots_of_full_matrix(self):
         found = 0
@@ -289,12 +322,50 @@ class TestBlockScan:
             for N in (8, 16, 32):
                 table = _mode_table(cfg.inner, cfg.outer, N)
                 for parity in ParitySector:
-                    for lam, _q in _scan_roots(table, cfg.a, parity, 400, 1e-12):
+                    for lam in _scan_roots(table, cfg.a, parity, 400, 1e-12):
                         C = _scan_matrices(table, cfg.a, parity, np.array([lam]))[0][0]
                         smin, smax = _sigma_extremes(C)
                         assert smin < 1e-8 * smax
                         found += 1
         assert found >= 20
+
+    @staticmethod
+    def _count_work(monkeypatch):
+        calls = {"matrices": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(modematch, "_scan_matrices",
+                            counted("matrices", modematch._scan_matrices))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        return calls
+
+    def test_rootless_sector_is_one_lu_and_no_svd(self, monkeypatch):
+        table = _mode_table(WELL.inner, WELL.outer, 16)
+        calls = self._count_work(monkeypatch)
+        assert _scan_roots(table, WELL.a, ANTI, 400, 1e-12) == []
+        assert calls == {"matrices": 1, "svd": 0}
+
+    def test_bisection_work_does_not_grow_with_root_count(self, monkeypatch):
+        tol = 1e-12
+        calls = self._count_work(monkeypatch)
+        counts = set()
+        for cfg in self.WELLS + (WellConfig(1e5, 1e-5, 2.0, 1.0),):
+            table = _mode_table(cfg.inner, cfg.outer, 32)
+            lo, hi = _window(table)
+            h = (hi - lo) / 399
+            for parity in ParitySector:
+                calls.update(matrices=0, svd=0)
+                k = len(_scan_roots(table, cfg.a, parity, 400, tol))
+                if k:
+                    counts.add(k)
+                    assert calls["matrices"] <= 2 + np.ceil(np.log2(h / tol))
+                    assert calls["svd"] == 1
+        assert counts == {1, 2}
 
 
 class TestCompanionPairing:
