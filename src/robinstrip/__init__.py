@@ -5,15 +5,12 @@ variational existence test, and a finite-difference oracle."""
 from .config import (MatchingParams, OracleSpec, OutputSpec, RunConfig,
                      SweepSpec, load_config)
 from .errors import (BracketError, ConfigError, ContractError,
-                     ConvergenceError, NotAtRootError, NumericalError,
-                     PoleError, RobinStripError)
+                     ConvergenceError, NumericalError, RobinStripError)
 from .fdoracle import (FdGrid, SparseOperator, assemble, lowest_eigenpairs,
                        make_grid, oracle_bound_states)
-from .modematch import (BoundState, MatchingSystem, ParitySector,
-                        WavefunctionGrid, WellConfig, axial_stiffness,
-                        b_coefficients, bound_state_energies,
-                        matching_matrix, matching_residual, minimax_brackets,
-                        neumann_state_cap, null_vector, wavefunction)
+from .modematch import (BoundState, ParitySector, WavefunctionGrid,
+                        WellConfig, bound_state_energies, matching_residual,
+                        minimax_brackets, neumann_state_cap, wavefunction)
 from .outputs import (SweepResult, SweepRow, read_wavefunction, sweep_csv,
                       sweep_json, wavefunction_text, write_sweep_csv,
                       write_sweep_json, write_wavefunction)
@@ -30,18 +27,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundState", "BracketError", "BumpProfile", "ConfigError",
     "ContractError", "ConvergenceError", "FdGrid", "MatchingParams",
-    "MatchingSystem", "NotAtRootError", "NumericalError", "OracleSpec",
-    "OutputSpec", "ParitySector", "PoleError", "QReport",
+    "NumericalError", "OracleSpec", "OutputSpec", "ParitySector", "QReport",
     "RobinCrossSection", "RobinStripError", "RunConfig", "SparseOperator",
     "SweepResult", "SweepRow", "SweepSpec", "TransversalMode",
-    "WavefunctionGrid", "WellConfig", "assemble", "axial_stiffness",
-    "b_coefficients", "bound_state_energies", "dispersion", "existence_test",
-    "load_config", "lowest_eigenpairs", "make_grid", "matching_matrix",
-    "matching_residual", "minimax_brackets", "mode_eval",
-    "mode_eval_derivative", "neumann_state_cap", "null_vector", "overlap",
-    "overlap_matrix", "oracle_bound_states", "q_form", "q_form_direct",
-    "read_wavefunction", "sweep_csv", "sweep_json", "sweep_svg",
-    "transversal_eigenvalues", "transversal_mode", "trial_scale",
-    "wavefunction", "wavefunction_text", "write_sweep_csv",
-    "write_sweep_json", "write_sweep_svg", "write_wavefunction",
+    "WavefunctionGrid", "WellConfig", "assemble", "bound_state_energies",
+    "dispersion", "existence_test", "load_config", "lowest_eigenpairs",
+    "make_grid", "matching_residual", "minimax_brackets", "mode_eval",
+    "mode_eval_derivative", "neumann_state_cap", "overlap", "overlap_matrix",
+    "oracle_bound_states", "q_form", "q_form_direct", "read_wavefunction",
+    "sweep_csv", "sweep_json", "sweep_svg", "transversal_eigenvalues",
+    "transversal_mode", "trial_scale", "wavefunction", "wavefunction_text",
+    "write_sweep_csv", "write_sweep_json", "write_sweep_svg",
+    "write_wavefunction",
 ]

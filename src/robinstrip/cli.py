@@ -39,7 +39,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", type=float, help=f"override well.{name}")
     p.add_argument("--N", type=int, help="override matching.N")
     p.add_argument("--scan-points", type=int, help="override matching.scan_points")
-    p.add_argument("--tol", type=float, help="override matching.tol")
     p.add_argument("--out-dir", help="override output.dir")
     p.add_argument("--formats", help="override output.formats (comma separated)")
 
@@ -62,8 +61,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         match_over["N"] = args.N
     if args.scan_points is not None:
         match_over["scan_points"] = args.scan_points
-    if args.tol is not None:
-        match_over["tol"] = args.tol
     if match_over:
         cfg = dataclasses.replace(cfg, matching=dataclasses.replace(cfg.matching, **match_over))
     out_over = {}
@@ -81,8 +78,7 @@ def _merged_states(well: WellConfig, matching: MatchingParams) -> list[BoundStat
     states = []
     for parity in ParitySector:
         states.extend(bound_state_energies(well, parity, matching.N,
-                                           scan_points=matching.scan_points,
-                                           tol=matching.tol))
+                                           scan_points=matching.scan_points))
     return sorted(states, key=lambda s: s.lam)
 
 

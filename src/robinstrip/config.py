@@ -23,19 +23,17 @@ _CLOSURES = ("dirichlet", "neumann")
 
 @dataclass(frozen=True)
 class MatchingParams:
-    """Mode-matching knobs: truncation order, scan resolution, root tol."""
+    """Mode-matching knobs: truncation order and scan resolution.  Roots
+    are refined to 8 ulp of lambda, so there is no tolerance to set."""
 
     N: int = 32
     scan_points: int = 400
-    tol: float = 1e-12
 
     def __post_init__(self):
         if self.N < 2:
             raise ConfigError(f"matching.N must be >= 2, got {self.N!r}")
         if self.scan_points < 8:
             raise ConfigError(f"matching.scan_points must be >= 8, got {self.scan_points!r}")
-        if not (self.tol > 0.0 and np.isfinite(self.tol)):
-            raise ConfigError(f"matching.tol must be positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

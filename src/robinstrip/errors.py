@@ -27,13 +27,5 @@ class BracketError(NumericalError):
     """A root bracket did not contain the expected sign change."""
 
 
-class PoleError(NumericalError):
-    """Evaluation was requested too close to a pole of the axial stiffness."""
-
-
-class NotAtRootError(NumericalError):
-    """A null vector was requested from a matrix that is not near-singular."""
-
-
 class ConvergenceError(NumericalError):
     """An iterative refinement did not converge within its budget."""

@@ -19,14 +19,18 @@ with L_n the logarithmic derivative of the axial profile at x = a
 ("axial stiffness") and k_m = sqrt(E_m(alpha0) - lambda).  Bound-state
 energies are the points of the window where C is singular.
 
-Root scanning uses a column-rescaled form of C built from entire
-functions of lambda (the channel boundary value and derivative instead of
-their ratio L_n).  The rescaling leaves the null space untouched but has
-no poles, which matters: C itself is near-singular close to the poles of
-L_n, where the value-normalized parameterization degenerates, and those
+The code never evaluates L_n.  It has poles, and C is near-singular close
+to them, where the value-normalized parameterization degenerates; those
 fake roots violate the Neumann-bracketing bound on the state count.  The
-rescaled matrix is also continuous in lambda below threshold, so its
-determinant changes sign exactly across its simple singular points.
+code builds the column-rescaled C_hat = C diag(V_n s_n) instead, from the
+channel boundary value V_n and derivative D_n = L_n V_n, which are entire
+functions of lambda, and a smooth positive normalization s_n.  C_hat has
+the null space of C and no poles, and it is continuous in lambda below
+threshold, so its determinant changes sign exactly across its simple
+singular points.  A state's reported sigma_min is that of C, recovered
+by dividing the columns of C_hat by V_n s_n: V_n is at least 1/2 or a
+positive expm1 ratio in the evanescent branch, and the cos or sin of a
+nonzero double in the oscillatory one, so never exactly zero.
 
 The scan covers only the y-even block.  chi_n is even about y = d/2 for
 odd n and odd for even n, so the overlaps between the two families vanish
@@ -34,10 +38,10 @@ and the matrix is exactly block-diagonal.  The y-odd block cannot be
 singular in the window: on y-odd functions the operator is bounded below
 by E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
 block is taken on a grid over the window with one batched LU; grid
-intervals where it changes sign are bisected together, one batched LU per
-step, and one batched SVD accepts the refined energies where sigma_min <
-1e-8 sigma_max.  Each accepted state's coefficients, sigma_min and
-residual are then taken from all N channels.  A sign change finds a root
+intervals where it changes sign are bisected together down to 8 ulp of
+lambda, one batched LU per step, and one batched SVD accepts the refined
+energies where sigma_min < 1e-8 sigma_max.  Each accepted state's
+coefficients, sigma_min and residual are then taken from all N channels.  A sign change finds a root
 however narrow its singular-value dip is, which a scan of sigma_min on the
 grid does not.
 """
@@ -45,22 +49,20 @@ grid does not.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NotAtRootError, NumericalError, PoleError
+from .errors import ConfigError, ContractError, NumericalError
 from .quadrature import composite_gl
 from .transverse import (RobinCrossSection, _levels, _Levels, overlap_matrix,
                          transversal_eigenvalues)
 
 # Acceptance threshold for a refined root: sigma_min < _ROOT_ACCEPT * sigma_max.
 _ROOT_ACCEPT = 1e-8
-# null_vector tolerates a looser ratio (diagnostics on slightly off-root systems).
-_NULLVEC_ACCEPT = 1e-6
-# Relative margin for the axial-stiffness pole error.
-_POLE_REL = 1e-12
+# Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
+_RESIDUAL_PANELS = 8
 
 
 class ParitySector(enum.Enum):
@@ -98,25 +100,6 @@ class WellConfig:
     @property
     def outer(self) -> RobinCrossSection:
         return RobinCrossSection(self.alpha0, self.d)
-
-
-@dataclass(frozen=True, eq=False)
-class MatchingSystem:
-    """The truncated matching matrix at one trial energy.
-
-    C is stored with rows scaled by 1/(1 + k_m); the scaling leaves the
-    null space unchanged and keeps the rows comparably sized (k_m grows
-    like m pi / d).
-    """
-
-    config: WellConfig
-    parity: ParitySector
-    N: int
-    lam: float
-    C: np.ndarray
-    overlaps: np.ndarray
-    inner_energies: np.ndarray
-    outer_energies: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,51 +180,18 @@ def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _
 # axial profiles
 
 
-def axial_stiffness(lam: float, E_inner: float, a: float, parity: ParitySector) -> float:
-    """Logarithmic derivative L_n of the inner axial profile at x = a.
-
-    With l = sqrt(E_inner - lambda): l tanh(l a) (symmetric) or
-    l coth(l a) (antisymmetric); for lambda above the channel energy the
-    real-analytic continuation -kappa tan(kappa a) resp. kappa cot(kappa a)
-    with kappa = sqrt(lambda - E_inner).  At lambda = E_inner the limits
-    are 0 and 1/a.  Raises PoleError within relative 1e-12 of a pole
-    (kappa a at odd multiples of pi/2, resp. nonzero multiples of pi).
-    """
-    if not (a > 0.0):
-        raise ContractError("a must be positive")
-    sym = parity is ParitySector.SYMMETRIC
-    if lam == E_inner:
-        return 0.0 if sym else 1.0 / a
-    if lam < E_inner:
-        l = np.sqrt(E_inner - lam)
-        t = np.tanh(l * a)
-        return float(l * t) if sym else float(l / t)
-    kap = np.sqrt(lam - E_inner)
-    # nearest pole of tan/cot in lambda units
-    if sym:
-        j = max(0, round(kap * a / np.pi - 0.5))
-        pole = E_inner + ((j + 0.5) * np.pi / a) ** 2
-    else:
-        j = max(1, round(kap * a / np.pi))
-        pole = E_inner + (j * np.pi / a) ** 2
-    if abs(lam - pole) <= _POLE_REL * max(1.0, abs(pole)):
-        raise PoleError(
-            f"lambda={lam!r} is within relative {_POLE_REL:g} of the "
-            f"{parity.value} axial-stiffness pole at {pole!r}"
-        )
-    if sym:
-        return float(-kap * np.tan(kap * a))
-    return float(kap / np.tan(kap * a))
-
-
-def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float, parity: ParitySector):
-    """Boundary value V and x-derivative D of each channel profile at x = a
-    for each trial energy: lam has shape (P,), E shape (n,), V and D shape
-    (P, n).  Both are scaled by exp(-l a) in the evanescent branch.
+def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float | np.ndarray, parity: ParitySector):
+    """Value V and x-derivative D of each channel profile at x = a for each
+    trial energy: lam has shape (P,), E shape (n,), and a is a float (V
+    and D of shape (P, n)) or an array of shape (Q, 1) with P = 1 (shape
+    (Q, n)).  Both are scaled by exp(-l a), l = sqrt(E - lam), in the
+    evanescent branch.
 
     V and D are entire functions of lambda (up to the smooth positive
-    scaling), never vanish simultaneously, and satisfy D/V =
-    axial_stiffness; they are what the pole-free scan matrix is built from.
+    scaling) and never vanish simultaneously; D/V is the axial stiffness
+    L_n, l tanh(l a) or l coth(l a), continued as -kappa tan(kappa a) or
+    kappa cot(kappa a) above the channel energy.  They are what the
+    pole-free scan matrix is built from.
     """
     diff = E[None, :] - lam[:, None]
     hyp = diff >= 0.0
@@ -262,31 +212,6 @@ def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float, parity: ParitySector)
 
 # --------------------------------------------------------------------------
 # matching matrices
-
-
-def matching_matrix(config: WellConfig, parity: ParitySector, lam: float, N: int) -> MatchingSystem:
-    """Assemble C_mn = (L_n(lambda) + k_m) O_mn with rows scaled 1/(1+k_m).
-
-    Requires lambda < E_1(alpha0) so every k_m is real; the overlap matrix
-    and mode tables are cached per (config, N).
-    """
-    if N < 2:
-        raise ContractError("truncation order N must be >= 2")
-    table = _mode_table(config.inner, config.outer, N)
-    if not lam < table.outer.energy[0]:
-        raise ContractError(
-            f"lambda={lam!r} must lie below the outer threshold "
-            f"E_1(alpha0)={table.outer.energy[0]!r}"
-        )
-    L = np.array([axial_stiffness(lam, En, config.a, parity)
-                  for En in table.inner.energy])
-    k = np.sqrt(table.outer.energy - lam)
-    C = (L[None, :] + k[:, None]) * table.overlaps
-    C = C / (1.0 + k)[:, None]
-    return MatchingSystem(config=config, parity=parity, N=N, lam=lam, C=C,
-                          overlaps=table.overlaps,
-                          inner_energies=table.inner.energy,
-                          outer_energies=table.outer.energy)
 
 
 def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray):
@@ -311,11 +236,6 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
     return C, V
 
 
-def _sigma_extremes(M: np.ndarray) -> tuple[float, float]:
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
 def _window(table: _ModeTable) -> tuple[float, float] | None:
     """The scanned window (E_1(alpha1), E_1(alpha0)), pulled in by 1e-9 of
     its width at both ends; None when it is empty to rounding."""
@@ -327,15 +247,18 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
     return lo + 1e-9 * w, hi - 1e-9 * w
 
 
-def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: int,
-                tol: float) -> list[float]:
+def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
+                scan_points: int) -> list[float]:
     """Accepted roots of the regularized y-even block in the window, sorted.
 
     The sign of det is taken at scan_points energies; every grid interval
     where it changes sign is bisected, all of them together, until it is
-    tol wide (or 8 ulp of lambda, where tol is finer than that), and its
-    midpoint is kept iff sigma_min < 1e-8 sigma_max there.  A grid point
-    where det is exactly zero is a candidate as it stands.
+    8 ulp of lambda wide, and its midpoint is kept iff sigma_min < 1e-8
+    sigma_max there.  A grid point where det is exactly zero is a
+    candidate as it stands.  The stopping width scales with lambda, so a
+    copy of the well scaled by (alpha/s, s a, s d) is refined alike, and
+    near threshold, where det varies with sqrt(E_1(alpha0) - lambda), no
+    absolute width leaves the midpoint too far from the root to accept.
     """
     win = _window(table)
     if win is None:
@@ -350,7 +273,7 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: 
     j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
     gl, gh, sl = grid[j], grid[j + 1], sg[j]
     while True:
-        act = np.flatnonzero(gh - gl > np.maximum(tol, 8.0 * np.spacing(gh)))
+        act = np.flatnonzero(gh - gl > 8.0 * np.spacing(gh))
         if not act.size:
             break
         mid = 0.5 * (gl[act] + gh[act])
@@ -365,32 +288,29 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector, scan_points: 
 
 
 def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
-                         scan_points: int = 400, tol: float = 1e-12) -> list[BoundState]:
+                         scan_points: int = 400) -> list[BoundState]:
     """All bound states of one parity sector in (E_1(alpha1), E_1(alpha0)).
 
     The sign of det of the regularized matrix is taken at scan_points
-    trial energies, every sign change is bisected to width tol (or 8 ulp
-    of lambda, where that is wider), and a root is accepted iff sigma_min
-    < 1e-8 sigma_max there.  A second scan at truncation N/2
-    supplies each state's truncation-error estimate |lambda(N) -
-    lambda(N/2)|, pairing roots that are each other's nearest.  Both scans
-    use the y-even channels of their truncation; each state's coefficients,
-    sigma_min and residual come from all N channels.  An empty list is a
-    valid result.
+    trial energies, every sign change is bisected to 8 ulp of lambda, and
+    a root is accepted iff sigma_min < 1e-8 sigma_max there.  A second
+    scan at truncation N/2 supplies each state's truncation-error estimate
+    |lambda(N) - lambda(N/2)|, pairing roots that are each other's
+    nearest.  Both scans use the y-even channels of their truncation; each
+    state's coefficients, sigma_min and residual come from all N channels.
+    An empty list is a valid result.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
     if scan_points < 8:
         raise ContractError("scan_points must be >= 8")
-    if not tol > 0.0:
-        raise ContractError("tol must be positive")
     table = _mode_table(config.inner, config.outer, N)
-    roots = _scan_roots(table, config.a, parity, scan_points, tol)
+    roots = _scan_roots(table, config.a, parity, scan_points)
     if not roots:
         return []
     coarse: list[float] = []
     if N >= 4:
-        coarse = _scan_roots(table.prefix(N // 2), config.a, parity, scan_points, tol)
+        coarse = _scan_roots(table.prefix(N // 2), config.a, parity, scan_points)
     companions = _pair_nearest(roots, coarse)
 
     states = []
@@ -405,10 +325,8 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
         if a[np.argmax(np.abs(a))] < 0.0:
             a = -a
         b = table.overlaps @ a
-        try:
-            smin = _sigma_extremes(matching_matrix(config, parity, lam, N).C)[0]
-        except PoleError:
-            smin = _sigma_extremes(Creg)[0]
+        # C_hat = C diag(colfac), so this is sigma_min of C itself
+        smin = float(np.linalg.svd(Creg / colfac, compute_uv=False)[-1])
         c0, c1 = _residual(table, config, parity, lam, a, b)
         states.append(BoundState(
             lam=lam, parity=parity, a_coeffs=a, b_coeffs=b, sigma_min=smin,
@@ -429,33 +347,6 @@ def _pair_nearest(fine: list[float], coarse: list[float]) -> list[float | None]:
     nearest_fine = dist.argmin(axis=0)
     return [coarse[j] if nearest_fine[j] == i else None
             for i, j in enumerate(nearest_coarse)]
-
-
-def null_vector(system: MatchingSystem) -> np.ndarray:
-    """Right singular vector of C for the smallest singular value,
-    normalized with the largest-magnitude entry positive.  Requires
-    sigma_min < 1e-6 ||C||."""
-    smin, smax = _sigma_extremes(system.C)
-    if not smin < _NULLVEC_ACCEPT * smax:
-        raise NotAtRootError(
-            f"sigma_min/sigma_max = {smin / smax:.3e} at lambda={system.lam!r}; "
-            "the system is not close enough to singular"
-        )
-    v = np.linalg.svd(system.C)[2][-1]
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
-    return v
-
-
-def b_coefficients(a_coeffs: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Outer coefficients from value continuity: b_m = sum_n O_mn a_n."""
-    a_coeffs = np.asarray(a_coeffs, dtype=float)
-    overlaps = np.asarray(overlaps, dtype=float)
-    if overlaps.ndim != 2 or overlaps.shape[1] != a_coeffs.shape[0]:
-        raise ContractError(
-            f"shape mismatch: O is {overlaps.shape}, a has length {a_coeffs.shape[0]}"
-        )
-    return overlaps @ a_coeffs
 
 
 def neumann_state_cap(config: WellConfig) -> int:
@@ -494,35 +385,16 @@ def minimax_brackets(config: WellConfig, n: int) -> tuple[float, float]:
 # wavefunctions and residuals
 
 
-def _axial_profiles(config: WellConfig, parity: ParitySector, lam: float,
-                    E_inner: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inner axial profiles (channels x points), value-normalized at |x|=a,
-    evaluated with overflow-safe exponential ratios."""
-    a = config.a
-    sym = parity is ParitySector.SYMMETRIC
-    out = np.empty((len(E_inner), len(x)))
-    ax = np.abs(x)
-    for n, En in enumerate(E_inner):
-        if lam <= En:
-            l = np.sqrt(En - lam)
-            if sym:
-                # cosh(l x) / cosh(l a)
-                out[n] = (np.exp(l * (ax - a)) * (1.0 + np.exp(-2.0 * l * ax))
-                          / (1.0 + np.exp(-2.0 * l * a)))
-            elif l * a < 1e-8:
-                out[n] = x / a
-            else:
-                # sinh(l x) / sinh(l a)
-                out[n] = (np.sign(x) * np.exp(l * (ax - a))
-                          * (-np.expm1(-2.0 * l * ax))
-                          / (-np.expm1(-2.0 * l * a)))
-        else:
-            kap = np.sqrt(lam - En)
-            if sym:
-                out[n] = np.cos(kap * x) / np.cos(kap * a)
-            else:
-                out[n] = np.sin(kap * x) / np.sin(kap * a)
-    return out
+def _axial_profiles(parity: ParitySector, lam: float, E_inner: np.ndarray, a: float,
+                    r: np.ndarray) -> np.ndarray:
+    """Inner axial profiles at 0 <= r <= a (channels x points, row-major),
+    value-normalized at r = a: V(r) / V(a) exp(l (r - a)), undoing the
+    scaling of V.  Every factor is at most 1 in the evanescent branch."""
+    lam = np.array([lam])
+    V_r = _value_deriv(lam, E_inner, r[:, None], parity)[0]
+    V_a = _value_deriv(lam, E_inner, a, parity)[0]
+    l = np.sqrt(np.maximum(E_inner - lam, 0.0))
+    return np.ascontiguousarray((np.exp(l * (r[:, None] - a)) * V_r / V_a).T)
 
 
 def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> WavefunctionGrid:
@@ -551,8 +423,8 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
     r = np.where(snap, config.a, r)
     inner = r <= config.a
     if np.any(inner):
-        prof = _axial_profiles(config, state.parity, state.lam,
-                               table.inner.energy, r[inner])
+        prof = _axial_profiles(state.parity, state.lam, table.inner.energy,
+                               config.a, r[inner])
         vals[inner] = (state.a_coeffs[:, None] * prof).T @ chi_in
         if state.parity is ParitySector.ANTISYMMETRIC:
             vals[inner] *= np.where(x[inner] < 0.0, -1.0, 1.0)[:, None]
@@ -573,10 +445,9 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
 
 
 def _residual(table: _ModeTable, config: WellConfig, parity: ParitySector, lam: float,
-              a: np.ndarray, b: np.ndarray, N_quad: int = 512) -> tuple[float, float]:
+              a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     d = config.d
-    npanels = max(1, int(np.ceil(N_quad / 64)))
-    y, w = composite_gl(0.0, d, points_per_panel=64, max_panel_width=d / npanels)
+    y, w = composite_gl(0.0, d, max_panel_width=d / _RESIDUAL_PANELS)
     chi_in = table.inner.chi(y)
     chi_out = table.outer.chi(y)
     V, D = (x[0] for x in _value_deriv(np.array([lam]), table.inner.energy, config.a, parity))
@@ -591,8 +462,7 @@ def _residual(table: _ModeTable, config: WellConfig, parity: ParitySector, lam: 
     return c0, c1
 
 
-def matching_residual(config: WellConfig, state: BoundState,
-                      N_quad: int = 512) -> tuple[float, float]:
+def matching_residual(config: WellConfig, state: BoundState) -> tuple[float, float]:
     """L2(0, d) norms of the value jump (c0) and x-derivative jump (c1) of
     the expansion across x = a, at the state's ||a||_2 = 1 scale.  Both
     shrink as the truncation order grows; c1 reacts sharply to a wrong
@@ -600,4 +470,4 @@ def matching_residual(config: WellConfig, state: BoundState,
     table = _mode_table(config.inner, config.outer, state.N)
     return _residual(table, config, state.parity, state.lam,
                      np.asarray(state.a_coeffs, dtype=float),
-                     np.asarray(state.b_coeffs, dtype=float), N_quad)
+                     np.asarray(state.b_coeffs, dtype=float))

@@ -149,17 +149,15 @@ def trial_scale(bump: BumpProfile, n: int, x):
     return bump(np.asarray(x, dtype=float) / n) / np.sqrt(n)
 
 
-def q_form(config: WellConfig, bump: BumpProfile, n: int, quad_points: int = 64) -> float:
+def q_form(config: WellConfig, bump: BumpProfile, n: int) -> float:
     """Q[psi_n] by the separable reduction.
 
     For the rectangular well the coupling integral collapses to
     (alpha1 - alpha0) int_{-a}^{a} phi_n^2, evaluated by adaptive Simpson
-    with quad_points base points (the integration range is clipped to
-    the trial support)."""
+    from 64 base points (the integration range is clipped to the trial
+    support)."""
     if n < 1:
         raise ContractError("n must be >= 1")
-    if quad_points < 64:
-        raise ContractError("quad_points must be >= 64")
     mode = transversal_mode(config.outer, 1)
     wall_weight = float(mode_eval(mode, 0.0) ** 2 + mode_eval(mode, config.d) ** 2)
     hi = min(config.a, bump.support * n)
@@ -167,23 +165,22 @@ def q_form(config: WellConfig, bump: BumpProfile, n: int, quad_points: int = 64)
     def integrand(x):
         return trial_scale(bump, n, x) ** 2
 
-    well = adaptive_simpson(integrand, -hi, hi, base_points=quad_points)
+    well = adaptive_simpson(integrand, -hi, hi)
     return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
 
 
-def q_form_direct(config: WellConfig, bump: BumpProfile, n: int,
-                  points_per_panel: int = 64) -> float:
+def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     """Q[psi_n] by direct 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2
-    on the truncated domain [-s n, s n] x [0, d]: no separable reduction,
-    no eigen-identity.  Cross-validates q_form."""
+    on the truncated domain [-s n, s n] x [0, d], 64-point Gauss-Legendre
+    panels split at the kinks: no separable reduction, no eigen-identity.
+    Cross-validates q_form."""
     if n < 1:
         raise ContractError("n must be >= 1")
     a, d = config.a, config.d
     sn, pn = bump.support * n, bump.plateau * n
     knots = sorted({v for v in (-a, a, -pn, pn) if -sn < v < sn})
-    x, wx = composite_gl(-sn, sn, knots=tuple(knots),
-                         points_per_panel=points_per_panel)
-    y, wy = composite_gl(0.0, d, points_per_panel=points_per_panel)
+    x, wx = composite_gl(-sn, sn, knots=tuple(knots))
+    y, wy = composite_gl(0.0, d)
 
     mode = transversal_mode(config.outer, 1)
     E1 = mode.energy

@@ -39,7 +39,7 @@ class TestConfigLoading:
         path = tmp_path / "c.yaml"
         path.write_text(
             "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
-            "matching: {N: 24, scan_points: 300, tol: 1.0e-11}\n"
+            "matching: {N: 24, scan_points: 300}\n"
             "sweep: {parameter: alpha_pair, values: [[50, 3], [70, 2]]}\n"
             "oracle: {L: 6.0, refinements: 2, closure: neumann}\n"
             "output: {dir: results, formats: [csv, svg]}\n"
@@ -57,6 +57,8 @@ class TestConfigLoading:
         "matching: {N: 16}\n",                                    # no well
         "well: {alpha0: -1, alpha1: 5, a: 0.3, d: 1}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1}\n",
+        # roots are refined to 8 ulp of lambda; there is no tolerance to set
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16, tol: 1.0e-12}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nsweep: {parameter: b}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noutput: {formats: [png]}\n",
         "[1, 2, 3]\n",
@@ -119,6 +121,13 @@ class TestSpectrum:
     def test_no_well_flags_is_config_error(self, capsys):
         assert main(["spectrum", "--alpha0", "20"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_tol_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--tol", "1e-12", "--alpha0", "20", "--alpha1", "5",
+                  "--a", "0.3", "--d", "1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_constant_profile_zero_rows(self, tmp_path, capsys):
         code = main(["spectrum", "--alpha0", "20", "--alpha1", "20", "--a", "0.3",

@@ -92,8 +92,6 @@ class TestQForm:
     def test_validation(self):
         with pytest.raises(ContractError):
             q_form(WELL, BUMP, 0)
-        with pytest.raises(ContractError):
-            q_form(WELL, BUMP, 1, quad_points=32)
 
 
 class TestExistenceTest:
