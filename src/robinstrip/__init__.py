@@ -15,10 +15,8 @@ from .outputs import (SweepResult, SweepRow, read_wavefunction, sweep_csv,
                       sweep_json, wavefunction_text, write_sweep_csv,
                       write_sweep_json, write_wavefunction)
 from .svg import sweep_svg, write_sweep_svg
-from .transverse import (RobinCrossSection, TransversalMode, dispersion,
-                         mode_eval, mode_eval_derivative, overlap,
-                         overlap_matrix, transversal_eigenvalues,
-                         transversal_mode)
+from .transverse import (RobinCrossSection, dispersion, overlap_matrix,
+                         transversal_eigenvalues, transversal_levels)
 from .variational import (BumpProfile, QReport, existence_test, q_form,
                           q_form_direct, trial_scale)
 
@@ -29,14 +27,13 @@ __all__ = [
     "ContractError", "ConvergenceError", "FdGrid", "MatchingParams",
     "NumericalError", "OracleSpec", "OutputSpec", "ParitySector", "QReport",
     "RobinCrossSection", "RobinStripError", "RunConfig", "SparseOperator",
-    "SweepResult", "SweepRow", "SweepSpec", "TransversalMode",
-    "WavefunctionGrid", "WellConfig", "assemble", "bound_state_energies",
-    "dispersion", "existence_test", "load_config", "lowest_eigenpairs",
-    "make_grid", "matching_residual", "minimax_brackets", "mode_eval",
-    "mode_eval_derivative", "neumann_state_cap", "overlap", "overlap_matrix",
+    "SweepResult", "SweepRow", "SweepSpec", "WavefunctionGrid", "WellConfig",
+    "assemble", "bound_state_energies", "dispersion", "existence_test",
+    "load_config", "lowest_eigenpairs", "make_grid", "matching_residual",
+    "minimax_brackets", "neumann_state_cap", "overlap_matrix",
     "oracle_bound_states", "q_form", "q_form_direct", "read_wavefunction",
     "sweep_csv", "sweep_json", "sweep_svg", "transversal_eigenvalues",
-    "transversal_mode", "trial_scale", "wavefunction", "wavefunction_text",
+    "transversal_levels", "trial_scale", "wavefunction", "wavefunction_text",
     "write_sweep_csv", "write_sweep_json", "write_sweep_svg",
     "write_wavefunction",
 ]

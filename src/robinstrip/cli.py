@@ -100,7 +100,8 @@ def _point_rows(well: WellConfig, matching: MatchingParams,
     return rows
 
 
-def _write_result(result: SweepResult, cfg: RunConfig, stem: str) -> list[str]:
+def _write_result(result: SweepResult, cfg: RunConfig, stem: str,
+                  xlabel: str = "a/d") -> list[str]:
     os.makedirs(cfg.output.dir, exist_ok=True)
     written = []
     for fmt in cfg.output.formats:
@@ -110,7 +111,7 @@ def _write_result(result: SweepResult, cfg: RunConfig, stem: str) -> list[str]:
         elif fmt == "json":
             write_sweep_json(result, path)
         elif fmt == "svg":
-            write_sweep_svg(result, path)
+            write_sweep_svg(result, path, xlabel=xlabel)
         written.append(path)
     return written
 
@@ -142,7 +143,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.extend(_point_rows(well, cfg.matching, sweep_value))
     rows.sort(key=lambda r: (r.sweep_value, r.lam))
     result = SweepResult(rows=tuple(rows))
-    written = _write_result(result, cfg, f"sweep_{cfg.sweep.parameter}")
+    written = _write_result(result, cfg, f"sweep_{cfg.sweep.parameter}",
+                            xlabel="a/d" if cfg.sweep.parameter == "a" else "α0")
     print(f"{len(result.rows)} rows over {len(cfg.sweep.values)} sweep points")
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
@@ -151,6 +153,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    if args.nx < 2 or args.ny < 2:
+        raise ConfigError(f"--nx and --ny must be >= 2, got {args.nx} and {args.ny}")
     states = _merged_states(cfg.well, cfg.matching)
     if args.ordinal < 1 or args.ordinal > len(states):
         raise NumericalError(

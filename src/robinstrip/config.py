@@ -136,7 +136,7 @@ def _coerce_number(section: str, name: str, annotation: str, value):
     except ValueError:
         raise ConfigError(f"{section}.{name} must be a number, got {value!r}") from None
     if want_int:
-        if x != int(x):
+        if not (np.isfinite(x) and x == int(x)):
             raise ConfigError(f"{section}.{name} must be an integer, got {value!r}")
         return int(x)
     return x

@@ -10,7 +10,7 @@ interface x = a, separately in the symmetric and antisymmetric sector of
 the reflection x -> -x.  Inside the well each channel carries a
 cosh/cos (symmetric) or sinh/sin (antisymmetric) axial profile, outside a
 decaying exponential exp(-k_m (x - a)).  Value continuity determines the
-outer coefficients b = O a from the overlap matrix O, and derivative
+outer coefficients b = O a from the matrix O of mode overlaps, and derivative
 continuity projected on the outer mode family leaves the square system
 
     C(lambda) a = 0,    C_mn = (L_n(lambda) + k_m) O_mn,
@@ -32,18 +32,19 @@ by dividing the columns of C_hat by V_n s_n: V_n is at least 1/2 or a
 positive expm1 ratio in the evanescent branch, and the cos or sin of a
 nonzero double in the oscillatory one, so never exactly zero.
 
-The scan covers only the y-even block.  chi_n is even about y = d/2 for
-odd n and odd for even n, so the overlaps between the two families vanish
-and the matrix is exactly block-diagonal.  The y-odd block cannot be
-singular in the window: on y-odd functions the operator is bounded below
-by E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
+Only the y-even channels, n = 1, 3, 5, ... <= N, are kept.  chi_n is
+even about y = d/2 for odd n and odd for even n, so the overlaps between
+the two families vanish and the matrix is exactly block-diagonal.  The
+y-odd block cannot be singular in the window, so a state has no y-odd
+amplitude: on y-odd functions the operator is bounded below by
+E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
 block is taken on a grid over the window with one batched LU; grid
 intervals where it changes sign are bisected together down to 8 ulp of
 lambda, one batched LU per step, and one batched SVD accepts the refined
-energies where sigma_min < 1e-8 sigma_max.  Each accepted state's
-coefficients, sigma_min and residual are then taken from all N channels.  A sign change finds a root
+energies where sigma_min < 1e-8 sigma_max.  A sign change finds a root
 however narrow its singular-value dip is, which a scan of sigma_min on the
-grid does not.
+grid does not.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2,
+hold the amplitudes of channels 1, 3, 5, ...
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ class BoundState:
 
     a_coeffs are the channel amplitudes at the interface (the inner axial
     profiles are normalized to value 1 at x = a), with ||a||_2 = 1 and the
-    largest-magnitude entry positive.  trunc_err is |lambda(N) -
+    largest-magnitude entry positive; b_coeffs = O a are the outer ones.
+    Entry j of either is the amplitude of the y-even channel n = 2j + 1,
+    so both have length (N + 1) // 2.  trunc_err is |lambda(N) -
     lambda(N/2)| when the state is identifiable at half truncation (the
     two roots are each other's nearest); lam_coarse keeps the signed
     companion value for extrapolation.
@@ -150,30 +153,25 @@ class WavefunctionGrid:
 @dataclass(frozen=True, eq=False)
 class _ModeTable:
     """Transversal levels of both cross-sections and their read-only
-    overlap matrix; independent of the well half-width a."""
+    overlaps; independent of the well half-width a."""
 
     inner: _Levels
     outer: _Levels
     overlaps: np.ndarray
 
     def prefix(self, n: int) -> _ModeTable:
-        """The table at truncation n: the first n levels and the top-left
-        overlap block, bitwise equal to a table built at n."""
-        return _ModeTable(self.inner.prefix(n), self.outer.prefix(n),
-                          self.overlaps[:n, :n])
-
-    def y_even(self) -> _ModeTable:
-        """The y-even block: the odd-n levels (chi_n even about y = d/2) and
-        their overlaps.  Overlaps across the two blocks are exact zeros."""
-        return _ModeTable(self.inner.y_even(), self.outer.y_even(),
-                          self.overlaps[::2, ::2])
+        """The first n channels and the top-left n x n overlaps block."""
+        return _ModeTable(self.inner[:n], self.outer[:n], self.overlaps[:n, :n])
 
 
 @lru_cache(maxsize=64)
 def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _ModeTable:
-    O = overlap_matrix(inner, outer, N)
+    """The y-even channels at truncation N: levels n = 1, 3, 5, ... <= N
+    of both cross-sections and their overlaps.  Its prefix((M + 1) // 2)
+    is bitwise the table at truncation M <= N."""
+    O = np.ascontiguousarray(overlap_matrix(inner, outer, N)[::2, ::2])
     O.flags.writeable = False
-    return _ModeTable(_levels(inner, N), _levels(outer, N), O)
+    return _ModeTable(_levels(inner, N)[::2], _levels(outer, N)[::2], O)
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +247,7 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
 
 def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
                 scan_points: int) -> list[float]:
-    """Accepted roots of the regularized y-even block in the window, sorted.
+    """Accepted roots of the regularized matrix of table in the window, sorted.
 
     The sign of det is taken at scan_points energies; every grid interval
     where it changes sign is bisected, all of them together, until it is
@@ -263,10 +261,9 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
     win = _window(table)
     if win is None:
         return []
-    block = table.y_even()
 
     def sign(lam: np.ndarray) -> np.ndarray:
-        return np.linalg.slogdet(_scan_matrices(block, a, parity, lam)[0])[0]
+        return np.linalg.slogdet(_scan_matrices(table, a, parity, lam)[0])[0]
 
     grid = np.linspace(*win, scan_points)
     sg = sign(grid)
@@ -283,7 +280,7 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
     lam = np.sort(np.concatenate([grid[sg == 0.0], 0.5 * (gl + gh)]))
     if not lam.size:
         return []
-    s = np.linalg.svd(_scan_matrices(block, a, parity, lam)[0], compute_uv=False)
+    s = np.linalg.svd(_scan_matrices(table, a, parity, lam)[0], compute_uv=False)
     return lam[s[:, -1] < _ROOT_ACCEPT * s[:, 0]].tolist()
 
 
@@ -296,9 +293,8 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     a root is accepted iff sigma_min < 1e-8 sigma_max there.  A second
     scan at truncation N/2 supplies each state's truncation-error estimate
     |lambda(N) - lambda(N/2)|, pairing roots that are each other's
-    nearest.  Both scans use the y-even channels of their truncation; each
-    state's coefficients, sigma_min and residual come from all N channels.
-    An empty list is a valid result.
+    nearest.  Scans, coefficients, sigma_min and residuals all use the
+    y-even channels of their truncation.  An empty list is a valid result.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
@@ -310,7 +306,7 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
         return []
     coarse: list[float] = []
     if N >= 4:
-        coarse = _scan_roots(table.prefix(N // 2), config.a, parity, scan_points)
+        coarse = _scan_roots(table.prefix((N // 2 + 1) // 2), config.a, parity, scan_points)
     companions = _pair_nearest(roots, coarse)
 
     states = []

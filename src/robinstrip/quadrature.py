@@ -13,6 +13,12 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+# Adaptive Simpson: starting panel count, relative agreement between two
+# consecutive levels, and the number of doublings allowed.
+_SIMPSON_PANELS = 32
+_SIMPSON_REL_TOL = 1e-8
+_SIMPSON_DOUBLINGS = 16
+
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,9 +30,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def composite_gl(lo: float, hi: float, knots=(), points_per_panel: int = 64,
+def composite_gl(lo: float, hi: float, knots=(),
                  max_panel_width: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi].
+    """Composite Gauss-Legendre nodes/weights on [lo, hi], 64 per panel.
 
     The interval is split at every interior knot (so integrand kinks or
     coefficient jumps land on panel boundaries) and long panels are further
@@ -34,7 +40,7 @@ def composite_gl(lo: float, hi: float, knots=(), points_per_panel: int = 64,
     """
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    xs, ws = gauss_legendre(points_per_panel)
+    xs, ws = gauss_legendre(64)
     edges = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
     X, W = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -49,13 +55,12 @@ def composite_gl(lo: float, hi: float, knots=(), points_per_panel: int = 64,
     return np.concatenate(X), np.concatenate(W)
 
 
-def adaptive_simpson(f, lo: float, hi: float, base_points: int = 64,
-                     rel_tol: float = 1e-8, max_doublings: int = 16) -> float:
+def adaptive_simpson(f, lo: float, hi: float) -> float:
     """Integrate a smooth callable by composite Simpson with doubling.
 
-    Starts from ``base_points`` panels and doubles until two consecutive
-    levels agree to ``rel_tol`` (relative, with an absolute floor for
-    near-zero integrals).  Raises ConvergenceError if the budget runs out.
+    Starts from 32 panels and doubles until two consecutive levels agree
+    to 1e-8 (relative, with an absolute floor for near-zero integrals).
+    Raises ConvergenceError after 16 doublings.
     """
     if hi <= lo:
         return 0.0
@@ -66,15 +71,15 @@ def adaptive_simpson(f, lo: float, hi: float, base_points: int = 64,
         h = (hi - lo) / (2 * npanels)
         return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
-    npanels = max(1, int(base_points) // 2)
+    npanels = _SIMPSON_PANELS
     prev = simpson(npanels)
-    for _ in range(max_doublings):
+    for _ in range(_SIMPSON_DOUBLINGS):
         npanels *= 2
         cur = simpson(npanels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300) + 1e-300:
+        if abs(cur - prev) <= _SIMPSON_REL_TOL * max(abs(cur), 1e-300) + 1e-300:
             return cur
         prev = cur
     raise ConvergenceError(
-        f"Simpson rule did not reach relative tolerance {rel_tol:g} "
-        f"within {max_doublings} doublings on [{lo:g}, {hi:g}]"
+        f"Simpson rule did not reach relative tolerance {_SIMPSON_REL_TOL:g} "
+        f"within {_SIMPSON_DOUBLINGS} doublings on [{lo:g}, {hi:g}]"
     )

@@ -37,13 +37,13 @@ _K_REL_TOL = 1e-13
 # Above this alpha*d the dispersion is evaluated rescaled by 1/(1+alpha^2)
 # to keep magnitudes representable.
 _LARGE_ALPHA_D = 1e8
-# Below this |k_a - k_b|*d the closed-form overlap loses digits to
+# Below this |k_a - k_b|*d the closed-form overlaps lose digits to
 # cancellation and quadrature takes over.
 _NEAR_DEGENERATE_KD = 1e-6
 # Squares of arrays use np.float_power, which calls libm pow exactly as a
 # scalar x ** 2 does; array x ** 2 computes x * x, which differs in the last
-# bit on some inputs.  Every level and overlap thus has the bits of its
-# scalar definition, whatever the table size.
+# bit on some inputs.  Every level and every overlap_matrix entry thus has
+# the bits of its scalar formula, whatever the table size.
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ class RobinCrossSection:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (self.d > 0.0) or not np.isfinite(self.d):
             raise ConfigError(f"d must be positive and finite, got {self.d!r}")
-
-
-@dataclass(frozen=True)
-class TransversalMode:
-    """One normalized transversal eigenfunction chi_n with its energy."""
-
-    n: int
-    energy: float
-    k: float
-    norm_const: float
-    cross_section: RobinCrossSection
 
 
 def dispersion(E, cs: RobinCrossSection):
@@ -87,8 +76,6 @@ def dispersion(E, cs: RobinCrossSection):
     if cs.alpha * cs.d > _LARGE_ALPHA_D:
         f = f / (1.0 + cs.alpha**2)
     return f if f.ndim else float(f)
-
-
 
 
 def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
@@ -144,8 +131,7 @@ def _check_norms(cs: RobinCrossSection, k: np.ndarray, I: np.ndarray) -> None:
     panel by panel so memory stays linear in the number of levels."""
     alpha, d = cs.alpha, cs.d
     npanels = max(1, int(np.ceil(k[-1] * d / (2.0 * np.pi)))) + 1
-    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)],
-                        points_per_panel=64)
+    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)])
     A = (alpha / k)[:, None]
     I_quad = np.zeros_like(k)
     for yp, wp in zip(y.reshape(npanels, -1), w.reshape(npanels, -1)):
@@ -164,24 +150,39 @@ def _check_norms(cs: RobinCrossSection, k: np.ndarray, I: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class _Levels:
     """The lowest levels of one cross-section as read-only arrays: energy
-    E_n, wavenumber k_n = sqrt(E_n) and normalization of chi_n."""
+    E_n, wavenumber k_n = sqrt(E_n) and normalization of chi_n.  This table
+    is the one representation of a transversal level in the package."""
 
     cs: RobinCrossSection
     energy: np.ndarray
     k: np.ndarray
     norm_const: np.ndarray
 
-    def prefix(self, n: int) -> _Levels:
-        """The table of the n lowest levels; bitwise equal to _levels(cs, n)."""
-        return _Levels(self.cs, self.energy[:n], self.k[:n], self.norm_const[:n])
-
-    def y_even(self) -> _Levels:
-        """The odd-n levels, whose chi_n are even about y = d/2."""
-        return _Levels(self.cs, self.energy[::2], self.k[::2], self.norm_const[::2])
+    def __getitem__(self, s: slice) -> _Levels:
+        """The levels at positions s: [:n] is bitwise _levels(cs, n), and
+        [::2] the odd-n levels, whose chi_n are even about y = d/2."""
+        return _Levels(self.cs, self.energy[s], self.k[s], self.norm_const[s])
 
     def chi(self, y) -> np.ndarray:
-        """chi_n(y) for every level (rows) and every y (columns)."""
-        return _chi(self.cs, self.k[:, None], self.norm_const[:, None], y)
+        """chi_n(y) for every level (first axis) and every y in [0, d]
+        (remaining axes, shaped like y)."""
+        k, ky, c = self._at(y)
+        return c * ((self.cs.alpha / k) * np.sin(ky) + np.cos(ky))
+
+    def chi_deriv(self, y) -> np.ndarray:
+        """chi_n'(y), laid out as chi(y)."""
+        k, ky, c = self._at(y)
+        return c * (self.cs.alpha * np.cos(ky) - k * np.sin(ky))
+
+    def _at(self, y):
+        """k_n, k_n y and the normalizations, broadcast against y."""
+        y = np.asarray(y, dtype=float)
+        d = self.cs.d
+        if np.any(y < -1e-12 * d) or np.any(y > d * (1.0 + 1e-12)):
+            raise ContractError(f"y out of range [0, {d:g}]")
+        shape = (-1,) + (1,) * y.ndim
+        k = self.k.reshape(shape)
+        return k, k * y, self.norm_const.reshape(shape)
 
 
 @lru_cache(maxsize=128)
@@ -202,43 +203,16 @@ def _levels(cs: RobinCrossSection, n_max: int) -> _Levels:
     return table
 
 
+def transversal_levels(cs: RobinCrossSection, n_max: int) -> _Levels:
+    """The table of the n_max lowest levels of cs: read-only energy, k and
+    norm_const arrays, with chi(y) and chi_deriv(y) evaluating every
+    chi_n and chi_n' at once.  Shared and cached; copy before editing."""
+    return _levels(cs, n_max)
+
+
 def transversal_eigenvalues(cs: RobinCrossSection, n_max: int) -> np.ndarray:
     """The n_max lowest transversal energies E_1 < E_2 < ... < E_{n_max}."""
     return _levels(cs, n_max).energy.copy()
-
-
-def transversal_mode(cs: RobinCrossSection, n: int) -> TransversalMode:
-    """The n-th normalized mode, read from the mode table of cs."""
-    if n < 1:
-        raise ContractError("mode index n must be >= 1")
-    table = _levels(cs, n)
-    return TransversalMode(n=n, energy=float(table.energy[-1]), k=float(table.k[-1]),
-                           norm_const=float(table.norm_const[-1]), cross_section=cs)
-
-
-def _chi(cs: RobinCrossSection, k, norm_const, y) -> np.ndarray:
-    """chi(y) for wavenumbers k and normalizations norm_const that
-    broadcast against y, which must lie in [0, d]."""
-    y = np.asarray(y, dtype=float)
-    d = cs.d
-    if np.any(y < -1e-12 * d) or np.any(y > d * (1.0 + 1e-12)):
-        raise ContractError(f"y out of range [0, {d:g}]")
-    return norm_const * ((cs.alpha / k) * np.sin(k * y) + np.cos(k * y))
-
-
-def mode_eval(mode: TransversalMode, y):
-    """chi_n(y).  Accepts scalars or arrays; y must lie in [0, d]."""
-    val = _chi(mode.cross_section, mode.k, mode.norm_const, y)
-    return val if val.ndim else float(val)
-
-
-def mode_eval_derivative(mode: TransversalMode, y):
-    """chi_n'(y), used for derivative matching and quadratic forms."""
-    y = np.asarray(y, dtype=float)
-    alpha = mode.cross_section.alpha
-    k = mode.k
-    val = mode.norm_const * (alpha * np.cos(k * y) - k * np.sin(k * y))
-    return val if val.ndim else float(val)
 
 
 def _overlap_closed(Aa, ka, Ab, kb, d: float):
@@ -257,45 +231,28 @@ def _overlap_closed(Aa, ka, Ab, kb, d: float):
 
 
 def _overlap_quad(Aa: float, ka: float, Ab: float, kb: float, d: float) -> float:
-    """The same integral by composite Gauss-Legendre."""
+    """The same integral by composite Gauss-Legendre, for nearly equal
+    wavenumbers, where the closed form is a cancelling 0/0."""
     npanels = max(1, int(np.ceil((ka + kb) * d / (2.0 * np.pi)))) + 1
-    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)],
-                        points_per_panel=64)
+    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)])
     u = Aa * np.sin(ka * y) + np.cos(ka * y)
     v = Ab * np.sin(kb * y) + np.cos(kb * y)
     return float(np.sum(w * u * v))
 
 
-def overlap(ma: TransversalMode, mb: TransversalMode) -> float:
-    """int_0^d chi_a(y) chi_b(y) dy.
+def overlap_matrix(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> np.ndarray:
+    """O[m, n] = int_0^d chi_{n+1}(y; inner) chi_{m+1}(y; outer) dy.
 
     Closed form via product-to-sum antiderivatives; the difference
     frequency uses the half-angle form 1 - cos(t) = 2 sin^2(t/2) so no
     digits cancel.  Nearly equal wavenumbers (|k_a - k_b| d <= 1e-6) fall
     back to composite Gauss-Legendre, which covers the removable 0/0.
-    """
-    if ma.cross_section.d != mb.cross_section.d:
-        raise ContractError("overlap requires modes on the same strip width")
-    d = ma.cross_section.d
-    ka, kb = ma.k, mb.k
-    Aa = ma.cross_section.alpha / ka
-    Ab = mb.cross_section.alpha / kb
-    if abs(ka - kb) * d <= _NEAR_DEGENERATE_KD:
-        I = _overlap_quad(Aa, ka, Ab, kb, d)
-    else:
-        I = float(_overlap_closed(Aa, ka, Ab, kb, d))
-    return ma.norm_const * mb.norm_const * I
-
-
-def overlap_matrix(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> np.ndarray:
-    """O[m, n] = overlap(chi_{n+1}(inner), chi_{m+1}(outer)).
-
     chi_n is even/odd about y = d/2 for n odd/even, so opposite-parity
     products integrate to exactly zero; those entries are set to 0.0
     (checkerboard sparsity).
     """
     if inner.d != outer.d:
-        raise ContractError("overlap requires modes on the same strip width")
+        raise ContractError("overlap_matrix requires cross-sections of equal width")
     d = inner.d
     ti, to = _levels(inner, N), _levels(outer, N)
     ka, kb = ti.k[None, :], to.k[:, None]

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .modematch import WellConfig
 from .quadrature import adaptive_simpson, composite_gl
-from .transverse import mode_eval, mode_eval_derivative, transversal_mode
+from .transverse import _levels
 
 
 def _g(t):
@@ -158,8 +158,8 @@ def q_form(config: WellConfig, bump: BumpProfile, n: int) -> float:
     support)."""
     if n < 1:
         raise ContractError("n must be >= 1")
-    mode = transversal_mode(config.outer, 1)
-    wall_weight = float(mode_eval(mode, 0.0) ** 2 + mode_eval(mode, config.d) ** 2)
+    ends = _levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
+    wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
     hi = min(config.a, bump.support * n)
 
     def integrand(x):
@@ -182,12 +182,11 @@ def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     x, wx = composite_gl(-sn, sn, knots=tuple(knots))
     y, wy = composite_gl(0.0, d)
 
-    mode = transversal_mode(config.outer, 1)
-    E1 = mode.energy
-    chi = mode_eval(mode, y)
-    chi_p = mode_eval_derivative(mode, y)
-    chi0 = float(mode_eval(mode, 0.0))
-    chid = float(mode_eval(mode, d))
+    level = _levels(config.outer, 1)
+    E1 = float(level.energy[0])
+    chi = level.chi(y)[0]
+    chi_p = level.chi_deriv(y)[0]
+    chi0, chid = (float(v) for v in level.chi(np.array([0.0, d]))[0])
 
     phi = trial_scale(bump, n, x)
     phi_p = bump.derivative(x / n) / n**1.5

@@ -85,6 +85,12 @@ class TestConfigLoading:
         "well: {alpha0: twenty, alpha1: 5, a: 0.3, d: 1}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16.5}\n",
         "well: {alpha0: true, alpha1: 5, a: 0.3, d: 1}\n",
+        # integer fields with non-finite values
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e400}\n",
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .inf}\n",
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .nan}\n",
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {scan_points: -.inf}\n",
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {refinements: .nan}\n",
     ])
     def test_rejects_non_numeric_fields(self, tmp_path, text):
         path = tmp_path / "bad.yaml"
@@ -167,6 +173,25 @@ class TestSweep:
         assert len(polylines) == sum(1 for c in counts.values() if c >= 2)
         assert len(circles) == sum(1 for c in counts.values() if c == 1)
 
+    @pytest.mark.parametrize("parameter, values, label", [
+        ("a", "[0.4, 0.8]", "a/d"),
+        ("alpha_pair", "[[20, 5], [30, 5]]", "α0"),
+    ])
+    def test_svg_x_axis_names_the_sweep_parameter(self, tmp_path, capsys,
+                                                  parameter, values, label):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
+            "matching: {N: 8}\n"
+            f"sweep: {{parameter: {parameter}, values: {values}}}\n"
+            f"output: {{dir: {tmp_path / 'out'}, formats: [svg]}}\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        svg = ET.parse(tmp_path / "out" / f"sweep_{parameter}.svg").getroot()
+        texts = [e.text for e in svg.iter() if e.tag.endswith("text")]
+        assert label in texts
+        assert ({"a/d", "α0"} - {label}).isdisjoint(texts)
+
     def test_empty_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(
@@ -195,6 +220,11 @@ class TestWavefunction:
         nrm = np.sqrt(np.trapezoid(np.trapezoid(vals**2, y, axis=1), x))
         assert nrm == pytest.approx(1.0, abs=1e-9)
         assert 5.2 < lam < 8.2
+
+    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
+    def test_negative_grid_size_is_config_error(self, base_cfg, flag, capsys):
+        assert main(["wavefunction", "--config", str(base_cfg), flag, "-5"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_missing_ordinal_is_numerical_failure(self, base_cfg, capsys):
         assert main(["wavefunction", "--config", str(base_cfg), "--ordinal", "7"]) == 3

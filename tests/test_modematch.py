@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
                         bound_state_energies, matching_residual, minimax_brackets,
-                        neumann_state_cap, transversal_eigenvalues, wavefunction)
+                        neumann_state_cap, overlap_matrix, transversal_eigenvalues,
+                        wavefunction)
 from robinstrip import modematch
-from robinstrip.modematch import (_mode_table, _pair_nearest, _scan_matrices, _scan_roots,
-                                  _value_deriv, _window)
+from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
+                                  _scan_roots, _value_deriv, _window)
 from robinstrip.transverse import _levels
 
 SYM = ParitySector.SYMMETRIC
@@ -47,13 +48,28 @@ def _ratio(lam, E, a, parity):
     return D[0, 0] / V[0, 0]
 
 
+def _full_table(cfg, N):
+    """All N channels, y-odd ones included, from the level tables and
+    overlap_matrix: a reference independent of the solver's y-even table."""
+    return _ModeTable(_levels(cfg.inner, N), _levels(cfg.outer, N),
+                      overlap_matrix(cfg.inner, cfg.outer, N))
+
+
 def _matching_matrix(cfg, parity, lam, N):
-    """C_mn = (L_n + k_m) O_mn / (1 + k_m) from the closed-form stiffness,
-    independent of the rescaled stack the solver builds."""
-    table = _mode_table(cfg.inner, cfg.outer, N)
+    """The full N x N C_mn = (L_n + k_m) O_mn / (1 + k_m) from the
+    closed-form stiffness, independent of the rescaled stack the solver
+    builds."""
+    table = _full_table(cfg, N)
     L = np.array([_stiffness(lam, E, cfg.a, parity) for E in table.inner.energy])
     k = np.sqrt(table.outer.energy - lam)
     return (L[None, :] + k[:, None]) * table.overlaps / (1.0 + k)[:, None]
+
+
+def _scattered(state):
+    """a_coeffs in the odd-n slots of a length-N vector, zeros elsewhere."""
+    a = np.zeros(state.N)
+    a[::2] = state.a_coeffs
+    return a
 
 
 @pytest.fixture(scope="module")
@@ -135,20 +151,22 @@ class TestAxialStiffness:
 
 
 class TestMatchingMatrix:
-    """Each state against C built from the closed forms."""
+    """Each state against the full N-channel C built from the closed forms."""
 
     STATES = ((WELL, SYM, 32), (WellConfig(8.0, 1.0, 1.5, 1.0), SYM, 32),
               (WellConfig(40.0, 2.0, 1.0, 0.8), SYM, 16),
               (WellConfig(40.0, 2.0, 1.0, 0.8), ANTI, 16),
-              (WellConfig(1e5, 1e-5, 2.0, 1.0), ANTI, 32))
+              (WellConfig(1e5, 1e-5, 2.0, 1.0), ANTI, 32),
+              (WellConfig(8.0, 1.0, 1.5, 1.0), SYM, 33))
 
     @pytest.mark.parametrize("cfg,parity,N", STATES)
     def test_state_is_null_vector_of_C(self, cfg, parity, N):
         states = bound_state_energies(cfg, parity, N)
         assert states
         for st in states:
+            assert len(st.a_coeffs) == len(st.b_coeffs) == (N + 1) // 2
             C = _matching_matrix(cfg, parity, st.lam, N)
-            assert np.linalg.norm(C @ st.a_coeffs) <= 1e-8 * np.linalg.norm(C, 2)
+            assert np.linalg.norm(C @ _scattered(st)) <= 1e-8 * np.linalg.norm(C, 2)
 
     @pytest.mark.parametrize("cfg,parity,N", STATES)
     def test_sigma_min_is_that_of_C(self, cfg, parity, N):
@@ -319,9 +337,17 @@ class TestBlockScan:
     def _grid(table, P=37):
         return np.linspace(table.inner.energy[0], table.outer.energy[0], P)
 
+    def test_table_is_the_y_even_block(self):
+        for cfg in self.WELLS:
+            for N in (16, 33):
+                table, full = _mode_table(cfg.inner, cfg.outer, N), _full_table(cfg, N)
+                assert table.inner.energy.tolist() == full.inner.energy[::2].tolist()
+                assert table.outer.k.tolist() == full.outer.k[::2].tolist()
+                assert table.overlaps.tolist() == full.overlaps[::2, ::2].tolist()
+
     def test_off_block_entries_are_exact_zeros(self):
         for cfg in self.WELLS:
-            table = _mode_table(cfg.inner, cfg.outer, 16)
+            table = _full_table(cfg, 16)
             idx = np.arange(16)
             off = (idx[:, None] + idx[None, :]) % 2 == 1
             for parity in ParitySector:
@@ -334,7 +360,7 @@ class TestBlockScan:
 
     def test_batched_det_sign_equals_per_energy_sign(self):
         for cfg in self.WELLS:
-            block = _mode_table(cfg.inner, cfg.outer, 32).y_even()
+            block = _mode_table(cfg.inner, cfg.outer, 32)
             lam = self._grid(block)
             for parity in ParitySector:
                 batched = self._signs(block, cfg.a, parity, lam)
@@ -348,18 +374,18 @@ class TestBlockScan:
                 table = _mode_table(cfg.inner, cfg.outer, N)
                 grid = np.linspace(*_window(table), 400)
                 for parity in ParitySector:
-                    sg = self._signs(table.y_even(), cfg.a, parity, grid)
+                    sg = self._signs(table, cfg.a, parity, grid)
                     changes = np.count_nonzero(sg[:-1] * sg[1:] < 0.0)
                     assert changes == len(_scan_roots(table, cfg.a, parity, 400))
 
     def test_block_roots_are_roots_of_full_matrix(self):
         found = 0
         for cfg in self.WELLS + (WellConfig(1e5, 1e-5, 2.0, 1.0),):
-            for N in (8, 16, 32):
-                table = _mode_table(cfg.inner, cfg.outer, N)
+            for N in (8, 16, 32, 33):
+                table, full = _mode_table(cfg.inner, cfg.outer, N), _full_table(cfg, N)
                 for parity in ParitySector:
                     for lam in _scan_roots(table, cfg.a, parity, 400):
-                        C = _scan_matrices(table, cfg.a, parity, np.array([lam]))[0][0]
+                        C = _scan_matrices(full, cfg.a, parity, np.array([lam]))[0][0]
                         s = np.linalg.svd(C, compute_uv=False)
                         assert s[-1] < 1e-8 * s[0]
                         found += 1
@@ -405,6 +431,24 @@ class TestBlockScan:
                     assert calls["matrices"] <= 2 + np.ceil(np.log2(h / width))
                     assert calls["svd"] == 1
         assert counts == {1, 2}
+
+
+    def test_companion_roots_are_the_half_truncation_scan(self):
+        # the N/2 companion scans a prefix of the y-even table; its roots
+        # are bitwise those of the table built at N // 2
+        paired = 0
+        for cfg in self.WELLS + (WellConfig(1e5, 1e-5, 2.0, 1.0),):
+            for N in (16, 32, 33):
+                for parity in ParitySector:
+                    states = bound_state_energies(cfg, parity, N)
+                    if not states:
+                        continue
+                    coarse = _scan_roots(_mode_table(cfg.inner, cfg.outer, N // 2),
+                                         cfg.a, parity, 400)
+                    fine = [st.lam for st in states]
+                    assert [st.lam_coarse for st in states] == _pair_nearest(fine, coarse)
+                    paired += sum(st.lam_coarse is not None for st in states)
+        assert paired >= 20
 
 
 class TestCompanionPairing:

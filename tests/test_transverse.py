@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import robinstrip
 from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSection,
-                        dispersion, mode_eval, mode_eval_derivative, overlap,
-                        overlap_matrix, transversal_eigenvalues,
-                        transversal_mode)
+                        dispersion, overlap_matrix, transversal_eigenvalues,
+                        transversal_levels)
 from robinstrip.quadrature import composite_gl, gauss_legendre
 
 
@@ -61,6 +61,24 @@ def _bisect_k(cs, lo, hi):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_overlaps(inner, outer, n_max, panels=16):
+    """O[m, n] = int chi_{n+1}(inner) chi_{m+1}(outer) from the factor
+    roots, normalized and integrated by a Gauss-Legendre rule built here:
+    nothing of the package's level tables or quadrature."""
+    d = inner.d
+    t, w = np.polynomial.legendre.leggauss(64)
+    h = d / panels
+    y = (np.arange(panels)[:, None] * h + 0.5 * h * (t + 1.0)).ravel()
+    w = np.tile(0.5 * h * w, panels)
+
+    def modes(cs):
+        k = factor_roots(cs, n_max)[:, None]
+        u = (cs.alpha / k) * np.sin(k * y) + np.cos(k * y)
+        return u / np.sqrt((u * u) @ w)[:, None]
+
+    return (modes(outer) * w) @ modes(inner).T
 
 
 def scalar_levels(cs, n_max):
@@ -187,32 +205,58 @@ class TestEigenvalues:
 
 
 class TestModes:
+    @staticmethod
+    def _table(alpha, d, n):
+        return transversal_levels(RobinCrossSection(alpha, d), n)
+
     def test_boundary_conditions(self):
         for alpha, d, n in ((0.3, 1.0, 1), (20.0, 1.0, 3), (5.0, 2.0, 2)):
-            m = transversal_mode(RobinCrossSection(alpha, d), n)
-            scale = alpha * abs(mode_eval(m, 0.0)) + abs(mode_eval_derivative(m, 0.0))
-            assert abs(-mode_eval_derivative(m, 0.0) + alpha * mode_eval(m, 0.0)) <= 1e-12 * scale
-            assert abs(mode_eval_derivative(m, d) + alpha * mode_eval(m, d)) <= 1e-12 * scale
+            t = self._table(alpha, d, n)
+            chi, dchi = t.chi(np.array([0.0, d])), t.chi_deriv(np.array([0.0, d]))
+            scale = alpha * np.abs(chi[:, 0]) + np.abs(dchi[:, 0])
+            assert np.all(np.abs(-dchi[:, 0] + alpha * chi[:, 0]) <= 1e-12 * scale)
+            assert np.all(np.abs(dchi[:, 1] + alpha * chi[:, 1]) <= 1e-12 * scale)
 
     def test_unit_norm_by_quadrature(self):
         for alpha, n in ((0.5, 1), (20.0, 2), (1e3, 4)):
-            m = transversal_mode(RobinCrossSection(alpha, 1.0), n)
-            y, w = composite_gl(0.0, 1.0, points_per_panel=64,
-                                max_panel_width=1.0 / (n + 1))
-            assert abs(w @ mode_eval(m, y) ** 2 - 1.0) < 1e-12
+            y, w = composite_gl(0.0, 1.0, max_panel_width=1.0 / (n + 1))
+            chi = self._table(alpha, 1.0, n).chi(y)
+            assert np.all(np.abs((chi * chi) @ w - 1.0) < 1e-12)
+
+    def test_derivative_obeys_eigen_identity(self):
+        # int chi_n'^2 + alpha (chi_n(0)^2 + chi_n(d)^2) = E_n for unit chi_n
+        for alpha, d in ((0.5, 1.0), (20.0, 0.7), (1e3, 2.0)):
+            t = self._table(alpha, d, 6)
+            y, w = composite_gl(0.0, d, max_panel_width=d / 7)
+            ends = t.chi(np.array([0.0, d]))
+            lhs = (t.chi_deriv(y) ** 2) @ w + alpha * np.sum(ends**2, axis=1)
+            assert np.allclose(lhs, t.energy, rtol=1e-11, atol=0.0)
+
+    def test_scalar_y_gives_one_value_per_level(self):
+        t = self._table(3.0, 1.0, 5)
+        assert t.chi(0.25).shape == t.chi_deriv(0.25).shape == (5,)
+        assert t.chi(0.25).tolist() == t.chi(np.array([0.25]))[:, 0].tolist()
 
     def test_out_of_range_rejected(self):
-        m = transversal_mode(RobinCrossSection(1.0, 1.0), 1)
-        with pytest.raises(ContractError):
-            mode_eval(m, -0.01)
-        with pytest.raises(ContractError):
-            mode_eval(m, 1.01)
+        t = self._table(1.0, 1.0, 1)
+        for y in (-0.01, 1.01):
+            with pytest.raises(ContractError):
+                t.chi(y)
+            with pytest.raises(ContractError):
+                t.chi_deriv(y)
 
     def test_interior_nodes_count(self):
         # mode n has n-1 sign changes in (0, d)
-        m = transversal_mode(RobinCrossSection(7.0, 1.0), 4)
-        vals = mode_eval(m, np.linspace(1e-6, 1.0 - 1e-6, 2001))
-        assert np.sum(np.diff(np.sign(vals)) != 0) == 3
+        chi = self._table(7.0, 1.0, 4).chi(np.linspace(1e-6, 1.0 - 1e-6, 2001))
+        assert [np.sum(np.diff(np.sign(row)) != 0) for row in chi] == [0, 1, 2, 3]
+
+    def test_table_is_shared_and_read_only(self):
+        cs = RobinCrossSection(3.0, 1.0)
+        t = transversal_levels(cs, 4)
+        assert transversal_levels(cs, 4) is t
+        assert t.energy.tolist() == transversal_eigenvalues(cs, 4).tolist()
+        with pytest.raises(ValueError):
+            t.energy[0] = 0.0
 
 
 class TestOverlap:
@@ -226,26 +270,22 @@ class TestOverlap:
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_quadrature(self, alpha_a, alpha_b, na, nb):
         d = 1.0
-        ma = transversal_mode(RobinCrossSection(alpha_a, d), na)
-        mb = transversal_mode(RobinCrossSection(alpha_b, d), nb)
-        y, w = composite_gl(0.0, d, points_per_panel=64,
-                            max_panel_width=d / (na + nb + 1))
-        quad = w @ (mode_eval(ma, y) * mode_eval(mb, y))
-        assert abs(overlap(ma, mb) - quad) < 1e-11
+        inner, outer = RobinCrossSection(alpha_a, d), RobinCrossSection(alpha_b, d)
+        n = max(na, nb)
+        y, w = composite_gl(0.0, d, max_panel_width=d / (na + nb + 1))
+        chi_a = transversal_levels(inner, n).chi(y)[na - 1]
+        chi_b = transversal_levels(outer, n).chi(y)[nb - 1]
+        assert abs(overlap_matrix(inner, outer, n)[nb - 1, na - 1] - w @ (chi_a * chi_b)) < 1e-11
 
     @pytest.mark.parametrize("alpha_in, alpha_out", [
         (5.0, 20.0), (20.0, 5.0), (5.0, 5.0),
         (5.0, 5.0 * (1.0 + 1e-9)),   # near-degenerate: quadrature on the diagonal
         (300.0, 0.07),
     ])
-    def test_matrix_equals_scalar_overlaps(self, alpha_in, alpha_out):
+    def test_matrix_matches_independent_quadrature(self, alpha_in, alpha_out):
         inner, outer = RobinCrossSection(alpha_in, 1.0), RobinCrossSection(alpha_out, 1.0)
         O = overlap_matrix(inner, outer, 8)
-        for m in range(8):
-            for n in range(8):
-                ref = (overlap(transversal_mode(inner, n + 1), transversal_mode(outer, m + 1))
-                       if (m + n) % 2 == 0 else 0.0)
-                assert O[m, n] == ref
+        assert np.max(np.abs(O - reference_overlaps(inner, outer, 8))) <= 1e-11
 
     def test_opposite_parity_entries_vanish(self):
         O = overlap_matrix(RobinCrossSection(5.0, 1.0),
@@ -266,10 +306,8 @@ class TestOverlap:
         assert np.all(col[:3] <= 1.0 + 1e-12)
 
     def test_width_mismatch_rejected(self):
-        ma = transversal_mode(RobinCrossSection(1.0, 1.0), 1)
-        mb = transversal_mode(RobinCrossSection(1.0, 2.0), 1)
         with pytest.raises(ContractError):
-            overlap(ma, mb)
+            overlap_matrix(RobinCrossSection(1.0, 1.0), RobinCrossSection(1.0, 2.0), 1)
 
 
 class TestQuadrature:
@@ -282,3 +320,17 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             x[0] = 0.0
         assert composite_gl(0.0, 1.0)[1].sum() == pytest.approx(1.0, abs=1e-14)
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        for name in robinstrip.__all__:
+            assert getattr(robinstrip, name) is not None
+
+    @pytest.mark.parametrize("name", ["TransversalMode", "transversal_mode", "mode_eval",
+                                      "mode_eval_derivative", "overlap"])
+    def test_per_level_path_is_gone(self, name):
+        # a level is read from the transversal_levels table only
+        assert name not in robinstrip.__all__
+        assert not hasattr(robinstrip, name)
+        assert not hasattr(robinstrip.transverse, name)
