@@ -155,8 +155,12 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if args.nx < 2 or args.ny < 2:
         raise ConfigError(f"--nx and --ny must be >= 2, got {args.nx} and {args.ny}")
+    if args.xmax is not None and not (args.xmax > 0.0 and np.isfinite(args.xmax)):
+        raise ConfigError(f"--xmax must be positive and finite, got {args.xmax!r}")
+    if args.ordinal < 1:
+        raise ConfigError(f"--ordinal must be >= 1, got {args.ordinal}")
     states = _merged_states(cfg.well, cfg.matching)
-    if args.ordinal < 1 or args.ordinal > len(states):
+    if args.ordinal > len(states):
         raise NumericalError(
             f"no bound state with ordinal {args.ordinal}: found {len(states)}"
         )
@@ -182,12 +186,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         oracle_over["L"] = args.L
     if args.refinements is not None:
         oracle_over["refinements"] = args.refinements
-    if args.closure is not None:
-        oracle_over["closure"] = args.closure
     spec = dataclasses.replace(cfg.oracle, **oracle_over) if oracle_over else cfg.oracle
     states = _merged_states(cfg.well, cfg.matching)
-    ref = oracle_bound_states(cfg.well, spec.resolve_L(cfg.well.d),
-                              spec.refinements, closure=spec.closure)
+    ref = oracle_bound_states(cfg.well, spec.resolve_L(cfg.well.d), spec.refinements)
     lines = ["index,lambda_matching,lambda_oracle,abs_diff"]
     for i in range(max(len(states), len(ref))):
         lm = repr(states[i].lam) if i < len(states) else ""
@@ -259,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--L", type=float, help="override oracle.L")
     p.add_argument("--refinements", type=int, help="override oracle.refinements")
-    p.add_argument("--closure", choices=("dirichlet", "neumann"),
-                   help="override oracle.closure")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("existence", help="variational existence test")

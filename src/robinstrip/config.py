@@ -18,7 +18,6 @@ from .modematch import WellConfig
 
 _SWEEP_PARAMETERS = ("a", "alpha_pair")
 _FORMATS = ("csv", "json", "svg")
-_CLOSURES = ("dirichlet", "neumann")
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,12 @@ class OracleSpec:
 
     L: float | None = None
     refinements: int = 3
-    closure: str = "dirichlet"
 
     def __post_init__(self):
         if self.L is not None and not (self.L > 0.0 and np.isfinite(self.L)):
             raise ConfigError(f"oracle.L must be positive, got {self.L!r}")
         if self.refinements < 2:
             raise ConfigError(f"oracle.refinements must be >= 2, got {self.refinements!r}")
-        if self.closure not in _CLOSURES:
-            raise ConfigError(f"oracle.closure must be one of {_CLOSURES}, got {self.closure!r}")
 
     def resolve_L(self, d: float) -> float:
         return 8.0 * d if self.L is None else self.L

@@ -4,14 +4,14 @@ Independent verification path for the mode-matching solver: discretize
 -Laplace on [-L, L] x [0, d] with the 5-point stencil, the Robin walls
 -d_y psi + alpha(x) psi = 0 (y = 0) and d_y psi + alpha(x) psi = 0
 (y = d) eliminated through symmetric ghost points, and a Dirichlet or
-Neumann closure at x = +-L.  The wall rows carry half trapezoid weights,
-so the natural operator is generalized-symmetric with the diagonal mass
-diag(1/2, 1, ..., 1, 1/2) per column of y values; a similarity transform
-by the square root of that mass returns an ordinary symmetric matrix with
-the same spectrum.  Everything is second order, so two grids and a
-Richardson step give an eigenvalue estimate with a defensible error bar
--- which is the whole point: the oracle's values are compared against
-mode matching without sharing any of its machinery.
+Neumann closure at x = +-L.  The wall rows carry half trapezoid weights
+(mass W = diag(1/2, 1, ..., 1, 1/2) per column); the similarity by
+W^(-1/2) gives an ordinary symmetric matrix with the same spectrum, a
+Kronecker sum of 1D operators in which each wall row's diagonal doubles
+and its coupling carries sqrt(2) = (1/2)^(-1/2).  Everything is second
+order, so two grids and a Richardson step give an eigenvalue estimate
+with a defensible error bar, and the oracle shares none of the mode
+matching machinery it checks.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .modematch import WellConfig, neumann_state_cap
 from .transverse import transversal_eigenvalues
 
 _CLOSURES = ("dirichlet", "neumann")
+_MAX_UNKNOWNS = 2**21
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ class SparseOperator:
 def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet") -> FdGrid:
     """Build a grid with target spacing h, snapped so the coupling jump at
     |x| = a falls exactly on a grid line (hx = a/ceil(a/h)) and the
-    half-length on a multiple of hx."""
+    half-length on a multiple of hx.  Above 2^21 unknowns (twice the d/128
+    grid at L = 8d; gigabytes to factorise) it raises ConfigError."""
     if not (h > 0.0) or not np.isfinite(h):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
     m = int(np.ceil(config.a / h))
@@ -74,67 +76,51 @@ def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet"
     if half <= m:
         raise ConfigError("truncation half-length must exceed the well half-width")
     ny1 = int(round(config.d / h))
+    if (2 * half - 1) * (ny1 + 1) > _MAX_UNKNOWNS:
+        raise ConfigError(f"grid with h={h!r}, L={L!r} exceeds {_MAX_UNKNOWNS} unknowns")
     return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1,
                   hx=hx, hy=config.d / ny1, closure=closure)
-
-
-def _cross_section_block(alpha: float, ny: int, hy: float) -> sp.dia_matrix:
-    """1D transversal operator with ghost-eliminated Robin walls: rows
-    (1 + alpha hy, 2, ..., 2, 1 + alpha hy)/hy^2, off-diagonals -1/hy^2."""
-    diag = np.full(ny, 2.0)
-    diag[0] = 1.0 + alpha * hy
-    diag[-1] = 1.0 + alpha * hy
-    off = -np.ones(ny - 1)
-    return sp.diags([off, diag, off], [-1, 0, 1]) / hy**2
 
 
 def assemble(config: WellConfig, grid: FdGrid) -> SparseOperator:
     """Assemble the symmetric FD operator for the coupling profile
     alpha(x) = alpha1 on |x| < a, alpha0 outside (a node exactly on the
-    jump gets alpha0)."""
+    jump gets alpha0): A = Tx (x) I + I (x) Ty + diag(alpha(x)) (x) diag(walls)
+    with Tx = (-1, 2, -1)/hx^2 (end diagonals 1/hx^2 for the Neumann
+    closure), Ty = (-1, 2, -1)/hy^2 but -sqrt(2)/hy^2 on the two wall
+    couplings, and walls = (2/hy, 0, ..., 0, 2/hy).  alpha is classified by
+    integer offset, so a/hx must be an integer within 1e-9 (as make_grid
+    ensures); any other grid is a ContractError."""
     if abs(grid.hy * (grid.ny - 1) - config.d) > 1e-9 * config.d:
         raise ConfigError("grid hy/ny inconsistent with the strip width d")
+    m = config.a / grid.hx
+    if abs(m - round(m)) > 1e-9:
+        raise ContractError(f"a/hx = {m!r}: the jump at |x| = a must fall on a grid line")
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    half = (nx + 1) // 2
-    x = -grid.L + hx * np.arange(1, nx + 1)
-    m_f = config.a / hx
-    if abs(m_f - round(m_f)) < 1e-9:
-        # aligned grid: classify by exact integer offset from the center
-        offs = np.arange(1, nx + 1) - half
-        alpha_x = np.where(np.abs(offs) < round(m_f), config.alpha1, config.alpha0)
-    else:
-        alpha_x = np.where(np.abs(x) < config.a, config.alpha1, config.alpha0)
-
-    ex = np.ones(nx)
-    Tx = sp.diags([-ex[:-1], 2.0 * ex, -ex[:-1]], [-1, 0, 1]) / hx**2
+    offs = np.arange(1, nx + 1) - (nx + 1) // 2
+    alpha_x = np.where(np.abs(offs) < round(m), config.alpha1, config.alpha0)
+    tx = np.full(nx, 2.0 / hx**2)
     if grid.closure == "neumann":
         # mirror fold: end rows become (psi_1 - psi_2)/hx^2, exact for
         # x-constant modes and still positive semidefinite
-        Tx = Tx.tolil()
-        Tx[0, 0] = 1.0 / hx**2
-        Tx[-1, -1] = 1.0 / hx**2
-        Tx = Tx.tocsr()
-
-    wall_w = np.ones(ny)
-    wall_w[0] = 0.5
-    wall_w[-1] = 0.5
-    A = sp.kron(Tx, sp.diags(wall_w), format="csr")
-    A = A + sp.block_diag([_cross_section_block(al, ny, hy) for al in alpha_x],
-                          format="csr")
-    scale = sp.diags(np.kron(np.ones(nx), 1.0 / np.sqrt(wall_w)))
-    A = (scale @ A @ scale).tocsr()
-    A = ((A + A.T) * 0.5).tocsr()
+        tx[[0, -1]] = 1.0 / hx**2
+    ex = np.full(nx - 1, -1.0 / hx**2)
+    ey = -np.r_[np.sqrt(2.0), np.ones(ny - 3), np.sqrt(2.0)] / hy**2
+    walls = np.r_[2.0 / hy, np.zeros(ny - 2), 2.0 / hy]
+    A = sp.kronsum(sp.diags([ey, np.full(ny, 2.0 / hy**2), ey], [-1, 0, 1]),
+                   sp.diags([ex, tx, ex], [-1, 0, 1]), format="csr")
+    A = A + sp.kron(sp.diags(alpha_x), sp.diags(walls), format="csr")
     return SparseOperator(dimension=nx * ny, matrix=A)
 
 
-def lowest_eigenpairs(op: SparseOperator, count: int, shift: float,
-                      tol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
+def lowest_eigenpairs(op: SparseOperator, count: int,
+                      shift: float) -> list[tuple[float, np.ndarray]]:
     """The count smallest eigenpairs by shift-invert Lanczos, eigenvalues
     ascending, vectors orthonormal with the largest entry positive.
 
     shift must sit below the spectrum (the matrices here are positive
     semidefinite, so any shift <= 0 or below the known lower bound works);
-    each pair is verified to satisfy ||A v - lambda v|| <= tol ||A||_inf.
+    each pair is verified to satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf.
     """
     if count < 1:
         raise ContractError("count must be >= 1")
@@ -152,11 +138,8 @@ def lowest_eigenpairs(op: SparseOperator, count: int, shift: float,
     for j in range(count):
         v = vecs[:, j]
         resid = float(np.linalg.norm(op.matrix @ v - vals[j] * v))
-        if resid > tol * norm_a:
-            raise NumericalError(
-                f"eigenpair {j} residual {resid:.3e} exceeds {tol:g} * ||A|| = "
-                f"{tol * norm_a:.3e}"
-            )
+        if resid > 1e-8 * norm_a:
+            raise NumericalError(f"eigenpair {j} residual {resid:.3e} exceeds 1e-8 ||A||")
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
         pairs.append((float(vals[j]), v))
@@ -168,13 +151,13 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     """Richardson-extrapolated FD eigenvalues confidently below the
     continuum threshold E_1(alpha0).
 
-    Solves on grids h0, h0/2, ..., h0/2^(refinements-1) (h0 defaults to
-    d/64), extrapolates each tracked eigenvalue from the two finest grids
-    by the order-2 rule lambda + (lambda_f - lambda_c)/3, and keeps values
-    below E_1(alpha0) - margin with margin = 3 (discretization estimate +
-    exp(-k_1 L) domain-truncation bound).  An empty list is a valid
-    result: it means no state is resolvable at this resolution, not an
-    error."""
+    Builds grids h0, h0/2, ..., h0/2^(refinements-1) (h0 defaults to d/64)
+    before solving any, so an oversized one fails at once; extrapolates
+    each tracked eigenvalue from the two finest grids by the order-2 rule
+    lambda + (lambda_f - lambda_c)/3, and keeps values below E_1(alpha0) -
+    margin with margin = 3 (discretization estimate + exp(-k_1 L)
+    domain-truncation bound).  An empty list is a valid result: no state
+    is resolvable at this resolution, not an error."""
     if not L >= 4.0 * max(config.a, config.d):
         raise ContractError("need L >= 4 max(a, d) for a meaningful truncation")
     if refinements < 2:
@@ -184,9 +167,9 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     E1_in = float(transversal_eigenvalues(config.inner, 1)[0])
     E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
     k = max(2, neumann_state_cap(config) + 2)
+    grids = [make_grid(config, L, h0 / 2**j, closure=closure) for j in range(refinements)]
     per_grid = []
-    for j in range(refinements):
-        grid = make_grid(config, L, h0 / 2**j, closure=closure)
+    for grid in grids:
         op = assemble(config, grid)
         pairs = lowest_eigenpairs(op, min(k, op.dimension - 2), shift=0.5 * E1_in)
         per_grid.append(np.array([lam for lam, _ in pairs]))

@@ -64,6 +64,8 @@ from .transverse import (RobinCrossSection, _levels, _Levels, overlap_matrix,
 _ROOT_ACCEPT = 1e-8
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
+# Largest scan stack, scan_points (N+1)//2 x (N+1)//2 matrices: 2^27 doubles (1 GiB).
+_MAX_SCAN_DOUBLES = 2**27
 
 
 class ParitySector(enum.Enum):
@@ -295,11 +297,15 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     |lambda(N) - lambda(N/2)|, pairing roots that are each other's
     nearest.  Scans, coefficients, sigma_min and residuals all use the
     y-even channels of their truncation.  An empty list is a valid result.
+    A scan stack above 2^27 doubles (1 GiB; the default uses 102,400 and
+    N = 1024 still fits) is a ContractError before anything is allocated.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
     if scan_points < 8:
         raise ContractError("scan_points must be >= 8")
+    if scan_points * ((N + 1) // 2) ** 2 > _MAX_SCAN_DOUBLES:
+        raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan stack over 1 GiB")
     table = _mode_table(config.inner, config.outer, N)
     roots = _scan_roots(table, config.a, parity, scan_points)
     if not roots:

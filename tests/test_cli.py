@@ -1,5 +1,6 @@
 """CLI: config loading, subcommands, export schemas, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import robinstrip
 from robinstrip import load_config, read_wavefunction
-from robinstrip.cli import main
+from robinstrip.cli import build_parser, main
 from robinstrip.errors import ConfigError
 from robinstrip.outputs import CSV_HEADER
 
@@ -41,14 +42,14 @@ class TestConfigLoading:
             "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
             "matching: {N: 24, scan_points: 300}\n"
             "sweep: {parameter: alpha_pair, values: [[50, 3], [70, 2]]}\n"
-            "oracle: {L: 6.0, refinements: 2, closure: neumann}\n"
+            "oracle: {L: 6.0, refinements: 2}\n"
             "output: {dir: results, formats: [csv, svg]}\n"
         )
         cfg = load_config(str(path))
         assert cfg.well.alpha0 == 20.0
         assert cfg.matching.N == 24
         assert cfg.sweep.values == ((50.0, 3.0), (70.0, 2.0))
-        assert cfg.oracle.closure == "neumann"
+        assert cfg.oracle.refinements == 2
         assert cfg.output.formats == ("csv", "svg")
 
     @pytest.mark.parametrize("text", [
@@ -61,6 +62,8 @@ class TestConfigLoading:
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16, tol: 1.0e-12}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nsweep: {parameter: b}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noutput: {formats: [png]}\n",
+        # the oracle's closure is Dirichlet; Neumann is a library-only reference
+        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {closure: neumann}\n",
         "[1, 2, 3]\n",
     ])
     def test_rejects_bad_configs(self, tmp_path, text):
@@ -221,9 +224,12 @@ class TestWavefunction:
         assert nrm == pytest.approx(1.0, abs=1e-9)
         assert 5.2 < lam < 8.2
 
-    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
-    def test_negative_grid_size_is_config_error(self, base_cfg, flag, capsys):
-        assert main(["wavefunction", "--config", str(base_cfg), flag, "-5"]) == 2
+    @pytest.mark.parametrize("flag, value", [
+        ("--nx", "-5"), ("--ny", "-5"), ("--xmax", "nan"), ("--xmax", "inf"),
+        ("--xmax", "-1"), ("--ordinal", "0"),
+    ])
+    def test_bad_argument_is_config_error(self, base_cfg, flag, value, capsys):
+        assert main(["wavefunction", "--config", str(base_cfg), f"{flag}={value}"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_missing_ordinal_is_numerical_failure(self, base_cfg, capsys):
@@ -243,6 +249,55 @@ class TestOracleCommand:
         _, lam_m, lam_o, diff = lines[1].split(",")
         assert abs(float(lam_m) - float(lam_o)) == pytest.approx(float(diff))
         assert float(diff) < 0.05
+
+
+    def test_closure_flag_is_gone(self, capsys):
+        # the oracle's closure is Dirichlet; Neumann is a library-only reference
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--closure", "neumann", "--alpha0", "20", "--alpha1", "5",
+                  "--a", "0.3", "--d", "1"])
+        assert exc.value.code == 2
+        assert "--closure" in capsys.readouterr().err
+
+
+class TestOversizedInputs:
+    # each of these would ask for >= 1e12 elements; they must fail before
+    # allocating, as configuration errors
+    def test_huge_N_in_config(self, tmp_path, capsys):
+        path = tmp_path / "big.yaml"
+        path.write_text("well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e300}\n")
+        assert main(["spectrum", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--N", "1000000000000"],
+        ["oracle", "--N", "8", "--L", "1e12"],
+    ])
+    def test_huge_flag(self, tmp_path, argv, capsys):
+        well = ["--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1"]
+        assert main(argv + well + ["--out-dir", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestFlagCensus:
+    COMMON = {"-h", "--help", "--config", "--alpha0", "--alpha1", "--a", "--d", "--N",
+              "--scan-points", "--out-dir", "--formats"}
+    EXTRA = {
+        "spectrum": set(),
+        "sweep": set(),
+        "wavefunction": {"--ordinal", "--xmax", "--nx", "--ny"},
+        "oracle": {"--L", "--refinements"},
+        "existence": {"--n-max", "--plateau", "--support"},
+    }
+
+    def test_every_subcommand_has_exactly_the_listed_flags(self):
+        # adding or removing a flag must be a deliberate change to this list
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.EXTRA)
+        for name, p in sub.choices.items():
+            flags = {o for action in p._actions for o in action.option_strings}
+            assert flags == self.COMMON | self.EXTRA[name], name
 
 
 class TestExistenceCommand:

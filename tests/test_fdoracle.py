@@ -9,7 +9,7 @@ from robinstrip import (ConfigError, ContractError, FdGrid, ParitySector,
                         WellConfig, assemble, bound_state_energies,
                         lowest_eigenpairs, make_grid, oracle_bound_states,
                         transversal_eigenvalues)
-from robinstrip.fdoracle import SparseOperator, _cross_section_block
+from robinstrip.fdoracle import SparseOperator
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 
@@ -33,6 +33,15 @@ class TestGrid:
         with pytest.raises(ConfigError):
             make_grid(WELL, 0.2, 1.0 / 64)  # L inside the well
 
+    @pytest.mark.parametrize("L, h", [
+        (8.0, 1.0 / 64 / 2**69),   # refinement 70 of the default oracle
+        (4.0, 1.0 / 512),          # 4105 x 513 unknowns, just above 2^21
+        (1e12, 1.0 / 64),
+    ])
+    def test_oversized_grid_is_config_error(self, L, h):
+        with pytest.raises(ConfigError):
+            make_grid(WELL, L, h)
+
 
 class TestAssembly:
     def test_exactly_symmetric(self):
@@ -49,15 +58,48 @@ class TestAssembly:
         op = assemble(WELL, grid)
         assert op.matrix.nnz <= 5 * op.dimension
 
-    def test_strong_coupling_block_reaches_dirichlet_value(self):
-        # ghost-row Robin walls at alpha -> 1e8 degenerate to the
-        # discrete Dirichlet cross-section: 4 sin^2(pi h/(2d))/h^2
-        ny1 = 32
-        hy = 1.0 / ny1
-        block = _cross_section_block(1e8, ny1 + 1, hy).toarray()
-        lowest = np.linalg.eigvalsh(block)[0]
-        dirichlet_fd = 4.0 * np.sin(np.pi * hy / 2.0) ** 2 / hy**2
+    def test_strong_coupling_reaches_dirichlet_value(self):
+        # ghost-row Robin walls at alpha -> 1e8 degenerate to the discrete
+        # Dirichlet cross-section 4 sin^2(pi h/(2d))/h^2, and the Neumann
+        # closure leaves the x-constant mode exact
+        const = WellConfig(1e8, 1e8, 0.3, 1.0)
+        grid = make_grid(const, 2.0, 1.0 / 32, closure="neumann")
+        lowest = lowest_eigenpairs(assemble(const, grid), 1, shift=0.0)[0][0]
+        dirichlet_fd = 4.0 * np.sin(np.pi * grid.hy / 2.0) ** 2 / grid.hy**2
         assert lowest == pytest.approx(dirichlet_fd, rel=1e-5)
+
+    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+    def test_matches_ghost_point_reference(self, closure):
+        # the generalized-symmetric ghost-point form kron(Tx, W) plus one
+        # Robin cross-section block per column, made symmetric by W^(-1/2)
+        grid = make_grid(WELL, 2.0, 1.0 / 32, closure=closure)
+        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+        x = -grid.L + hx * np.arange(1, nx + 1)
+        alpha_x = np.where(np.abs(x) < WELL.a - 0.5 * hx, WELL.alpha1, WELL.alpha0)
+        tx = np.full(nx, 2.0)
+        if closure == "neumann":
+            tx[[0, -1]] = 1.0
+        Tx = sp.diags([-np.ones(nx - 1), tx, -np.ones(nx - 1)], [-1, 0, 1]) / hx**2
+        w = np.r_[0.5, np.ones(ny - 2), 0.5]
+        blocks = []
+        for al in alpha_x:
+            dy = np.r_[1.0 + al * hy, np.full(ny - 2, 2.0), 1.0 + al * hy]
+            off = -np.ones(ny - 1)
+            blocks.append(sp.diags([off, dy, off], [-1, 0, 1]) / hy**2)
+        s = sp.diags(np.tile(w ** -0.5, nx))
+        ref = (s @ (sp.kron(Tx, sp.diags(w)) + sp.block_diag(blocks)) @ s).tocsr()
+        A = assemble(WELL, grid).matrix.tocsr()
+        A.sort_indices()
+        ref.sort_indices()
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert abs(A - ref).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
+
+    def test_rejects_grid_off_the_jump(self):
+        # a/hx = 0.3 * 17 = 5.1: no grid line at |x| = a
+        grid = FdGrid(L=1.0, nx=33, ny=33, hx=2.0 / 34, hy=1.0 / 32)
+        with pytest.raises(ContractError):
+            assemble(WELL, grid)
 
     def test_grid_config_consistency_checked(self):
         grid = make_grid(WELL, 4.0, 1.0 / 32)
