@@ -31,6 +31,8 @@ from .transverse import transversal_eigenvalues
 from .variational import BumpProfile, existence_test
 
 _WELL_FLAGS = ("alpha0", "alpha1", "a", "d")
+# 2^22 points: 32 MiB per sampled array, about 200 times the default grid
+_MAX_WAVEFUNCTION_POINTS = 2**22
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -155,6 +157,9 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if args.nx < 2 or args.ny < 2:
         raise ConfigError(f"--nx and --ny must be >= 2, got {args.nx} and {args.ny}")
+    if args.nx * args.ny > _MAX_WAVEFUNCTION_POINTS:
+        raise ConfigError(f"--nx * --ny = {args.nx * args.ny} exceeds "
+                          f"{_MAX_WAVEFUNCTION_POINTS} grid points")
     if args.xmax is not None and not (args.xmax > 0.0 and np.isfinite(args.xmax)):
         raise ConfigError(f"--xmax must be positive and finite, got {args.xmax!r}")
     if args.ordinal < 1:
@@ -189,12 +194,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = dataclasses.replace(cfg.oracle, **oracle_over) if oracle_over else cfg.oracle
     states = _merged_states(cfg.well, cfg.matching)
     ref = oracle_bound_states(cfg.well, spec.resolve_L(cfg.well.d), spec.refinements)
-    lines = ["index,lambda_matching,lambda_oracle,abs_diff"]
-    for i in range(max(len(states), len(ref))):
-        lm = repr(states[i].lam) if i < len(states) else ""
-        lo = repr(ref[i]) if i < len(ref) else ""
-        diff = repr(abs(states[i].lam - ref[i])) if i < len(states) and i < len(ref) else ""
-        lines.append(f"{i + 1},{lm},{lo},{diff}")
+    lines = ["sector,index,lambda_matching,lambda_oracle,abs_diff"]
+    for parity in ParitySector:
+        matched = [s.lam for s in states if s.parity is parity]
+        oracle = ref[parity]
+        for i in range(max(len(matched), len(oracle))):
+            lm = repr(matched[i]) if i < len(matched) else ""
+            lo = repr(oracle[i]) if i < len(oracle) else ""
+            diff = repr(abs(matched[i] - oracle[i])) if lm and lo else ""
+            lines.append(f"{parity.value},{i + 1},{lm},{lo},{diff}")
     table = "\n".join(lines) + "\n"
     os.makedirs(cfg.output.dir, exist_ok=True)
     path = os.path.join(cfg.output.dir, "oracle_compare.csv")

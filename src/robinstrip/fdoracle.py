@@ -8,10 +8,27 @@ Neumann closure at x = +-L.  The wall rows carry half trapezoid weights
 (mass W = diag(1/2, 1, ..., 1, 1/2) per column); the similarity by
 W^(-1/2) gives an ordinary symmetric matrix with the same spectrum, a
 Kronecker sum of 1D operators in which each wall row's diagonal doubles
-and its coupling carries sqrt(2) = (1/2)^(-1/2).  Everything is second
-order, so two grids and a Richardson step give an eigenvalue estimate
-with a defensible error bar, and the oracle shares none of the mode
-matching machinery it checks.
+and its coupling carries sqrt(2) = (1/2)^(-1/2).
+
+The well is symmetric under x -> -x and y -> d - y, so that matrix is
+block-diagonal in the orthonormal parity bases, and each block is again
+a Kronecker sum, of folded 1D operators on the kept half:
+
+- x, symmetric sector: nodes x >= 0, the node at x = 0 with half weight
+  (diagonal 2/hx^2, coupling -sqrt(2)/hx^2 to its neighbour);
+- x, antisymmetric sector: nodes x > 0, Dirichlet at x = 0;
+- y, even: nodes y <= d/2, a half-weight node on y = d/2 (coupling
+  -sqrt(2)/hy^2), or, when y = d/2 falls between two rows, a cell-centred
+  mirror (last diagonal 1/hy^2).
+
+The oracle solves only the two y-even blocks, the ones that hold the
+bound states.  The y-odd blocks are shown to hold nothing it could keep,
+without solving them: Tx >= 0, alpha(x) >= min(alpha0, alpha1) and the
+wall term is >= 0, so every y-odd eigenvalue is at least the lowest one
+of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  Everything is second
+order, so two grids and a Richardson step give an eigenvalue estimate with
+a defensible error bar, and the oracle shares none of the mode matching
+machinery it checks.
 """
 
 from __future__ import annotations
@@ -20,14 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConfigError, ContractError, NumericalError
-from .modematch import WellConfig, neumann_state_cap
+from .modematch import ParitySector, WellConfig, neumann_state_cap
 from .transverse import transversal_eigenvalues
 
 _CLOSURES = ("dirichlet", "neumann")
 _MAX_UNKNOWNS = 2**21
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -66,8 +85,8 @@ class SparseOperator:
 def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet") -> FdGrid:
     """Build a grid with target spacing h, snapped so the coupling jump at
     |x| = a falls exactly on a grid line (hx = a/ceil(a/h)) and the
-    half-length on a multiple of hx.  Above 2^21 unknowns (twice the d/128
-    grid at L = 8d; gigabytes to factorise) it raises ConfigError."""
+    half-length on a multiple of hx.  Above 2^21 unknowns on the whole
+    strip (twice the d/256 grid at L = 8d) it raises ConfigError."""
     if not (h > 0.0) or not np.isfinite(h):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
     m = int(np.ceil(config.a / h))
@@ -82,35 +101,67 @@ def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet"
                   hx=hx, hy=config.d / ny1, closure=closure)
 
 
-def assemble(config: WellConfig, grid: FdGrid) -> SparseOperator:
-    """Assemble the symmetric FD operator for the coupling profile
-    alpha(x) = alpha1 on |x| < a, alpha0 outside (a node exactly on the
-    jump gets alpha0): A = Tx (x) I + I (x) Ty + diag(alpha(x)) (x) diag(walls)
-    with Tx = (-1, 2, -1)/hx^2 (end diagonals 1/hx^2 for the Neumann
-    closure), Ty = (-1, 2, -1)/hy^2 but -sqrt(2)/hy^2 on the two wall
-    couplings, and walls = (2/hy, 0, ..., 0, 2/hy).  alpha is classified by
-    integer offset, so a/hx must be an integer within 1e-9 (as make_grid
-    ensures); any other grid is a ContractError."""
+def _folded_ty(grid: FdGrid, even: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Ty folded onto the rows y <= d/2, for
+    the y-even (even=True) or y-odd functions; row 0 is the wall."""
+    ny1 = grid.ny - 1
+    diag = np.full(ny1 // 2 + 1, 2.0)
+    off = -np.ones(ny1 // 2)
+    off[0] = -_SQRT2
+    if ny1 % 2 == 1:
+        # y = d/2 lies midway between the last kept row and its mirror
+        diag[-1] = 1.0 if even else 3.0
+    elif even:
+        off[-1] = -_SQRT2
+    else:
+        diag, off = diag[:-1], off[:-1]
+    return diag / grid.hy**2, off / grid.hy**2
+
+
+def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
+    """Assemble the symmetric FD operator of one x-parity sector on the
+    y-even half of the grid, for the coupling profile alpha(x) = alpha1 on
+    |x| < a, alpha0 outside (a node exactly on the jump gets alpha0):
+    A = Tx (x) I + I (x) Ty + diag(alpha(x)) (x) diag(walls) with the
+    folded Tx and Ty of the module docstring, Tx's last diagonal 1/hx^2
+    for the Neumann closure, and walls = (2/hy, 0, ..., 0).  alpha is
+    classified by integer offset, so the grid needs a node at x = 0 (nx
+    odd) and a/hx an integer within 1e-9 (as make_grid ensures); any other
+    grid is a ContractError."""
     if abs(grid.hy * (grid.ny - 1) - config.d) > 1e-9 * config.d:
         raise ConfigError("grid hy/ny inconsistent with the strip width d")
     m = config.a / grid.hx
-    if abs(m - round(m)) > 1e-9:
-        raise ContractError(f"a/hx = {m!r}: the jump at |x| = a must fall on a grid line")
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    offs = np.arange(1, nx + 1) - (nx + 1) // 2
-    alpha_x = np.where(np.abs(offs) < round(m), config.alpha1, config.alpha0)
-    tx = np.full(nx, 2.0 / hx**2)
+    if abs(m - round(m)) > 1e-9 or grid.nx % 2 == 0:
+        raise ContractError(f"a/hx = {m!r}, nx = {grid.nx}: x = 0 and |x| = a "
+                            "must fall on grid lines")
+    hx = grid.hx
+    symmetric = sector is ParitySector.SYMMETRIC
+    offs = np.arange(0 if symmetric else 1, (grid.nx + 1) // 2)
+    alpha_x = np.where(offs < round(m), config.alpha1, config.alpha0).astype(float)
+    tx = np.full(offs.size, 2.0 / hx**2)
     if grid.closure == "neumann":
-        # mirror fold: end rows become (psi_1 - psi_2)/hx^2, exact for
-        # x-constant modes and still positive semidefinite
-        tx[[0, -1]] = 1.0 / hx**2
-    ex = np.full(nx - 1, -1.0 / hx**2)
-    ey = -np.r_[np.sqrt(2.0), np.ones(ny - 3), np.sqrt(2.0)] / hy**2
-    walls = np.r_[2.0 / hy, np.zeros(ny - 2), 2.0 / hy]
-    A = sp.kronsum(sp.diags([ey, np.full(ny, 2.0 / hy**2), ey], [-1, 0, 1]),
+        # mirror fold: the end row becomes (psi_n - psi_(n-1))/hx^2, exact
+        # for x-constant modes and still positive semidefinite
+        tx[-1] = 1.0 / hx**2
+    ex = np.full(offs.size - 1, -1.0 / hx**2)
+    if symmetric:
+        ex[0] = -_SQRT2 / hx**2
+    ty, ey = _folded_ty(grid, even=True)
+    walls = np.zeros(ty.size)
+    walls[0] = 2.0 / grid.hy
+    A = sp.kronsum(sp.diags([ey, ty, ey], [-1, 0, 1]),
                    sp.diags([ex, tx, ex], [-1, 0, 1]), format="csr")
     A = A + sp.kron(sp.diags(alpha_x), sp.diags(walls), format="csr")
-    return SparseOperator(dimension=nx * ny, matrix=A)
+    return SparseOperator(dimension=A.shape[0], matrix=A)
+
+
+def y_odd_floor(config: WellConfig, grid: FdGrid) -> float:
+    """Lower bound on every eigenvalue of the grid's operator on y-odd
+    functions (either x sector, either closure): the lowest eigenvalue of
+    the folded y-odd Ty + min(alpha0, alpha1) walls."""
+    ty, ey = _folded_ty(grid, even=False)
+    ty[0] += min(config.alpha0, config.alpha1) * 2.0 / grid.hy
+    return float(eigvalsh_tridiagonal(ty, ey, select="i", select_range=(0, 0))[0])
 
 
 def lowest_eigenpairs(op: SparseOperator, count: int,
@@ -146,18 +197,28 @@ def lowest_eigenpairs(op: SparseOperator, count: int,
     return pairs
 
 
+def _confident(lam: float, err_est: float, E1_out: float, L: float) -> bool:
+    """The keep rule: lam < E_1(alpha0) - 3 (err_est + exp(-k_1 L))."""
+    k1 = np.sqrt(max(E1_out - lam, 0.0))
+    return bool(lam < E1_out - 3.0 * (err_est + np.exp(-k1 * L)))
+
+
 def oracle_bound_states(config: WellConfig, L: float, refinements: int,
-                        h0: float | None = None, closure: str = "dirichlet") -> list[float]:
+                        h0: float | None = None,
+                        closure: str = "dirichlet") -> dict[ParitySector, list[float]]:
     """Richardson-extrapolated FD eigenvalues confidently below the
-    continuum threshold E_1(alpha0).
+    continuum threshold E_1(alpha0), ascending, per x-parity sector.
 
     Builds grids h0, h0/2, ..., h0/2^(refinements-1) (h0 defaults to d/64)
-    before solving any, so an oversized one fails at once; extrapolates
-    each tracked eigenvalue from the two finest grids by the order-2 rule
-    lambda + (lambda_f - lambda_c)/3, and keeps values below E_1(alpha0) -
-    margin with margin = 3 (discretization estimate + exp(-k_1 L)
-    domain-truncation bound).  An empty list is a valid result: no state
-    is resolvable at this resolution, not an error."""
+    before solving any, so an oversized one fails at once, and solves the
+    y-even blocks of the two finest.  Each tracked eigenvalue is
+    extrapolated by the order-2 rule lambda + (lambda_f - lambda_c)/3 and
+    kept below E_1(alpha0) - margin with margin = 3 (discretization
+    estimate + exp(-k_1 L) domain-truncation bound).  If the y-odd floor of
+    either grid could pass that rule (with a zero discretization estimate),
+    the y-odd blocks cannot be excluded and it raises NumericalError.  An
+    empty sector list is a valid result: no state is resolvable at this
+    resolution, not an error."""
     if not L >= 4.0 * max(config.a, config.d):
         raise ContractError("need L >= 4 max(a, d) for a meaningful truncation")
     if refinements < 2:
@@ -167,19 +228,23 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     E1_in = float(transversal_eigenvalues(config.inner, 1)[0])
     E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
     k = max(2, neumann_state_cap(config) + 2)
-    grids = [make_grid(config, L, h0 / 2**j, closure=closure) for j in range(refinements)]
-    per_grid = []
-    for grid in grids:
-        op = assemble(config, grid)
-        pairs = lowest_eigenpairs(op, min(k, op.dimension - 2), shift=0.5 * E1_in)
-        per_grid.append(np.array([lam for lam, _ in pairs]))
-    coarse, fine = per_grid[-2], per_grid[-1]
-    out = []
-    for lc, lf in zip(coarse, fine):
-        lam = lf + (lf - lc) / 3.0
-        err_est = abs(lf - lc) / 3.0
-        k1 = np.sqrt(max(E1_out - lam, 0.0))
-        margin = 3.0 * (err_est + np.exp(-k1 * L))
-        if lam < E1_out - margin:
-            out.append(float(lam))
-    return sorted(out)
+    grids = [make_grid(config, L, h0 / 2**j, closure=closure)
+             for j in range(refinements)][-2:]
+    floor = min(y_odd_floor(config, grid) for grid in grids)
+    if _confident(floor, 0.0, E1_out, L):
+        raise NumericalError(f"y-odd floor {floor!r} could pass the keep rule below "
+                             f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
+    out = {}
+    for sector in ParitySector:
+        per_grid = []
+        for grid in grids:
+            op = assemble(config, grid, sector)
+            pairs = lowest_eigenpairs(op, min(k, op.dimension - 2), shift=0.5 * E1_in)
+            per_grid.append([lam for lam, _ in pairs])
+        kept = []
+        for lc, lf in zip(*per_grid):
+            lam = lf + (lf - lc) / 3.0
+            if _confident(lam, abs(lf - lc) / 3.0, E1_out, L):
+                kept.append(float(lam))
+        out[sector] = sorted(kept)
+    return out

@@ -32,6 +32,8 @@ from .modematch import WellConfig
 from .quadrature import adaptive_simpson, composite_gl
 from .transverse import _levels
 
+_MAX_N = 2**20
+
 
 def _g(t):
     """exp(-1/t) for t > 0, else 0; the standard smooth transition germ."""
@@ -204,9 +206,10 @@ def existence_test(config: WellConfig, bump: BumpProfile, n_max: int) -> QReport
 
     well_hypothesis records whether int(alpha - alpha0) = 2a(alpha1 -
     alpha0) < 0 actually holds; with it False the test makes no claim
-    (and Q stays positive)."""
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
+    (and Q stays positive).  n_max above 2^20 (about three minutes of Q
+    evaluations) is a ContractError, raised before anything is allocated."""
+    if not 1 <= n_max <= _MAX_N:
+        raise ContractError(f"n_max must be in [1, {_MAX_N}], got {n_max}")
     n_values = tuple(range(1, n_max + 1))
     q_values = tuple(q_form(config, bump, n) for n in n_values)
     first = next((n for n, q in zip(n_values, q_values) if q < 0.0), None)

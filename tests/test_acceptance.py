@@ -147,19 +147,22 @@ def test_2_threshold_brackets_and_monotonicity(capsys):
 
 def test_3_oracle_equivalence(capsys):
     t0 = time.perf_counter()
-    matched = _merged_energies(WELL, N=32)
     oracle = oracle_bound_states(WELL, L=8.0 * WELL.d, refinements=3,
                                  h0=WELL.d / 64)       # finest h = d/256
     tol = 5e-3 * (np.pi / WELL.d) ** 2
-    count_ok = len(matched) == len(oracle)
-    diffs = [abs(m - o) for m, o in zip(matched, oracle)] if count_ok else []
-    max_diff = max(diffs) if diffs else float("nan")
+    counts, diffs = {}, []
+    for parity in ParitySector:
+        matched = [s.lam for s in bound_state_energies(WELL, parity, N=32)]
+        counts[parity.value] = (len(matched), len(oracle[parity]))
+        diffs += [abs(m - o) for m, o in zip(matched, oracle[parity])]
+    count_ok = all(m == o for m, o in counts.values())
+    max_diff = max(diffs) if count_ok and diffs else float("nan")
     dt = time.perf_counter() - t0
     ok = count_ok and max_diff <= tol and dt < 120.0
     _emit(capsys, 3, "oracle equivalence", ok,
-          f"{len(matched)} matched vs {len(oracle)} oracle states, "
-          f"max |diff| {max_diff:.3e} <= {tol:.3e}, {dt:.1f}s < 120s")
-    assert count_ok, f"state counts differ: {matched} vs {oracle}"
+          ", ".join(f"{p} {m} matched vs {o} oracle" for p, (m, o) in counts.items())
+          + f", max |diff| per sector {max_diff:.3e} <= {tol:.3e}, {dt:.1f}s < 120s")
+    assert count_ok, f"state counts differ per sector: {counts}"
     assert max_diff <= tol
     assert dt < 120.0
 
@@ -267,7 +270,7 @@ def test_8_essential_spectrum_threshold(capsys):
     lams = []
     for h in hs:
         grid = make_grid(const, L=4.0, h=h, closure="neumann")
-        op = assemble(const, grid)
+        op = assemble(const, grid, ParitySector.SYMMETRIC)
         lams.append(lowest_eigenpairs(op, 1, shift=0.5 * e1)[0][0])
     errs = [lam - e1 for lam in lams]
     no_dip = all(lam >= e1 - 10.0 * h**2 * e1 for lam, h in zip(lams, hs))
@@ -278,17 +281,18 @@ def test_8_essential_spectrum_threshold(capsys):
     empty = oracle_bound_states(const, L=4.0, refinements=2, h0=1.0 / 32,
                                 closure="neumann")
     dt = time.perf_counter() - t0
-    ok = (no_dip and order_ok and extrap_err <= 1e-5 and empty == []
+    found = sum(len(v) for v in empty.values())
+    ok = (no_dip and order_ok and extrap_err <= 1e-5 and found == 0
           and dt < 60.0)
     _emit(capsys, 8, "essential-spectrum threshold", ok,
           f"lowest FD value above E1(20)-O(h^2), orders "
           + "/".join(f"{o:.2f}" for o in orders)
           + f" in (1.8,2.2), extrapolated rel err {extrap_err:.1e} <= 1e-5, "
-          f"oracle reports {len(empty)} states below threshold, {dt:.1f}s < 60s")
+          f"oracle reports {found} states below threshold, {dt:.1f}s < 60s")
     assert no_dip, f"FD eigenvalue dips below threshold: {lams} vs E1={e1}"
     assert order_ok, f"convergence orders {orders} outside (1.8, 2.2)"
     assert extrap_err <= 1e-5
-    assert empty == []
+    assert found == 0
     assert dt < 60.0
 
 

@@ -244,9 +244,10 @@ class TestOracleCommand:
                      "--L", "4", "--refinements", "2"])
         assert code == 0
         lines = (tmp_path / "oracle_compare.csv").read_text().strip().split("\n")
-        assert lines[0] == "index,lambda_matching,lambda_oracle,abs_diff"
+        assert lines[0] == "sector,index,lambda_matching,lambda_oracle,abs_diff"
         assert len(lines) == 2
-        _, lam_m, lam_o, diff = lines[1].split(",")
+        sector, index, lam_m, lam_o, diff = lines[1].split(",")
+        assert (sector, index) == ("symmetric", "1")
         assert abs(float(lam_m) - float(lam_o)) == pytest.approx(float(diff))
         assert float(diff) < 0.05
 
@@ -272,6 +273,8 @@ class TestOversizedInputs:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--N", "1000000000000"],
         ["oracle", "--N", "8", "--L", "1e12"],
+        ["wavefunction", "--N", "8", "--nx", "1000000000000"],
+        ["existence", "--n-max", "1000000000000"],
     ])
     def test_huge_flag(self, tmp_path, argv, capsys):
         well = ["--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1"]

@@ -5,13 +5,58 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from robinstrip import (ConfigError, ContractError, FdGrid, ParitySector,
-                        WellConfig, assemble, bound_state_energies,
-                        lowest_eigenpairs, make_grid, oracle_bound_states,
-                        transversal_eigenvalues)
-from robinstrip.fdoracle import SparseOperator
+from robinstrip import (ConfigError, ContractError, FdGrid, NumericalError,
+                        ParitySector, WellConfig, assemble,
+                        bound_state_energies, lowest_eigenpairs, make_grid,
+                        oracle_bound_states, transversal_eigenvalues)
+from robinstrip.fdoracle import SparseOperator, y_odd_floor
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
+SYM, ANTI = ParitySector.SYMMETRIC, ParitySector.ANTISYMMETRIC
+
+
+def ghost_point_reference(config, grid):
+    """The full-grid operator in its generalized-symmetric ghost-point form
+    kron(Tx, W) plus one Robin cross-section block per column, made
+    symmetric by W^(-1/2); alpha classified by position."""
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    x = -grid.L + hx * np.arange(1, nx + 1)
+    alpha_x = np.where(np.abs(x) < config.a - 0.5 * hx, config.alpha1, config.alpha0)
+    tx = np.full(nx, 2.0)
+    if grid.closure == "neumann":
+        tx[[0, -1]] = 1.0
+    Tx = sp.diags([-np.ones(nx - 1), tx, -np.ones(nx - 1)], [-1, 0, 1]) / hx**2
+    w = np.r_[0.5, np.ones(ny - 2), 0.5]
+    blocks = []
+    for al in alpha_x:
+        dy = np.r_[1.0 + al * hy, np.full(ny - 2, 2.0), 1.0 + al * hy]
+        off = -np.ones(ny - 1)
+        blocks.append(sp.diags([off, dy, off], [-1, 0, 1]) / hy**2)
+    s = sp.diags(np.tile(w ** -0.5, nx))
+    return (s @ (sp.kron(Tx, sp.diags(w)) + sp.block_diag(blocks)) @ s).tocsr()
+
+
+def mirror_basis(n, sign, centre):
+    """Orthonormal columns (e_(n-1-j) + sign e_j)/sqrt(2) for j = n//2 - 1,
+    ..., 0 (nearest the mirror first), led by the mirror node itself when
+    n is odd and centre is set."""
+    cols = []
+    if n % 2 and centre:
+        cols.append(np.eye(n)[n // 2])
+    for j in range(n // 2 - 1, -1, -1):
+        v = np.zeros(n)
+        v[n - 1 - j], v[j] = np.sqrt(0.5), sign * np.sqrt(0.5)
+        cols.append(v)
+    return np.array(cols).T
+
+
+def parity_basis(grid, sector):
+    """P with P^T ref P the (x-parity sector, y-even) block: x columns from
+    x = 0 outwards, y columns from the wall y = 0 inwards."""
+    x_sign = 1.0 if sector is SYM else -1.0
+    px = mirror_basis(grid.nx, x_sign, centre=sector is SYM)
+    py = mirror_basis(grid.ny, 1.0, centre=True)[:, ::-1]
+    return sp.kron(sp.csr_matrix(px), sp.csr_matrix(py)).tocsr()
 
 
 class TestGrid:
@@ -43,20 +88,36 @@ class TestGrid:
             make_grid(WELL, L, h)
 
 
-class TestAssembly:
-    def test_exactly_symmetric(self):
-        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32))
+@pytest.mark.parametrize("sector", list(ParitySector))
+class TestAssemblyPerSector:
+    def test_exactly_symmetric(self, sector):
+        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), sector)
         assert abs(op.matrix - op.matrix.T).max() == 0.0
 
-    def test_positive_semidefinite(self):
-        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32))
+    def test_positive_semidefinite(self, sector):
+        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), sector)
         lam0 = lowest_eigenpairs(op, 1, shift=0.1)[0][0]
         assert lam0 > 0.0
 
-    def test_five_point_sparsity(self):
+    def test_five_point_sparsity(self, sector):
         grid = make_grid(WELL, 4.0, 1.0 / 32)
-        op = assemble(WELL, grid)
+        op = assemble(WELL, grid, sector)
         assert op.matrix.nnz <= 5 * op.dimension
+
+    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])   # node on y = d/2, or none
+    def test_matches_ghost_point_reference(self, sector, closure, h):
+        # the folded operator is exactly the parity block P^T ref P
+        grid = make_grid(WELL, 2.0, h, closure=closure)
+        ref = ghost_point_reference(WELL, grid)
+        P = parity_basis(grid, sector)
+        block = (P.T @ ref @ P).toarray()
+        A = assemble(WELL, grid, sector).matrix.toarray()
+        assert A.shape == block.shape
+        assert np.abs(A - block).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
+
+
+class TestAssembly:
 
     def test_strong_coupling_reaches_dirichlet_value(self):
         # ghost-row Robin walls at alpha -> 1e8 degenerate to the discrete
@@ -64,48 +125,41 @@ class TestAssembly:
         # closure leaves the x-constant mode exact
         const = WellConfig(1e8, 1e8, 0.3, 1.0)
         grid = make_grid(const, 2.0, 1.0 / 32, closure="neumann")
-        lowest = lowest_eigenpairs(assemble(const, grid), 1, shift=0.0)[0][0]
+        lowest = lowest_eigenpairs(assemble(const, grid, SYM), 1, shift=0.0)[0][0]
         dirichlet_fd = 4.0 * np.sin(np.pi * grid.hy / 2.0) ** 2 / grid.hy**2
         assert lowest == pytest.approx(dirichlet_fd, rel=1e-5)
 
-    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
-    def test_matches_ghost_point_reference(self, closure):
-        # the generalized-symmetric ghost-point form kron(Tx, W) plus one
-        # Robin cross-section block per column, made symmetric by W^(-1/2)
-        grid = make_grid(WELL, 2.0, 1.0 / 32, closure=closure)
-        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-        x = -grid.L + hx * np.arange(1, nx + 1)
-        alpha_x = np.where(np.abs(x) < WELL.a - 0.5 * hx, WELL.alpha1, WELL.alpha0)
-        tx = np.full(nx, 2.0)
-        if closure == "neumann":
-            tx[[0, -1]] = 1.0
-        Tx = sp.diags([-np.ones(nx - 1), tx, -np.ones(nx - 1)], [-1, 0, 1]) / hx**2
-        w = np.r_[0.5, np.ones(ny - 2), 0.5]
-        blocks = []
-        for al in alpha_x:
-            dy = np.r_[1.0 + al * hy, np.full(ny - 2, 2.0), 1.0 + al * hy]
-            off = -np.ones(ny - 1)
-            blocks.append(sp.diags([off, dy, off], [-1, 0, 1]) / hy**2)
-        s = sp.diags(np.tile(w ** -0.5, nx))
-        ref = (s @ (sp.kron(Tx, sp.diags(w)) + sp.block_diag(blocks)) @ s).tocsr()
-        A = assemble(WELL, grid).matrix.tocsr()
-        A.sort_indices()
-        ref.sort_indices()
-        assert np.array_equal(A.indptr, ref.indptr)
-        assert np.array_equal(A.indices, ref.indices)
-        assert abs(A - ref).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
+    def test_fold_splits_the_full_spectrum(self):
+        # two-state well: every eigenvalue of the full reference below the
+        # y-odd floor is one of the two folded y-even sectors' values
+        cfg = WellConfig(8.0, 2.0, 1.0, 1.0)
+        grid = make_grid(cfg, 2.0, 1.0 / 16)
+        ref = ghost_point_reference(cfg, grid)
+        floor = y_odd_floor(cfg, grid)
+        full = np.linalg.eigvalsh(ref.toarray())
+        split = np.sort(np.concatenate([
+            np.linalg.eigvalsh(assemble(cfg, grid, sector).matrix.toarray())
+            for sector in ParitySector]))
+        full, split = full[full < floor], split[split < floor]
+        assert len(full) == len(split) >= 4
+        norm = abs(ref).sum(axis=1).max()
+        assert np.abs(full - split).max() <= 128.0 * np.finfo(float).eps * norm
 
     def test_rejects_grid_off_the_jump(self):
         # a/hx = 0.3 * 17 = 5.1: no grid line at |x| = a
         grid = FdGrid(L=1.0, nx=33, ny=33, hx=2.0 / 34, hy=1.0 / 32)
         with pytest.raises(ContractError):
-            assemble(WELL, grid)
+            assemble(WELL, grid, SYM)
+        # a/hx = 5 but nx even: no node at x = 0 to fold on
+        grid = FdGrid(L=1.35, nx=44, ny=33, hx=2.7 / 45, hy=1.0 / 32)
+        with pytest.raises(ContractError):
+            assemble(WELL, grid, ANTI)
 
     def test_grid_config_consistency_checked(self):
         grid = make_grid(WELL, 4.0, 1.0 / 32)
         wrong_d = WellConfig(20.0, 5.0, 0.3, 2.0)
         with pytest.raises(ConfigError):
-            assemble(wrong_d, grid)
+            assemble(wrong_d, grid, SYM)
 
 
 class TestEigensolver:
@@ -121,11 +175,11 @@ class TestEigensolver:
         const = WellConfig(20.0, 20.0, 0.3, 1.0)
         E1 = float(transversal_eigenvalues(const.outer, 1)[0])
         grid = make_grid(const, 8.0, 1.0 / 64, closure="neumann")
-        lam0 = lowest_eigenpairs(assemble(const, grid), 1, shift=0.5 * E1)[0][0]
+        lam0 = lowest_eigenpairs(assemble(const, grid, SYM), 1, shift=0.5 * E1)[0][0]
         assert abs(lam0 - E1) < 1e-3
 
     def test_deterministic(self):
-        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32))
+        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
         a = [v for v, _ in lowest_eigenpairs(op, 3, shift=2.6)]
         b = [v for v, _ in lowest_eigenpairs(op, 3, shift=2.6)]
         assert a == b
@@ -138,23 +192,53 @@ class TestEigensolver:
             lowest_eigenpairs(op, 19, shift=0.5)
 
 
+class TestYOddFloor:
+    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 17])
+    def test_below_the_true_y_odd_spectrum(self, closure, h):
+        grid = make_grid(WELL, 2.0, h, closure=closure)
+        ref = ghost_point_reference(WELL, grid)
+        Q = sp.kron(sp.identity(grid.nx), sp.csr_matrix(
+            mirror_basis(grid.ny, -1.0, centre=False))).tocsr()
+        lowest = np.linalg.eigvalsh((Q.T @ ref @ Q).toarray())[0]
+        assert y_odd_floor(WELL, grid) <= lowest
+
+    def test_hard_wall_pair_still_passes(self):
+        # the floor sits just under E_1(alpha0), inside the oracle's margin
+        cfg = WellConfig(1e5, 1e-5, 0.7, 1.0)
+        floor = y_odd_floor(cfg, make_grid(cfg, 4.0, 1.0 / 64))
+        E1 = float(transversal_eigenvalues(cfg.outer, 1)[0])
+        assert floor == pytest.approx(9.86766, abs=1e-5)
+        assert E1 == pytest.approx(9.86921, abs=1e-5)
+        states = oracle_bound_states(cfg, L=4.0, refinements=2)
+        assert len(states[SYM]) == 1
+
+    def test_raises_when_the_floor_could_pass(self):
+        # d/16 puts the hard-wall floor 0.031 under threshold, and L = 32d
+        # shrinks the truncation margin below that
+        cfg = WellConfig(1e5, 1e-5, 0.7, 1.0)
+        with pytest.raises(NumericalError, match="y-odd"):
+            oracle_bound_states(cfg, L=32.0, refinements=2, h0=1.0 / 16)
+
+
 class TestOracle:
     def test_constant_coupling_yields_nothing(self):
         const = WellConfig(20.0, 20.0, 0.3, 1.0)
-        assert oracle_bound_states(const, L=4.0, refinements=2) == []
+        assert oracle_bound_states(const, L=4.0, refinements=2) == {SYM: [], ANTI: []}
 
     def test_closure_sandwich(self):
         # Dirichlet closure presses the spectrum up, Neumann relaxes it
         grid_d = make_grid(WELL, 6.0, 1.0 / 32, closure="dirichlet")
         grid_n = make_grid(WELL, 6.0, 1.0 / 32, closure="neumann")
-        lam_d = lowest_eigenpairs(assemble(WELL, grid_d), 2, shift=2.6)
-        lam_n = lowest_eigenpairs(assemble(WELL, grid_n), 2, shift=2.6)
-        for (vd, _), (vn, _) in zip(lam_d, lam_n):
-            assert vn <= vd + 1e-12
+        for sector in ParitySector:
+            lam_d = lowest_eigenpairs(assemble(WELL, grid_d, sector), 2, shift=2.6)
+            lam_n = lowest_eigenpairs(assemble(WELL, grid_n, sector), 2, shift=2.6)
+            for (vd, _), (vn, _) in zip(lam_d, lam_n):
+                assert vn <= vd + 1e-12
 
     def test_longer_domain_changes_little(self):
-        a = oracle_bound_states(WELL, L=6.0, refinements=2, h0=1.0 / 32)
-        b = oracle_bound_states(WELL, L=12.0, refinements=2, h0=1.0 / 32)
+        a = oracle_bound_states(WELL, L=6.0, refinements=2, h0=1.0 / 32)[SYM]
+        b = oracle_bound_states(WELL, L=12.0, refinements=2, h0=1.0 / 32)[SYM]
         assert len(a) == len(b) == 1
         k1 = np.sqrt(float(transversal_eigenvalues(WELL.outer, 1)[0]) - b[0])
         assert abs(a[0] - b[0]) < np.exp(-k1 * 6.0)
@@ -166,23 +250,23 @@ class TestOracle:
     ])
     def test_agrees_with_mode_matching(self, alpha0, alpha1, a, L):
         cfg = WellConfig(alpha0, alpha1, a, 1.0)
-        matched = sorted(
-            s.lam for p in ParitySector for s in bound_state_energies(cfg, p, 24)
-        )
         oracle = oracle_bound_states(cfg, L=L, refinements=2, h0=1.0 / 48)
-        assert len(oracle) == len(matched)
         tol = 5e-3 * (np.pi / cfg.d) ** 2
-        for lam_m, lam_o in zip(matched, oracle):
-            assert abs(lam_m - lam_o) < tol
+        for sector in ParitySector:
+            matched = [s.lam for s in bound_state_energies(cfg, sector, 24)]
+            assert len(oracle[sector]) == len(matched), sector
+            for lam_m, lam_o in zip(matched, oracle[sector]):
+                assert abs(lam_m - lam_o) < tol
 
     def test_no_spectrum_below_inner_threshold(self):
         cfg = WellConfig(8.0, 2.0, 1.0, 1.0)
         E1_in = float(transversal_eigenvalues(cfg.inner, 1)[0])
         grid = make_grid(cfg, 6.0, 1.0 / 48)
-        pairs = lowest_eigenpairs(assemble(cfg, grid), 4, shift=0.5 * E1_in)
         h = max(grid.hx, grid.hy)
-        for lam, _ in pairs:
-            assert lam >= E1_in - 10.0 * h**2 * E1_in
+        for sector in ParitySector:
+            pairs = lowest_eigenpairs(assemble(cfg, grid, sector), 4, shift=0.5 * E1_in)
+            for lam, _ in pairs:
+                assert lam >= E1_in - 10.0 * h**2 * E1_in
 
     def test_validation(self):
         with pytest.raises(ContractError):
