@@ -25,10 +25,12 @@ The oracle solves only the two y-even blocks, the ones that hold the
 bound states.  The y-odd blocks are shown to hold nothing it could keep,
 without solving them: Tx >= 0, alpha(x) >= min(alpha0, alpha1) and the
 wall term is >= 0, so every y-odd eigenvalue is at least the lowest one
-of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  Everything is second
-order, so two grids and a Richardson step give an eigenvalue estimate with
-a defensible error bar, and the oracle shares none of the mode matching
-machinery it checks.
+of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  y is the fast
+index, so each block is a band of half-width the folded y size, and one
+band Cholesky factor of it (no fill) serves every shift-invert Lanczos
+step.  Everything is second order, so two grids and a Richardson step give
+an eigenvalue estimate with a defensible error bar, and the oracle shares
+none of the mode matching machinery it checks.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigvalsh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, ContractError, NumericalError
 from .modematch import ParitySector, WellConfig, neumann_state_cap
 from .transverse import transversal_eigenvalues
 
 _CLOSURES = ("dirichlet", "neumann")
-_MAX_UNKNOWNS = 2**21
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -85,8 +86,9 @@ class SparseOperator:
 def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet") -> FdGrid:
     """Build a grid with target spacing h, snapped so the coupling jump at
     |x| = a falls exactly on a grid line (hx = a/ceil(a/h)) and the
-    half-length on a multiple of hx.  Above 2^21 unknowns on the whole
-    strip (twice the d/256 grid at L = 8d) it raises ConfigError."""
+    half-length on a multiple of hx.  A sector solve above 2^27 doubles
+    (1 GiB: band factor (b + 1) n, b = (ny - 1)//2 + 1, plus 64 n for A and
+    eigsh's two n x 20 Lanczos arrays) is a ConfigError."""
     if not (h > 0.0) or not np.isfinite(h):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
     m = int(np.ceil(config.a / h))
@@ -95,8 +97,9 @@ def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet"
     if half <= m:
         raise ConfigError("truncation half-length must exceed the well half-width")
     ny1 = int(round(config.d / h))
-    if (2 * half - 1) * (ny1 + 1) > _MAX_UNKNOWNS:
-        raise ConfigError(f"grid with h={h!r}, L={L!r} exceeds {_MAX_UNKNOWNS} unknowns")
+    cells = (ny1 // 2 + 66) * half * (ny1 // 2 + 1)
+    if cells > 2**27:
+        raise ConfigError(f"grid h={h!r}, L={L!r}: band and eigsh need {cells:.3g} doubles > 2^27")
     return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1,
                   hx=hx, hy=config.d / ny1, closure=closure)
 
@@ -169,17 +172,29 @@ def lowest_eigenpairs(op: SparseOperator, count: int,
     """The count smallest eigenpairs by shift-invert Lanczos, eigenvalues
     ascending, vectors orthonormal with the largest entry positive.
 
-    shift must sit below the spectrum (the matrices here are positive
-    semidefinite, so any shift <= 0 or below the known lower bound works);
-    each pair is verified to satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf.
+    A - shift I is factorised once by a band Cholesky (half-bandwidth
+    max(col - row)), a NumericalError unless shift lies below the spectrum;
+    Lanczos runs to tol 1e-10, and each pair must satisfy ||A v - lambda v||
+    <= 1e-8 ||A||_inf.
     """
     if count < 1:
         raise ContractError("count must be >= 1")
     if count > op.dimension - 2:
         raise ContractError("count too large for the operator dimension")
+    upper = sp.triu(op.matrix, format="dia")
+    b = int(upper.offsets.max())
+    ab = np.zeros((b + 1, op.dimension), order="F")   # upper band: ab[b + i - j, j]
+    ab[b - upper.offsets, :upper.data.shape[1]] = upper.data
+    ab[b] -= shift
+    try:
+        factor = cholesky_banded(ab, overwrite_ab=True)
+    except LinAlgError as exc:
+        raise NumericalError(f"FD eigensolver: shift {shift!r} is not below the spectrum") from exc
+    solve = LinearOperator(op.matrix.shape, dtype=float, matvec=lambda x: cho_solve_banded(
+        (factor, False), x, check_finite=False))
     try:
         vals, vecs = eigsh(op.matrix, k=count, sigma=shift, which="LM",
-                           v0=np.ones(op.dimension))
+                           v0=np.ones(op.dimension), tol=1e-10, OPinv=solve)
     except ArpackNoConvergence as exc:
         raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)
@@ -225,8 +240,7 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
         raise ContractError("refinements must be >= 2")
     if h0 is None:
         h0 = config.d / 64.0
-    E1_in = float(transversal_eigenvalues(config.inner, 1)[0])
-    E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
+    E1_in, E1_out = (float(transversal_eigenvalues(c, 1)[0]) for c in (config.inner, config.outer))
     k = max(2, neumann_state_cap(config) + 2)
     grids = [make_grid(config, L, h0 / 2**j, closure=closure)
              for j in range(refinements)][-2:]
@@ -239,7 +253,8 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
         per_grid = []
         for grid in grids:
             op = assemble(config, grid, sector)
-            pairs = lowest_eigenpairs(op, min(k, op.dimension - 2), shift=0.5 * E1_in)
+            # alpha(x) >= min(alpha0, alpha1): the shift is below every eigenvalue
+            pairs = lowest_eigenpairs(op, min(k, op.dimension - 2), shift=0.5 * min(E1_in, E1_out))
             per_grid.append([lam for lam, _ in pairs])
         kept = []
         for lc, lf in zip(*per_grid):

@@ -4,7 +4,9 @@ extrapolated bound-state extraction."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+import robinstrip.fdoracle as fdoracle
 from robinstrip import (ConfigError, ContractError, FdGrid, NumericalError,
                         ParitySector, WellConfig, assemble,
                         bound_state_energies, lowest_eigenpairs, make_grid,
@@ -80,12 +82,15 @@ class TestGrid:
 
     @pytest.mark.parametrize("L, h", [
         (8.0, 1.0 / 64 / 2**69),   # refinement 70 of the default oracle
-        (4.0, 1.0 / 512),          # 4105 x 513 unknowns, just above 2^21
+        (4.0, 1.0 / 512),          # (258 + 64) x 2053 x 257 doubles
+        (8.0, 1.0 / 512),
+        (2e4, 1.0 / 16),           # band only 10 x 3.0 M, Lanczos arrays 2 x 20 x 3.0 M
         (1e12, 1.0 / 64),
     ])
     def test_oversized_grid_is_config_error(self, L, h):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="band"):
             make_grid(WELL, L, h)
+        make_grid(WELL, 8.0, 1.0 / 256)    # check 3: (130 + 64) x 264,837 doubles
 
 
 @pytest.mark.parametrize("sector", list(ParitySector))
@@ -115,6 +120,15 @@ class TestAssemblyPerSector:
         A = assemble(WELL, grid, sector).matrix.toarray()
         assert A.shape == block.shape
         assert np.abs(A - block).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
+
+    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
+    def test_half_bandwidth_is_the_folded_y_size(self, sector, closure, h):
+        # y is the fast index, so the band Cholesky has no fill beyond it
+        grid = make_grid(WELL, 2.0, h, closure=closure)
+        A = assemble(WELL, grid, sector).matrix.tocoo()
+        ny_folded = mirror_basis(grid.ny, 1.0, centre=True).shape[1]
+        assert (A.col - A.row).max() == ny_folded
 
 
 class TestAssembly:
@@ -184,6 +198,28 @@ class TestEigensolver:
         b = [v for v, _ in lowest_eigenpairs(op, 3, shift=2.6)]
         assert a == b
 
+    def test_shift_inside_the_spectrum_is_numerical_error(self):
+        # a shift above the lowest eigenvalue used to drop it silently
+        op = SparseOperator(20, sp.diags(np.arange(1.0, 21.0)).tocsr())
+        with pytest.raises(NumericalError, match="shift 2.6"):
+            lowest_eigenpairs(op, 2, shift=2.6)
+
+    def test_banded_solve_matches_sparse_lu(self, monkeypatch):
+        # the shift-invert operator eigsh receives solves (A - shift I) y = x
+        seen, eigsh = {}, fdoracle.eigsh
+
+        def spy(*args, **kwargs):
+            seen["opinv"] = kwargs["OPinv"]
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(fdoracle, "eigsh", spy)
+        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), ANTI)
+        lowest_eigenpairs(op, 2, shift=2.6)
+        x = np.random.default_rng(7).standard_normal(op.dimension)
+        ref = spsolve((op.matrix - 2.6 * sp.identity(op.dimension)).tocsc(), x)
+        got = seen["opinv"].matvec(x)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_validation(self):
         op = SparseOperator(20, sp.diags(np.arange(1.0, 21.0)).tocsr())
         with pytest.raises(ContractError):
@@ -225,6 +261,12 @@ class TestOracle:
     def test_constant_coupling_yields_nothing(self):
         const = WellConfig(20.0, 20.0, 0.3, 1.0)
         assert oracle_bound_states(const, L=4.0, refinements=2) == {SYM: [], ANTI: []}
+
+    def test_anti_well_yields_nothing(self):
+        # alpha1 > alpha0: the spectrum starts near E_1(alpha0) < E_1(alpha1)/2,
+        # so the shift must come from the smaller threshold
+        anti = WellConfig(1.0, 20.0, 0.3, 1.0)
+        assert oracle_bound_states(anti, L=4.0, refinements=2) == {SYM: [], ANTI: []}
 
     def test_closure_sandwich(self):
         # Dirichlet closure presses the spectrum up, Neumann relaxes it
