@@ -6,8 +6,6 @@ from .config import (MatchingParams, OracleSpec, OutputSpec, RunConfig,
                      SweepSpec, load_config)
 from .errors import (BracketError, ConfigError, ContractError,
                      ConvergenceError, NumericalError, RobinStripError)
-from .fdoracle import (FdGrid, SparseOperator, assemble, lowest_eigenpairs,
-                       make_grid, oracle_bound_states)
 from .modematch import (BoundState, ParitySector, WavefunctionGrid,
                         WellConfig, bound_state_energies, matching_residual,
                         minimax_brackets, neumann_state_cap, wavefunction)
@@ -37,3 +35,12 @@ __all__ = [
     "write_sweep_csv", "write_sweep_json", "write_sweep_svg",
     "write_wavefunction",
 ]
+
+
+def __getattr__(name):
+    # the FD oracle needs scipy.sparse and scipy.linalg, so it loads on first use
+    if name in ("FdGrid", "SparseOperator", "assemble", "lowest_eigenpairs", "make_grid",
+                "oracle_bound_states"):
+        from . import fdoracle
+        return getattr(fdoracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ import numpy as np
 from .config import (MatchingParams, OracleSpec, OutputSpec, RunConfig,
                      SweepSpec, load_config)
 from .errors import ConfigError, ContractError, NumericalError
-from .fdoracle import oracle_bound_states
 from .modematch import (BoundState, ParitySector, WellConfig,
                         bound_state_energies, minimax_brackets, wavefunction)
 from .outputs import (SweepResult, SweepRow, sweep_csv, write_sweep_csv,
@@ -185,6 +184,8 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .fdoracle import oracle_bound_states  # scipy.sparse and scipy.linalg load only here
+
     cfg = _resolve(args)
     oracle_over = {}
     if args.L is not None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .modematch import WellConfig
@@ -156,6 +155,8 @@ def _build_section(cls, section: str, data: dict):
 
 def load_config(path: str) -> RunConfig:
     """Parse a YAML run configuration, strictly."""
+    import yaml  # only config files need it
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

@@ -28,9 +28,9 @@ wall term is >= 0, so every y-odd eigenvalue is at least the lowest one
 of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  y is the fast
 index, so each block is a band of half-width the folded y size, and one
 band Cholesky factor of it (no fill) serves every shift-invert Lanczos
-step.  Everything is second order, so two grids and a Richardson step give
-an eigenvalue estimate with a defensible error bar, and the oracle shares
-none of the mode matching machinery it checks.
+step.  The Richardson step between two grids assumes order 2 (the order
+observed so far is 0.90-0.99, so its error bar is optimistic), and the
+oracle shares none of the mode matching machinery it checks.
 """
 
 from __future__ import annotations

@@ -39,12 +39,12 @@ y-odd block cannot be singular in the window, so a state has no y-odd
 amplitude: on y-odd functions the operator is bounded below by
 E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
 block is taken on a grid over the window with one batched LU; grid
-intervals where it changes sign are bisected together down to 8 ulp of
-lambda, one batched LU per step, and one batched SVD accepts the refined
-energies where sigma_min < 1e-8 sigma_max.  A sign change finds a root
-however narrow its singular-value dip is, which a scan of sigma_min on the
-grid does not.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2,
-hold the amplitudes of channels 1, 3, 5, ...
+intervals where it changes sign are narrowed together by Illinois steps
+to 8 ulp of lambda, one batched LU per step, and one batched SVD accepts
+the refined energies where sigma_min < 1e-8 sigma_max.  A sign change
+finds a root however narrow its singular-value dip is, which a scan of
+sigma_min on the grid does not.  A state's a_coeffs and b_coeffs, of
+length (N + 1) // 2, hold the amplitudes of channels 1, 3, 5, ...
 """
 
 from __future__ import annotations
@@ -238,48 +238,62 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
 
 def _window(table: _ModeTable) -> tuple[float, float] | None:
     """The scanned window (E_1(alpha1), E_1(alpha0)), pulled in by 1e-9 of
-    its width at both ends; None when it is empty to rounding."""
+    its width at both ends and by at least 2 ulp at the top, where k_1 ~ 0
+    leaves C_hat singular to rounding; None when it is empty to rounding."""
     lo = float(table.inner.energy[0])
     hi = float(table.outer.energy[0])
     w = hi - lo
     if w <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
         return None
-    return lo + 1e-9 * w, hi - 1e-9 * w
+    return lo + 1e-9 * w, hi - max(1e-9 * w, 2.0 * np.spacing(hi))
 
 
 def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
                 scan_points: int) -> list[float]:
     """Accepted roots of the regularized matrix of table in the window, sorted.
 
-    The sign of det is taken at scan_points energies; every grid interval
-    where it changes sign is bisected, all of them together, until it is
-    8 ulp of lambda wide, and its midpoint is kept iff sigma_min < 1e-8
-    sigma_max there.  A grid point where det is exactly zero is a
-    candidate as it stands.  The stopping width scales with lambda, so a
-    copy of the well scaled by (alpha/s, s a, s d) is refined alike, and
-    near threshold, where det varies with sqrt(E_1(alpha0) - lambda), no
-    absolute width leaves the midpoint too far from the root to accept.
+    The sign and log of |det| are taken at scan_points energies; every grid
+    interval where the sign changes is narrowed by lockstep Illinois steps,
+    one batched LU each: regula falsi on |det|, at least one ulp off the
+    ends, an end kept twice in a row with its |det| halved, and a bisection
+    for a bracket that three steps have not halved.  At 8 ulp of lambda,
+    which scales with the well as (alpha/s, s a, s d) does, its regula falsi
+    point is kept iff sigma_min < 1e-8 sigma_max there; an exact zero of
+    det is kept as it stands.  Near threshold det varies with
+    sqrt(E_1(alpha0) - lambda) and the accepted set can be one ulp wide.
     """
     win = _window(table)
     if win is None:
         return []
 
-    def sign(lam: np.ndarray) -> np.ndarray:
-        return np.linalg.slogdet(_scan_matrices(table, a, parity, lam)[0])[0]
+    def slogdet(lam: np.ndarray):
+        return np.linalg.slogdet(_scan_matrices(table, a, parity, lam)[0])
 
     grid = np.linspace(*win, scan_points)
-    sg = sign(grid)
+    sg, lg = slogdet(grid)
     j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
-    gl, gh, sl = grid[j], grid[j + 1], sg[j]
+    # column i of x and ell: low and high end of bracket i and log|det| there;
+    # kept[i]: the end its last step kept, widths[:, i]: its last three widths
+    x, ell, sl = grid[[j, j + 1]], lg[[j, j + 1]], sg[j]
+    kept, widths = np.full(j.size, -1), np.full((3, j.size), np.inf)
     while True:
-        act = np.flatnonzero(gh - gl > 8.0 * np.spacing(gh))
+        w = x[1] - x[0]
+        t = x[0] + w / (1.0 + np.exp(np.minimum(ell[1] - ell[0], 700.0)))
+        act = np.flatnonzero(w > 8.0 * np.spacing(x[1]))
         if not act.size:
             break
-        mid = 0.5 * (gl[act] + gh[act])
-        right = sign(mid) == sl[act]
-        gl[act] = np.where(right, mid, gl[act])
-        gh[act] = np.where(right, gh[act], mid)
-    lam = np.sort(np.concatenate([grid[sg == 0.0], 0.5 * (gl + gh)]))
+        lo, hi, w = x[0, act], x[1, act], w[act]
+        t = np.where(w > 0.5 * widths[2, act], 0.5 * (lo + hi),
+                     np.clip(t[act], np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        st, lt = slogdet(t)
+        keep = (st == sl[act]).astype(int)       # 1: t replaces the low end
+        again = keep == kept[act]
+        ell[keep[again], act[again]] -= np.log(2.0)
+        x[1 - keep, act], ell[1 - keep, act] = t, lt
+        x[:, act[st == 0.0]] = t[st == 0.0]
+        kept[act] = keep
+        widths[:, act] = np.vstack([w, widths[:2, act]])
+    lam = np.sort(np.concatenate([grid[sg == 0.0], t]))
     if not lam.size:
         return []
     s = np.linalg.svd(_scan_matrices(table, a, parity, lam)[0], compute_uv=False)
@@ -290,9 +304,9 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
                          scan_points: int = 400) -> list[BoundState]:
     """All bound states of one parity sector in (E_1(alpha1), E_1(alpha0)).
 
-    The sign of det of the regularized matrix is taken at scan_points
-    trial energies, every sign change is bisected to 8 ulp of lambda, and
-    a root is accepted iff sigma_min < 1e-8 sigma_max there.  A second
+    Roots are sign changes of det of the regularized matrix between
+    scan_points trial energies, refined to 8 ulp of lambda by Illinois
+    steps and accepted iff sigma_min < 1e-8 sigma_max there.  A second
     scan at truncation N/2 supplies each state's truncation-error estimate
     |lambda(N) - lambda(N/2)|, pairing roots that are each other's
     nearest.  Scans, coefficients, sigma_min and residuals all use the

@@ -55,31 +55,43 @@ def composite_gl(lo: float, hi: float, knots=(),
     return np.concatenate(X), np.concatenate(W)
 
 
-def adaptive_simpson(f, lo: float, hi: float) -> float:
+def adaptive_simpson(f, lo, hi, *params):
     """Integrate a smooth callable by composite Simpson with doubling.
 
     Starts from 32 panels and doubles until two consecutive levels agree
     to 1e-8 (relative, with an absolute floor for near-zero integrals).
-    Raises ConvergenceError after 16 doublings.
+    Raises ConvergenceError after 16 doublings.  Arrays lo and hi give
+    one integral per row, each stopping at its own doubling, and float lo
+    and hi one float.  f(x, *params) sees x of shape (rows, points) and
+    each 1-D array of params as a (rows, 1) column, for the rows still
+    refining.  Row sums run over contiguous copies, so a row has the bits
+    of a one-row call.
     """
-    if hi <= lo:
-        return 0.0
+    scalar = np.ndim(lo) == 0
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    out = np.zeros(lo.shape)
+    live = np.flatnonzero(hi > lo)
 
-    def simpson(npanels: int) -> float:
-        x = np.linspace(lo, hi, 2 * npanels + 1)
-        y = np.asarray(f(x), dtype=float)
-        h = (hi - lo) / (2 * npanels)
-        return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
+    def simpson(npanels: int) -> np.ndarray:
+        x = np.linspace(lo[live], hi[live], 2 * npanels + 1, axis=-1)
+        y = np.asarray(f(x, *(p[live, None] for p in params)), dtype=float)
+        h = (hi[live] - lo[live]) / (2 * npanels)
+        odd = np.ascontiguousarray(y[:, 1:-1:2]).sum(axis=1)
+        even = np.ascontiguousarray(y[:, 2:-2:2]).sum(axis=1)
+        return (h / 3.0) * (y[:, 0] + y[:, -1] + 4.0 * odd + 2.0 * even)
 
     npanels = _SIMPSON_PANELS
-    prev = simpson(npanels)
+    prev = simpson(npanels) if live.size else None
     for _ in range(_SIMPSON_DOUBLINGS):
+        if not live.size:
+            break
         npanels *= 2
         cur = simpson(npanels)
-        if abs(cur - prev) <= _SIMPSON_REL_TOL * max(abs(cur), 1e-300) + 1e-300:
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"Simpson rule did not reach relative tolerance {_SIMPSON_REL_TOL:g} "
-        f"within {_SIMPSON_DOUBLINGS} doublings on [{lo:g}, {hi:g}]"
-    )
+        done = np.abs(cur - prev) <= _SIMPSON_REL_TOL * np.maximum(np.abs(cur), 1e-300) + 1e-300
+        out[live[done]] = cur[done]
+        live, prev = live[~done], cur[~done]
+    if live.size:
+        raise ConvergenceError(
+            f"Simpson rule did not reach relative tolerance {_SIMPSON_REL_TOL:g} within "
+            f"{_SIMPSON_DOUBLINGS} doublings on [{lo[live[0]]:g}, {hi[live[0]]:g}]")
+    return float(out[0]) if scalar else out

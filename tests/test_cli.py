@@ -323,11 +323,21 @@ class TestExistenceCommand:
 
 class TestImport:
     def test_cli_import_leaves_out_scipy_optimize(self):
-        # importing scipy.optimize adds about 0.2 s to every CLI start
+        # importing scipy.optimize adds about 0.2 s to every CLI start;
+        # scipy.sparse (the FD oracle) and yaml (config files) load on use
         src = str(Path(robinstrip.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        code = "import sys, robinstrip.cli; print('scipy.optimize' in sys.modules)"
+        code = ("import sys, robinstrip.cli; print([m for m in "
+                "('scipy.optimize', 'scipy.sparse', 'yaml') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        # the FD oracle names come from a module-level __getattr__
+        for name in robinstrip.__all__:
+            assert getattr(robinstrip, name) is not None
+        assert robinstrip.oracle_bound_states is robinstrip.fdoracle.oracle_bound_states
+        with pytest.raises(AttributeError):
+            robinstrip.no_such_name  # noqa: B018

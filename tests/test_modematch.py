@@ -332,6 +332,8 @@ class TestBoundStates:
 
 class TestBlockScan:
     WELLS = (WELL, WellConfig(8.0, 1.0, 1.5, 1.0), WellConfig(40.0, 2.0, 1.0, 0.8))
+    NEAR_THRESHOLD = tuple(WellConfig(20.0, 20.0 - eps, 0.3, 1.0) for eps in (1e-3, 1e-4, 1e-5))
+    HARD_WALL = WellConfig(1e5, 1e-5, 2.0, 1.0)
 
     @staticmethod
     def _grid(table, P=37):
@@ -432,6 +434,101 @@ class TestBlockScan:
                     assert calls["svd"] == 1
         assert counts == {1, 2}
 
+
+    @staticmethod
+    def _bisected_roots(table, a, parity, scan_points=400):
+        """The lockstep bisection that the Illinois refinement replaced,
+        with its window: every sign-change interval halved until it is 8
+        ulp wide, the midpoint kept iff sigma_min < 1e-8 sigma_max."""
+        lo, hi = float(table.inner.energy[0]), float(table.outer.energy[0])
+        w = hi - lo
+        if w <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
+            return []
+
+        def sign(lam):
+            return np.linalg.slogdet(_scan_matrices(table, a, parity, lam)[0])[0]
+
+        grid = np.linspace(lo + 1e-9 * w, hi - 1e-9 * w, scan_points)
+        sg = sign(grid)
+        j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+        gl, gh, sl = grid[j], grid[j + 1], sg[j]
+        while True:
+            act = np.flatnonzero(gh - gl > 8.0 * np.spacing(gh))
+            if not act.size:
+                break
+            mid = 0.5 * (gl[act] + gh[act])
+            right = sign(mid) == sl[act]
+            gl[act] = np.where(right, mid, gl[act])
+            gh[act] = np.where(right, gh[act], mid)
+        lam = np.sort(np.concatenate([grid[sg == 0.0], 0.5 * (gl + gh)]))
+        if not lam.size:
+            return []
+        s = np.linalg.svd(_scan_matrices(table, a, parity, lam)[0], compute_uv=False)
+        return lam[s[:, -1] < 1e-8 * s[:, 0]].tolist()
+
+    def test_illinois_roots_are_the_bisected_roots(self):
+        rooted = 0
+        for cfg in self.WELLS + (self.HARD_WALL,) + self.NEAR_THRESHOLD:
+            for N in (8, 16, 32, 64):
+                table = _mode_table(cfg.inner, cfg.outer, N)
+                for parity in ParitySector:
+                    ref = self._bisected_roots(table, cfg.a, parity)
+                    roots = _scan_roots(table, cfg.a, parity, 400)
+                    assert len(roots) == len(ref), (cfg, N, parity)
+                    for lam, lam_ref in zip(roots, ref):
+                        assert abs(lam - lam_ref) <= 8.0 * np.spacing(lam_ref)
+                    rooted += bool(roots)
+        assert rooted >= 40
+
+    def test_illinois_work_per_rooted_scan(self, monkeypatch):
+        # one grid LU, at most 20 Illinois steps and one SVD; bisection
+        # from the 400-point grid to 8 ulp takes about 40 steps, and so
+        # does regula falsi without the Illinois halving on scaled copies
+        calls = self._count_work(monkeypatch)
+        rooted = 0
+        wells = self.WELLS + (self.HARD_WALL,) + self.NEAR_THRESHOLD
+        scaled = tuple(WellConfig(w.alpha0 / s, w.alpha1 / s, w.a * s, w.d * s)
+                       for s in (1e-2, 1e3) for w in self.WELLS)
+        for cfg in wells + scaled:
+            for N in (8, 16, 32, 64):
+                table = _mode_table(cfg.inner, cfg.outer, N)
+                for parity in ParitySector:
+                    calls.update(matrices=0, svd=0)
+                    if _scan_roots(table, cfg.a, parity, 400):
+                        rooted += 1
+                        assert calls["matrices"] <= 2 + 20, (cfg, N, parity)
+        assert rooted >= 80
+
+    @pytest.mark.parametrize("power", [3, 9, 21])
+    def test_refinement_halves_a_bracket_every_four_steps(self, monkeypatch, power):
+        # det = d^power, d = (lam - r) / h, has a root of multiplicity
+        # power, where regula falsi alone crawls (power 21 took 776 steps
+        # without the bisection fallback); a bisection at latest every
+        # fourth step bounds the count by the halvings down to 8 ulp
+        table = _mode_table(WELL.inner, WELL.outer, 8)
+        lo, hi = _window(table)
+        h = (hi - lo) / 399
+        r = lo + 100.3 * h
+        calls = []
+
+        def fake(table, a, parity, lam):
+            calls.append(lam.size)
+            d = (lam - r) / h
+            return (np.sign(d) * np.abs(d) ** power)[:, None, None], np.ones((lam.size, 1))
+
+        monkeypatch.setattr(modematch, "_scan_matrices", fake)
+        _scan_roots(table, WELL.a, SYM, 400)
+        halvings = np.ceil(np.log2(h / (8.0 * np.spacing(r))))
+        assert len(calls) <= 2 + 4 * (halvings + 1)
+
+    def test_window_stops_short_of_threshold(self):
+        # at E_1(alpha0) itself k_1 = 0 and the scan matrix is singular to
+        # rounding, so a window that reached it could accept a fake root
+        for eps in (1e-9, 1e-7, 0.5):
+            cfg = WellConfig(20.0, 20.0 - eps, 0.3, 1.0)
+            table = _mode_table(cfg.inner, cfg.outer, 8)
+            top = float(table.outer.energy[0])
+            assert _window(table)[1] <= top - 2.0 * np.spacing(top)
 
     def test_companion_roots_are_the_half_truncation_scan(self):
         # the N/2 companion scans a prefix of the y-even table; its roots

@@ -2,14 +2,47 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robinstrip import (BumpProfile, ConfigError, ContractError, QReport,
-                        WellConfig, existence_test, q_form, q_form_direct,
+from robinstrip import (BumpProfile, ConfigError, ContractError, ConvergenceError,
+                        QReport, WellConfig, existence_test, q_form, q_form_direct,
                         trial_scale)
+from robinstrip import variational
 from robinstrip.quadrature import adaptive_simpson
+from robinstrip.transverse import _levels
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 BUMP = BumpProfile()
+
+
+def _scalar_simpson(f, lo, hi):
+    """The one-integral-at-a-time Simpson doubling that the batched rule
+    replaced: 32 panels, doubled until two levels agree to 1e-8."""
+    def simpson(npanels):
+        x = np.linspace(lo, hi, 2 * npanels + 1)
+        y = np.asarray(f(x), dtype=float)
+        h = (hi - lo) / (2 * npanels)
+        return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
+
+    npanels = 32
+    prev = simpson(npanels)
+    for _ in range(16):
+        npanels *= 2
+        cur = simpson(npanels)
+        if abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-300) + 1e-300:
+            return cur
+        prev = cur
+    raise AssertionError("reference Simpson did not converge")
+
+
+def _scalar_q(config, bump, n):
+    """Q[psi_n] by the separable reduction, one scalar Simpson per n."""
+    ends = _levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
+    wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
+    hi = min(config.a, bump.support * n)
+    well = _scalar_simpson(lambda x: trial_scale(bump, n, x) ** 2, -hi, hi)
+    return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
 
 
 class TestBumpProfile:
@@ -131,3 +164,52 @@ class TestExistenceTest:
                     config=WELL, well_hypothesis=True)
         with pytest.raises(ContractError):
             existence_test(WELL, BUMP, 0)
+
+
+class TestBatchedQ:
+    """existence_test evaluates Q for a block of n in one batched Simpson."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha0_d=st.floats(0.5, 50.0), ratio=st.floats(0.02, 0.95),
+           a_d=st.floats(0.05, 2.0), d=st.floats(0.3, 3.0))
+    def test_q_values_are_bits_of_scalar_simpson(self, alpha0_d, ratio, a_d, d):
+        cfg = WellConfig(alpha0_d / d, ratio * alpha0_d / d, a_d * d, d)
+        report = existence_test(cfg, BUMP, 70)
+        assert list(report.q_values) == [_scalar_q(cfg, BUMP, n) for n in range(1, 71)]
+
+    def test_q_form_is_the_batched_value(self):
+        q = existence_test(WELL, BUMP, 130).q_values
+        for n in (1, 2, 40, 64, 65, 130):
+            assert q_form(WELL, BUMP, n) == q[n - 1]
+
+    def test_blocks_hold_at_most_64_rows(self, monkeypatch):
+        blocks, rows = [], []
+
+        def recording(f, lo, hi, *params):
+            def g(x, *cols):
+                rows.append(x.shape[0] if x.ndim == 2 else 1)
+                return f(x, *cols)
+            blocks.append(np.size(lo))
+            return adaptive_simpson(g, lo, hi, *params)
+
+        monkeypatch.setattr(variational, "adaptive_simpson", recording)
+        report = existence_test(WELL, BUMP, 200)
+        assert len(report.q_values) == 200
+        assert blocks == [64, 64, 64, 8]
+        assert max(rows) == 64
+
+    def test_rows_stop_at_their_own_doubling(self):
+        # row 1 never settles; the smooth rows converge, but the call raises
+        def f(x, k):
+            return np.where(k == 1, float(x.shape[1]), x**2)
+
+        lo, hi = np.zeros(3), np.ones(3)
+        with pytest.raises(ConvergenceError):
+            adaptive_simpson(f, lo, hi, np.arange(3))
+        out = adaptive_simpson(f, lo, hi, np.array([0, 2, 3]))
+        assert out == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_scalar_call_keeps_its_bits(self):
+        for hi in (0.1, 0.3, 1.7):
+            f = lambda x: np.exp(-x) * np.cos(3.0 * x)  # noqa: E731
+            assert adaptive_simpson(f, -hi, hi) == _scalar_simpson(f, -hi, hi)
