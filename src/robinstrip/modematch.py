@@ -38,13 +38,14 @@ the two families vanish and the matrix is exactly block-diagonal.  The
 y-odd block cannot be singular in the window, so a state has no y-odd
 amplitude: on y-odd functions the operator is bounded below by
 E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
-block is taken on a grid over the window with one batched LU; grid
-intervals where it changes sign are narrowed together by Illinois steps
-to 8 ulp of lambda, one batched LU per step, and one batched SVD accepts
-the refined energies where sigma_min < 1e-8 sigma_max.  A sign change
-finds a root however narrow its singular-value dip is, which a scan of
-sigma_min on the grid does not.  A state's a_coeffs and b_coeffs, of
-length (N + 1) // 2, hold the amplitudes of channels 1, 3, 5, ...
+block is taken on a grid over the window by batched LUs of at most 2^22
+doubles each; grid intervals where it changes sign are narrowed together
+by Illinois steps to 8 ulp of lambda, one batched LU per step, and one
+batched SVD accepts the refined energies where sigma_min < 1e-8
+sigma_max.  A sign change finds a root however narrow its singular-value
+dip is, which a scan of sigma_min on the grid does not.  A state's
+a_coeffs and b_coeffs, of length (N + 1) // 2, hold the amplitudes of
+channels 1, 3, 5, ...
 """
 
 from __future__ import annotations
@@ -57,15 +58,18 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericalError
 from .quadrature import composite_gl
-from .transverse import (RobinCrossSection, _levels, _Levels, overlap_matrix,
-                         transversal_eigenvalues)
+from .transverse import (RobinCrossSection, _Levels, overlap_matrix, transversal_eigenvalues,
+                         transversal_levels)
 
 # Acceptance threshold for a refined root: sigma_min < _ROOT_ACCEPT * sigma_max.
 _ROOT_ACCEPT = 1e-8
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
-# Largest scan stack, scan_points (N+1)//2 x (N+1)//2 matrices: 2^27 doubles (1 GiB).
-_MAX_SCAN_DOUBLES = 2**27
+# Size guard, 2^27 (1 GiB of doubles): on the scan's scan_points * ((N+1)//2)^2
+# matrix entries and on the about 12 N^2 doubles of the overlap_matrix build.
+_MAX_SOLVE_DOUBLES = 2**27
+# Scan matrices per batched LU: 2^22 doubles (32 MiB), the whole grid at N = 32.
+_SCAN_CHUNK_DOUBLES = 2**22
 
 
 class ParitySector(enum.Enum):
@@ -173,7 +177,7 @@ def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _
     is bitwise the table at truncation M <= N."""
     O = np.ascontiguousarray(overlap_matrix(inner, outer, N)[::2, ::2])
     O.flags.writeable = False
-    return _ModeTable(_levels(inner, N)[::2], _levels(outer, N)[::2], O)
+    return _ModeTable(transversal_levels(inner, N)[::2], transversal_levels(outer, N)[::2], O)
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +240,16 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
     return C, V
 
 
+def _scan_slogdet(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray):
+    """Sign and log|det| of the scan matrices at lam (not empty), one batched
+    LU per 2^22 doubles of matrices; each matrix has its own LU, so the bits
+    do not depend on the chunking."""
+    step = max(1, _SCAN_CHUNK_DOUBLES // table.overlaps.size)
+    chunks = (lam[i:i + step] for i in range(0, lam.size, step))
+    return np.concatenate([np.linalg.slogdet(_scan_matrices(table, a, parity, x)[0])
+                           for x in chunks], axis=1)
+
+
 def _window(table: _ModeTable) -> tuple[float, float] | None:
     """The scanned window (E_1(alpha1), E_1(alpha0)), pulled in by 1e-9 of
     its width at both ends and by at least 2 ulp at the top, where k_1 ~ 0
@@ -266,11 +280,8 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
     if win is None:
         return []
 
-    def slogdet(lam: np.ndarray):
-        return np.linalg.slogdet(_scan_matrices(table, a, parity, lam)[0])
-
     grid = np.linspace(*win, scan_points)
-    sg, lg = slogdet(grid)
+    sg, lg = _scan_slogdet(table, a, parity, grid)
     j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
     # column i of x and ell: low and high end of bracket i and log|det| there;
     # kept[i]: the end its last step kept, widths[:, i]: its last three widths
@@ -285,7 +296,7 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
         lo, hi, w = x[0, act], x[1, act], w[act]
         t = np.where(w > 0.5 * widths[2, act], 0.5 * (lo + hi),
                      np.clip(t[act], np.nextafter(lo, hi), np.nextafter(hi, lo)))
-        st, lt = slogdet(t)
+        st, lt = _scan_slogdet(table, a, parity, t)
         keep = (st == sl[act]).astype(int)       # 1: t replaces the low end
         again = keep == kept[act]
         ell[keep[again], act[again]] -= np.log(2.0)
@@ -311,15 +322,19 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     |lambda(N) - lambda(N/2)|, pairing roots that are each other's
     nearest.  Scans, coefficients, sigma_min and residuals all use the
     y-even channels of their truncation.  An empty list is a valid result.
-    A scan stack above 2^27 doubles (1 GiB; the default uses 102,400 and
-    N = 1024 still fits) is a ContractError before anything is allocated.
+
+    The grid is scanned in chunks of 2^22 doubles.  Before anything is
+    allocated, a ContractError refuses a solve whose scan_points *
+    ((N+1)//2)^2 scan matrix entries (N = 1024 fits at the default 400
+    points) or whose mode table build, about 12 N^2 doubles, exceed 2^27.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
     if scan_points < 8:
         raise ContractError("scan_points must be >= 8")
-    if scan_points * ((N + 1) // 2) ** 2 > _MAX_SCAN_DOUBLES:
-        raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan stack over 1 GiB")
+    if max(scan_points * ((N + 1) // 2) ** 2, 12 * N * N) > _MAX_SOLVE_DOUBLES:
+        raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan matrix entries "
+                            "or mode table doubles over 2^27")
     table = _mode_table(config.inner, config.outer, N)
     roots = _scan_roots(table, config.a, parity, scan_points)
     if not roots:

@@ -19,7 +19,9 @@ so its roots split into an even family (k tan(kd/2) = alpha) and an odd
 family (tan(kd/2) = -k/alpha); the test suite uses independent bisection on
 the factors as an oracle.  E_n lies strictly between the Neumann and
 Dirichlet values ((n-1) pi/d)^2 and (n pi/d)^2, which makes bisection in
-k = sqrt(E) unconditionally convergent.
+k = sqrt(E) unconditionally convergent.  Near alpha*d = 1e16, E_n is an ulp
+from its Dirichlet end, so alpha*d is limited to 1e15.  chi_n is normalized
+by a closed form of its squared norm, which the tests check by quadrature.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .quadrature import composite_gl
 
 # Relative bisection tolerance on k = sqrt(E).
 _K_REL_TOL = 1e-13
-# Above this alpha*d the dispersion is evaluated rescaled by 1/(1+alpha^2)
-# to keep magnitudes representable.
-_LARGE_ALPHA_D = 1e8
+# Largest alpha*d: E_n is 2/(alpha d) relative below (n pi/d)^2, an ulp near
+# alpha*d = 1e16, where its bracket loses the sign change.
+_MAX_ALPHA_D = 1e15
 # Below this |k_a - k_b|*d the closed-form overlaps lose digits to
 # cancellation and quadrature takes over.
 _NEAR_DEGENERATE_KD = 1e-6
@@ -58,23 +60,23 @@ class RobinCrossSection:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (self.d > 0.0) or not np.isfinite(self.d):
             raise ConfigError(f"d must be positive and finite, got {self.d!r}")
+        if not self.alpha * self.d <= _MAX_ALPHA_D:
+            raise ConfigError(f"alpha*d must be at most {_MAX_ALPHA_D:g}, got "
+                              f"alpha={self.alpha!r}, d={self.d!r}")
 
 
 def dispersion(E, cs: RobinCrossSection):
     """Dispersion function f(E; alpha).  Vectorized over E.
 
     f(0) = 0 identically, but E = 0 is not an eigenvalue; root searches
-    start from a small positive k.  For alpha*d beyond 1e8 the value is
-    rescaled by 1/(1 + alpha^2) so the (alpha^2 - E) term cannot overflow
-    the comparison logic; the root set is unchanged.
+    start from a small positive k and read only the sign of f and whether
+    it is exactly zero.
     """
     E = np.asarray(E, dtype=float)
     if np.any(E < 0):
         raise ContractError("dispersion requires E >= 0")
     k = np.sqrt(E)
     f = 2.0 * cs.alpha * k * np.cos(k * cs.d) + (cs.alpha**2 - E) * np.sin(k * cs.d)
-    if cs.alpha * cs.d > _LARGE_ALPHA_D:
-        f = f / (1.0 + cs.alpha**2)
     return f if f.ndim else float(f)
 
 
@@ -84,7 +86,9 @@ def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
 
     Every level follows the steps of a bisection on its own bracket: it
     stops at an exact zero of the dispersion or once hi - lo <= 1e-13 hi,
-    and is never stepped again, so its bits do not depend on n_max.
+    and is never stepped again, so its bits do not depend on n_max.  Signs
+    are compared, not multiplied, so no product of two values of f can
+    overflow or underflow.
     """
     n = np.arange(1, n_max + 1)
     lo = (n - 1) * np.pi / cs.d
@@ -94,7 +98,7 @@ def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
     fhi = dispersion(hi * hi, cs)
     k = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     live = np.isnan(k)
-    bad = np.flatnonzero(live & (flo * fhi > 0.0))
+    bad = np.flatnonzero(live & (np.sign(flo) == np.sign(fhi)))
     if bad.size:
         j = bad[0]
         raise BracketError(
@@ -106,7 +110,7 @@ def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
         i = np.flatnonzero(live)
         mid = 0.5 * (lo[i] + hi[i])
         fm = dispersion(mid * mid, cs)
-        up = fm * flo[i] > 0.0
+        up = np.sign(fm) == np.sign(flo[i])
         lo[i[up]] = mid[up]
         hi[i[~up]] = mid[~up]
         root = fm == 0.0
@@ -125,28 +129,6 @@ def _profile_norm_sq(alpha: float, d: float, k):
     )
 
 
-def _check_norms(cs: RobinCrossSection, k: np.ndarray, I: np.ndarray) -> None:
-    """Cross-check closed-form norms against composite Gauss-Legendre with
-    one panel per wavelength of the highest level, plus one, accumulated
-    panel by panel so memory stays linear in the number of levels."""
-    alpha, d = cs.alpha, cs.d
-    npanels = max(1, int(np.ceil(k[-1] * d / (2.0 * np.pi)))) + 1
-    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)])
-    A = (alpha / k)[:, None]
-    I_quad = np.zeros_like(k)
-    for yp, wp in zip(y.reshape(npanels, -1), w.reshape(npanels, -1)):
-        ky = np.outer(k, yp)
-        u = A * np.sin(ky) + np.cos(ky)
-        I_quad += (u * u) @ wp
-    bad = np.flatnonzero(np.abs(I - I_quad) > 1e-12 * np.maximum(np.abs(I), 1.0))
-    if bad.size:
-        j = bad[0]
-        raise NumericalError(
-            f"normalization cross-check failed for alpha={alpha:g}, "
-            f"d={d:g}, n={j + 1}: closed form {I[j]!r} vs quadrature {I_quad[j]!r}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class _Levels:
     """The lowest levels of one cross-section as read-only arrays: energy
@@ -159,8 +141,8 @@ class _Levels:
     norm_const: np.ndarray
 
     def __getitem__(self, s: slice) -> _Levels:
-        """The levels at positions s: [:n] is bitwise _levels(cs, n), and
-        [::2] the odd-n levels, whose chi_n are even about y = d/2."""
+        """The levels at positions s: [:n] is bitwise transversal_levels(cs,
+        n), and [::2] the odd-n levels, whose chi_n are even about y = d/2."""
         return _Levels(self.cs, self.energy[s], self.k[s], self.norm_const[s])
 
     def chi(self, y) -> np.ndarray:
@@ -186,33 +168,30 @@ class _Levels:
 
 
 @lru_cache(maxsize=128)
-def _levels(cs: RobinCrossSection, n_max: int) -> _Levels:
-    """The n_max lowest transversal levels of cs, built once per (cs, n_max)
-    and cached; the closed-form normalization of every level is
-    cross-checked against quadrature on construction."""
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
-    k_bisect = _bisect_levels(cs, n_max)
-    E = np.float_power(k_bisect, 2.0)
-    k = np.sqrt(E)
-    I = _profile_norm_sq(cs.alpha, cs.d, k)
-    _check_norms(cs, k, I)
-    table = _Levels(cs, E, k, 1.0 / np.sqrt(I))
-    for arr in (table.energy, table.k, table.norm_const):
-        arr.flags.writeable = False
-    return table
-
-
 def transversal_levels(cs: RobinCrossSection, n_max: int) -> _Levels:
     """The table of the n_max lowest levels of cs: read-only energy, k and
     norm_const arrays, with chi(y) and chi_deriv(y) evaluating every
-    chi_n and chi_n' at once.  Shared and cached; copy before editing."""
-    return _levels(cs, n_max)
+    chi_n and chi_n' at once.  Built once per (cs, n_max) and cached, so
+    shared: copy before editing.  Levels whose arithmetic leaves binary64
+    (an overflow, underflow or NaN on the way, possible only at extreme d)
+    are a NumericalError."""
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
+    try:
+        with np.errstate(all="raise"):
+            E = np.float_power(_bisect_levels(cs, n_max), 2.0)
+            k = np.sqrt(E)
+            norm_const = 1.0 / np.sqrt(_profile_norm_sq(cs.alpha, cs.d, k))
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalError(f"alpha={cs.alpha:g}, d={cs.d:g}: levels leave binary64 ({exc})")
+    for arr in (E, k, norm_const):
+        arr.flags.writeable = False
+    return _Levels(cs, E, k, norm_const)
 
 
 def transversal_eigenvalues(cs: RobinCrossSection, n_max: int) -> np.ndarray:
     """The n_max lowest transversal energies E_1 < E_2 < ... < E_{n_max}."""
-    return _levels(cs, n_max).energy.copy()
+    return transversal_levels(cs, n_max).energy.copy()
 
 
 def _overlap_closed(Aa, ka, Ab, kb, d: float):
@@ -254,7 +233,7 @@ def overlap_matrix(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -
     if inner.d != outer.d:
         raise ContractError("overlap_matrix requires cross-sections of equal width")
     d = inner.d
-    ti, to = _levels(inner, N), _levels(outer, N)
+    ti, to = transversal_levels(inner, N), transversal_levels(outer, N)
     ka, kb = ti.k[None, :], to.k[:, None]
     Aa, Ab = inner.alpha / ka, outer.alpha / kb
     with np.errstate(divide="ignore", invalid="ignore"):

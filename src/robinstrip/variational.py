@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .modematch import WellConfig
 from .quadrature import adaptive_simpson, composite_gl
-from .transverse import _levels
+from .transverse import transversal_levels
 
 _MAX_N = 2**20
 _Q_BLOCK = 64  # n per batched Simpson call in existence_test: memory stays bounded
@@ -167,7 +167,7 @@ def q_form(config: WellConfig, bump: BumpProfile, n: int) -> float:
 
 def _q_values(config: WellConfig, bump: BumpProfile, n: np.ndarray) -> np.ndarray:
     """q_form at each entry of n, one adaptive Simpson row per n."""
-    ends = _levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
+    ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
     wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
     hi = np.minimum(config.a, bump.support * n)
     well = adaptive_simpson(lambda x, n: trial_scale(bump, n, x) ** 2, -hi, hi, n)
@@ -187,7 +187,7 @@ def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     x, wx = composite_gl(-sn, sn, knots=tuple(knots))
     y, wy = composite_gl(0.0, d)
 
-    level = _levels(config.outer, 1)
+    level = transversal_levels(config.outer, 1)
     E1 = float(level.energy[0])
     chi = level.chi(y)[0]
     chi_p = level.chi_deriv(y)[0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import robinstrip
-from robinstrip import load_config, read_wavefunction
+from robinstrip import load_config, modematch, read_wavefunction
 from robinstrip.cli import build_parser, main
 from robinstrip.errors import ConfigError
 from robinstrip.outputs import CSV_HEADER
@@ -280,6 +280,26 @@ class TestOversizedInputs:
         well = ["--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1"]
         assert main(argv + well + ["--out-dir", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+    def test_mode_table_over_the_guard(self, tmp_path, monkeypatch, capsys):
+        # 8 * 4096^2 scan entries pass the scan bound; the mode table at
+        # N = 8191 would need about 6 GiB and must be refused before it is built
+        def refuse(*args):
+            raise AssertionError("the mode table was built past the size guard")
+        monkeypatch.setattr(modematch, "overlap_matrix", refuse)
+        well = ["--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1"]
+        argv = ["spectrum", "--N", "8191", "--scan-points", "8", "--out-dir", str(tmp_path)]
+        assert main(argv + well) == 2
+        assert "mode table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "existence"])
+    @pytest.mark.parametrize("alpha0", ["1e160", "1e20"])
+    def test_coupling_above_the_bound(self, tmp_path, command, alpha0, capsys):
+        # 1e160 overflowed alpha**2 and 1e20 lost the level brackets' sign change
+        well = ["--alpha0", alpha0, "--alpha1", "1", "--a", "0.5", "--d", "1"]
+        assert main([command, *well, "--out-dir", str(tmp_path)]) == 2
+        assert "alpha*d must be at most" in capsys.readouterr().err
 
 
 class TestFlagCensus:

@@ -2,6 +2,7 @@
 axial stiffness, the matching matrix C, root scan, bound states,
 wavefunctions, residuals."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -15,8 +16,8 @@ from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
                         wavefunction)
 from robinstrip import modematch
 from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
-                                  _scan_roots, _value_deriv, _window)
-from robinstrip.transverse import _levels
+                                  _scan_roots, _scan_slogdet, _value_deriv, _window)
+from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
 ANTI = ParitySector.ANTISYMMETRIC
@@ -51,7 +52,7 @@ def _ratio(lam, E, a, parity):
 def _full_table(cfg, N):
     """All N channels, y-odd ones included, from the level tables and
     overlap_matrix: a reference independent of the solver's y-even table."""
-    return _ModeTable(_levels(cfg.inner, N), _levels(cfg.outer, N),
+    return _ModeTable(transversal_levels(cfg.inner, N), transversal_levels(cfg.outer, N),
                       overlap_matrix(cfg.inner, cfg.outer, N))
 
 
@@ -285,12 +286,12 @@ class TestBoundStates:
     def test_a_sweep_bisects_each_cross_section_once_per_N(self):
         # tables depend on (alpha, d) and N only; the N/2 companion reads
         # the first N/2 levels of the N table
-        _levels.cache_clear()
+        transversal_levels.cache_clear()
         _mode_table.cache_clear()
         for r in (0.3, 0.6, 0.9):
             for parity in ParitySector:
                 bound_state_energies(WellConfig(20.0, 5.0, r, 1.0), parity, 16)
-        assert _levels.cache_info().misses == 2
+        assert transversal_levels.cache_info().misses == 2
         assert _mode_table.cache_info().misses == 1
 
     def test_narrow_second_state_of_wide_well(self):
@@ -546,6 +547,71 @@ class TestBlockScan:
                     assert [st.lam_coarse for st in states] == _pair_nearest(fine, coarse)
                     paired += sum(st.lam_coarse is not None for st in states)
         assert paired >= 20
+
+
+class TestScanChunks:
+    WELLS = (WELL, WellConfig(1e5, 1e-5, 0.8, 1.0), WellConfig(8.0, 1.0, 1.5, 1.0))
+
+    def test_default_grid_is_one_chunk_at_N_32(self):
+        n = (32 + 1) // 2
+        assert modematch._SCAN_CHUNK_DOUBLES // (n * n) >= 400
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 33, 128])
+    def test_chunked_slogdet_is_bitwise_one_batch(self, monkeypatch, chunk):
+        for cfg in self.WELLS:
+            table = _mode_table(cfg.inner, cfg.outer, 32)
+            lam = np.linspace(*_window(table), 400)
+            for parity in ParitySector:
+                whole = np.linalg.slogdet(_scan_matrices(table, cfg.a, parity, lam)[0])
+                monkeypatch.setattr(modematch, "_SCAN_CHUNK_DOUBLES", chunk * table.overlaps.size)
+                sign, logdet = _scan_slogdet(table, cfg.a, parity, lam)
+                monkeypatch.undo()
+                assert sign.tolist() == whole.sign.tolist()
+                assert logdet.tolist() == whole.logabsdet.tolist()
+
+    def test_states_do_not_depend_on_the_chunk(self, monkeypatch):
+        def fields(states):
+            return [(s.lam, s.lam_coarse, s.sigma_min, s.residual, s.a_coeffs.tolist())
+                    for s in states]
+
+        for cfg in self.WELLS:
+            for parity in ParitySector:
+                whole = fields(bound_state_energies(cfg, parity, 32))
+                monkeypatch.setattr(modematch, "_SCAN_CHUNK_DOUBLES", 7 * 16 * 16)
+                assert fields(bound_state_energies(cfg, parity, 32)) == whole
+                monkeypatch.undo()
+
+    def test_scan_memory_does_not_grow_with_the_grid(self):
+        # at N = 512 the 400-energy stack alone would be 400 * 256^2 doubles
+        # (200 MiB); a chunk holds 32 MiB and the mode table build about 24 MiB
+        tracemalloc.start()
+        try:
+            states = bound_state_energies(WellConfig(1e5, 1e-5, 0.75, 1.0), SYM, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 1
+        assert peak < 64 * 2**20
+
+
+class TestSizeGuard:
+    class Admitted(Exception):
+        pass
+
+    @pytest.mark.parametrize("N, scan_points, admitted", [
+        (1024, 400, True), (1158, 400, True), (1159, 400, False),
+        (3344, 8, True), (3345, 8, False),
+        # 8 * 4096^2 scan entries are exactly 2^27, but the overlap_matrix
+        # build would hold about 12 * 8191^2 doubles (6 GiB)
+        (8191, 8, False),
+    ])
+    def test_guard_bounds(self, monkeypatch, N, scan_points, admitted):
+        # a solve the guard admits stops where its mode table would be built
+        def admit(*args):
+            raise self.Admitted
+        monkeypatch.setattr(modematch, "_mode_table", admit)
+        with pytest.raises(self.Admitted if admitted else ContractError):
+            bound_state_energies(WELL, SYM, N, scan_points=scan_points)
 
 
 class TestCompanionPairing:

@@ -3,15 +3,20 @@ factorization, bracketing, normalization, overlaps."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import robinstrip
 from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSection,
-                        dispersion, overlap_matrix, transversal_eigenvalues,
+                        RobinStripError, dispersion, overlap_matrix, transversal_eigenvalues,
                         transversal_levels)
 from robinstrip.quadrature import composite_gl, gauss_legendre
+from robinstrip.transverse import _MAX_ALPHA_D, _profile_norm_sq
+
+# The largest N bound_state_energies admits: 12 N^2 <= 2^27 (test_modematch
+# checks the guard at this N).
+_MAX_SOLVE_N = 3344
 
 
 def even_factor(k, cs):
@@ -79,6 +84,21 @@ def reference_overlaps(inner, outer, n_max, panels=16):
         return u / np.sqrt((u * u) @ w)[:, None]
 
     return (modes(outer) * w) @ modes(inner).T
+
+
+def quadrature_norm_sq(cs, k):
+    """int_0^d ((alpha/k) sin(ky) + cos(ky))^2 dy for each k by composite
+    Gauss-Legendre, one panel per wavelength of the largest k plus one,
+    summed panel by panel so memory stays linear in the number of levels."""
+    npanels = int(np.ceil(k[-1] * cs.d / (2.0 * np.pi))) + 1
+    y, w = composite_gl(0.0, cs.d, knots=[cs.d * j / npanels for j in range(1, npanels)])
+    A = (cs.alpha / k)[:, None]
+    I = np.zeros_like(k)
+    for yp, wp in zip(y.reshape(npanels, -1), w.reshape(npanels, -1)):
+        ky = np.outer(k, yp)
+        u = A * np.sin(ky) + np.cos(ky)
+        I += (u * u) @ wp
+    return I
 
 
 def scalar_levels(cs, n_max):
@@ -193,6 +213,48 @@ class TestEigenvalues:
         assert np.all(transversal_eigenvalues(cs, 4) > 0.0)
         assert np.all(np.diag(overlap_matrix(cs, cs, 4)) > 0.0)
 
+    @pytest.mark.parametrize("d", [1e-6, 1.0, 1e6])
+    def test_levels_resolve_at_the_coupling_bound(self, d):
+        # every bracket keeps its sign change up to the largest N a solve admits
+        n = np.arange(1, _MAX_SOLVE_N + 1)
+        E = transversal_eigenvalues(RobinCrossSection(_MAX_ALPHA_D / d, d), _MAX_SOLVE_N)
+        assert np.all((((n - 1) * np.pi / d) ** 2 < E) & (E < (n * np.pi / d) ** 2))
+
+    @pytest.mark.parametrize("alpha, d", [(1e16, 1.0), (1e160, 1.0), (2e18, 1e-3),
+                                          (1e300, 1e300)])
+    def test_coupling_above_the_bound_is_config_error(self, alpha, d):
+        with pytest.raises(ConfigError, match="alpha\\*d"):
+            RobinCrossSection(alpha, d)
+
+    @pytest.mark.parametrize("d", [1e-80, 1e80])
+    def test_levels_scale_with_the_width(self, d):
+        # (alpha, d) -> (alpha / s, s d) maps E -> E / s^2; the bisection
+        # compares signs of f, whose products would leave binary64 here
+        E = transversal_eigenvalues(RobinCrossSection(20.0 / d, d), 16)
+        ref = transversal_eigenvalues(RobinCrossSection(20.0, 1.0), 16)
+        assert np.allclose(E * d * d, ref, rtol=1e-12, atol=0.0)
+
+    @given(log_alpha=st.floats(-300.0, 300.0), log_d=st.floats(-300.0, 300.0),
+           n=st.integers(1, 64))
+    @example(log_alpha=160.0, log_d=-150.0, n=8)    # alpha**2 overflows
+    @example(log_alpha=80.0, log_d=-80.0, n=8)      # f * f would overflow
+    @example(log_alpha=-80.0, log_d=80.0, n=8)      # f * f would underflow
+    @example(log_alpha=-195.0, log_d=200.0, n=8)    # k^2 underflows to 0
+    @example(log_alpha=20.0, log_d=0.0, n=8)        # above the alpha*d bound
+    @settings(max_examples=300, deadline=None)
+    def test_any_cross_section_builds_or_raises_package_error(self, log_alpha, log_d, n):
+        # no OverflowError, FloatingPointError or other stray exception; a
+        # table that is built scales as (alpha, d) -> (alpha d, 1), E -> E d^2
+        alpha, d = 10.0**log_alpha, 10.0**log_d
+        try:
+            E = transversal_levels(RobinCrossSection(alpha, d), n).energy
+        except RobinStripError:
+            return
+        assert E[0] > 0.0 and np.all(np.diff(E) > 0.0) and np.all(np.isfinite(E))
+        if alpha * d >= 1e-5:   # the coupling range the norm test covers
+            ref = transversal_eigenvalues(RobinCrossSection(alpha * d, 1.0), n)
+            assert np.allclose(E * d * d, ref, rtol=1e-11, atol=0.0)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             RobinCrossSection(0.0, 1.0)
@@ -217,11 +279,30 @@ class TestModes:
             assert np.all(np.abs(-dchi[:, 0] + alpha * chi[:, 0]) <= 1e-12 * scale)
             assert np.all(np.abs(dchi[:, 1] + alpha * chi[:, 1]) <= 1e-12 * scale)
 
-    def test_unit_norm_by_quadrature(self):
-        for alpha, n in ((0.5, 1), (20.0, 2), (1e3, 4)):
-            y, w = composite_gl(0.0, 1.0, max_panel_width=1.0 / (n + 1))
-            chi = self._table(alpha, 1.0, n).chi(y)
-            assert np.all(np.abs((chi * chi) @ w - 1.0) < 1e-12)
+    @staticmethod
+    def _closed_form_norm_matches_quadrature(t):
+        I = _profile_norm_sq(t.cs.alpha, t.cs.d, t.k)
+        assert np.all(np.abs(I - quadrature_norm_sq(t.cs, t.k)) <= 1e-12 * I)
+
+    # the top is pulled in so that alpha * d stays at most the bound after rounding
+    @given(log_alpha_d=st.floats(-5.0, np.log10(_MAX_ALPHA_D) - 1e-12),
+           log_d=st.floats(-6.0, 6.0), n=st.integers(1, 128))
+    @example(log_alpha_d=np.log10(0.5), log_d=0.0, n=1)
+    @example(log_alpha_d=np.log10(20.0), log_d=0.0, n=2)
+    @example(log_alpha_d=3.0, log_d=0.0, n=4)
+    @settings(max_examples=60, deadline=None)
+    def test_unit_norm_by_quadrature(self, log_alpha_d, log_d, n):
+        # norm_const comes from a closed form of the squared norm
+        d = 10.0**log_d
+        t = self._table(10.0**log_alpha_d / d, d, n)
+        self._closed_form_norm_matches_quadrature(t)
+        y, w = composite_gl(0.0, d, max_panel_width=d / (n + 1))
+        chi = t.chi(y)
+        assert np.all(np.abs((chi * chi) @ w - 1.0) < 1e-12)
+
+    @pytest.mark.parametrize("alpha_d", [1e-5, _MAX_ALPHA_D])
+    def test_unit_norm_by_quadrature_at_N_1024(self, alpha_d):
+        self._closed_form_norm_matches_quadrature(self._table(alpha_d, 1.0, 1024))
 
     def test_derivative_obeys_eigen_identity(self):
         # int chi_n'^2 + alpha (chi_n(0)^2 + chi_n(d)^2) = E_n for unit chi_n

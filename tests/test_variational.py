@@ -10,7 +10,7 @@ from robinstrip import (BumpProfile, ConfigError, ContractError, ConvergenceErro
                         trial_scale)
 from robinstrip import variational
 from robinstrip.quadrature import adaptive_simpson
-from robinstrip.transverse import _levels
+from robinstrip.transverse import transversal_levels
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 BUMP = BumpProfile()
@@ -38,7 +38,7 @@ def _scalar_simpson(f, lo, hi):
 
 def _scalar_q(config, bump, n):
     """Q[psi_n] by the separable reduction, one scalar Simpson per n."""
-    ends = _levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
+    ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
     wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
     hi = min(config.a, bump.support * n)
     well = _scalar_simpson(lambda x: trial_scale(bump, n, x) ** 2, -hi, hi)
