@@ -21,16 +21,20 @@ a Kronecker sum, of folded 1D operators on the kept half:
   -sqrt(2)/hy^2), or, when y = d/2 falls between two rows, a cell-centred
   mirror (last diagonal 1/hy^2).
 
-The oracle solves only the two y-even blocks, the ones that hold the
+The oracle solves at most the two y-even blocks, the ones that hold the
 bound states.  The y-odd blocks are shown to hold nothing it could keep,
 without solving them: Tx >= 0, alpha(x) >= min(alpha0, alpha1) and the
 wall term is >= 0, so every y-odd eigenvalue is at least the lowest one
-of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  y is the fast
-index, so each block is a band of half-width the folded y size, and one
-band Cholesky factor of it (no fill) serves every shift-invert Lanczos
-step.  The Richardson step between two grids assumes order 2 (the order
-observed so far is 0.90-0.99, so its error bar is optimistic), and the
-oracle shares none of the mode matching machinery it checks.
+of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  A y-even block is
+skipped too when a discrete Neumann cut at |x| = a (the x edge across
+the jump dropped) puts its whole spectrum at or above E_1(alpha0), where
+the keep rule accepts nothing (sector_floor, again from 1D tridiagonals);
+on a well whose Neumann cap is 1 that is the antisymmetric sector.  y is
+the fast index, so each block is a band of half-width the folded y size,
+and one band Cholesky factor of it (no fill) serves every shift-invert
+Lanczos step.  The Richardson step between two grids assumes order 2 (the
+order observed so far is 0.90-0.99, so its error bar is optimistic), and
+the oracle shares none of the mode matching machinery it checks.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .transverse import transversal_eigenvalues
 
 _CLOSURES = ("dirichlet", "neumann")
 _SQRT2 = np.sqrt(2.0)
+# lowest_eigenpairs accepts a pair when ||A v - lambda v|| <= this * ||A||_inf.
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,23 @@ def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet"
                   hx=hx, hy=config.d / ny1, closure=closure)
 
 
+def _folded_tx(grid: FdGrid, sector: ParitySector) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Tx folded onto the nodes x >= 0 of the
+    symmetric sector (row 0 the half-weight node on x = 0) or x > 0 of the
+    antisymmetric one (Dirichlet at x = 0); the last row is the closure."""
+    symmetric = sector is ParitySector.SYMMETRIC
+    n = (grid.nx + 1) // 2 - (0 if symmetric else 1)
+    diag = np.full(n, 2.0)
+    if grid.closure == "neumann":
+        # mirror fold: the end row becomes (psi_n - psi_(n-1))/hx^2, exact
+        # for x-constant modes and still positive semidefinite
+        diag[-1] = 1.0
+    off = -np.ones(n - 1)
+    if symmetric:
+        off[0] = -_SQRT2
+    return diag / grid.hx**2, off / grid.hx**2
+
+
 def _folded_ty(grid: FdGrid, even: bool) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of Ty folded onto the rows y <= d/2, for
     the y-even (even=True) or y-odd functions; row 0 is the wall."""
@@ -121,6 +144,23 @@ def _folded_ty(grid: FdGrid, even: bool) -> tuple[np.ndarray, np.ndarray]:
     return diag / grid.hy**2, off / grid.hy**2
 
 
+def _inner_rows(config: WellConfig, grid: FdGrid, sector: ParitySector) -> int:
+    """The number of folded Tx rows with |x| < a (alpha1), for a grid that
+    fits the well as assemble requires."""
+    if abs(grid.hy * (grid.ny - 1) - config.d) > 1e-9 * config.d:
+        raise ConfigError("grid hy/ny inconsistent with the strip width d")
+    m = config.a / grid.hx
+    if abs(m - round(m)) > 1e-9 or grid.nx % 2 == 0:
+        raise ContractError(f"a/hx = {m!r}, nx = {grid.nx}: x = 0 and |x| = a "
+                            "must fall on grid lines")
+    return round(m) - (0 if sector is ParitySector.SYMMETRIC else 1)
+
+
+def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
+    """The lowest eigenvalue of a symmetric tridiagonal."""
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+
+
 def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
     """Assemble the symmetric FD operator of one x-parity sector on the
     y-even half of the grid, for the coupling profile alpha(x) = alpha1 on
@@ -131,24 +171,9 @@ def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOp
     classified by integer offset, so the grid needs a node at x = 0 (nx
     odd) and a/hx an integer within 1e-9 (as make_grid ensures); any other
     grid is a ContractError."""
-    if abs(grid.hy * (grid.ny - 1) - config.d) > 1e-9 * config.d:
-        raise ConfigError("grid hy/ny inconsistent with the strip width d")
-    m = config.a / grid.hx
-    if abs(m - round(m)) > 1e-9 or grid.nx % 2 == 0:
-        raise ContractError(f"a/hx = {m!r}, nx = {grid.nx}: x = 0 and |x| = a "
-                            "must fall on grid lines")
-    hx = grid.hx
-    symmetric = sector is ParitySector.SYMMETRIC
-    offs = np.arange(0 if symmetric else 1, (grid.nx + 1) // 2)
-    alpha_x = np.where(offs < round(m), config.alpha1, config.alpha0).astype(float)
-    tx = np.full(offs.size, 2.0 / hx**2)
-    if grid.closure == "neumann":
-        # mirror fold: the end row becomes (psi_n - psi_(n-1))/hx^2, exact
-        # for x-constant modes and still positive semidefinite
-        tx[-1] = 1.0 / hx**2
-    ex = np.full(offs.size - 1, -1.0 / hx**2)
-    if symmetric:
-        ex[0] = -_SQRT2 / hx**2
+    inner = _inner_rows(config, grid, sector)
+    tx, ex = _folded_tx(grid, sector)
+    alpha_x = np.where(np.arange(tx.size) < inner, config.alpha1, config.alpha0).astype(float)
     ty, ey = _folded_ty(grid, even=True)
     walls = np.zeros(ty.size)
     walls[0] = 2.0 / grid.hy
@@ -164,7 +189,43 @@ def y_odd_floor(config: WellConfig, grid: FdGrid) -> float:
     the folded y-odd Ty + min(alpha0, alpha1) walls."""
     ty, ey = _folded_ty(grid, even=False)
     ty[0] += min(config.alpha0, config.alpha1) * 2.0 / grid.hy
-    return float(eigvalsh_tridiagonal(ty, ey, select="i", select_range=(0, 0))[0])
+    return _lowest(ty, ey)
+
+
+def sector_floor(config: WellConfig, grid: FdGrid, sector: ParitySector) -> float:
+    """Lower bound on every eigenvalue of assemble(config, grid, sector) and
+    on every value lowest_eigenpairs can return for it, from a discrete
+    Neumann cut at |x| = a.
+
+    Removing the x edge between offsets m - 1 and m (m = a/hx; the node on
+    the jump is on the alpha0 side) removes the positive semidefinite term
+    (u_(m-1) - u_m)^2/hx^2 of the form, so A >= A_cut; the W^(-1/2)
+    similarity keeps the order, and the half-weight node on x = 0 (m = 1,
+    symmetric sector) loses 2/hx^2, every other end 1/hx^2.  A_cut is the
+    direct sum of an inner (alpha1) and an outer (alpha0) Kronecker sum, so
+    its lowest eigenvalue is the smaller of lambda_min(Tx_block) +
+    lambda_min(Ty + alpha_block walls) over the two blocks.  When the
+    antisymmetric sector has no inner node (m = 1) nothing is cut.  The
+    bound is lowered by _RESIDUAL_TOL ||A||_inf: lowest_eigenpairs puts
+    each value it returns within that distance of the spectrum, and it
+    also covers the rounding of the four tridiagonal eigenvalues."""
+    p = _inner_rows(config, grid, sector)
+    tx, ex = _folded_tx(grid, sector)
+    ty, ey = _folded_ty(grid, even=True)
+    wall = 2.0 / grid.hy
+    # ||A||_inf: a row of Tx or Ty sums to at most (3 + sqrt 2)/h^2 in absolute value
+    norm = ((3.0 + _SQRT2) * (grid.hx**-2 + grid.hy**-2)
+            + max(config.alpha0, config.alpha1) * wall)
+    if p > 0:
+        tx[p - 1] -= (2.0 if p == 1 and sector is ParitySector.SYMMETRIC else 1.0) / grid.hx**2
+        tx[p] -= 1.0 / grid.hx**2
+    floor = np.inf
+    for alpha, t, e in ((config.alpha1, tx[:p], ex[:p - 1]), (config.alpha0, tx[p:], ex[p:])):
+        if t.size:
+            ty_alpha = ty.copy()
+            ty_alpha[0] += alpha * wall
+            floor = min(floor, _lowest(t, e) + _lowest(ty_alpha, ey))
+    return floor - _RESIDUAL_TOL * norm
 
 
 def lowest_eigenpairs(op: SparseOperator, count: int,
@@ -175,7 +236,7 @@ def lowest_eigenpairs(op: SparseOperator, count: int,
     A - shift I is factorised once by a band Cholesky (half-bandwidth
     max(col - row)), a NumericalError unless shift lies below the spectrum;
     Lanczos runs to tol 1e-10, and each pair must satisfy ||A v - lambda v||
-    <= 1e-8 ||A||_inf.
+    <= _RESIDUAL_TOL ||A||_inf (1e-8).
     """
     if count < 1:
         raise ContractError("count must be >= 1")
@@ -204,7 +265,7 @@ def lowest_eigenpairs(op: SparseOperator, count: int,
     for j in range(count):
         v = vecs[:, j]
         resid = float(np.linalg.norm(op.matrix @ v - vals[j] * v))
-        if resid > 1e-8 * norm_a:
+        if resid > _RESIDUAL_TOL * norm_a:
             raise NumericalError(f"eigenpair {j} residual {resid:.3e} exceeds 1e-8 ||A||")
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
@@ -231,7 +292,13 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     kept below E_1(alpha0) - margin with margin = 3 (discretization
     estimate + exp(-k_1 L) domain-truncation bound).  If the y-odd floor of
     either grid could pass that rule (with a zero discretization estimate),
-    the y-odd blocks cannot be excluded and it raises NumericalError.  An
+    the y-odd blocks cannot be excluded and it raises NumericalError.
+
+    A kept lam = lambda_f + (lambda_f - lambda_c)/3 satisfies lam +
+    |lambda_f - lambda_c| < E_1(alpha0), and lambda_f <= lam + |lambda_f -
+    lambda_c|/3, so lambda_f < E_1(alpha0).  A sector whose sector_floor on
+    the finest grid is at or above E_1(alpha0) therefore keeps nothing: its
+    list is empty and neither of its grids is assembled or solved.  An
     empty sector list is a valid result: no state is resolvable at this
     resolution, not an error."""
     if not L >= 4.0 * max(config.a, config.d):
@@ -250,6 +317,11 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
                              f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
     out = {}
     for sector in ParitySector:
+        # the keep rule implies lambda_f < E_1(alpha0); a finest-grid floor
+        # at or above it leaves nothing to keep
+        if sector_floor(config, grids[-1], sector) >= E1_out:
+            out[sector] = []
+            continue
         per_grid = []
         for grid in grids:
             op = assemble(config, grid, sector)

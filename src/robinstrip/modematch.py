@@ -94,6 +94,9 @@ class WellConfig:
             v = getattr(self, name)
             if not (v > 0.0) or not np.isfinite(v):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+        # every command refuses a coupling outside the range the level tables resolve
+        RobinCrossSection(self.alpha0, self.d)
+        RobinCrossSection(self.alpha1, self.d)
 
     @property
     def is_well(self) -> bool:

@@ -20,8 +20,10 @@ family (tan(kd/2) = -k/alpha); the test suite uses independent bisection on
 the factors as an oracle.  E_n lies strictly between the Neumann and
 Dirichlet values ((n-1) pi/d)^2 and (n pi/d)^2, which makes bisection in
 k = sqrt(E) unconditionally convergent.  Near alpha*d = 1e16, E_n is an ulp
-from its Dirichlet end, so alpha*d is limited to 1e15.  chi_n is normalized
-by a closed form of its squared norm, which the tests check by quadrature.
+from its Dirichlet end, so alpha*d is limited to 1e15; below about 2e-8 the
+rounding of sin at the bracket ends can hide the sign change, so alpha*d
+is at least 1e-7.  chi_n is normalized by a closed form of its squared
+norm, which the tests check by quadrature.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ _K_REL_TOL = 1e-13
 # Largest alpha*d: E_n is 2/(alpha d) relative below (n pi/d)^2, an ulp near
 # alpha*d = 1e16, where its bracket loses the sign change.
 _MAX_ALPHA_D = 1e15
+# Smallest alpha*d: at the bracket ends k d = m pi the dispersion is
+# +-2 alpha k, against a rounding term k^2 sin(fl(k d)) of up to
+# (m pi)^2 1.7 eps k/d; at m = 3344 (the largest table a solve builds) the
+# sign is safe only above alpha*d = 2.1e-8, and far below it the first
+# bracket silently yields the next level.
+_MIN_ALPHA_D = 1e-7
 # Below this |k_a - k_b|*d the closed-form overlaps lose digits to
 # cancellation and quadrature takes over.
 _NEAR_DEGENERATE_KD = 1e-6
@@ -62,6 +70,9 @@ class RobinCrossSection:
             raise ConfigError(f"d must be positive and finite, got {self.d!r}")
         if not self.alpha * self.d <= _MAX_ALPHA_D:
             raise ConfigError(f"alpha*d must be at most {_MAX_ALPHA_D:g}, got "
+                              f"alpha={self.alpha!r}, d={self.d!r}")
+        if not self.alpha * self.d >= _MIN_ALPHA_D:
+            raise ConfigError(f"alpha*d must be at least {_MIN_ALPHA_D:g}, got "
                               f"alpha={self.alpha!r}, d={self.d!r}")
 
 

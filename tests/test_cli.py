@@ -301,6 +301,13 @@ class TestOversizedInputs:
         assert main([command, *well, "--out-dir", str(tmp_path)]) == 2
         assert "alpha*d must be at most" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "existence"])
+    def test_coupling_below_the_bound(self, tmp_path, command, capsys):
+        # alpha1 d = 1e-9: the N = 3344 level table loses a bracket's sign change
+        well = ["--alpha0", "20", "--alpha1", "1e-9", "--a", "0.5", "--d", "1"]
+        assert main([command, *well, "--out-dir", str(tmp_path)]) == 2
+        assert "alpha*d must be at least" in capsys.readouterr().err
+
 
 class TestFlagCensus:
     COMMON = {"-h", "--help", "--config", "--alpha0", "--alpha1", "--a", "--d", "--N",

@@ -11,7 +11,7 @@ from robinstrip import (ConfigError, ContractError, FdGrid, NumericalError,
                         ParitySector, WellConfig, assemble,
                         bound_state_energies, lowest_eigenpairs, make_grid,
                         oracle_bound_states, transversal_eigenvalues)
-from robinstrip.fdoracle import SparseOperator, y_odd_floor
+from robinstrip.fdoracle import SparseOperator, sector_floor, y_odd_floor
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 SYM, ANTI = ParitySector.SYMMETRIC, ParitySector.ANTISYMMETRIC
@@ -255,6 +255,69 @@ class TestYOddFloor:
         cfg = WellConfig(1e5, 1e-5, 0.7, 1.0)
         with pytest.raises(NumericalError, match="y-odd"):
             oracle_bound_states(cfg, L=32.0, refinements=2, h0=1.0 / 16)
+
+
+def count_solves(monkeypatch):
+    """The dimensions of the operators lowest_eigenpairs is called on."""
+    calls, solve = [], fdoracle.lowest_eigenpairs
+
+    def counting(op, *args, **kwargs):
+        calls.append(op.dimension)
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(fdoracle, "lowest_eigenpairs", counting)
+    return calls
+
+
+class TestSectorFloor:
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
+    def test_below_the_sector_spectrum(self, sector, closure, h):
+        grid = make_grid(WELL, 2.0, h, closure=closure)
+        lowest = np.linalg.eigvalsh(assemble(WELL, grid, sector).matrix.toarray())[0]
+        assert sector_floor(WELL, grid, sector) <= lowest
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+    def test_cut_at_the_first_offset(self, sector, closure):
+        # a = hx: the symmetric cut ends on the half-weight node x = 0, which
+        # loses 2/hx^2; the antisymmetric sector has no inner node to cut off,
+        # so its floor is its lowest eigenvalue less the allowance
+        cfg = WellConfig(20.0, 5.0, 1.0 / 32, 1.0)
+        grid = make_grid(cfg, 2.0, 1.0 / 32, closure=closure)
+        assert round(cfg.a / grid.hx) == 1
+        A = assemble(cfg, grid, sector).matrix
+        lowest = np.linalg.eigvalsh(A.toarray())[0]
+        floor = sector_floor(cfg, grid, sector)
+        assert floor <= lowest
+        if sector is ANTI:
+            assert lowest - floor <= 2e-8 * abs(A).sum(axis=1).max()
+
+    def test_neumann_closure_leaves_the_sector_to_solve(self, monkeypatch):
+        # the Neumann outer block reaches down to the grid's E_1(alpha0),
+        # which lies below the continuum one
+        E1 = float(transversal_eigenvalues(WELL.outer, 1)[0])
+        grid = make_grid(WELL, 4.0, 1.0 / 128, closure="neumann")
+        assert sector_floor(WELL, grid, ANTI) < E1
+        calls = count_solves(monkeypatch)
+        states = oracle_bound_states(WELL, L=4.0, refinements=2, closure="neumann")
+        assert len(calls) == 4
+        assert len(states[SYM]) == 1 and states[ANTI] == []
+
+    @pytest.mark.parametrize("config, L, refinements, solves, anti", [
+        (WELL, 8.0, 3, 2, 0),                           # check 3's oracle
+        (WellConfig(8.0, 1.0, 1.5, 1.0), 6.0, 2, 4, 1),
+        (WellConfig(1e5, 1e-5, 0.7, 1.0), 4.0, 2, 4, 1),
+    ])
+    def test_skip_changes_no_result(self, monkeypatch, config, L, refinements, solves, anti):
+        calls = count_solves(monkeypatch)
+        skipped = oracle_bound_states(config, L, refinements)
+        assert len(calls) == solves
+        assert len(skipped[ANTI]) == anti
+        monkeypatch.setattr(fdoracle, "sector_floor", lambda *args: -np.inf)
+        assert oracle_bound_states(config, L, refinements) == skipped
+        assert len(calls) == solves + 4
 
 
 class TestOracle:

@@ -12,7 +12,7 @@ from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSect
                         RobinStripError, dispersion, overlap_matrix, transversal_eigenvalues,
                         transversal_levels)
 from robinstrip.quadrature import composite_gl, gauss_legendre
-from robinstrip.transverse import _MAX_ALPHA_D, _profile_norm_sq
+from robinstrip.transverse import _MAX_ALPHA_D, _MIN_ALPHA_D, _profile_norm_sq
 
 # The largest N bound_state_energies admits: 12 N^2 <= 2^27 (test_modematch
 # checks the guard at this N).
@@ -224,6 +224,23 @@ class TestEigenvalues:
                                           (1e300, 1e300)])
     def test_coupling_above_the_bound_is_config_error(self, alpha, d):
         with pytest.raises(ConfigError, match="alpha\\*d"):
+            RobinCrossSection(alpha, d)
+
+    @pytest.mark.parametrize("d", [1e-6, 1.0, 1e6])
+    def test_levels_resolve_at_the_weak_coupling_bound(self, d):
+        # at alpha*d = 1e-8, 82 of 305 log-uniform d in [1e-6, 1e6] lost a
+        # bracket's sign change at N = 3344 (d = 1e-6 among them)
+        n = np.arange(1, _MAX_SOLVE_N + 1)
+        E = transversal_eigenvalues(RobinCrossSection(_MIN_ALPHA_D / d, d), _MAX_SOLVE_N)
+        assert np.all((((n - 1) * np.pi / d) ** 2 < E) & (E < (n * np.pi / d) ** 2))
+        ref = transversal_eigenvalues(RobinCrossSection(_MIN_ALPHA_D, 1.0), _MAX_SOLVE_N)
+        assert np.allclose(E * d * d, ref, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, d", [(1e-9, 1.0), (1e-3, 1e-6), (1e-14, 1e6),
+                                          (9.039e-29 / 21.838, 21.838)])
+    def test_coupling_below_the_bound_is_config_error(self, alpha, d):
+        # the last one built [pi^2, 4 pi^2] d^-2 for [1.8e-28, pi^2] d^-2
+        with pytest.raises(ConfigError, match="alpha\\*d must be at least"):
             RobinCrossSection(alpha, d)
 
     @pytest.mark.parametrize("d", [1e-80, 1e80])
