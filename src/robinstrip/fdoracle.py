@@ -97,6 +97,9 @@ def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet"
     eigsh's two n x 20 Lanczos arrays) is a ConfigError."""
     if not (h > 0.0) or not np.isfinite(h):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
+    # over 2^27 nodes on an axis is over the bound below, whose counts may not fit an int
+    if max(config.a, config.d, L) / h > 2**27:
+        raise ConfigError(f"grid h={h!r}, L={L!r}: band and eigsh need more than 2^27 doubles")
     m = int(np.ceil(config.a / h))
     hx = config.a / m
     half = int(round(L / hx))
@@ -285,9 +288,9 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     """Richardson-extrapolated FD eigenvalues confidently below the
     continuum threshold E_1(alpha0), ascending, per x-parity sector.
 
-    Builds grids h0, h0/2, ..., h0/2^(refinements-1) (h0 defaults to d/64)
-    before solving any, so an oversized one fails at once, and solves the
-    y-even blocks of the two finest.  Each tracked eigenvalue is
+    Builds the two finest grids of h0, h0/2, ..., h0/2^(refinements-1)
+    (h0 defaults to d/64) before solving either, so an oversized one fails
+    at once, and solves their y-even blocks.  Each tracked eigenvalue is
     extrapolated by the order-2 rule lambda + (lambda_f - lambda_c)/3 and
     kept below E_1(alpha0) - margin with margin = 3 (discretization
     estimate + exp(-k_1 L) domain-truncation bound).  If the y-odd floor of
@@ -309,8 +312,8 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
         h0 = config.d / 64.0
     E1_in, E1_out = (float(transversal_eigenvalues(c, 1)[0]) for c in (config.inner, config.outer))
     k = max(2, neumann_state_cap(config) + 2)
-    grids = [make_grid(config, L, h0 / 2**j, closure=closure)
-             for j in range(refinements)][-2:]
+    grids = [make_grid(config, L, h0 * 0.5**j, closure=closure)
+             for j in (refinements - 2, refinements - 1)]
     floor = min(y_odd_floor(config, grid) for grid in grids)
     if _confident(floor, 0.0, E1_out, L):
         raise NumericalError(f"y-odd floor {floor!r} could pass the keep rule below "

@@ -65,9 +65,12 @@ from .transverse import (RobinCrossSection, _Levels, overlap_matrix, transversal
 _ROOT_ACCEPT = 1e-8
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
-# Size guard, 2^27 (1 GiB of doubles): on the scan's scan_points * ((N+1)//2)^2
-# matrix entries and on the about 12 N^2 doubles of the overlap_matrix build.
+# Size guard, 2^27 (1 GiB of doubles), on the scan's scan_points * ((N+1)//2)^2
+# matrix entries.
 _MAX_SOLVE_DOUBLES = 2**27
+# Largest truncation order: the largest level table transverse._MIN_ALPHA_D
+# is derived for.
+_MAX_N = 3344
 # Scan matrices per batched LU: 2^22 doubles (32 MiB), the whole grid at N = 32.
 _SCAN_CHUNK_DOUBLES = 2**22
 
@@ -120,10 +123,9 @@ class BoundState:
     profiles are normalized to value 1 at x = a), with ||a||_2 = 1 and the
     largest-magnitude entry positive; b_coeffs = O a are the outer ones.
     Entry j of either is the amplitude of the y-even channel n = 2j + 1,
-    so both have length (N + 1) // 2.  trunc_err is |lambda(N) -
-    lambda(N/2)| when the state is identifiable at half truncation (the
-    two roots are each other's nearest); lam_coarse keeps the signed
-    companion value for extrapolation.
+    so both have length (N + 1) // 2.  lam_coarse is lambda(N/2) when the
+    state is identifiable at half truncation (the two roots are each
+    other's nearest), else None.
     """
 
     lam: float
@@ -133,8 +135,12 @@ class BoundState:
     sigma_min: float
     residual: tuple[float, float]
     N: int
-    trunc_err: float | None = None
     lam_coarse: float | None = None
+
+    @property
+    def trunc_err(self) -> float | None:
+        """|lambda(N) - lambda(N/2)|, or None without a companion."""
+        return None if self.lam_coarse is None else abs(self.lam - self.lam_coarse)
 
     def richardson(self) -> float | None:
         """Order-2 extrapolation in the truncation order, lambda +
@@ -178,7 +184,7 @@ def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _
     """The y-even channels at truncation N: levels n = 1, 3, 5, ... <= N
     of both cross-sections and their overlaps.  Its prefix((M + 1) // 2)
     is bitwise the table at truncation M <= N."""
-    O = np.ascontiguousarray(overlap_matrix(inner, outer, N)[::2, ::2])
+    O = overlap_matrix(inner, outer, N)
     O.flags.writeable = False
     return _ModeTable(transversal_levels(inner, N)[::2], transversal_levels(outer, N)[::2], O)
 
@@ -328,16 +334,17 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses a solve whose scan_points *
-    ((N+1)//2)^2 scan matrix entries (N = 1024 fits at the default 400
-    points) or whose mode table build, about 12 N^2 doubles, exceed 2^27.
+    ((N+1)//2)^2 scan matrix entries exceed 2^27 (N = 1024 fits at the
+    default 400 points) or whose N exceeds 3344, the largest level table
+    the weak-coupling bound on alpha*d is derived for.
     """
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
     if scan_points < 8:
         raise ContractError("scan_points must be >= 8")
-    if max(scan_points * ((N + 1) // 2) ** 2, 12 * N * N) > _MAX_SOLVE_DOUBLES:
+    if scan_points * ((N + 1) // 2) ** 2 > _MAX_SOLVE_DOUBLES or N > _MAX_N:
         raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan matrix entries "
-                            "or mode table doubles over 2^27")
+                            f"over 2^27 or mode table over N = {_MAX_N}")
     table = _mode_table(config.inner, config.outer, N)
     roots = _scan_roots(table, config.a, parity, scan_points)
     if not roots:
@@ -364,9 +371,7 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
         c0, c1 = _residual(table, config, parity, lam, a, b)
         states.append(BoundState(
             lam=lam, parity=parity, a_coeffs=a, b_coeffs=b, sigma_min=smin,
-            residual=(c0, c1), N=N,
-            trunc_err=None if lam_coarse is None else abs(lam - lam_coarse),
-            lam_coarse=lam_coarse,
+            residual=(c0, c1), N=N, lam_coarse=lam_coarse,
         ))
     return states
 

@@ -34,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BracketError, ConfigError, ContractError, NumericalError
-from .quadrature import composite_gl
 
 # Relative bisection tolerance on k = sqrt(E).
 _K_REL_TOL = 1e-13
@@ -47,9 +46,6 @@ _MAX_ALPHA_D = 1e15
 # sign is safe only above alpha*d = 2.1e-8, and far below it the first
 # bracket silently yields the next level.
 _MIN_ALPHA_D = 1e-7
-# Below this |k_a - k_b|*d the closed-form overlaps lose digits to
-# cancellation and quadrature takes over.
-_NEAR_DEGENERATE_KD = 1e-6
 # Squares of arrays use np.float_power, which calls libm pow exactly as a
 # scalar x ** 2 does; array x ** 2 computes x * x, which differs in the last
 # bit on some inputs.  Every level and every overlap_matrix entry thus has
@@ -205,52 +201,33 @@ def transversal_eigenvalues(cs: RobinCrossSection, n_max: int) -> np.ndarray:
     return transversal_levels(cs, n_max).energy.copy()
 
 
-def _overlap_closed(Aa, ka, Ab, kb, d: float):
-    """int_0^d (Aa sin(ka y) + cos(ka y)) (Ab sin(kb y) + cos(kb y)) dy by
-    product-to-sum antiderivatives, broadcasting over its arguments."""
-    dk, sk = ka - kb, ka + kb
-    cd = np.sin(dk * d) / dk
-    cs_ = np.sin(sk * d) / sk
-    sd = 2.0 * np.float_power(np.sin(0.5 * dk * d), 2.0) / dk
-    ss = 2.0 * np.float_power(np.sin(0.5 * sk * d), 2.0) / sk
-    I_ss = 0.5 * (cd - cs_)
-    I_cc = 0.5 * (cd + cs_)
-    I_sc = 0.5 * (ss + sd)
-    I_cs = 0.5 * (ss - sd)
-    return Aa * Ab * I_ss + Aa * I_sc + Ab * I_cs + I_cc
-
-
-def _overlap_quad(Aa: float, ka: float, Ab: float, kb: float, d: float) -> float:
-    """The same integral by composite Gauss-Legendre, for nearly equal
-    wavenumbers, where the closed form is a cancelling 0/0."""
-    npanels = max(1, int(np.ceil((ka + kb) * d / (2.0 * np.pi)))) + 1
-    y, w = composite_gl(0.0, d, knots=[d * j / npanels for j in range(1, npanels)])
-    u = Aa * np.sin(ka * y) + np.cos(ka * y)
-    v = Ab * np.sin(kb * y) + np.cos(kb * y)
-    return float(np.sum(w * u * v))
-
-
 def overlap_matrix(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> np.ndarray:
-    """O[m, n] = int_0^d chi_{n+1}(y; inner) chi_{m+1}(y; outer) dy.
+    """The overlaps of the y-even levels n = 1, 3, 5, ... <= N, shape
+    ((N + 1) // 2, (N + 1) // 2):
+
+        O[i, j] = int_0^d chi_{2j+1}(y; inner) chi_{2i+1}(y; outer) dy.
 
     Closed form via product-to-sum antiderivatives; the difference
-    frequency uses the half-angle form 1 - cos(t) = 2 sin^2(t/2) so no
-    digits cancel.  Nearly equal wavenumbers (|k_a - k_b| d <= 1e-6) fall
-    back to composite Gauss-Legendre, which covers the removable 0/0.
-    chi_n is even/odd about y = d/2 for n odd/even, so opposite-parity
-    products integrate to exactly zero; those entries are set to 0.0
-    (checkerboard sparsity).
+    frequency uses the half-angle form 1 - cos(t) = 2 sin^2(t/2), so no
+    digits cancel at small k_a - k_b, and equal wavenumbers take the
+    limits d of sin(dk d)/dk and 0 of 2 sin^2(dk d/2)/dk.  The y-odd
+    levels are left out: their overlaps with the y-even ones vanish, since
+    chi_n is even about y = d/2 for odd n and odd for even n, and no bound
+    state has a y-odd amplitude.
     """
     if inner.d != outer.d:
         raise ContractError("overlap_matrix requires cross-sections of equal width")
     d = inner.d
-    ti, to = transversal_levels(inner, N), transversal_levels(outer, N)
+    ti, to = transversal_levels(inner, N)[::2], transversal_levels(outer, N)[::2]
     ka, kb = ti.k[None, :], to.k[:, None]
     Aa, Ab = inner.alpha / ka, outer.alpha / kb
+    dk, sk = ka - kb, ka + kb
     with np.errstate(divide="ignore", invalid="ignore"):
-        I = _overlap_closed(Aa, ka, Ab, kb, d)
-    idx = np.arange(N)
-    same = (idx[:, None] + idx[None, :]) % 2 == 0
-    for m, n in zip(*np.nonzero(same & (np.abs(ka - kb) * d <= _NEAR_DEGENERATE_KD))):
-        I[m, n] = _overlap_quad(Aa[0, n], ka[0, n], Ab[m, 0], kb[m, 0], d)
-    return np.where(same, ti.norm_const[None, :] * to.norm_const[:, None] * I, 0.0)
+        cd = np.where(dk == 0.0, d, np.sin(dk * d) / dk)
+        sd = np.where(dk == 0.0, 0.0, 2.0 * np.float_power(np.sin(0.5 * dk * d), 2.0) / dk)
+    cs_ = np.sin(sk * d) / sk
+    ss = 2.0 * np.float_power(np.sin(0.5 * sk * d), 2.0) / sk
+    I_ss, I_cc = 0.5 * (cd - cs_), 0.5 * (cd + cs_)
+    I_sc, I_cs = 0.5 * (ss + sd), 0.5 * (ss - sd)
+    I = Aa * Ab * I_ss + Aa * I_sc + Ab * I_cs + I_cc
+    return ti.norm_const[None, :] * to.norm_const[:, None] * I

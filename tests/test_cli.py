@@ -273,6 +273,10 @@ class TestOversizedInputs:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--N", "1000000000000"],
         ["oracle", "--N", "8", "--L", "1e12"],
+        # the finest grid's h underflows to 0 at 2000 refinements and is
+        # subnormal at 1050, where a / h overflows
+        ["oracle", "--N", "8", "--refinements", "2000"],
+        ["oracle", "--N", "8", "--refinements", "1050"],
         ["wavefunction", "--N", "8", "--nx", "1000000000000"],
         ["existence", "--n-max", "1000000000000"],
     ])
@@ -283,8 +287,8 @@ class TestOversizedInputs:
 
 
     def test_mode_table_over_the_guard(self, tmp_path, monkeypatch, capsys):
-        # 8 * 4096^2 scan entries pass the scan bound; the mode table at
-        # N = 8191 would need about 6 GiB and must be refused before it is built
+        # 8 * 4096^2 scan entries pass the scan bound; N = 8191 is over the
+        # largest mode table, N = 3344, and must be refused before it is built
         def refuse(*args):
             raise AssertionError("the mode table was built past the size guard")
         monkeypatch.setattr(modematch, "overlap_matrix", refuse)

@@ -1,48 +1,21 @@
 """Transversal (cross-section) eigenproblem: dispersion relation,
 factorization, bracketing, normalization, overlaps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import even_factor, factor_roots, odd_factor, reference_overlaps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import robinstrip
 from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSection,
                         RobinStripError, dispersion, overlap_matrix, transversal_eigenvalues,
                         transversal_levels)
+from robinstrip.modematch import _MAX_N as _MAX_SOLVE_N
 from robinstrip.quadrature import composite_gl, gauss_legendre
 from robinstrip.transverse import _MAX_ALPHA_D, _MIN_ALPHA_D, _profile_norm_sq
-
-# The largest N bound_state_energies admits: 12 N^2 <= 2^27 (test_modematch
-# checks the guard at this N).
-_MAX_SOLVE_N = 3344
-
-
-def even_factor(k, cs):
-    """alpha cos(kd/2) - k sin(kd/2); vanishes iff k tan(kd/2) = alpha,
-    the even-parity (about y = d/2) quantization condition."""
-    return cs.alpha * np.cos(k * cs.d / 2) - k * np.sin(k * cs.d / 2)
-
-
-def odd_factor(k, cs):
-    """k cos(kd/2) + alpha sin(kd/2); vanishes iff tan(kd/2) = -k/alpha,
-    the odd-parity quantization condition."""
-    return k * np.cos(k * cs.d / 2) + cs.alpha * np.sin(k * cs.d / 2)
-
-
-def factor_roots(cs, n_max):
-    """Independent root finder: bisect each parity factor on its own
-    tangent branch; level n is even-parity for odd n, odd-parity for even
-    n, with k_n in ((n-1) pi/d, n pi/d)."""
-    roots = []
-    eps = 1e-9
-    for n in range(1, n_max + 1):
-        lo = (n - 1) * np.pi / cs.d + eps / cs.d
-        hi = n * np.pi / cs.d - eps / cs.d
-        f = even_factor if n % 2 == 1 else odd_factor
-        roots.append(brentq(f, lo, hi, args=(cs,), xtol=1e-15, rtol=1e-15))
-    return np.array(roots)
 
 
 def _bisect_k(cs, lo, hi):
@@ -66,24 +39,6 @@ def _bisect_k(cs, lo, hi):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def reference_overlaps(inner, outer, n_max, panels=16):
-    """O[m, n] = int chi_{n+1}(inner) chi_{m+1}(outer) from the factor
-    roots, normalized and integrated by a Gauss-Legendre rule built here:
-    nothing of the package's level tables or quadrature."""
-    d = inner.d
-    t, w = np.polynomial.legendre.leggauss(64)
-    h = d / panels
-    y = (np.arange(panels)[:, None] * h + 0.5 * h * (t + 1.0)).ravel()
-    w = np.tile(0.5 * h * w, panels)
-
-    def modes(cs):
-        k = factor_roots(cs, n_max)[:, None]
-        u = (cs.alpha / k) * np.sin(k * y) + np.cos(k * y)
-        return u / np.sqrt((u * u) @ w)[:, None]
-
-    return (modes(outer) * w) @ modes(inner).T
 
 
 def quadrature_norm_sq(cs, k):
@@ -358,50 +313,68 @@ class TestModes:
 
 
 class TestOverlap:
+    def test_y_even_block_shape(self):
+        cs = RobinCrossSection(5.0, 1.0)
+        for N, n in ((1, 1), (2, 1), (7, 4), (8, 4)):
+            assert overlap_matrix(cs, cs, N).shape == (n, n)
+
     def test_same_family_is_orthonormal(self):
         cs = RobinCrossSection(5.0, 1.0)
-        O = overlap_matrix(cs, cs, 8)
+        O = overlap_matrix(cs, cs, 15)
         assert np.max(np.abs(O - np.eye(8))) < 1e-12
 
+    # alpha_b = alpha_a (1 + eps) when eps is drawn: equal or nearly equal
+    # wavenumbers on the diagonal, the limit of the closed form
     @given(alpha_a=st.floats(0.05, 200.0), alpha_b=st.floats(0.05, 200.0),
-           na=st.integers(1, 6), nb=st.integers(1, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_closed_form_matches_quadrature(self, alpha_a, alpha_b, na, nb):
+           eps=st.none() | st.just(0.0) | st.floats(1e-15, 1e-3),
+           ia=st.integers(0, 3), ib=st.integers(0, 3))
+    @example(alpha_a=5.0, alpha_b=5.0, eps=1e-15, ia=2, ib=2)
+    @example(alpha_a=0.05, alpha_b=0.05, eps=0.0, ia=0, ib=0)
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_quadrature(self, alpha_a, alpha_b, eps, ia, ib):
         d = 1.0
+        if eps is not None:
+            alpha_b = alpha_a * (1.0 + eps)
         inner, outer = RobinCrossSection(alpha_a, d), RobinCrossSection(alpha_b, d)
+        na, nb = 2 * ia + 1, 2 * ib + 1
         n = max(na, nb)
         y, w = composite_gl(0.0, d, max_panel_width=d / (na + nb + 1))
         chi_a = transversal_levels(inner, n).chi(y)[na - 1]
         chi_b = transversal_levels(outer, n).chi(y)[nb - 1]
-        assert abs(overlap_matrix(inner, outer, n)[nb - 1, na - 1] - w @ (chi_a * chi_b)) < 1e-11
+        assert abs(overlap_matrix(inner, outer, n)[ib, ia] - w @ (chi_a * chi_b)) < 1e-11
 
     @pytest.mark.parametrize("alpha_in, alpha_out", [
         (5.0, 20.0), (20.0, 5.0), (5.0, 5.0),
-        (5.0, 5.0 * (1.0 + 1e-9)),   # near-degenerate: quadrature on the diagonal
+        (5.0, 5.0 * (1.0 + 1e-9)),   # near-degenerate diagonal
         (300.0, 0.07),
     ])
     def test_matrix_matches_independent_quadrature(self, alpha_in, alpha_out):
         inner, outer = RobinCrossSection(alpha_in, 1.0), RobinCrossSection(alpha_out, 1.0)
         O = overlap_matrix(inner, outer, 8)
-        assert np.max(np.abs(O - reference_overlaps(inner, outer, 8))) <= 1e-11
-
-    def test_opposite_parity_entries_vanish(self):
-        O = overlap_matrix(RobinCrossSection(5.0, 1.0),
-                           RobinCrossSection(20.0, 1.0), 6)
-        for m in range(6):
-            for n in range(6):
-                if (m + n) % 2 == 1:
-                    assert O[m, n] == 0.0
+        assert np.max(np.abs(O - reference_overlaps(inner, outer, 8)[::2, ::2])) <= 1e-11
 
     def test_rows_have_nearly_unit_mass(self):
-        # completeness: expanding an inner mode in 200 outer modes
-        # recovers its norm (Parseval)
+        # completeness: expanding a y-even inner mode in the 100 y-even
+        # outer modes of N = 200 recovers its norm (Parseval)
         inner = RobinCrossSection(5.0, 1.0)
         outer = RobinCrossSection(20.0, 1.0)
         O = overlap_matrix(inner, outer, 200)
         col = np.sum(O**2, axis=0)
         assert np.all(col[:3] > 1.0 - 1e-5)
         assert np.all(col[:3] <= 1.0 + 1e-12)
+
+    def test_build_memory_at_N_1024(self):
+        # the y-even block is 512^2 doubles (2 MiB); one temporary of the
+        # full N x N matrix alone would take 8 MiB
+        inner, outer = RobinCrossSection(1e-5, 1.0), RobinCrossSection(1e5, 1.0)
+        tracemalloc.start()
+        try:
+            O = overlap_matrix(inner, outer, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert O.shape == (512, 512)
+        assert peak <= 32 * 2**20
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):
