@@ -3,12 +3,12 @@
 Independent verification path for the mode-matching solver: discretize
 -Laplace on [-L, L] x [0, d] with the 5-point stencil, the Robin walls
 -d_y psi + alpha(x) psi = 0 (y = 0) and d_y psi + alpha(x) psi = 0
-(y = d) eliminated through symmetric ghost points, and a Dirichlet or
-Neumann closure at x = +-L.  The wall rows carry half trapezoid weights
-(mass W = diag(1/2, 1, ..., 1, 1/2) per column); the similarity by
-W^(-1/2) gives an ordinary symmetric matrix with the same spectrum, a
-Kronecker sum of 1D operators in which each wall row's diagonal doubles
-and its coupling carries sqrt(2) = (1/2)^(-1/2).
+(y = d) eliminated through symmetric ghost points, and Dirichlet rows at
+x = +-L, the one closure.  The wall rows carry half trapezoid weights (mass
+W = diag(1/2, 1, ..., 1, 1/2) per column); the similarity by W^(-1/2) gives
+an ordinary symmetric matrix with the same spectrum, a Kronecker sum of 1D
+operators in which each wall row's diagonal doubles and its coupling
+carries sqrt(2) = (1/2)^(-1/2).
 
 The well is symmetric under x -> -x and y -> d - y, so that matrix is
 block-diagonal in the orthonormal parity bases, and each block is again
@@ -50,7 +50,6 @@ from .errors import ConfigError, ContractError, NumericalError
 from .modematch import ParitySector, WellConfig, neumann_state_cap
 from .transverse import transversal_eigenvalues
 
-_CLOSURES = ("dirichlet", "neumann")
 _SQRT2 = np.sqrt(2.0)
 # lowest_eigenpairs accepts a pair when ||A v - lambda v|| <= this * ||A||_inf.
 _RESIDUAL_TOL = 1e-8
@@ -58,19 +57,17 @@ _RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FdGrid:
-    """Tensor grid on [-L, L] x [0, d]: nx interior x columns (the closure
-    rows at x = +-L are eliminated), ny y rows including both walls."""
+    """Tensor grid on [-L, L] x [0, d]: nx interior x columns (the
+    Dirichlet rows at x = +-L are eliminated), ny y rows including both
+    walls."""
 
     L: float
     nx: int
     ny: int
     hx: float
     hy: float
-    closure: str = "dirichlet"
 
     def __post_init__(self):
-        if self.closure not in _CLOSURES:
-            raise ConfigError(f"closure must be one of {_CLOSURES}, got {self.closure!r}")
         for name in ("L", "hx", "hy"):
             v = getattr(self, name)
             if not (v > 0.0) or not np.isfinite(v):
@@ -89,7 +86,7 @@ class SparseOperator:
     matrix: sp.csr_matrix
 
 
-def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet") -> FdGrid:
+def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
     """Build a grid with target spacing h, snapped so the coupling jump at
     |x| = a falls exactly on a grid line (hx = a/ceil(a/h)) and the
     half-length on a multiple of hx.  A sector solve above 2^27 doubles
@@ -109,21 +106,17 @@ def make_grid(config: WellConfig, L: float, h: float, closure: str = "dirichlet"
     cells = (ny1 // 2 + 66) * half * (ny1 // 2 + 1)
     if cells > 2**27:
         raise ConfigError(f"grid h={h!r}, L={L!r}: band and eigsh need {cells:.3g} doubles > 2^27")
-    return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1,
-                  hx=hx, hy=config.d / ny1, closure=closure)
+    return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1, hx=hx, hy=config.d / ny1)
 
 
 def _folded_tx(grid: FdGrid, sector: ParitySector) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of Tx folded onto the nodes x >= 0 of the
     symmetric sector (row 0 the half-weight node on x = 0) or x > 0 of the
-    antisymmetric one (Dirichlet at x = 0); the last row is the closure."""
+    antisymmetric one (Dirichlet at x = 0); the last row is the one next
+    to the Dirichlet row at x = L."""
     symmetric = sector is ParitySector.SYMMETRIC
     n = (grid.nx + 1) // 2 - (0 if symmetric else 1)
     diag = np.full(n, 2.0)
-    if grid.closure == "neumann":
-        # mirror fold: the end row becomes (psi_n - psi_(n-1))/hx^2, exact
-        # for x-constant modes and still positive semidefinite
-        diag[-1] = 1.0
     off = -np.ones(n - 1)
     if symmetric:
         off[0] = -_SQRT2
@@ -169,11 +162,10 @@ def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOp
     y-even half of the grid, for the coupling profile alpha(x) = alpha1 on
     |x| < a, alpha0 outside (a node exactly on the jump gets alpha0):
     A = Tx (x) I + I (x) Ty + diag(alpha(x)) (x) diag(walls) with the
-    folded Tx and Ty of the module docstring, Tx's last diagonal 1/hx^2
-    for the Neumann closure, and walls = (2/hy, 0, ..., 0).  alpha is
-    classified by integer offset, so the grid needs a node at x = 0 (nx
-    odd) and a/hx an integer within 1e-9 (as make_grid ensures); any other
-    grid is a ContractError."""
+    folded Tx and Ty of the module docstring (Dirichlet at x = L) and
+    walls = (2/hy, 0, ..., 0).  alpha is classified by integer offset, so
+    the grid needs a node at x = 0 (nx odd) and a/hx an integer within
+    1e-9 (as make_grid ensures); any other grid is a ContractError."""
     inner = _inner_rows(config, grid, sector)
     tx, ex = _folded_tx(grid, sector)
     alpha_x = np.where(np.arange(tx.size) < inner, config.alpha1, config.alpha0).astype(float)
@@ -188,8 +180,8 @@ def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOp
 
 def y_odd_floor(config: WellConfig, grid: FdGrid) -> float:
     """Lower bound on every eigenvalue of the grid's operator on y-odd
-    functions (either x sector, either closure): the lowest eigenvalue of
-    the folded y-odd Ty + min(alpha0, alpha1) walls."""
+    functions (either x sector): the lowest eigenvalue of the folded y-odd
+    Ty + min(alpha0, alpha1) walls."""
     ty, ey = _folded_ty(grid, even=False)
     ty[0] += min(config.alpha0, config.alpha1) * 2.0 / grid.hy
     return _lowest(ty, ey)
@@ -283,8 +275,7 @@ def _confident(lam: float, err_est: float, E1_out: float, L: float) -> bool:
 
 
 def oracle_bound_states(config: WellConfig, L: float, refinements: int,
-                        h0: float | None = None,
-                        closure: str = "dirichlet") -> dict[ParitySector, list[float]]:
+                        h0: float | None = None) -> dict[ParitySector, list[float]]:
     """Richardson-extrapolated FD eigenvalues confidently below the
     continuum threshold E_1(alpha0), ascending, per x-parity sector.
 
@@ -312,8 +303,7 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
         h0 = config.d / 64.0
     E1_in, E1_out = (float(transversal_eigenvalues(c, 1)[0]) for c in (config.inner, config.outer))
     k = max(2, neumann_state_cap(config) + 2)
-    grids = [make_grid(config, L, h0 * 0.5**j, closure=closure)
-             for j in (refinements - 2, refinements - 1)]
+    grids = [make_grid(config, L, h0 * 0.5**j) for j in (refinements - 2, refinements - 1)]
     floor = min(y_odd_floor(config, grid) for grid in grids)
     if _confident(floor, 0.0, E1_out, L):
         raise NumericalError(f"y-odd floor {floor!r} could pass the keep rule below "

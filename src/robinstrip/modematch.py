@@ -27,10 +27,12 @@ channel boundary value V_n and derivative D_n = L_n V_n, which are entire
 functions of lambda, and a smooth positive normalization s_n.  C_hat has
 the null space of C and no poles, and it is continuous in lambda below
 threshold, so its determinant changes sign exactly across its simple
-singular points.  A state's reported sigma_min is that of C, recovered
-by dividing the columns of C_hat by V_n s_n: V_n is at least 1/2 or a
-positive expm1 ratio in the evanescent branch, and the cos or sin of a
-nonzero double in the oscillatory one, so never exactly zero.
+singular points.  Row m of C and of C_hat is divided by 1 + k_m d, a
+pure number at every scale.  A state's reported sigma_min is that of C
+with this row weight, recovered by dividing the columns of C_hat by
+V_n s_n: V_n is at least 1/2 or a positive expm1 ratio in the evanescent
+branch, and the cos or sin of a nonzero double in the oscillatory one, so
+never exactly zero.
 
 Only the y-even channels, n = 1, 3, 5, ... <= N, are kept.  chi_n is
 even about y = d/2 for odd n and odd for even n, so the overlaps between
@@ -133,7 +135,6 @@ class BoundState:
     a_coeffs: np.ndarray
     b_coeffs: np.ndarray
     sigma_min: float
-    residual: tuple[float, float]
     N: int
     lam_coarse: float | None = None
 
@@ -233,9 +234,10 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
     interface-value amplitudes.
 
     C_hat = C diag(V_n s_n) entrywise, with s_n a smooth positive
-    normalization; same null space as C wherever C is defined, regular
-    across the stiffness poles.  The stack is built in place, so its
-    temporaries are (P, n) arrays, not further stacks.
+    normalization and row m divided by 1 + k_m d; same null space as C
+    wherever C is defined, regular across the stiffness poles.  The stack
+    is built in place, so its temporaries are (P, n) arrays, not further
+    stacks.
     """
     V, D = _value_deriv(lam, table.inner.energy, a, parity)
     s = 1.0 / np.hypot(V / a, D)
@@ -244,7 +246,7 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
     C += D[:, None, :]
     C *= table.overlaps
     C *= s[:, None, :]
-    C /= (1.0 + k)[:, :, None]
+    C /= (1.0 + k * table.outer.cs.d)[:, :, None]
     V *= s
     return C, V
 
@@ -266,7 +268,7 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
     lo = float(table.inner.energy[0])
     hi = float(table.outer.energy[0])
     w = hi - lo
-    if w <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
+    if w <= 1e3 * np.finfo(float).eps * max(abs(lo), abs(hi)):
         return None
     return lo + 1e-9 * w, hi - max(1e-9 * w, 2.0 * np.spacing(hi))
 
@@ -329,8 +331,9 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     steps and accepted iff sigma_min < 1e-8 sigma_max there.  A second
     scan at truncation N/2 supplies each state's truncation-error estimate
     |lambda(N) - lambda(N/2)|, pairing roots that are each other's
-    nearest.  Scans, coefficients, sigma_min and residuals all use the
-    y-even channels of their truncation.  An empty list is a valid result.
+    nearest.  Scans, coefficients and sigma_min all use the y-even
+    channels of their truncation; matching_residual computes a state's
+    residual on request.  An empty list is a valid result.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses a solve whose scan_points *
@@ -365,13 +368,11 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
         a = a / nrm
         if a[np.argmax(np.abs(a))] < 0.0:
             a = -a
-        b = table.overlaps @ a
-        # C_hat = C diag(colfac), so this is sigma_min of C itself
+        # C_hat = C diag(colfac), so this is sigma_min of the row-weighted C
         smin = float(np.linalg.svd(Creg / colfac, compute_uv=False)[-1])
-        c0, c1 = _residual(table, config, parity, lam, a, b)
         states.append(BoundState(
-            lam=lam, parity=parity, a_coeffs=a, b_coeffs=b, sigma_min=smin,
-            residual=(c0, c1), N=N, lam_coarse=lam_coarse,
+            lam=lam, parity=parity, a_coeffs=a, b_coeffs=table.overlaps @ a,
+            sigma_min=smin, N=N, lam_coarse=lam_coarse,
         ))
     return states
 
@@ -455,10 +456,11 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
     chi_out = table.outer.chi(y)
     vals = np.zeros((len(x), len(y)))
     # The truncated expansion has a small jump across |x| = a, so grid points
-    # within rounding distance of the interface must classify consistently at
-    # +x and -x; snap them onto the interface before taking sides.
+    # within rounding distance of the interface (at the scale of the grid's
+    # largest |x|) must classify consistently at +x and -x; snap them onto the
+    # interface before taking sides.
     r = np.abs(x)
-    snap = np.abs(r - config.a) <= 64.0 * np.finfo(float).eps * max(config.a, 1.0)
+    snap = np.abs(r - config.a) <= 64.0 * np.finfo(float).eps * max(config.a, r.max())
     r = np.where(snap, config.a, r)
     inner = r <= config.a
     if np.any(inner):
@@ -483,13 +485,18 @@ def wavefunction(config: WellConfig, state: BoundState, x_grid, y_grid) -> Wavef
                             state=state, config=config)
 
 
-def _residual(table: _ModeTable, config: WellConfig, parity: ParitySector, lam: float,
-              a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    d = config.d
-    y, w = composite_gl(0.0, d, max_panel_width=d / _RESIDUAL_PANELS)
+def matching_residual(config: WellConfig, state: BoundState) -> tuple[float, float]:
+    """L2(0, d) norms of the value jump (c0) and x-derivative jump (c1) of
+    the expansion across x = a, at the state's ||a||_2 = 1 scale.  Both
+    shrink as the truncation order grows; c1 reacts sharply to a wrong
+    lambda, which makes it a cheap consistency probe."""
+    table = _mode_table(config.inner, config.outer, state.N)
+    lam, a, b = state.lam, state.a_coeffs, state.b_coeffs
+    y, w = composite_gl(0.0, config.d, max_panel_width=config.d / _RESIDUAL_PANELS)
     chi_in = table.inner.chi(y)
     chi_out = table.outer.chi(y)
-    V, D = (x[0] for x in _value_deriv(np.array([lam]), table.inner.energy, config.a, parity))
+    V, D = (x[0] for x in _value_deriv(np.array([lam]), table.inner.energy, config.a,
+                                       state.parity))
     with np.errstate(divide="ignore", invalid="ignore"):
         L = D / V
     deriv_amp = np.where(np.abs(a) < 1e-13, 0.0, a * L)
@@ -499,14 +506,3 @@ def _residual(table: _ModeTable, config: WellConfig, parity: ParitySector, lam: 
     c0 = float(np.sqrt(np.sum(w * jump0**2)))
     c1 = float(np.sqrt(np.sum(w * jump1**2)))
     return c0, c1
-
-
-def matching_residual(config: WellConfig, state: BoundState) -> tuple[float, float]:
-    """L2(0, d) norms of the value jump (c0) and x-derivative jump (c1) of
-    the expansion across x = a, at the state's ||a||_2 = 1 scale.  Both
-    shrink as the truncation order grows; c1 reacts sharply to a wrong
-    lambda, which makes it a cheap consistency probe."""
-    table = _mode_table(config.inner, config.outer, state.N)
-    return _residual(table, config, state.parity, state.lam,
-                     np.asarray(state.a_coeffs, dtype=float),
-                     np.asarray(state.b_coeffs, dtype=float))

@@ -62,7 +62,7 @@ class TestConfigLoading:
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16, tol: 1.0e-12}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nsweep: {parameter: b}\n",
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noutput: {formats: [png]}\n",
-        # the oracle's closure is Dirichlet; Neumann is a library-only reference
+        # the oracle's closure is Dirichlet; nothing selects another
         "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {closure: neumann}\n",
         "[1, 2, 3]\n",
     ])
@@ -253,7 +253,7 @@ class TestOracleCommand:
 
 
     def test_closure_flag_is_gone(self, capsys):
-        # the oracle's closure is Dirichlet; Neumann is a library-only reference
+        # the oracle's closure is Dirichlet; nothing selects another
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--closure", "neumann", "--alpha0", "20", "--alpha1", "5",
                   "--a", "0.3", "--d", "1"])

@@ -24,10 +24,7 @@ def ghost_point_reference(config, grid):
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     x = -grid.L + hx * np.arange(1, nx + 1)
     alpha_x = np.where(np.abs(x) < config.a - 0.5 * hx, config.alpha1, config.alpha0)
-    tx = np.full(nx, 2.0)
-    if grid.closure == "neumann":
-        tx[[0, -1]] = 1.0
-    Tx = sp.diags([-np.ones(nx - 1), tx, -np.ones(nx - 1)], [-1, 0, 1]) / hx**2
+    Tx = sp.diags([-np.ones(nx - 1), np.full(nx, 2.0), -np.ones(nx - 1)], [-1, 0, 1]) / hx**2
     w = np.r_[0.5, np.ones(ny - 2), 0.5]
     blocks = []
     for al in alpha_x:
@@ -76,8 +73,6 @@ class TestGrid:
         with pytest.raises(ConfigError):
             FdGrid(L=1.0, nx=33, ny=33, hx=0.5, hy=1.0 / 32)  # hx mismatch
         with pytest.raises(ConfigError):
-            FdGrid(L=1.0, nx=33, ny=33, hx=2.0 / 34, hy=1.0 / 32, closure="robin")
-        with pytest.raises(ConfigError):
             make_grid(WELL, 0.2, 1.0 / 64)  # L inside the well
 
     @pytest.mark.parametrize("L, h", [
@@ -109,11 +104,10 @@ class TestAssemblyPerSector:
         op = assemble(WELL, grid, sector)
         assert op.matrix.nnz <= 5 * op.dimension
 
-    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])   # node on y = d/2, or none
-    def test_matches_ghost_point_reference(self, sector, closure, h):
+    def test_matches_ghost_point_reference(self, sector, h):
         # the folded operator is exactly the parity block P^T ref P
-        grid = make_grid(WELL, 2.0, h, closure=closure)
+        grid = make_grid(WELL, 2.0, h)
         ref = ghost_point_reference(WELL, grid)
         P = parity_basis(grid, sector)
         block = (P.T @ ref @ P).toarray()
@@ -121,27 +115,32 @@ class TestAssemblyPerSector:
         assert A.shape == block.shape
         assert np.abs(A - block).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
 
-    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
-    def test_half_bandwidth_is_the_folded_y_size(self, sector, closure, h):
+    def test_half_bandwidth_is_the_folded_y_size(self, sector, h):
         # y is the fast index, so the band Cholesky has no fill beyond it
-        grid = make_grid(WELL, 2.0, h, closure=closure)
+        grid = make_grid(WELL, 2.0, h)
         A = assemble(WELL, grid, sector).matrix.tocoo()
         ny_folded = mirror_basis(grid.ny, 1.0, centre=True).shape[1]
         assert (A.col - A.row).max() == ny_folded
+
+
+def lowest_x_value(grid):
+    """The lowest eigenvalue of the folded symmetric Tx, that of the full
+    Dirichlet second difference on nx interior nodes; a constant coupling
+    makes the operator separable, so it is the x part of the lowest one."""
+    return 4.0 * np.sin(np.pi / (2 * (grid.nx + 1))) ** 2 / grid.hx**2
 
 
 class TestAssembly:
 
     def test_strong_coupling_reaches_dirichlet_value(self):
         # ghost-row Robin walls at alpha -> 1e8 degenerate to the discrete
-        # Dirichlet cross-section 4 sin^2(pi h/(2d))/h^2, and the Neumann
-        # closure leaves the x-constant mode exact
+        # Dirichlet cross-section 4 sin^2(pi h/(2d))/h^2
         const = WellConfig(1e8, 1e8, 0.3, 1.0)
-        grid = make_grid(const, 2.0, 1.0 / 32, closure="neumann")
+        grid = make_grid(const, 2.0, 1.0 / 32)
         lowest = lowest_eigenpairs(assemble(const, grid, SYM), 1, shift=0.0)[0][0]
         dirichlet_fd = 4.0 * np.sin(np.pi * grid.hy / 2.0) ** 2 / grid.hy**2
-        assert lowest == pytest.approx(dirichlet_fd, rel=1e-5)
+        assert lowest - lowest_x_value(grid) == pytest.approx(dirichlet_fd, rel=1e-5)
 
     def test_fold_splits_the_full_spectrum(self):
         # two-state well: every eigenvalue of the full reference below the
@@ -188,9 +187,9 @@ class TestEigensolver:
     def test_pure_strip_matches_transversal_value(self):
         const = WellConfig(20.0, 20.0, 0.3, 1.0)
         E1 = float(transversal_eigenvalues(const.outer, 1)[0])
-        grid = make_grid(const, 8.0, 1.0 / 64, closure="neumann")
+        grid = make_grid(const, 8.0, 1.0 / 64)
         lam0 = lowest_eigenpairs(assemble(const, grid, SYM), 1, shift=0.5 * E1)[0][0]
-        assert abs(lam0 - E1) < 1e-3
+        assert abs(lam0 - lowest_x_value(grid) - E1) < 1e-3
 
     def test_deterministic(self):
         op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
@@ -229,10 +228,9 @@ class TestEigensolver:
 
 
 class TestYOddFloor:
-    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 17])
-    def test_below_the_true_y_odd_spectrum(self, closure, h):
-        grid = make_grid(WELL, 2.0, h, closure=closure)
+    def test_below_the_true_y_odd_spectrum(self, h):
+        grid = make_grid(WELL, 2.0, h)
         ref = ghost_point_reference(WELL, grid)
         Q = sp.kron(sp.identity(grid.nx), sp.csr_matrix(
             mirror_basis(grid.ny, -1.0, centre=False))).tocsr()
@@ -271,21 +269,19 @@ def count_solves(monkeypatch):
 
 class TestSectorFloor:
     @pytest.mark.parametrize("sector", list(ParitySector))
-    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
-    def test_below_the_sector_spectrum(self, sector, closure, h):
-        grid = make_grid(WELL, 2.0, h, closure=closure)
+    def test_below_the_sector_spectrum(self, sector, h):
+        grid = make_grid(WELL, 2.0, h)
         lowest = np.linalg.eigvalsh(assemble(WELL, grid, sector).matrix.toarray())[0]
         assert sector_floor(WELL, grid, sector) <= lowest
 
     @pytest.mark.parametrize("sector", list(ParitySector))
-    @pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
-    def test_cut_at_the_first_offset(self, sector, closure):
+    def test_cut_at_the_first_offset(self, sector):
         # a = hx: the symmetric cut ends on the half-weight node x = 0, which
         # loses 2/hx^2; the antisymmetric sector has no inner node to cut off,
         # so its floor is its lowest eigenvalue less the allowance
         cfg = WellConfig(20.0, 5.0, 1.0 / 32, 1.0)
-        grid = make_grid(cfg, 2.0, 1.0 / 32, closure=closure)
+        grid = make_grid(cfg, 2.0, 1.0 / 32)
         assert round(cfg.a / grid.hx) == 1
         A = assemble(cfg, grid, sector).matrix
         lowest = np.linalg.eigvalsh(A.toarray())[0]
@@ -293,17 +289,6 @@ class TestSectorFloor:
         assert floor <= lowest
         if sector is ANTI:
             assert lowest - floor <= 2e-8 * abs(A).sum(axis=1).max()
-
-    def test_neumann_closure_leaves_the_sector_to_solve(self, monkeypatch):
-        # the Neumann outer block reaches down to the grid's E_1(alpha0),
-        # which lies below the continuum one
-        E1 = float(transversal_eigenvalues(WELL.outer, 1)[0])
-        grid = make_grid(WELL, 4.0, 1.0 / 128, closure="neumann")
-        assert sector_floor(WELL, grid, ANTI) < E1
-        calls = count_solves(monkeypatch)
-        states = oracle_bound_states(WELL, L=4.0, refinements=2, closure="neumann")
-        assert len(calls) == 4
-        assert len(states[SYM]) == 1 and states[ANTI] == []
 
     @pytest.mark.parametrize("config, L, refinements, solves, anti", [
         (WELL, 8.0, 3, 2, 0),                           # check 3's oracle
@@ -330,16 +315,6 @@ class TestOracle:
         # so the shift must come from the smaller threshold
         anti = WellConfig(1.0, 20.0, 0.3, 1.0)
         assert oracle_bound_states(anti, L=4.0, refinements=2) == {SYM: [], ANTI: []}
-
-    def test_closure_sandwich(self):
-        # Dirichlet closure presses the spectrum up, Neumann relaxes it
-        grid_d = make_grid(WELL, 6.0, 1.0 / 32, closure="dirichlet")
-        grid_n = make_grid(WELL, 6.0, 1.0 / 32, closure="neumann")
-        for sector in ParitySector:
-            lam_d = lowest_eigenpairs(assemble(WELL, grid_d, sector), 2, shift=2.6)
-            lam_n = lowest_eigenpairs(assemble(WELL, grid_n, sector), 2, shift=2.6)
-            for (vd, _), (vn, _) in zip(lam_d, lam_n):
-                assert vn <= vd + 1e-12
 
     def test_longer_domain_changes_little(self):
         a = oracle_bound_states(WELL, L=6.0, refinements=2, h0=1.0 / 32)[SYM]
