@@ -14,6 +14,10 @@ from robinstrip import (ConfigError, ContractError, FdGrid, NumericalError,
 from robinstrip.fdoracle import SparseOperator, sector_floor, y_odd_floor
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
+# alpha1 > alpha0, so min(alpha) lies outside; d = 1.25 puts a node on
+# y = d/2 at h = 1/16 and 1/32, and none at 1/17 and 1/33
+ANTI_WELL = WellConfig(alpha0=1.0, alpha1=20.0, a=0.25, d=1.25)
+CONFIGS = pytest.mark.parametrize("config", [WELL, ANTI_WELL], ids=["well", "anti_well"])
 SYM, ANTI = ParitySector.SYMMETRIC, ParitySector.ANTISYMMETRIC
 
 
@@ -104,22 +108,24 @@ class TestAssemblyPerSector:
         op = assemble(WELL, grid, sector)
         assert op.matrix.nnz <= 5 * op.dimension
 
+    @CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])   # node on y = d/2, or none
-    def test_matches_ghost_point_reference(self, sector, h):
+    def test_matches_ghost_point_reference(self, sector, config, h):
         # the folded operator is exactly the parity block P^T ref P
-        grid = make_grid(WELL, 2.0, h)
-        ref = ghost_point_reference(WELL, grid)
+        grid = make_grid(config, 2.0, h)
+        ref = ghost_point_reference(config, grid)
         P = parity_basis(grid, sector)
         block = (P.T @ ref @ P).toarray()
-        A = assemble(WELL, grid, sector).matrix.toarray()
+        A = assemble(config, grid, sector).matrix.toarray()
         assert A.shape == block.shape
         assert np.abs(A - block).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
 
+    @CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
-    def test_half_bandwidth_is_the_folded_y_size(self, sector, h):
+    def test_half_bandwidth_is_the_folded_y_size(self, sector, config, h):
         # y is the fast index, so the band Cholesky has no fill beyond it
-        grid = make_grid(WELL, 2.0, h)
-        A = assemble(WELL, grid, sector).matrix.tocoo()
+        grid = make_grid(config, 2.0, h)
+        A = assemble(config, grid, sector).matrix.tocoo()
         ny_folded = mirror_basis(grid.ny, 1.0, centre=True).shape[1]
         assert (A.col - A.row).max() == ny_folded
 
@@ -228,14 +234,16 @@ class TestEigensolver:
 
 
 class TestYOddFloor:
+    # the anti-well's floor must take the outer alpha0, not alpha1
+    @CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 17])
-    def test_below_the_true_y_odd_spectrum(self, h):
-        grid = make_grid(WELL, 2.0, h)
-        ref = ghost_point_reference(WELL, grid)
+    def test_below_the_true_y_odd_spectrum(self, config, h):
+        grid = make_grid(config, 2.0, h)
+        ref = ghost_point_reference(config, grid)
         Q = sp.kron(sp.identity(grid.nx), sp.csr_matrix(
             mirror_basis(grid.ny, -1.0, centre=False))).tocsr()
         lowest = np.linalg.eigvalsh((Q.T @ ref @ Q).toarray())[0]
-        assert y_odd_floor(WELL, grid) <= lowest
+        assert y_odd_floor(config, grid) <= lowest
 
     def test_hard_wall_pair_still_passes(self):
         # the floor sits just under E_1(alpha0), inside the oracle's margin
@@ -268,19 +276,22 @@ def count_solves(monkeypatch):
 
 
 class TestSectorFloor:
+    # the lower block is the inner one on the well, the outer one on the anti-well
     @pytest.mark.parametrize("sector", list(ParitySector))
+    @CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
-    def test_below_the_sector_spectrum(self, sector, h):
-        grid = make_grid(WELL, 2.0, h)
-        lowest = np.linalg.eigvalsh(assemble(WELL, grid, sector).matrix.toarray())[0]
-        assert sector_floor(WELL, grid, sector) <= lowest
+    def test_below_the_sector_spectrum(self, sector, config, h):
+        grid = make_grid(config, 2.0, h)
+        lowest = np.linalg.eigvalsh(assemble(config, grid, sector).matrix.toarray())[0]
+        assert sector_floor(config, grid, sector) <= lowest
 
     @pytest.mark.parametrize("sector", list(ParitySector))
-    def test_cut_at_the_first_offset(self, sector):
+    @pytest.mark.parametrize("alpha0, alpha1", [(20.0, 5.0), (1.0, 20.0)])
+    def test_cut_at_the_first_offset(self, sector, alpha0, alpha1):
         # a = hx: the symmetric cut ends on the half-weight node x = 0, which
         # loses 2/hx^2; the antisymmetric sector has no inner node to cut off,
         # so its floor is its lowest eigenvalue less the allowance
-        cfg = WellConfig(20.0, 5.0, 1.0 / 32, 1.0)
+        cfg = WellConfig(alpha0, alpha1, 1.0 / 32, 1.0)
         grid = make_grid(cfg, 2.0, 1.0 / 32)
         assert round(cfg.a / grid.hx) == 1
         A = assemble(cfg, grid, sector).matrix

@@ -286,6 +286,16 @@ class TestBoundStates:
         assert len(states) == 1
         assert states[0].lam * 1e6 == pytest.approx(_energies(WELL, SYM)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e6, 1e8, 1e10])
+    def test_near_critical_copy_keeps_its_state(self, s):
+        # the window of (20, 19, 0.3, 1) is 0.4 wide at s = 1; an absolute
+        # 1.0 in its emptiness test called the s = 1e6 copy's window empty
+        cfg = WellConfig(20.0, 19.0, 0.3, 1.0)
+        scaled = WellConfig(cfg.alpha0 / s, cfg.alpha1 / s, s * cfg.a, s * cfg.d)
+        states = bound_state_energies(scaled, SYM, 32)
+        assert len(states) == 1
+        assert states[0].lam * s * s == pytest.approx(_energies(cfg, SYM)[0], rel=1e-12)
+
     @pytest.mark.parametrize("N", [8, 16, 32])
     def test_small_d_state(self, N):
         # lambda ~ 53 on a strip of width 0.01: a stopping width scaled by
@@ -699,6 +709,16 @@ class TestWavefunction:
 
 
 class TestResidual:
+    def test_computed_only_on_request(self, monkeypatch):
+        # bound_state_energies runs no residual quadrature; matching_residual does
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("residual quadrature run")
+
+        monkeypatch.setattr(modematch, "composite_gl", no_quadrature)
+        state = bound_state_energies(WELL, SYM, 32)[0]
+        with pytest.raises(AssertionError, match="residual quadrature"):
+            matching_residual(WELL, state)
+
     def test_value_jump_matches_projection_identity(self, reference_ground):
         # the L2 value jump equals the part of the inner trace outside the
         # span of the outer modes: c0^2 = 1 - ||b||^2 at ||a|| = 1
