@@ -24,8 +24,8 @@ __all__ = [
     "BoundState", "BracketError", "BumpProfile", "ConfigError",
     "ContractError", "ConvergenceError", "FdGrid", "MatchingParams",
     "NumericalError", "OracleSpec", "OutputSpec", "ParitySector", "QReport",
-    "RobinCrossSection", "RobinStripError", "RunConfig", "SparseOperator",
-    "SweepResult", "SweepRow", "SweepSpec", "WavefunctionGrid", "WellConfig",
+    "RobinCrossSection", "RobinStripError", "RunConfig", "SweepResult",
+    "SweepRow", "SweepSpec", "WavefunctionGrid", "WellConfig",
     "assemble", "bound_state_energies", "dispersion", "existence_test",
     "load_config", "lowest_eigenpairs", "make_grid", "matching_residual",
     "minimax_brackets", "neumann_state_cap", "overlap_matrix",
@@ -39,8 +39,7 @@ __all__ = [
 
 def __getattr__(name):
     # the FD oracle needs scipy.sparse and scipy.linalg, so it loads on first use
-    if name in ("FdGrid", "SparseOperator", "assemble", "lowest_eigenpairs", "make_grid",
-                "oracle_bound_states"):
+    if name in ("FdGrid", "assemble", "lowest_eigenpairs", "make_grid", "oracle_bound_states"):
         from . import fdoracle
         return getattr(fdoracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

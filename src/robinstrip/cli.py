@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,10 @@ def _cmd_existence(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="robinstrip",
         description="Spectrum of the Robin strip with a rectangular coupling well",

@@ -29,12 +29,25 @@ of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  A y-even block is
 skipped too when a discrete Neumann cut at |x| = a (the x edge across
 the jump dropped) puts its whole spectrum at or above E_1(alpha0), where
 the keep rule accepts nothing (sector_floor, again from 1D tridiagonals);
-on a well whose Neumann cap is 1 that is the antisymmetric sector.  y is
-the fast index, so each block is a band of half-width the folded y size,
-and one band Cholesky factor of it (no fill) serves every shift-invert
-Lanczos step.  The Richardson step between two grids assumes order 2 (the
-order observed so far is 0.90-0.99, so its error bar is optimistic), and
-the oracle shares none of the mode matching machinery it checks.
+on a well whose Neumann cap is 1 that is the antisymmetric sector.
+
+A solved block is A = Tx (x) I + I (x) (Ty + alpha0 walls) + c
+diag(1_(|x|<a)) (x) e_0 e_0^T with c = (alpha1 - alpha0) 2/hy: the
+separable alpha0 operator A0 plus a correction of rank p = a/hx (fewer by
+one in the antisymmetric sector), one term per inner wall node.  A0 is
+diagonal in the orthonormal basis Phi = Vx (x) Qy: Vx is closed form (the
+orthonormal DCT-III in the symmetric sector, the DST-I in the
+antisymmetric one) and Qy holds the eigenvectors of the folded y-even
+tridiagonal Ty + alpha0 walls.  Shift-invert Lanczos runs in that basis
+(fast diagonalisation, Lynch, Rice and Thomas, Numer. Math. 6 (1964) 185),
+where Phi^T A Phi - sigma I is a positive diagonal plus c U U^T, so each
+step is one elementwise division and one p x p capacitance solve
+(Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971) 722).
+Only the returned vectors are mapped back to grid values, and each pair
+is checked against the assembled matrix.  The Richardson step between two
+grids assumes order 2 (the order observed so far is 0.90-0.99, so its
+error bar is optimistic), and the oracle shares none of the mode matching
+machinery it checks.
 """
 
 from __future__ import annotations
@@ -43,7 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigvalsh_tridiagonal
+from scipy.fft import dct, dst
+from scipy.linalg import (LinAlgError, cho_factor, cho_solve, eigh_tridiagonal,
+                          eigvalsh_tridiagonal)
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, ContractError, NumericalError
@@ -80,7 +95,9 @@ class FdGrid:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """Symmetric positive-semidefinite sparse matrix with 5-point sparsity."""
+    """An assembled sector block: a symmetric positive-semidefinite CSR
+    matrix with 5-point sparsity, and its dimension (bench/tracing.py reads
+    both fields from what assemble returns)."""
 
     dimension: int
     matrix: sp.csr_matrix
@@ -90,13 +107,16 @@ def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
     """Build a grid with target spacing h, snapped so the coupling jump at
     |x| = a falls exactly on a grid line (hx = a/ceil(a/h)) and the
     half-length on a multiple of hx.  A sector solve above 2^27 doubles
-    (1 GiB: band factor (b + 1) n, b = (ny - 1)//2 + 1, plus 64 n for A and
-    eigsh's two n x 20 Lanczos arrays) is a ConfigError."""
+    (1 GiB: (b + 1) n, b = (ny - 1)//2 + 1, plus 64 n) is a ConfigError.
+    The (b + 1) n term once sized a band factor that no solve holds now;
+    the bound covers the assembled A, the diagonal of the separable
+    operator, eigsh's two n x 20 Lanczos arrays and the returned vectors,
+    with the (b + 1) n term to spare."""
     if not (h > 0.0) or not np.isfinite(h):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
     # over 2^27 nodes on an axis is over the bound below, whose counts may not fit an int
     if max(config.a, config.d, L) / h > 2**27:
-        raise ConfigError(f"grid h={h!r}, L={L!r}: band and eigsh need more than 2^27 doubles")
+        raise ConfigError(f"grid h={h!r}, L={L!r}: a sector solve needs more than 2^27 doubles")
     m = int(np.ceil(config.a / h))
     hx = config.a / m
     half = int(round(L / hx))
@@ -105,7 +125,7 @@ def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
     ny1 = int(round(config.d / h))
     cells = (ny1 // 2 + 66) * half * (ny1 // 2 + 1)
     if cells > 2**27:
-        raise ConfigError(f"grid h={h!r}, L={L!r}: band and eigsh need {cells:.3g} doubles > 2^27")
+        raise ConfigError(f"grid h={h!r}, L={L!r}: a sector solve needs {cells:.3g} doubles > 2^27")
     return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1, hx=hx, hy=config.d / ny1)
 
 
@@ -223,42 +243,108 @@ def sector_floor(config: WellConfig, grid: FdGrid, sector: ParitySector) -> floa
     return floor - _RESIDUAL_TOL * norm
 
 
-def lowest_eigenpairs(op: SparseOperator, count: int,
-                      shift: float) -> list[tuple[float, np.ndarray]]:
-    """The count smallest eigenpairs by shift-invert Lanczos, eigenvalues
-    ascending, vectors orthonormal with the largest entry positive.
+def _vx(coef: np.ndarray, sector: ParitySector, axis: int = 0,
+        transpose: bool = False) -> np.ndarray:
+    """Vx @ coef (Vx^T @ coef if transpose) along axis, where column k of
+    the orthogonal Vx is the eigenvector of the folded Tx for its k-th
+    eigenvalue: the orthonormal DCT-II (Vx) and DCT-III (Vx^T) in the
+    symmetric sector, the self-inverse orthonormal DST-I in the
+    antisymmetric one."""
+    if sector is ParitySector.SYMMETRIC:
+        return dct(coef, type=3 if transpose else 2, norm="ortho", axis=axis)
+    return dst(coef, type=1, norm="ortho", axis=axis)
 
-    A - shift I is factorised once by a band Cholesky (half-bandwidth
-    max(col - row)), a NumericalError unless shift lies below the spectrum;
-    Lanczos runs to tol 1e-10, and each pair must satisfy ||A v - lambda v||
-    <= _RESIDUAL_TOL ||A||_inf (1e-8).
+
+def _separable_basis(config: WellConfig, grid: FdGrid,
+                     sector: ParitySector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues lam_x of the folded Tx, and the eigenvalues lam_y
+    and orthonormal eigenvectors Qy (columns, row 0 the wall) of the folded
+    y-even Ty + alpha0 walls, all ascending: the alpha0 operator is
+    (Vx (x) Qy) diag(lam_x (+) lam_y) (Vx (x) Qy)^T.  lam_x =
+    4 sin^2(theta_k/2)/hx^2 with theta_k = (2k + 1) pi/(2n) on the n
+    symmetric-sector rows (the x-even modes of the Dirichlet second
+    difference on 2n - 1 nodes) and theta_k = (k + 1) pi/(n + 1) on the n
+    antisymmetric ones."""
+    n = (grid.nx + 1) // 2 - (0 if sector is ParitySector.SYMMETRIC else 1)
+    k = np.arange(n)
+    theta = ((2 * k + 1) * np.pi / (2 * n) if sector is ParitySector.SYMMETRIC
+             else (k + 1) * np.pi / (n + 1))
+    ty, ey = _folded_ty(grid, even=True)
+    ty[0] += config.alpha0 * 2.0 / grid.hy
+    return (2.0 * np.sin(0.5 * theta) / grid.hx) ** 2, *eigh_tridiagonal(ty, ey)
+
+
+def _to_grid(coef: np.ndarray, sector: ParitySector, qy: np.ndarray) -> np.ndarray:
+    """Grid values (Vx (x) Qy) coef of coefficient vectors, the rows of coef
+    (k, nx_folded * ny_folded), x the slow index."""
+    k, ny = coef.shape[0], qy.shape[0]
+    return (_vx(coef.reshape(k, -1, ny), sector, axis=1) @ qy.T).reshape(k, -1)
+
+
+def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
+                      count: int, shift: float) -> list[tuple[float, np.ndarray]]:
+    """The count smallest eigenpairs of assemble(config, grid, sector) by
+    shift-invert Lanczos, eigenvalues ascending, vectors orthonormal grid
+    values with the largest entry positive.
+
+    Lanczos runs in the basis Phi = Vx (x) Qy of _separable_basis, where
+    Phi^T A Phi - shift I = D + c U U^T: D = lam_x (+) lam_y - shift
+    diagonal, c = (alpha1 - alpha0) 2/hy, and column i of U = (row i of
+    Vx)^T (x) (row 0 of Qy) for each of the p inner wall nodes.  By
+    Woodbury, (D + c U U^T)^(-1) z = D^(-1) z - D^(-1) U S^(-1) U^T D^(-1) z
+    with the p x p capacitance matrix S = I/c + U^T D^(-1) U, whose
+    Cholesky factor of sign(c) S is taken once.  Either guard is a
+    NumericalError: an entry of D <= 0 (shift not below the alpha0
+    operator's spectrum) or a failed Cholesky.  For alpha1 < alpha0 the two
+    trip exactly when A - shift I is not positive definite; for alpha1 >
+    alpha0 the Cholesky cannot fail and the first guard also refuses a
+    shift at or above the alpha0 operator's lowest eigenvalue.  Lanczos
+    runs to tol 1e-10, only the count returned vectors are mapped to grid
+    values, and each pair must satisfy ||A v - lambda v|| <= _RESIDUAL_TOL
+    ||A||_inf (1e-8) on the assembled A.
     """
+    op = assemble(config, grid, sector)
     if count < 1:
         raise ContractError("count must be >= 1")
     if count > op.dimension - 2:
         raise ContractError("count too large for the operator dimension")
-    upper = sp.triu(op.matrix, format="dia")
-    b = int(upper.offsets.max())
-    ab = np.zeros((b + 1, op.dimension), order="F")   # upper band: ab[b + i - j, j]
-    ab[b - upper.offsets, :upper.data.shape[1]] = upper.data
-    ab[b] -= shift
+    lam_x, lam_y, qy = _separable_basis(config, grid, sector)
+    d = lam_x[:, None] + lam_y[None, :] - shift
+    if not d.min() > 0.0:
+        raise NumericalError(f"FD eigensolver: shift {shift!r} is not below the spectrum")
+    dinv = 1.0 / d
+    c = (config.alpha1 - config.alpha0) * 2.0 / grid.hy
+    sign = float(np.sign(c))
+    p = _inner_rows(config, grid, sector) if c else 0
+    rows = _vx(np.eye(lam_x.size, p), sector, transpose=True).T    # Vx[:p], (p, nx)
+    q0 = qy[0]
+    # U^T D^(-1) U = rows diag(sum_b q0_b^2 / d_ab) rows^T
+    cap = (rows * (dinv @ q0**2)) @ rows.T + np.eye(p) / c
     try:
-        factor = cholesky_banded(ab, overwrite_ab=True)
+        factor = cho_factor(sign * cap)
     except LinAlgError as exc:
         raise NumericalError(f"FD eigensolver: shift {shift!r} is not below the spectrum") from exc
-    solve = LinearOperator(op.matrix.shape, dtype=float, matvec=lambda x: cho_solve_banded(
-        (factor, False), x, check_finite=False))
+    wall = q0 * dinv      # D^(-1) (e_a (x) q0) in row a
+
+    def opinv(z):
+        y = z.reshape(d.shape) * dinv
+        s = sign * cho_solve(factor, rows @ (y @ q0))
+        y -= (rows.T @ s)[:, None] * wall
+        return y.ravel()
+
+    solve = LinearOperator(op.matrix.shape, dtype=float, matvec=opinv)
     try:
-        vals, vecs = eigsh(op.matrix, k=count, sigma=shift, which="LM",
+        # in shift-invert mode eigsh reads only the shape and dtype of its A
+        vals, coef = eigsh(solve, k=count, sigma=shift, which="LM",
                            v0=np.ones(op.dimension), tol=1e-10, OPinv=solve)
     except ArpackNoConvergence as exc:
         raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = vals[order], _to_grid(coef[:, order].T, sector, qy)
     norm_a = float(np.max(np.abs(op.matrix).sum(axis=1)))
     pairs = []
     for j in range(count):
-        v = vecs[:, j]
+        v = vecs[j]
         resid = float(np.linalg.norm(op.matrix @ v - vals[j] * v))
         if resid > _RESIDUAL_TOL * norm_a:
             raise NumericalError(f"eigenpair {j} residual {resid:.3e} exceeds 1e-8 ||A||")
@@ -317,9 +403,8 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
             continue
         per_grid = []
         for grid in grids:
-            op = assemble(config, grid, sector)
             # alpha(x) >= min(alpha0, alpha1): the shift is below every eigenvalue
-            pairs = lowest_eigenpairs(op, min(k, op.dimension - 2), shift=0.5 * min(E1_in, E1_out))
+            pairs = lowest_eigenpairs(config, grid, sector, k, shift=0.5 * min(E1_in, E1_out))
             per_grid.append([lam for lam, _ in pairs])
         kept = []
         for lc, lf in zip(*per_grid):

@@ -25,7 +25,6 @@ from robinstrip import (
     existence_test,
     lowest_eigenpairs,
     make_grid,
-    assemble,
     oracle_bound_states,
     q_form,
     q_form_direct,
@@ -270,10 +269,10 @@ def test_8_essential_spectrum_threshold(capsys):
     lams = []
     for h in hs:
         grid = make_grid(const, L=4.0, h=h)
-        op = assemble(const, grid, ParitySector.SYMMETRIC)
         # the operator is separable: take off the exact lowest Dirichlet x value
         x_part = 4.0 * np.sin(np.pi / (2 * (grid.nx + 1))) ** 2 / grid.hx**2
-        lams.append(lowest_eigenpairs(op, 1, shift=0.5 * e1)[0][0] - x_part)
+        lams.append(lowest_eigenpairs(const, grid, ParitySector.SYMMETRIC, 1,
+                                      shift=0.5 * e1)[0][0] - x_part)
     errs = [lam - e1 for lam in lams]
     no_dip = all(lam >= e1 - 10.0 * h**2 * e1 for lam, h in zip(lams, hs))
     orders = [np.log2(abs(e1_) / abs(e2_)) for e1_, e2_ in zip(errs, errs[1:])]

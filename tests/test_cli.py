@@ -334,6 +334,29 @@ class TestFlagCensus:
             assert flags == self.COMMON | self.EXTRA[name], name
 
 
+class TestParserReuse:
+    def test_one_parser_and_no_state_between_calls(self, capsys):
+        # main shares one parser per process; no call may change the next
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["spectrum", "--N", "8", "--formats", "csv"]).N == 8
+        args = parser.parse_args(["spectrum"])
+        assert args.N is None and args.formats is None
+        outputs = []
+        for argv in (["oracle", "--help"], ["spectrum", "--alpha0", "20"], ["bogus"]) * 2:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            outputs.append((code, out.out, out.err))
+        assert outputs[:3] == outputs[3:]
+        assert [code for code, _, _ in outputs[:3]] == [0, 2, 2]
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args(["oracle", "--help"])
+        assert capsys.readouterr().out == outputs[0][1]
+
+
 class TestExistenceCommand:
     def test_report_file(self, tmp_path, capsys):
         code = main(["existence", "--alpha0", "20", "--alpha1", "5", "--a", "0.3",

@@ -4,6 +4,7 @@ extrapolated bound-state extraction."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 from scipy.sparse.linalg import spsolve
 
 import robinstrip.fdoracle as fdoracle
@@ -11,13 +12,15 @@ from robinstrip import (ConfigError, ContractError, FdGrid, NumericalError,
                         ParitySector, WellConfig, assemble,
                         bound_state_energies, lowest_eigenpairs, make_grid,
                         oracle_bound_states, transversal_eigenvalues)
-from robinstrip.fdoracle import SparseOperator, sector_floor, y_odd_floor
+from robinstrip.fdoracle import (_folded_tx, _separable_basis, _to_grid, _vx, sector_floor,
+                                 y_odd_floor)
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 # alpha1 > alpha0, so min(alpha) lies outside; d = 1.25 puts a node on
 # y = d/2 at h = 1/16 and 1/32, and none at 1/17 and 1/33
 ANTI_WELL = WellConfig(alpha0=1.0, alpha1=20.0, a=0.25, d=1.25)
 CONFIGS = pytest.mark.parametrize("config", [WELL, ANTI_WELL], ids=["well", "anti_well"])
+HARD_WALL = WellConfig(alpha0=1e5, alpha1=1e-5, a=0.7, d=1.0)
 SYM, ANTI = ParitySector.SYMMETRIC, ParitySector.ANTISYMMETRIC
 
 
@@ -83,11 +86,11 @@ class TestGrid:
         (8.0, 1.0 / 64 / 2**69),   # refinement 70 of the default oracle
         (4.0, 1.0 / 512),          # (258 + 64) x 2053 x 257 doubles
         (8.0, 1.0 / 512),
-        (2e4, 1.0 / 16),           # band only 10 x 3.0 M, Lanczos arrays 2 x 20 x 3.0 M
+        (2e4, 1.0 / 16),           # (9 + 65) x 3.0 M: Lanczos arrays 2 x 20 x 3.0 M
         (1e12, 1.0 / 64),
     ])
     def test_oversized_grid_is_config_error(self, L, h):
-        with pytest.raises(ConfigError, match="band"):
+        with pytest.raises(ConfigError, match="sector solve"):
             make_grid(WELL, L, h)
         make_grid(WELL, 8.0, 1.0 / 256)    # check 3: (130 + 64) x 264,837 doubles
 
@@ -99,8 +102,7 @@ class TestAssemblyPerSector:
         assert abs(op.matrix - op.matrix.T).max() == 0.0
 
     def test_positive_semidefinite(self, sector):
-        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), sector)
-        lam0 = lowest_eigenpairs(op, 1, shift=0.1)[0][0]
+        lam0 = lowest_eigenpairs(WELL, make_grid(WELL, 4.0, 1.0 / 32), sector, 1, shift=0.1)[0][0]
         assert lam0 > 0.0
 
     def test_five_point_sparsity(self, sector):
@@ -123,7 +125,7 @@ class TestAssemblyPerSector:
     @CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])
     def test_half_bandwidth_is_the_folded_y_size(self, sector, config, h):
-        # y is the fast index, so the band Cholesky has no fill beyond it
+        # y is the fast index, the layout lowest_eigenpairs reshapes by
         grid = make_grid(config, 2.0, h)
         A = assemble(config, grid, sector).matrix.tocoo()
         ny_folded = mirror_basis(grid.ny, 1.0, centre=True).shape[1]
@@ -144,7 +146,7 @@ class TestAssembly:
         # Dirichlet cross-section 4 sin^2(pi h/(2d))/h^2
         const = WellConfig(1e8, 1e8, 0.3, 1.0)
         grid = make_grid(const, 2.0, 1.0 / 32)
-        lowest = lowest_eigenpairs(assemble(const, grid, SYM), 1, shift=0.0)[0][0]
+        lowest = lowest_eigenpairs(const, grid, SYM, 1, shift=0.0)[0][0]
         dirichlet_fd = 4.0 * np.sin(np.pi * grid.hy / 2.0) ** 2 / grid.hy**2
         assert lowest - lowest_x_value(grid) == pytest.approx(dirichlet_fd, rel=1e-5)
 
@@ -181,56 +183,94 @@ class TestAssembly:
             assemble(wrong_d, grid, SYM)
 
 
+def oracle_shift(config):
+    """Half the lower transversal threshold, the oracle's shift."""
+    return 0.5 * min(float(transversal_eigenvalues(cs, 1)[0])
+                     for cs in (config.inner, config.outer))
+
+
+def spy_opinv(monkeypatch):
+    """Record the shift-invert operator lowest_eigenpairs hands to eigsh."""
+    seen, eigsh = {}, fdoracle.eigsh
+
+    def spy(*args, **kwargs):
+        seen["opinv"] = kwargs["OPinv"]
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(fdoracle, "eigsh", spy)
+    return seen
+
+
 class TestEigensolver:
-    def test_diagonal_matrix(self):
-        op = SparseOperator(20, sp.diags(np.arange(1.0, 21.0)).tocsr())
-        pairs = lowest_eigenpairs(op, 2, shift=0.3)
-        assert [p[0] for p in pairs] == pytest.approx([1.0, 2.0], rel=1e-12)
-        v1, v2 = pairs[0][1], pairs[1][1]
-        assert abs(np.dot(v1, v2)) < 1e-10
-        assert np.linalg.norm(v1) == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("config", [WELL, ANTI_WELL, HARD_WALL],
+                             ids=["well", "anti_well", "hard_wall"])
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 17])   # node on y = d/2, or none
+    def test_matches_dense_eigh(self, sector, config, h):
+        grid = make_grid(config, 2.0, h)
+        ref_vals, ref_vecs = eigh(assemble(config, grid, sector).matrix.toarray())
+        pairs = lowest_eigenpairs(config, grid, sector, 4, shift=oracle_shift(config))
+        for j, (lam, v) in enumerate(pairs):
+            assert abs(lam - ref_vals[j]) <= 1e-10 * ref_vals[j]
+            assert abs(v @ ref_vecs[:, j]) == pytest.approx(1.0, abs=1e-10)
+        vecs = np.array([v for _, v in pairs])
+        assert np.abs(vecs @ vecs.T - np.eye(4)).max() <= 1e-12
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    def test_closed_form_x_basis(self, sector):
+        # the DCT/DST columns and values are those of the folded Tx
+        grid = make_grid(WELL, 2.0, 1.0 / 32)
+        lam, vecs = eigh_tridiagonal(*_folded_tx(grid, sector))
+        lam_x = _separable_basis(WELL, grid, sector)[0]
+        assert np.abs(lam_x - lam).max() <= 1e-12 * lam.max()
+        vx = _vx(np.eye(lam.size), sector)
+        assert np.abs(np.abs(np.sum(vx * vecs, axis=0)) - 1.0).max() <= 1e-12
+        assert np.abs(_vx(np.eye(lam.size), sector, transpose=True) - vx.T).max() <= 1e-15
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @CONFIGS
+    def test_shift_invert_operator_is_the_mapped_solve(self, monkeypatch, sector, config):
+        # Phi OPinv Phi^T = (A - shift I)^(-1), with Phi the map to grid values
+        seen = spy_opinv(monkeypatch)
+        grid, shift = make_grid(config, 2.0, 1.0 / 16), oracle_shift(config)
+        lowest_eigenpairs(config, grid, sector, 2, shift)
+        A = assemble(config, grid, sector).matrix
+        phi = _to_grid(np.eye(A.shape[0]), sector, _separable_basis(config, grid, sector)[2]).T
+        z = np.random.default_rng(7).standard_normal(A.shape[0])
+        ref = phi.T @ spsolve((A - shift * sp.identity(A.shape[0])).tocsc(), phi @ z)
+        assert np.linalg.norm(seen["opinv"].matvec(z) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_pure_strip_matches_transversal_value(self):
         const = WellConfig(20.0, 20.0, 0.3, 1.0)
         E1 = float(transversal_eigenvalues(const.outer, 1)[0])
         grid = make_grid(const, 8.0, 1.0 / 64)
-        lam0 = lowest_eigenpairs(assemble(const, grid, SYM), 1, shift=0.5 * E1)[0][0]
+        lam0 = lowest_eigenpairs(const, grid, SYM, 1, shift=0.5 * E1)[0][0]
         assert abs(lam0 - lowest_x_value(grid) - E1) < 1e-3
 
     def test_deterministic(self):
-        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
-        a = [v for v, _ in lowest_eigenpairs(op, 3, shift=2.6)]
-        b = [v for v, _ in lowest_eigenpairs(op, 3, shift=2.6)]
+        grid = make_grid(WELL, 4.0, 1.0 / 32)
+        a = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM, 3, shift=2.6)]
+        b = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM, 3, shift=2.6)]
         assert a == b
 
-    def test_shift_inside_the_spectrum_is_numerical_error(self):
+    # 7.9 lies between the lowest eigenvalue (7.73) and that of the alpha0
+    # operator (8.32), where only the capacitance Cholesky can see it; 9.0
+    # lies above both and leaves a diagonal entry <= 0
+    @pytest.mark.parametrize("shift, cholesky", [(7.9, True), (9.0, False)])
+    def test_shift_inside_the_spectrum_is_numerical_error(self, shift, cholesky):
         # a shift above the lowest eigenvalue used to drop it silently
-        op = SparseOperator(20, sp.diags(np.arange(1.0, 21.0)).tocsr())
-        with pytest.raises(NumericalError, match="shift 2.6"):
-            lowest_eigenpairs(op, 2, shift=2.6)
-
-    def test_banded_solve_matches_sparse_lu(self, monkeypatch):
-        # the shift-invert operator eigsh receives solves (A - shift I) y = x
-        seen, eigsh = {}, fdoracle.eigsh
-
-        def spy(*args, **kwargs):
-            seen["opinv"] = kwargs["OPinv"]
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(fdoracle, "eigsh", spy)
-        op = assemble(WELL, make_grid(WELL, 4.0, 1.0 / 32), ANTI)
-        lowest_eigenpairs(op, 2, shift=2.6)
-        x = np.random.default_rng(7).standard_normal(op.dimension)
-        ref = spsolve((op.matrix - 2.6 * sp.identity(op.dimension)).tocsc(), x)
-        got = seen["opinv"].matvec(x)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        grid = make_grid(WELL, 4.0, 1.0 / 32)
+        with pytest.raises(NumericalError, match=f"shift {shift}") as exc:
+            lowest_eigenpairs(WELL, grid, SYM, 2, shift=shift)
+        assert isinstance(exc.value.__cause__, LinAlgError) is cholesky
 
     def test_validation(self):
-        op = SparseOperator(20, sp.diags(np.arange(1.0, 21.0)).tocsr())
+        grid = make_grid(WELL, 2.0, 1.0 / 16)
+        n = assemble(WELL, grid, SYM).dimension
         with pytest.raises(ContractError):
-            lowest_eigenpairs(op, 0, shift=0.5)
+            lowest_eigenpairs(WELL, grid, SYM, 0, shift=0.5)
         with pytest.raises(ContractError):
-            lowest_eigenpairs(op, 19, shift=0.5)
+            lowest_eigenpairs(WELL, grid, SYM, n - 1, shift=0.5)
 
 
 class TestYOddFloor:
@@ -264,12 +304,12 @@ class TestYOddFloor:
 
 
 def count_solves(monkeypatch):
-    """The dimensions of the operators lowest_eigenpairs is called on."""
+    """The grids and sectors lowest_eigenpairs is called on."""
     calls, solve = [], fdoracle.lowest_eigenpairs
 
-    def counting(op, *args, **kwargs):
-        calls.append(op.dimension)
-        return solve(op, *args, **kwargs)
+    def counting(config, grid, sector, *args, **kwargs):
+        calls.append((grid, sector))
+        return solve(config, grid, sector, *args, **kwargs)
 
     monkeypatch.setattr(fdoracle, "lowest_eigenpairs", counting)
     return calls
@@ -355,7 +395,7 @@ class TestOracle:
         grid = make_grid(cfg, 6.0, 1.0 / 48)
         h = max(grid.hx, grid.hy)
         for sector in ParitySector:
-            pairs = lowest_eigenpairs(assemble(cfg, grid, sector), 4, shift=0.5 * E1_in)
+            pairs = lowest_eigenpairs(cfg, grid, sector, 4, shift=0.5 * E1_in)
             for lam, _ in pairs:
                 assert lam >= E1_in - 10.0 * h**2 * E1_in
 

@@ -181,6 +181,20 @@ class TestMatchingMatrix:
             s = np.linalg.svd(_matching_matrix(table, cfg, parity, st.lam), compute_uv=False)
             assert abs(st.sigma_min - s[-1]) <= 1e-15 * s[0]
 
+    @pytest.mark.parametrize("cfg,parity,N", STATES)
+    def test_row_weight_away_from_a_root(self, cfg, parity, N):
+        # at a root sigma_min is below the tolerance above whatever the row
+        # weight; midway between E_1(alpha1) and the first root it is
+        # O(sigma_max), so there the weight 1/(1 + k_m d) is pinned
+        table = _mode_table(cfg.inner, cfg.outer, N)
+        lam = 0.5 * (table.inner.energy[0] + bound_state_energies(cfg, parity, N)[0].lam)
+        Creg, colfac = (x[0] for x in _scan_matrices(table, cfg.a, parity, np.array([lam])))
+        C = _matching_matrix(table, cfg, parity, lam)
+        s = np.linalg.svd(C, compute_uv=False)
+        assert s[-1] > 1e-3 * s[0]
+        assert np.abs(Creg / colfac - C).max() <= 1e-13 * s[0]
+        assert abs(np.linalg.svd(Creg / colfac, compute_uv=False)[-1] - s[-1]) <= 1e-13 * s[0]
+
 
 class TestBoundStates:
     def test_reference_ground_state(self, reference_ground):
