@@ -192,9 +192,12 @@ def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOp
     ty, ey = _folded_ty(grid, even=True)
     walls = np.zeros(ty.size)
     walls[0] = 2.0 / grid.hy
-    A = sp.kronsum(sp.diags([ey, ty, ey], [-1, 0, 1]),
-                   sp.diags([ex, tx, ex], [-1, 0, 1]), format="csr")
-    A = A + sp.kron(sp.diags(alpha_x), sp.diags(walls), format="csr")
+    # y is the fast index: the y coupling stops at each column's end
+    main = ((ty[None, :] + tx[:, None]) + alpha_x[:, None] * walls[None, :]).ravel()
+    ey_cols = np.tile(np.append(ey, 0.0), tx.size)[:-1]
+    ex_cols = np.repeat(ex, ty.size)
+    A = sp.diags([ex_cols, ey_cols, main, ey_cols, ex_cols], [-ty.size, -1, 0, 1, ty.size],
+                 format="csr")
     return SparseOperator(dimension=A.shape[0], matrix=A)
 
 

@@ -70,16 +70,12 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
         fh.write(sweep_csv(result))
 
 
-def sweep_json(result: SweepResult) -> str:
-    return json.dumps([asdict(r) for r in result.rows], indent=2) + "\n"
-
-
 def write_sweep_json(result: SweepResult, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep_json(result))
+        fh.write(json.dumps([asdict(r) for r in result.rows], indent=2) + "\n")
 
 
-def wavefunction_text(grid: WavefunctionGrid) -> str:
+def write_wavefunction(grid: WavefunctionGrid, path: str) -> None:
     """Header `# nx ny x0 x1 y0 y1 lambda parity`, then one row of ny
     psi values per x sample."""
     x, y = grid.x_samples, grid.y_samples
@@ -90,12 +86,8 @@ def wavefunction_text(grid: WavefunctionGrid) -> str:
     lines = [head]
     for row in grid.values:
         lines.append(" ".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_wavefunction(grid: WavefunctionGrid, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(wavefunction_text(grid))
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_wavefunction(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, str]:

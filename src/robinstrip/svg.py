@@ -11,6 +11,7 @@ from .outputs import SweepResult
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 62, 14, 14, 46
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_YLABEL = "E/(π/d)^2"
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -27,8 +28,7 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def sweep_svg(result: SweepResult, xlabel: str = "a/d",
-              ylabel: str = "E/(π/d)^2") -> str:
+def write_sweep_svg(result: SweepResult, path: str, xlabel: str = "a/d") -> None:
     """One polyline per merged-ordinal eigenvalue branch, in (pi/d)^2
     energy units on the y axis."""
     pts: dict[int, list[tuple[float, float]]] = {}
@@ -70,7 +70,7 @@ def sweep_svg(result: SweepResult, xlabel: str = "a/d",
                  f'text-anchor="middle">{xlabel}</text>')
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.2f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{(_MT + _H - _MB) / 2:.2f})">{ylabel}</text>')
+                 f'{(_MT + _H - _MB) / 2:.2f})">{_YLABEL}</text>')
     for i, n in enumerate(sorted(pts)):
         branch = sorted(pts[n])
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in branch)
@@ -83,10 +83,5 @@ def sweep_svg(result: SweepResult, xlabel: str = "a/d",
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_sweep_svg(result: SweepResult, path: str, xlabel: str = "a/d",
-                    ylabel: str = "E/(π/d)^2") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep_svg(result, xlabel=xlabel, ylabel=ylabel))
+        fh.write("\n".join(parts) + "\n")

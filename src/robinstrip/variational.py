@@ -15,9 +15,8 @@ collapses to the separable reduction
         + (chi_1(0)^2 + chi_1(d)^2) * int (alpha(x) - alpha0) phi_n(x)^2 dx,
 
 whose well term scales like -c/n against the kinetic +c'/n^2: the first n
-with Q < 0 certifies existence.  q_form_direct evaluates the same
-quantity by plain 2D quadrature without the reduction, as an independent
-check of the bookkeeping.
+with Q < 0 certifies existence.  The tests check the reduction against a
+plain 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .modematch import WellConfig
-from .quadrature import adaptive_simpson, composite_gl
+from .quadrature import adaptive_simpson
 from .transverse import transversal_levels
 
 _MAX_N = 2**20
@@ -172,36 +171,6 @@ def _q_values(config: WellConfig, bump: BumpProfile, n: np.ndarray) -> np.ndarra
     hi = np.minimum(config.a, bump.support * n)
     well = adaptive_simpson(lambda x, n: trial_scale(bump, n, x) ** 2, -hi, hi, n)
     return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
-
-
-def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
-    """Q[psi_n] by direct 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2
-    on the truncated domain [-s n, s n] x [0, d], 64-point Gauss-Legendre
-    panels split at the kinks: no separable reduction, no eigen-identity.
-    Cross-validates q_form."""
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    a, d = config.a, config.d
-    sn, pn = bump.support * n, bump.plateau * n
-    knots = sorted({v for v in (-a, a, -pn, pn) if -sn < v < sn})
-    x, wx = composite_gl(-sn, sn, knots=tuple(knots))
-    y, wy = composite_gl(0.0, d)
-
-    level = transversal_levels(config.outer, 1)
-    E1 = float(level.energy[0])
-    chi = level.chi(y)[0]
-    chi_p = level.chi_deriv(y)[0]
-    chi0, chid = (float(v) for v in level.chi(np.array([0.0, d]))[0])
-
-    phi = trial_scale(bump, n, x)
-    phi_p = bump.derivative(x / n) / n**1.5
-    alpha_x = np.where(np.abs(x) < a, config.alpha1, config.alpha0)
-
-    grad_sq = phi_p[:, None] ** 2 * chi[None, :] ** 2 + phi[:, None] ** 2 * chi_p[None, :] ** 2
-    norm_sq = phi[:, None] ** 2 * chi[None, :] ** 2
-    bulk = wx @ (grad_sq - E1 * norm_sq) @ wy
-    walls = wx @ (alpha_x * phi**2) * (chi0**2 + chid**2)
-    return float(bulk + walls)
 
 
 def existence_test(config: WellConfig, bump: BumpProfile, n_max: int) -> QReport:

@@ -1,10 +1,16 @@
 """Test-local references shared by the test modules: transversal roots by
 bisection on the parity factors of the dispersion, and mode overlaps by a
 Gauss-Legendre rule built here, nothing of the package's level tables or
-quadrature."""
+quadrature; and the variational form Q by plain 2D quadrature, which does
+read the package's level table, trial profile and Gauss-Legendre panels but
+skips the separable reduction that q_form relies on."""
 
 import numpy as np
 from scipy.optimize import brentq
+
+from robinstrip import BumpProfile, ContractError, WellConfig, transversal_levels
+from robinstrip.quadrature import composite_gl
+from robinstrip.variational import trial_scale
 
 
 def even_factor(k, cs):
@@ -49,3 +55,33 @@ def reference_overlaps(inner, outer, n_max, panels=16):
         return u / np.sqrt((u * u) @ w)[:, None]
 
     return (modes(outer) * w) @ modes(inner).T
+
+
+def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
+    """Q[psi_n] by direct 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2
+    on the truncated domain [-s n, s n] x [0, d], 64-point Gauss-Legendre
+    panels split at the kinks: no separable reduction, no eigen-identity.
+    Cross-validates q_form."""
+    if n < 1:
+        raise ContractError("n must be >= 1")
+    a, d = config.a, config.d
+    sn, pn = bump.support * n, bump.plateau * n
+    knots = sorted({v for v in (-a, a, -pn, pn) if -sn < v < sn})
+    x, wx = composite_gl(-sn, sn, knots=tuple(knots))
+    y, wy = composite_gl(0.0, d)
+
+    level = transversal_levels(config.outer, 1)
+    E1 = float(level.energy[0])
+    chi = level.chi(y)[0]
+    chi_p = level.chi_deriv(y)[0]
+    chi0, chid = (float(v) for v in level.chi(np.array([0.0, d]))[0])
+
+    phi = trial_scale(bump, n, x)
+    phi_p = bump.derivative(x / n) / n**1.5
+    alpha_x = np.where(np.abs(x) < a, config.alpha1, config.alpha0)
+
+    grad_sq = phi_p[:, None] ** 2 * chi[None, :] ** 2 + phi[:, None] ** 2 * chi_p[None, :] ** 2
+    norm_sq = phi[:, None] ** 2 * chi[None, :] ** 2
+    bulk = wx @ (grad_sq - E1 * norm_sq) @ wy
+    walls = wx @ (alpha_x * phi**2) * (chi0**2 + chid**2)
+    return float(bulk + walls)

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import q_form_direct
 from scipy.optimize import brentq
 
 from robinstrip import (
@@ -21,16 +22,14 @@ from robinstrip import (
     RobinCrossSection,
     WellConfig,
     bound_state_energies,
-    dispersion,
     existence_test,
-    lowest_eigenpairs,
-    make_grid,
     oracle_bound_states,
     q_form,
-    q_form_direct,
     transversal_eigenvalues,
     wavefunction,
 )
+from robinstrip.fdoracle import lowest_eigenpairs, make_grid
+from robinstrip.transverse import dispersion
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 PI2 = np.pi**2

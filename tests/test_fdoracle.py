@@ -8,12 +8,12 @@ from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 from scipy.sparse.linalg import spsolve
 
 import robinstrip.fdoracle as fdoracle
-from robinstrip import (ConfigError, ContractError, FdGrid, NumericalError,
-                        ParitySector, WellConfig, assemble,
-                        bound_state_energies, lowest_eigenpairs, make_grid,
-                        oracle_bound_states, transversal_eigenvalues)
-from robinstrip.fdoracle import (_folded_tx, _separable_basis, _to_grid, _vx, sector_floor,
-                                 y_odd_floor)
+from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector,
+                        WellConfig, bound_state_energies, oracle_bound_states,
+                        transversal_eigenvalues)
+from robinstrip.fdoracle import (FdGrid, _folded_tx, _folded_ty, _inner_rows, _separable_basis,
+                                 _to_grid, _vx, assemble, lowest_eigenpairs, make_grid,
+                                 sector_floor, y_odd_floor)
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 # alpha1 > alpha0, so min(alpha) lies outside; d = 1.25 puts a node on
@@ -121,6 +121,27 @@ class TestAssemblyPerSector:
         A = assemble(config, grid, sector).matrix.toarray()
         assert A.shape == block.shape
         assert np.abs(A - block).max() <= 4.0 * np.finfo(float).eps * abs(ref).max()
+
+    @pytest.mark.parametrize("config", [WELL, ANTI_WELL, HARD_WALL],
+                             ids=["well", "anti_well", "hard_wall"])
+    @pytest.mark.parametrize("L, h", [(4.0, 1.0 / 17), (4.0, 1.0 / 128), (8.0, 1.0 / 256)])
+    def test_bitwise_the_kronecker_sum(self, sector, config, L, h):
+        # the five diagonals give the same CSR arrays, bit for bit, as the
+        # Kronecker sum of the folded 1D operators plus the wall term
+        grid = make_grid(config, L, h)
+        tx, ex = _folded_tx(grid, sector)
+        ty, ey = _folded_ty(grid, even=True)
+        alpha_x = np.where(np.arange(tx.size) < _inner_rows(config, grid, sector),
+                           config.alpha1, config.alpha0).astype(float)
+        walls = np.zeros(ty.size)
+        walls[0] = 2.0 / grid.hy
+        ref = sp.kronsum(sp.diags([ey, ty, ey], [-1, 0, 1]),
+                         sp.diags([ex, tx, ex], [-1, 0, 1]), format="csr")
+        ref = ref + sp.kron(sp.diags(alpha_x), sp.diags(walls), format="csr")
+        A = assemble(config, grid, sector).matrix
+        assert A.format == "csr" and A.shape == ref.shape
+        for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):
+            assert got.tobytes() == want.tobytes()
 
     @CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33])

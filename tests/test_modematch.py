@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
                         bound_state_energies, matching_residual, minimax_brackets,
-                        neumann_state_cap, overlap_matrix, transversal_eigenvalues,
-                        wavefunction)
+                        overlap_matrix, transversal_eigenvalues, wavefunction)
 from robinstrip import modematch
 from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
-                                  _scan_roots, _scan_slogdet, _value_deriv, _window)
+                                  _scan_roots, _scan_slogdet, _value_deriv, _window,
+                                  neumann_state_cap)
 from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
@@ -675,6 +675,19 @@ class TestBrackets:
         assert neumann_state_cap(WellConfig(20.0, 20.0, 0.3, 1.0)) == 0
         wide = WellConfig(1e5, 1e-5, 2.0, 1.0)
         assert neumann_state_cap(wide) == 4
+
+    @given(log_alpha0=st.floats(-7.0, 15.0), log_alpha1=st.floats(-7.0, 15.0),
+           a=st.floats(0.05, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_cap_counts_bracket_lower_ends_below_threshold(self, log_alpha0, log_alpha1, a):
+        # one Neumann cut at |x| = a gives both: the cap counts the ordinals
+        # whose bracket is not empty, over the whole range of alpha*d
+        cfg = WellConfig(10.0**log_alpha0, 10.0**log_alpha1, a, 1.0)
+        E1_out = float(transversal_eigenvalues(cfg.outer, 1)[0])
+        count = 0
+        while minimax_brackets(cfg, count + 1)[0] < E1_out:
+            count += 1
+        assert neumann_state_cap(cfg) == count
 
 
 class TestWavefunction:

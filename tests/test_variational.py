@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import q_form_direct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinstrip import (BumpProfile, ConfigError, ContractError, ConvergenceError,
-                        QReport, WellConfig, existence_test, q_form, q_form_direct,
-                        trial_scale)
+                        QReport, WellConfig, existence_test, q_form)
 from robinstrip import variational
+from robinstrip.variational import trial_scale
 from robinstrip.quadrature import adaptive_simpson
 from robinstrip.transverse import transversal_levels
 
