@@ -31,23 +31,16 @@ the jump dropped) puts its whole spectrum at or above E_1(alpha0), where
 the keep rule accepts nothing (sector_floor, again from 1D tridiagonals);
 on a well whose Neumann cap is 1 that is the antisymmetric sector.
 
-A solved block is A = Tx (x) I + I (x) (Ty + alpha0 walls) + c
-diag(1_(|x|<a)) (x) e_0 e_0^T with c = (alpha1 - alpha0) 2/hy: the
-separable alpha0 operator A0 plus a correction of rank p = a/hx (fewer by
-one in the antisymmetric sector), one term per inner wall node.  A0 is
-diagonal in the orthonormal basis Phi = Vx (x) Qy: Vx is closed form (the
-orthonormal DCT-III in the symmetric sector, the DST-I in the
-antisymmetric one) and Qy holds the eigenvectors of the folded y-even
-tridiagonal Ty + alpha0 walls.  Shift-invert Lanczos runs in that basis
-(fast diagonalisation, Lynch, Rice and Thomas, Numer. Math. 6 (1964) 185),
-where Phi^T A Phi - sigma I is a positive diagonal plus c U U^T, so each
-step is one elementwise division and one p x p capacitance solve
-(Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971) 722).
-Only the returned vectors are mapped back to grid values, and each pair
-is checked against the assembled matrix.  The Richardson step between two
-grids assumes order 2 (the order observed so far is 0.90-0.99, so its
-error bar is optimistic), and the oracle shares none of the mode matching
-machinery it checks.
+A solved block is the separable alpha0 operator, diagonal in the basis
+Vx (x) Qy (fast diagonalisation, Lynch, Rice and Thomas, Numer. Math. 6
+(1964) 185), less (alpha0 - alpha1) 2/hy on its p = a/hx inner wall
+nodes.  Its eigenvalues below the alpha0 spectrum are the roots of a p x
+p capacitance matrix (Buzbee, Dorr, George and Golub, SIAM J. Numer.
+Anal. 8 (1971) 722) whose inertia counts them, each pair checked against
+the assembled matrix.  The Richardson step between two grids assumes
+order 2 (the order observed so far is 0.90-0.99, so its error bar is
+optimistic), and the oracle shares none of the mode matching machinery
+it checks.
 """
 
 from __future__ import annotations
@@ -57,12 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dct, dst
-from scipy.linalg import (LinAlgError, cho_factor, cho_solve, eigh_tridiagonal,
-                          eigvalsh_tridiagonal)
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, null_space
 
 from .errors import ConfigError, ContractError, NumericalError
-from .modematch import ParitySector, WellConfig, neumann_state_cap
+from .modematch import ParitySector, WellConfig
 from .transverse import transversal_eigenvalues
 
 _SQRT2 = np.sqrt(2.0)
@@ -107,11 +98,10 @@ def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
     """Build a grid with target spacing h, snapped so the coupling jump at
     |x| = a falls exactly on a grid line (hx = a/ceil(a/h)) and the
     half-length on a multiple of hx.  A sector solve above 2^27 doubles
-    (1 GiB: (b + 1) n, b = (ny - 1)//2 + 1, plus 64 n) is a ConfigError.
-    The (b + 1) n term once sized a band factor that no solve holds now;
-    the bound covers the assembled A, the diagonal of the separable
-    operator, eigsh's two n x 20 Lanczos arrays and the returned vectors,
-    with the (b + 1) n term to spare."""
+    (1 GiB) is a ConfigError: 64 n + 16 p^2 for n unknowns (A, the
+    separable terms, the vectors) and p = a/hx (the capacitance matrices),
+    or (b + 66) n, b = (ny - 1)//2 + 1, the bound of a band factor once
+    held, kept so that no grid refused before is accepted now."""
     if not (h > 0.0) or not np.isfinite(h):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
     # over 2^27 nodes on an axis is over the bound below, whose counts may not fit an int
@@ -123,7 +113,8 @@ def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
     if half <= m:
         raise ConfigError("truncation half-length must exceed the well half-width")
     ny1 = int(round(config.d / h))
-    cells = (ny1 // 2 + 66) * half * (ny1 // 2 + 1)
+    n = half * (ny1 // 2 + 1)
+    cells = max(64 * n + 16 * m * m, (ny1 // 2 + 66) * n)
     if cells > 2**27:
         raise ConfigError(f"grid h={h!r}, L={L!r}: a sector solve needs {cells:.3g} doubles > 2^27")
     return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1, hx=hx, hy=config.d / ny1)
@@ -277,83 +268,103 @@ def _separable_basis(config: WellConfig, grid: FdGrid,
     return (2.0 * np.sin(0.5 * theta) / grid.hx) ** 2, *eigh_tridiagonal(ty, ey)
 
 
-def _to_grid(coef: np.ndarray, sector: ParitySector, qy: np.ndarray) -> np.ndarray:
-    """Grid values (Vx (x) Qy) coef of coefficient vectors, the rows of coef
-    (k, nx_folded * ny_folded), x the slow index."""
-    k, ny = coef.shape[0], qy.shape[0]
-    return (_vx(coef.reshape(k, -1, ny), sector, axis=1) @ qy.T).reshape(k, -1)
+def _capacitance(g: np.ndarray, sector: ParitySector, p: int) -> np.ndarray:
+    """R diag(g) R^T, R = Vx[:p]: Toeplitz plus (symmetric sector: Vx[i, a]
+    = f_i cos(i theta_a), f_0^2 = 1/n, else 2/n) or minus (Vx[i, a] =
+    sqrt(2/(n + 1)) sin((i + 1) theta_a)) Hankel in C(m) = sum_a g_a cos(m
+    theta_a), one DCT of g, extended by its symmetry in m."""
+    n, i = g.size, np.arange(p)
+    if sector is ParitySector.SYMMETRIC:
+        cm = 0.5 * dct(g, type=2)
+        cm = np.r_[cm, 0.0, -cm[:0:-1]]             # C(2n - m) = -C(m)
+        f = np.sqrt(np.where(i == 0, 1.0, 2.0) / n)
+        return 0.5 * np.outer(f, f) * (cm[abs(i[:, None] - i)] + cm[i[:, None] + i])
+    cm = 0.5 * dct(np.r_[0.0, g, 0.0], type=1)
+    cm = np.r_[cm, cm[-2:0:-1]]                     # C(2n + 2 - m) = C(m)
+    return (cm[abs(i[:, None] - i)] - cm[i[:, None] + i + 2]) / (n + 1)
 
 
-def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
-                      count: int, shift: float) -> list[tuple[float, np.ndarray]]:
-    """The count smallest eigenpairs of assemble(config, grid, sector) by
-    shift-invert Lanczos, eigenvalues ascending, vectors orthonormal grid
-    values with the largest entry positive.
+def lowest_eigenpairs(config: WellConfig, grid: FdGrid,
+                      sector: ParitySector) -> list[tuple[float, np.ndarray]]:
+    """Every eigenpair of assemble(config, grid, sector) below top, the
+    lowest eigenvalue of its alpha0 operator: eigenvalues ascending,
+    vectors orthonormal grid values with the largest entry positive.
 
-    Lanczos runs in the basis Phi = Vx (x) Qy of _separable_basis, where
-    Phi^T A Phi - shift I = D + c U U^T: D = lam_x (+) lam_y - shift
-    diagonal, c = (alpha1 - alpha0) 2/hy, and column i of U = (row i of
-    Vx)^T (x) (row 0 of Qy) for each of the p inner wall nodes.  By
-    Woodbury, (D + c U U^T)^(-1) z = D^(-1) z - D^(-1) U S^(-1) U^T D^(-1) z
-    with the p x p capacitance matrix S = I/c + U^T D^(-1) U, whose
-    Cholesky factor of sign(c) S is taken once.  Either guard is a
-    NumericalError: an entry of D <= 0 (shift not below the alpha0
-    operator's spectrum) or a failed Cholesky.  For alpha1 < alpha0 the two
-    trip exactly when A - shift I is not positive definite; for alpha1 >
-    alpha0 the Cholesky cannot fail and the first guard also refuses a
-    shift at or above the alpha0 operator's lowest eigenvalue.  Lanczos
-    runs to tol 1e-10, only the count returned vectors are mapped to grid
-    values, and each pair must satisfy ||A v - lambda v|| <= _RESIDUAL_TOL
-    ||A||_inf (1e-8) on the assembled A.
+    In the basis Vx (x) Qy of _separable_basis the block is D0 - c U U^T:
+    D0 = lam_x (+) lam_y, c = (alpha0 - alpha1) 2/hy, U = R^T (x) (row 0 of
+    Qy), R = Vx[:p] (the p inner wall nodes); for c <= 0 or p = 0 it has
+    nothing below top.  Else lambda < top is an eigenvalue iff N(lambda) =
+    I/c - U^T (D0 - lambda)^(-1) U = R diag(h) R^T is singular (Golub, SIAM
+    Rev. 15 (1973) 318), and N has as many negative eigenvalues as lie
+    below lambda (Haynsworth inertia).  h_a = (1 + k1 phi_a)/(c (1 + k0
+    phi_a)), k = 2 alpha/hy, phi_a = e_0^T (Ty - lambda + lam_x[a])^(-1)
+    e_0, cancels no digit against 1/c however hard the wall.  h_0 has a
+    pole at top, so the count below top is 1 plus the negative eigenvalues
+    of N(top) without it on the complement of R[:, 0].  Root j of the j-th
+    eigenvalue nu of N comes from Newton steps on nu ~ alpha - beta/(top -
+    lambda), exact at the pole, bracketed by the counts from the alpha1
+    operator's lowest eigenvalue up, to a step below the rounding of nu;
+    its vector is (D0 - lambda)^(-1) U s, s the eigenvector of nu.  A step
+    is one p x p eigh, 4 to 7 a root: the cost grows as count p^3.  Each
+    pair must satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf.
     """
-    op = assemble(config, grid, sector)
-    if count < 1:
-        raise ContractError("count must be >= 1")
-    if count > op.dimension - 2:
-        raise ContractError("count too large for the operator dimension")
     lam_x, lam_y, qy = _separable_basis(config, grid, sector)
-    d = lam_x[:, None] + lam_y[None, :] - shift
-    if not d.min() > 0.0:
-        raise NumericalError(f"FD eigensolver: shift {shift!r} is not below the spectrum")
-    dinv = 1.0 / d
-    c = (config.alpha1 - config.alpha0) * 2.0 / grid.hy
-    sign = float(np.sign(c))
-    p = _inner_rows(config, grid, sector) if c else 0
-    rows = _vx(np.eye(lam_x.size, p), sector, transpose=True).T    # Vx[:p], (p, nx)
-    q0 = qy[0]
-    # U^T D^(-1) U = rows diag(sum_b q0_b^2 / d_ab) rows^T
-    cap = (rows * (dinv @ q0**2)) @ rows.T + np.eye(p) / c
-    try:
-        factor = cho_factor(sign * cap)
-    except LinAlgError as exc:
-        raise NumericalError(f"FD eigensolver: shift {shift!r} is not below the spectrum") from exc
-    wall = q0 * dinv      # D^(-1) (e_a (x) q0) in row a
+    p = _inner_rows(config, grid, sector)
+    if not config.alpha1 < config.alpha0 or p == 0:
+        return []
+    n, top = lam_x.size, lam_x[0] + lam_y[0]
+    ty, ey = _folded_ty(grid, even=True)
+    tau, vy = eigh_tridiagonal(ty, ey)
+    w = vy[0] ** 2
+    k0, k1 = (2.0 * alpha / grid.hy for alpha in (config.alpha0, config.alpha1))
 
-    def opinv(z):
-        y = z.reshape(d.shape) * dinv
-        s = sign * cho_solve(factor, rows @ (y @ q0))
-        y -= (rows.T @ s)[:, None] * wall
-        return y.ravel()
+    def terms(lam: float) -> tuple[np.ndarray, np.ndarray]:
+        r = 1.0 / (tau[None, :] + (lam_x[:, None] - lam))
+        phi = r @ w
+        den = 1.0 + k0 * phi
+        return (1.0 + k1 * phi) / ((k0 - k1) * den), -((r * r) @ w) / den**2
 
-    solve = LinearOperator(op.matrix.shape, dtype=float, matvec=opinv)
-    try:
-        # in shift-invert mode eigsh reads only the shape and dtype of its A
-        vals, coef = eigsh(solve, k=count, sigma=shift, which="LM",
-                           v0=np.ones(op.dimension), tol=1e-10, OPinv=solve)
-    except ArpackNoConvergence as exc:
-        raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], _to_grid(coef[:, order].T, sector, qy)
-    norm_a = float(np.max(np.abs(op.matrix).sum(axis=1)))
+    h = terms(top)[0]
+    h[0] = 0.0
+    q = null_space(_vx(np.eye(n, 1), sector)[:p].T)       # the complement of R[:, 0]
+    count = 1 + int(np.sum(eigvalsh(q.T @ _capacitance(h, sector, p) @ q) < 0.0))
+    ty[0] += k1
+    lam = lam_x[0] + _lowest(ty, ey)
+    seen, roots, coefs = [(lam, 0)], [], []
+    for _ in range(64 * count):
+        h, dh = terms(lam)
+        nu, s = eigh(_capacitance(h, sector, p), subset_by_index=(0, count - 1))
+        rs = _vx(np.pad(s, ((0, n - p), (0, 0))), sector, transpose=True)
+        dnu = dh @ rs**2
+        seen.append((lam, int(np.sum(nu < 0.0))))
+        while len(roots) < count:
+            j = len(roots)
+            beta = -dnu[j] * (top - lam) ** 2
+            alpha = nu[j] + beta / (top - lam)
+            new = top - beta / alpha if alpha > 0.0 else lam - nu[j] / dnu[j]
+            if abs(new - lam) > 16.0 * np.finfo(float).eps * np.abs(h).max() / -dnu[j] \
+                    + 2.0 * np.spacing(lam):
+                break
+            roots.append(new)
+            coefs.append(rs[:, j, None] * qy[0] / (lam_x[:, None] + lam_y - lam))
+        if len(roots) == count:
+            break
+        lo = max(at for at, below in seen if below <= j)
+        hi = min([top] + [at for at, below in seen if below > j])
+        lam = new if lo < new < hi else 0.5 * (lo + hi)
+    else:
+        raise NumericalError(f"FD eigensolver: eigenvalue {len(roots) + 1} of {count} below "
+                             f"{top!r} not resolved in {64 * count} capacitance solves")
+    A = assemble(config, grid, sector).matrix
+    norm_a = float(np.max(np.abs(A).sum(axis=1)))
     pairs = []
-    for j in range(count):
-        v = vecs[j]
-        resid = float(np.linalg.norm(op.matrix @ v - vals[j] * v))
+    for j, (lam, coef) in enumerate(zip(roots, coefs)):
+        v = (_vx(coef, sector) @ qy.T).ravel()
+        v /= np.linalg.norm(v)
+        resid = float(np.linalg.norm(A @ v - lam * v))
         if resid > _RESIDUAL_TOL * norm_a:
             raise NumericalError(f"eigenpair {j} residual {resid:.3e} exceeds 1e-8 ||A||")
-        if v[np.argmax(np.abs(v))] < 0.0:
-            v = -v
-        pairs.append((float(vals[j]), v))
+        pairs.append((float(lam), v if v[np.argmax(np.abs(v))] > 0.0 else -v))
     return pairs
 
 
@@ -370,28 +381,29 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
 
     Builds the two finest grids of h0, h0/2, ..., h0/2^(refinements-1)
     (h0 defaults to d/64) before solving either, so an oversized one fails
-    at once, and solves their y-even blocks.  Each tracked eigenvalue is
-    extrapolated by the order-2 rule lambda + (lambda_f - lambda_c)/3 and
-    kept below E_1(alpha0) - margin with margin = 3 (discretization
-    estimate + exp(-k_1 L) domain-truncation bound).  If the y-odd floor of
-    either grid could pass that rule (with a zero discretization estimate),
-    the y-odd blocks cannot be excluded and it raises NumericalError.
+    at once, and pairs the eigenvalues of their y-even blocks below top
+    (lowest_eigenpairs) by index.  Each pair is extrapolated by the order-2
+    rule lambda + (lambda_f - lambda_c)/3 and kept below E_1(alpha0) -
+    margin with margin = 3 (discretization estimate + exp(-k_1 L)
+    domain-truncation bound).  If the y-odd floor of either grid could pass
+    that rule (with a zero discretization estimate), the y-odd blocks
+    cannot be excluded and it raises NumericalError.
 
     A kept lam = lambda_f + (lambda_f - lambda_c)/3 satisfies lam +
-    |lambda_f - lambda_c| < E_1(alpha0), and lambda_f <= lam + |lambda_f -
-    lambda_c|/3, so lambda_f < E_1(alpha0).  A sector whose sector_floor on
-    the finest grid is at or above E_1(alpha0) therefore keeps nothing: its
-    list is empty and neither of its grids is assembled or solved.  An
-    empty sector list is a valid result: no state is resolvable at this
-    resolution, not an error."""
+    |lambda_f - lambda_c| < E_1(alpha0), so lambda_f < E_1(alpha0): a sector
+    with alpha1 >= alpha0, or whose finest-grid sector_floor is at or above
+    E_1(alpha0), keeps nothing and is not solved.  In a solved sector, a
+    value to keep could hide at or above the finest grid's top if that is
+    not above E_1(alpha0), or a fine value's partner at or above the coarse
+    top; either is a NumericalError.  An empty sector list is a valid
+    result: no state is resolvable at this resolution, not an error."""
     if not L >= 4.0 * max(config.a, config.d):
         raise ContractError("need L >= 4 max(a, d) for a meaningful truncation")
     if refinements < 2:
         raise ContractError("refinements must be >= 2")
     if h0 is None:
         h0 = config.d / 64.0
-    E1_in, E1_out = (float(transversal_eigenvalues(c, 1)[0]) for c in (config.inner, config.outer))
-    k = max(2, neumann_state_cap(config) + 2)
+    E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
     grids = [make_grid(config, L, h0 * 0.5**j) for j in (refinements - 2, refinements - 1)]
     floor = min(y_odd_floor(config, grid) for grid in grids)
     if _confident(floor, 0.0, E1_out, L):
@@ -399,20 +411,27 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
                              f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
     out = {}
     for sector in ParitySector:
-        # the keep rule implies lambda_f < E_1(alpha0); a finest-grid floor
-        # at or above it leaves nothing to keep
-        if sector_floor(config, grids[-1], sector) >= E1_out:
+        # a kept lambda_f < E_1(alpha0) lies above the floor, and for
+        # alpha1 >= alpha0 at or above top
+        if not config.alpha1 < config.alpha0 or sector_floor(config, grids[-1], sector) >= E1_out:
             out[sector] = []
             continue
-        per_grid = []
-        for grid in grids:
-            # alpha(x) >= min(alpha0, alpha1): the shift is below every eigenvalue
-            pairs = lowest_eigenpairs(config, grid, sector, k, shift=0.5 * min(E1_in, E1_out))
-            per_grid.append([lam for lam, _ in pairs])
+        tops = [sum(lam[0] for lam in _separable_basis(config, grid, sector)[:2]) for grid in grids]
+        if not tops[-1] > E1_out:
+            raise NumericalError(f"finest grid's lowest alpha0 value {tops[-1]!r} is not above "
+                                 f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
+        coarse, fine = ([lam for lam, _ in lowest_eigenpairs(config, grid, sector)]
+                        for grid in grids)
         kept = []
-        for lc, lf in zip(*per_grid):
+        for j, lf in enumerate(fine):
+            # past the coarse list the partner is at or above the coarse top,
+            # and lam + 3 err_est is least there at max(coarse top, lambda_f)
+            lc = coarse[j] if j < len(coarse) else max(tops[0], lf)
             lam = lf + (lf - lc) / 3.0
             if _confident(lam, abs(lf - lc) / 3.0, E1_out, L):
+                if j >= len(coarse):
+                    raise NumericalError(f"fine-grid value {lf!r} could be kept with no coarse "
+                                         f"partner below {tops[0]!r}; refine the grid or shorten L")
                 kept.append(float(lam))
         out[sector] = sorted(kept)
     return out

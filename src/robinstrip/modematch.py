@@ -389,21 +389,6 @@ def _pair_nearest(fine: list[float], coarse: list[float]) -> list[float | None]:
             for i, j in enumerate(nearest_coarse)]
 
 
-def neumann_state_cap(config: WellConfig) -> int:
-    """Rigorous upper bound on the total bound-state count (both sectors):
-    cutting the strip by Neumann lines at x = +-a decouples a finite well
-    segment whose below-threshold eigenvalues are E_1(alpha1) +
-    (j pi / 2a)^2, j >= 0, while the outer half-strips contribute nothing
-    below E_1(alpha0).  The count of those segment values below
-    E_1(alpha0) bounds the true count from above."""
-    E1_in = float(transversal_eigenvalues(config.inner, 1)[0])
-    E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
-    if not E1_in < E1_out:
-        return 0
-    return 1 + int(np.floor(np.sqrt(E1_out - E1_in) * 2.0 * config.a / np.pi
-                            * (1.0 - 1e-15)))
-
-
 def minimax_brackets(config: WellConfig, n: int) -> tuple[float, float]:
     """Two-sided bracket for the n-th eigenvalue from Neumann/Dirichlet
     comparison along the well:

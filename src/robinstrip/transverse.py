@@ -93,9 +93,9 @@ def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
 
     Every level follows the steps of a bisection on its own bracket: it
     stops at an exact zero of the dispersion or once hi - lo <= 1e-13 hi,
-    and is never stepped again, so its bits do not depend on n_max.  Signs
-    are compared, not multiplied, so no product of two values of f can
-    overflow or underflow.
+    and each step moves only the live levels, so the bits of a level do
+    not depend on n_max.  Signs are compared, not multiplied, so no
+    product of two values of f can overflow or underflow.
     """
     n = np.arange(1, n_max + 1)
     lo = (n - 1) * np.pi / cs.d
@@ -113,16 +113,17 @@ def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
             f"for level n={j + 1}, alpha={cs.alpha:g}, d={cs.d:g}"
         )
     live &= hi - lo > _K_REL_TOL * hi
-    while np.any(live):
-        i = np.flatnonzero(live)
-        mid = 0.5 * (lo[i] + hi[i])
+    negative = np.signbit(flo)
+    while live.any():
+        mid = 0.5 * (lo + hi)
         fm = dispersion(mid * mid, cs)
-        up = np.sign(fm) == np.sign(flo[i])
-        lo[i[up]] = mid[up]
-        hi[i[~up]] = mid[~up]
-        root = fm == 0.0
-        k[i[root]] = mid[root]
-        live[i] = ~root & (hi[i] - lo[i] > _K_REL_TOL * hi[i])
+        # an exact zero stops its level below, whichever end it moved
+        up = live & (np.signbit(fm) == negative)
+        lo = np.where(up, mid, lo)
+        hi = np.where(live ^ up, mid, hi)
+        root = live & (fm == 0.0)
+        k = np.where(root, mid, k)
+        live &= ~root & (hi - lo > _K_REL_TOL * hi)
     return np.where(np.isnan(k), 0.5 * (lo + hi), k)
 
 
@@ -175,15 +176,25 @@ class _Levels:
 
 
 @lru_cache(maxsize=128)
+def _tables(cs: RobinCrossSection) -> dict[int, _Levels]:
+    """The tables served for cs, by n_max: each is a prefix of the largest."""
+    return {}
+
+
 def transversal_levels(cs: RobinCrossSection, n_max: int) -> _Levels:
     """The table of the n_max lowest levels of cs: read-only energy, k and
     norm_const arrays, with chi(y) and chi_deriv(y) evaluating every
-    chi_n and chi_n' at once.  Built once per (cs, n_max) and cached, so
-    shared: copy before editing.  Levels whose arithmetic leaves binary64
-    (an overflow, underflow or NaN on the way, possible only at extreme d)
-    are a NumericalError."""
+    chi_n and chi_n' at once.  Cached and shared, so copy before editing:
+    each (cs, n_max) gets one object, a prefix of the largest table built
+    for cs or else one bisected afresh, with the same bits.  Levels whose
+    arithmetic leaves binary64 (an overflow, underflow or NaN on the way,
+    possible only at extreme d) are a NumericalError."""
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
+    tables = _tables(cs)
+    largest = max(tables, default=0)
+    if largest >= n_max:
+        return tables.setdefault(n_max, tables[largest][:n_max])
     try:
         with np.errstate(all="raise"):
             E = np.float_power(_bisect_levels(cs, n_max), 2.0)
@@ -193,7 +204,7 @@ def transversal_levels(cs: RobinCrossSection, n_max: int) -> _Levels:
         raise NumericalError(f"alpha={cs.alpha:g}, d={cs.d:g}: levels leave binary64 ({exc})")
     for arr in (E, k, norm_const):
         arr.flags.writeable = False
-    return _Levels(cs, E, k, norm_const)
+    return tables.setdefault(n_max, _Levels(cs, E, k, norm_const))
 
 
 def transversal_eigenvalues(cs: RobinCrossSection, n_max: int) -> np.ndarray:
@@ -219,15 +230,20 @@ def overlap_matrix(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -
         raise ContractError("overlap_matrix requires cross-sections of equal width")
     d = inner.d
     ti, to = transversal_levels(inner, N)[::2], transversal_levels(outer, N)[::2]
-    ka, kb = ti.k[None, :], to.k[:, None]
-    Aa, Ab = inner.alpha / ka, outer.alpha / kb
-    dk, sk = ka - kb, ka + kb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cd = np.where(dk == 0.0, d, np.sin(dk * d) / dk)
-        sd = np.where(dk == 0.0, 0.0, 2.0 * np.float_power(np.sin(0.5 * dk * d), 2.0) / dk)
-    cs_ = np.sin(sk * d) / sk
-    ss = 2.0 * np.float_power(np.sin(0.5 * sk * d), 2.0) / sk
-    I_ss, I_cc = 0.5 * (cd - cs_), 0.5 * (cd + cs_)
-    I_sc, I_cs = 0.5 * (ss + sd), 0.5 * (ss - sd)
-    I = Aa * Ab * I_ss + Aa * I_sc + Ab * I_cs + I_cc
-    return ti.norm_const[None, :] * to.norm_const[:, None] * I
+    ka, Aa = ti.k[None, :], inner.alpha / ti.k[None, :]
+    O = np.empty((to.k.size, ti.k.size))
+    # row chunks of 2^16 entries keep the dozen temporaries small beside the result
+    step = max(1, 2**16 // ti.k.size)
+    for rows in range(0, to.k.size, step):
+        kb, Ab = to.k[rows:rows + step, None], outer.alpha / to.k[rows:rows + step, None]
+        dk, sk = ka - kb, ka + kb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cd = np.where(dk == 0.0, d, np.sin(dk * d) / dk)
+            sd = np.where(dk == 0.0, 0.0, 2.0 * np.float_power(np.sin(0.5 * dk * d), 2.0) / dk)
+        cs_ = np.sin(sk * d) / sk
+        ss = 2.0 * np.float_power(np.sin(0.5 * sk * d), 2.0) / sk
+        I_ss, I_cc = 0.5 * (cd - cs_), 0.5 * (cd + cs_)
+        I_sc, I_cs = 0.5 * (ss + sd), 0.5 * (ss - sd)
+        I = Aa * Ab * I_ss + Aa * I_sc + Ab * I_cs + I_cc
+        O[rows:rows + step] = ti.norm_const[None, :] * to.norm_const[rows:rows + step, None] * I
+    return O

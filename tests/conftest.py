@@ -1,14 +1,21 @@
 """Test-local references shared by the test modules: transversal roots by
 bisection on the parity factors of the dispersion, and mode overlaps by a
 Gauss-Legendre rule built here, nothing of the package's level tables or
-quadrature; and the variational form Q by plain 2D quadrature, which does
+quadrature; the variational form Q by plain 2D quadrature, which does
 read the package's level table, trial profile and Gauss-Legendre panels but
-skips the separable reduction that q_form relies on."""
+skips the separable reduction that q_form relies on; the Neumann cap on
+the bound-state count; and the lowest eigenvalue of an assembled FD block
+by ARPACK, not the package's solver."""
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
+from scipy.sparse.linalg import eigsh
 
-from robinstrip import BumpProfile, ContractError, WellConfig, transversal_levels
+from robinstrip import (BumpProfile, ContractError, WellConfig, transversal_eigenvalues,
+                        transversal_levels)
+from robinstrip import transverse
+from robinstrip.fdoracle import assemble
 from robinstrip.quadrature import composite_gl
 from robinstrip.variational import trial_scale
 
@@ -85,3 +92,42 @@ def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     bulk = wx @ (grad_sq - E1 * norm_sq) @ wy
     walls = wx @ (alpha_x * phi**2) * (chi0**2 + chid**2)
     return float(bulk + walls)
+
+
+def lowest_fd_value(config, grid, sector) -> float:
+    """The lowest eigenvalue of assemble(config, grid, sector), by
+    shift-invert Lanczos about 0 (the block is positive definite).  A
+    constant coupling has nothing below the alpha0 operator's lowest value,
+    so lowest_eigenpairs returns no pair for it."""
+    A = assemble(config, grid, sector).matrix
+    return float(eigsh(A.tocsc(), k=1, sigma=0.0, which="LM", v0=np.ones(A.shape[0]))[0][0])
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    """The (cross-section, n_max) of every _bisect_levels call, after
+    emptying the level tables."""
+    calls, bisect = [], transverse._bisect_levels
+
+    def counting(cs, n_max):
+        calls.append((cs, n_max))
+        return bisect(cs, n_max)
+
+    transverse._tables.cache_clear()
+    monkeypatch.setattr(transverse, "_bisect_levels", counting)
+    return calls
+
+
+def neumann_state_cap(config: WellConfig) -> int:
+    """Rigorous upper bound on the total bound-state count (both sectors):
+    cutting the strip by Neumann lines at x = +-a decouples a finite well
+    segment whose below-threshold eigenvalues are E_1(alpha1) +
+    (j pi / 2a)^2, j >= 0, while the outer half-strips contribute nothing
+    below E_1(alpha0).  The count of those segment values below
+    E_1(alpha0) bounds the true count from above."""
+    E1_in = float(transversal_eigenvalues(config.inner, 1)[0])
+    E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
+    if not E1_in < E1_out:
+        return 0
+    return 1 + int(np.floor(np.sqrt(E1_out - E1_in) * 2.0 * config.a / np.pi
+                            * (1.0 - 1e-15)))

@@ -32,7 +32,7 @@ PUBLIC = {
 # importable from their modules, not from the package
 UNEXPORTED = [
     ("transverse", "dispersion"), ("variational", "trial_scale"),
-    ("modematch", "neumann_state_cap"), ("config", "MatchingParams"),
+    ("config", "MatchingParams"),
     ("config", "OracleSpec"), ("config", "OutputSpec"), ("config", "SweepSpec"),
     ("fdoracle", "FdGrid"), ("fdoracle", "make_grid"), ("fdoracle", "assemble"),
     ("fdoracle", "lowest_eigenpairs"),
@@ -444,7 +444,6 @@ class TestTracerHooks:
         ("cli", "write_sweep_svg"),
         ("fdoracle", "assemble"),
         ("fdoracle", "lowest_eigenpairs"),
-        ("fdoracle", "eigsh"),
         ("variational", "q_form"),
     ])
     def test_patched_function_exists(self, module, name):

@@ -4,16 +4,16 @@ extrapolated bound-state extraction."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
-from scipy.sparse.linalg import spsolve
+from conftest import lowest_fd_value
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
 import robinstrip.fdoracle as fdoracle
 from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector,
                         WellConfig, bound_state_energies, oracle_bound_states,
                         transversal_eigenvalues)
-from robinstrip.fdoracle import (FdGrid, _folded_tx, _folded_ty, _inner_rows, _separable_basis,
-                                 _to_grid, _vx, assemble, lowest_eigenpairs, make_grid,
-                                 sector_floor, y_odd_floor)
+from robinstrip.fdoracle import (FdGrid, _capacitance, _folded_tx, _folded_ty, _inner_rows,
+                                 _separable_basis, _vx, assemble, lowest_eigenpairs,
+                                 make_grid, sector_floor, y_odd_floor)
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 # alpha1 > alpha0, so min(alpha) lies outside; d = 1.25 puts a node on
@@ -21,6 +21,8 @@ WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 ANTI_WELL = WellConfig(alpha0=1.0, alpha1=20.0, a=0.25, d=1.25)
 CONFIGS = pytest.mark.parametrize("config", [WELL, ANTI_WELL], ids=["well", "anti_well"])
 HARD_WALL = WellConfig(alpha0=1e5, alpha1=1e-5, a=0.7, d=1.0)
+SOLVER_CONFIGS = pytest.mark.parametrize("config", [WELL, ANTI_WELL, HARD_WALL],
+                                         ids=["well", "anti_well", "hard_wall"])
 SYM, ANTI = ParitySector.SYMMETRIC, ParitySector.ANTISYMMETRIC
 
 
@@ -86,13 +88,21 @@ class TestGrid:
         (8.0, 1.0 / 64 / 2**69),   # refinement 70 of the default oracle
         (4.0, 1.0 / 512),          # (258 + 64) x 2053 x 257 doubles
         (8.0, 1.0 / 512),
-        (2e4, 1.0 / 16),           # (9 + 65) x 3.0 M: Lanczos arrays 2 x 20 x 3.0 M
+        (2e4, 1.0 / 16),           # (9 + 65) x 3.0 M
         (1e12, 1.0 / 64),
     ])
     def test_oversized_grid_is_config_error(self, L, h):
         with pytest.raises(ConfigError, match="sector solve"):
             make_grid(WELL, L, h)
         make_grid(WELL, 8.0, 1.0 / 256)    # check 3: (130 + 64) x 264,837 doubles
+
+    def test_wide_capacitance_is_config_error(self):
+        # (9 + 65) x 576,009 doubles fit, but not 16 p^2 for p = 16,000
+        with pytest.raises(ConfigError, match="sector solve"):
+            make_grid(WellConfig(20.0, 5.0, 1000.0, 1.0), 4000.0, 1.0 / 16)
+        make_grid(WellConfig(20.0, 5.0, 100.0, 1.0), 400.0, 1.0 / 16)    # p = 1,600
+        # p = 1,280: 64 n + 16 p^2 and (128 + 66) n fit, not (128 + 66) n + 16 p^2
+        make_grid(WellConfig(20.0, 5.0, 5.0, 1.0), 20.0, 1.0 / 256)
 
 
 @pytest.mark.parametrize("sector", list(ParitySector))
@@ -102,8 +112,7 @@ class TestAssemblyPerSector:
         assert abs(op.matrix - op.matrix.T).max() == 0.0
 
     def test_positive_semidefinite(self, sector):
-        lam0 = lowest_eigenpairs(WELL, make_grid(WELL, 4.0, 1.0 / 32), sector, 1, shift=0.1)[0][0]
-        assert lam0 > 0.0
+        assert lowest_fd_value(WELL, make_grid(WELL, 4.0, 1.0 / 32), sector) > 0.0
 
     def test_five_point_sparsity(self, sector):
         grid = make_grid(WELL, 4.0, 1.0 / 32)
@@ -167,7 +176,7 @@ class TestAssembly:
         # Dirichlet cross-section 4 sin^2(pi h/(2d))/h^2
         const = WellConfig(1e8, 1e8, 0.3, 1.0)
         grid = make_grid(const, 2.0, 1.0 / 32)
-        lowest = lowest_eigenpairs(const, grid, SYM, 1, shift=0.0)[0][0]
+        lowest = lowest_fd_value(const, grid, SYM)
         dirichlet_fd = 4.0 * np.sin(np.pi * grid.hy / 2.0) ** 2 / grid.hy**2
         assert lowest - lowest_x_value(grid) == pytest.approx(dirichlet_fd, rel=1e-5)
 
@@ -204,38 +213,87 @@ class TestAssembly:
             assemble(wrong_d, grid, SYM)
 
 
-def oracle_shift(config):
-    """Half the lower transversal threshold, the oracle's shift."""
-    return 0.5 * min(float(transversal_eigenvalues(cs, 1)[0])
-                     for cs in (config.inner, config.outer))
-
-
-def spy_opinv(monkeypatch):
-    """Record the shift-invert operator lowest_eigenpairs hands to eigsh."""
-    seen, eigsh = {}, fdoracle.eigsh
-
-    def spy(*args, **kwargs):
-        seen["opinv"] = kwargs["OPinv"]
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(fdoracle, "eigsh", spy)
-    return seen
+def top_and_dense(config, grid, sector):
+    """The lowest eigenvalue of the block's alpha0 operator, and the dense
+    eigenpairs of the block."""
+    lam_x, lam_y, _ = _separable_basis(config, grid, sector)
+    return lam_x[0] + lam_y[0], *eigh(assemble(config, grid, sector).matrix.toarray())
 
 
 class TestEigensolver:
     @pytest.mark.parametrize("sector", list(ParitySector))
-    @pytest.mark.parametrize("config", [WELL, ANTI_WELL, HARD_WALL],
-                             ids=["well", "anti_well", "hard_wall"])
+    @SOLVER_CONFIGS
     @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 17])   # node on y = d/2, or none
     def test_matches_dense_eigh(self, sector, config, h):
         grid = make_grid(config, 2.0, h)
-        ref_vals, ref_vecs = eigh(assemble(config, grid, sector).matrix.toarray())
-        pairs = lowest_eigenpairs(config, grid, sector, 4, shift=oracle_shift(config))
+        top, ref_vals, ref_vecs = top_and_dense(config, grid, sector)
+        pairs = lowest_eigenpairs(config, grid, sector)
+        # the anti-well's block is at least its alpha0 operator
+        assert len(pairs) == np.sum(ref_vals < top) == (config is not ANTI_WELL)
+        for j, (lam, v) in enumerate(pairs):
+            assert abs(lam - ref_vals[j]) <= 1e-10 * ref_vals[j]
+            assert abs(v @ ref_vecs[:, j]) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 17])
+    def test_several_pairs_match_dense_eigh(self, sector, h):
+        # a wide well: two values below top in the symmetric sector, one in
+        # the antisymmetric one
+        cfg = WellConfig(20.0, 5.0, 2.0, 1.0)
+        grid = make_grid(cfg, 6.0, h)
+        top, ref_vals, ref_vecs = top_and_dense(cfg, grid, sector)
+        pairs = lowest_eigenpairs(cfg, grid, sector)
+        assert len(pairs) == np.sum(ref_vals < top) == (2 if sector is SYM else 1)
         for j, (lam, v) in enumerate(pairs):
             assert abs(lam - ref_vals[j]) <= 1e-10 * ref_vals[j]
             assert abs(v @ ref_vecs[:, j]) == pytest.approx(1.0, abs=1e-10)
         vecs = np.array([v for _, v in pairs])
-        assert np.abs(vecs @ vecs.T - np.eye(4)).max() <= 1e-12
+        assert np.abs(vecs @ vecs.T - np.eye(len(pairs))).max() <= 1e-12
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("config", [WELL, HARD_WALL, WellConfig(20.0, 5.0, 2.0, 1.0)],
+                             ids=["well", "hard_wall", "wide_well"])
+    def test_inertia_count_matches_dense(self, sector, config):
+        # N(lambda) = I/c - U^T (D0 - lambda)^(-1) U, built here from the
+        # alpha0 eigenpairs: its negative eigenvalues count the block's
+        # eigenvalues below lambda, at midpoints between them
+        grid = make_grid(config, 6.0, 1.0 / 16)
+        top, ref_vals, _ = top_and_dense(config, grid, sector)
+        lam_x, lam_y, qy = _separable_basis(config, grid, sector)
+        c, p = (config.alpha0 - config.alpha1) * 2.0 / grid.hy, _inner_rows(config, grid, sector)
+        below = ref_vals[ref_vals < top]
+        for lam in np.r_[below[0] - 1.0, 0.5 * (below[:-1] + below[1:]), 0.5 * (below[-1] + top)]:
+            h = 1.0 / c - (qy[0] ** 2 / (lam_x[:, None] + lam_y - lam)).sum(axis=1)
+            nu = eigvalsh(_capacitance(h, sector, p))
+            assert np.sum(nu < 0.0) == np.sum(ref_vals < lam)
+
+    @pytest.mark.parametrize("config, L, roots", [
+        (WELL, 4.0, 1),                       # a bench grid
+        (HARD_WALL, 4.0, 1),
+        (WellConfig(20.0, 5.0, 2.0, 1.0), 8.0, 2),
+    ])
+    def test_few_capacitance_solves(self, monkeypatch, config, L, roots):
+        # Newton steps on the pole model take 5-7 solves per root (a wrong
+        # derivative would leave them to bisection, about 40)
+        calls, eigh = [], fdoracle.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(fdoracle, "eigh", counting)
+        assert len(lowest_eigenpairs(config, make_grid(config, L, 1.0 / 128), SYM)) == roots
+        assert len(calls) <= 8 * roots
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("p", [1, 7, 64, 128])     # up to every row of Vx
+    def test_toeplitz_hankel_is_the_product(self, sector, p):
+        n = 128
+        g = np.random.default_rng(p).uniform(0.1, 10.0, n)
+        rows = _vx(np.eye(n), sector)[:p]                 # R = Vx[:p]
+        ref = (rows * g) @ rows.T
+        got = _capacitance(g, sector, p)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("sector", list(ParitySector))
     def test_closed_form_x_basis(self, sector):
@@ -249,49 +307,23 @@ class TestEigensolver:
         assert np.abs(_vx(np.eye(lam.size), sector, transpose=True) - vx.T).max() <= 1e-15
 
     @pytest.mark.parametrize("sector", list(ParitySector))
-    @CONFIGS
-    def test_shift_invert_operator_is_the_mapped_solve(self, monkeypatch, sector, config):
-        # Phi OPinv Phi^T = (A - shift I)^(-1), with Phi the map to grid values
-        seen = spy_opinv(monkeypatch)
-        grid, shift = make_grid(config, 2.0, 1.0 / 16), oracle_shift(config)
-        lowest_eigenpairs(config, grid, sector, 2, shift)
-        A = assemble(config, grid, sector).matrix
-        phi = _to_grid(np.eye(A.shape[0]), sector, _separable_basis(config, grid, sector)[2]).T
-        z = np.random.default_rng(7).standard_normal(A.shape[0])
-        ref = phi.T @ spsolve((A - shift * sp.identity(A.shape[0])).tocsc(), phi @ z)
-        assert np.linalg.norm(seen["opinv"].matvec(z) - ref) <= 1e-12 * np.linalg.norm(ref)
+    def test_constant_coupling_has_nothing_below_top(self, sector):
+        # the block is its alpha0 operator (the anti-well is in test_matches_dense_eigh)
+        const = WellConfig(20.0, 20.0, 0.3, 1.0)
+        assert lowest_eigenpairs(const, make_grid(const, 2.0, 1.0 / 16), sector) == []
 
     def test_pure_strip_matches_transversal_value(self):
         const = WellConfig(20.0, 20.0, 0.3, 1.0)
         E1 = float(transversal_eigenvalues(const.outer, 1)[0])
         grid = make_grid(const, 8.0, 1.0 / 64)
-        lam0 = lowest_eigenpairs(const, grid, SYM, 1, shift=0.5 * E1)[0][0]
+        lam0 = lowest_fd_value(const, grid, SYM)
         assert abs(lam0 - lowest_x_value(grid) - E1) < 1e-3
 
     def test_deterministic(self):
         grid = make_grid(WELL, 4.0, 1.0 / 32)
-        a = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM, 3, shift=2.6)]
-        b = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM, 3, shift=2.6)]
+        a = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM)]
+        b = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM)]
         assert a == b
-
-    # 7.9 lies between the lowest eigenvalue (7.73) and that of the alpha0
-    # operator (8.32), where only the capacitance Cholesky can see it; 9.0
-    # lies above both and leaves a diagonal entry <= 0
-    @pytest.mark.parametrize("shift, cholesky", [(7.9, True), (9.0, False)])
-    def test_shift_inside_the_spectrum_is_numerical_error(self, shift, cholesky):
-        # a shift above the lowest eigenvalue used to drop it silently
-        grid = make_grid(WELL, 4.0, 1.0 / 32)
-        with pytest.raises(NumericalError, match=f"shift {shift}") as exc:
-            lowest_eigenpairs(WELL, grid, SYM, 2, shift=shift)
-        assert isinstance(exc.value.__cause__, LinAlgError) is cholesky
-
-    def test_validation(self):
-        grid = make_grid(WELL, 2.0, 1.0 / 16)
-        n = assemble(WELL, grid, SYM).dimension
-        with pytest.raises(ContractError):
-            lowest_eigenpairs(WELL, grid, SYM, 0, shift=0.5)
-        with pytest.raises(ContractError):
-            lowest_eigenpairs(WELL, grid, SYM, n - 1, shift=0.5)
 
 
 class TestYOddFloor:
@@ -356,11 +388,15 @@ class TestSectorFloor:
         grid = make_grid(cfg, 2.0, 1.0 / 32)
         assert round(cfg.a / grid.hx) == 1
         A = assemble(cfg, grid, sector).matrix
-        lowest = np.linalg.eigvalsh(A.toarray())[0]
+        vals = np.linalg.eigvalsh(A.toarray())
         floor = sector_floor(cfg, grid, sector)
-        assert floor <= lowest
+        assert floor <= vals[0]
         if sector is ANTI:
-            assert lowest - floor <= 2e-8 * abs(A).sum(axis=1).max()
+            assert vals[0] - floor <= 2e-8 * abs(A).sum(axis=1).max()
+        # one inner wall node (symmetric) or none: the solver still agrees
+        top = sum(lam[0] for lam in _separable_basis(cfg, grid, sector)[:2])
+        got = [lam for lam, _ in lowest_eigenpairs(cfg, grid, sector)]
+        assert got == pytest.approx(vals[vals < (1.0 - 1e-9) * top], rel=1e-10)
 
     @pytest.mark.parametrize("config, L, refinements, solves, anti", [
         (WELL, 8.0, 3, 2, 0),                           # check 3's oracle
@@ -383,8 +419,7 @@ class TestOracle:
         assert oracle_bound_states(const, L=4.0, refinements=2) == {SYM: [], ANTI: []}
 
     def test_anti_well_yields_nothing(self):
-        # alpha1 > alpha0: the spectrum starts near E_1(alpha0) < E_1(alpha1)/2,
-        # so the shift must come from the smaller threshold
+        # alpha1 > alpha0: nothing lies below the alpha0 operator's spectrum
         anti = WellConfig(1.0, 20.0, 0.3, 1.0)
         assert oracle_bound_states(anti, L=4.0, refinements=2) == {SYM: [], ANTI: []}
 
@@ -416,9 +451,56 @@ class TestOracle:
         grid = make_grid(cfg, 6.0, 1.0 / 48)
         h = max(grid.hx, grid.hy)
         for sector in ParitySector:
-            pairs = lowest_eigenpairs(cfg, grid, sector, 4, shift=0.5 * E1_in)
-            for lam, _ in pairs:
+            for lam, _ in lowest_eigenpairs(cfg, grid, sector):
                 assert lam >= E1_in - 10.0 * h**2 * E1_in
+
+    def test_raises_when_top_is_not_above_threshold(self):
+        # at L = 32d the lowest x value (pi/64)^2 no longer lifts the d/32
+        # grid's lowest alpha0 cross-section value, 3.5e-3 under E_1(alpha0),
+        # above E_1(alpha0): a kept value could lie above every solved one
+        lam_x, lam_y, _ = _separable_basis(WELL, make_grid(WELL, 32.0, 1.0 / 32), SYM)
+        E1 = float(transversal_eigenvalues(WELL.outer, 1)[0])
+        assert lam_x[0] + lam_y[0] - E1 == pytest.approx(-1.08e-3, abs=1e-5)
+        with pytest.raises(NumericalError, match="not above E_1"):
+            oracle_bound_states(WELL, L=32.0, refinements=2, h0=1.0 / 16)
+
+    @pytest.mark.parametrize("config", [WellConfig(20.0, 40.0, 0.3, 1.0),
+                                        WellConfig(20.0, 20.0, 0.3, 1.0), ANTI_WELL],
+                             ids=["anti_well_20", "constant", "anti_well"])
+    def test_top_is_not_checked_where_nothing_is_solved(self, config):
+        # alpha1 >= alpha0 leaves nothing below top to solve; at L = 32d,
+        # h0 = d/16 the first two have their finest symmetric top 1.08e-3
+        # under E_1(alpha0), as WELL has
+        assert oracle_bound_states(config, L=32.0 * config.d, refinements=2,
+                                   h0=config.d / 16) == {SYM: [], ANTI: []}
+
+    def test_unpaired_fine_value_that_cannot_be_kept(self):
+        # at L = 32d, h0 = d/16 the coarse symmetric top lies 1.06e-3 under
+        # E_1(alpha0) and the fine grid's second symmetric value, 9.9e-4 under
+        # it, has no coarse partner; with k_1 L about 1 no partner would
+        # let the rule keep it, so it raises nothing, and the ground states
+        # stay
+        cfg = WellConfig(8.0, 1.0, 1.51, 1.0)
+        grids = [make_grid(cfg, 32.0, h) for h in (1.0 / 16, 1.0 / 32)]
+        coarse, fine = ([lam for lam, _ in lowest_eigenpairs(cfg, grid, SYM)] for grid in grids)
+        assert len(coarse) < len(fine)
+        out = oracle_bound_states(cfg, L=32.0, refinements=2, h0=1.0 / 16)
+        assert [len(out[sector]) for sector in ParitySector] == [1, 1]
+
+    def test_raises_when_a_fine_value_could_lose_its_coarse_partner(self, monkeypatch):
+        # the coarse grid returns nothing at or above its top; a fine value
+        # whose partner could lie there and still be kept is an error, not
+        # a state dropped without a word
+        coarse = make_grid(WELL, 8.0, 1.0 / 64)
+        solve = fdoracle.lowest_eigenpairs
+
+        def coarse_top_below_ground_state(config, grid, sector):
+            pairs = solve(config, grid, sector)
+            return pairs[1:] if grid == coarse else pairs
+
+        monkeypatch.setattr(fdoracle, "lowest_eigenpairs", coarse_top_below_ground_state)
+        with pytest.raises(NumericalError, match="no coarse partner"):
+            oracle_bound_states(WELL, L=8.0, refinements=2)
 
     def test_validation(self):
         with pytest.raises(ContractError):

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import reference_overlaps
+from conftest import neumann_state_cap, reference_overlaps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +16,7 @@ from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
                         overlap_matrix, transversal_eigenvalues, wavefunction)
 from robinstrip import modematch
 from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
-                                  _scan_roots, _scan_slogdet, _value_deriv, _window,
-                                  neumann_state_cap)
+                                  _scan_roots, _scan_slogdet, _value_deriv, _window)
 from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
@@ -320,16 +319,18 @@ class TestBoundStates:
         assert len(states) == 1
         assert states[0].lam == pytest.approx(52.92335, abs=1e-6)
 
-    def test_a_sweep_bisects_each_cross_section_once_per_N(self):
-        # tables depend on (alpha, d) and N only; the N/2 companion reads
-        # the first N/2 levels of the N table
-        transversal_levels.cache_clear()
+    def test_a_sweep_bisects_each_cross_section_once_per_N(self, bisections):
+        # tables depend on (alpha, d) and N only; the N/2 companion and E_1
+        # read the first levels of the N table, and a larger N bisects a
+        # whole new table
         _mode_table.cache_clear()
         for r in (0.3, 0.6, 0.9):
             for parity in ParitySector:
                 bound_state_energies(WellConfig(20.0, 5.0, r, 1.0), parity, 16)
-        assert transversal_levels.cache_info().misses == 2
+        assert sorted((cs.alpha, n) for cs, n in bisections) == [(5.0, 16), (20.0, 16)]
         assert _mode_table.cache_info().misses == 1
+        bound_state_energies(WellConfig(20.0, 5.0, 0.3, 1.0), SYM, 24)
+        assert sorted((cs.alpha, n) for cs, n in bisections[2:]) == [(5.0, 24), (20.0, 24)]
 
     def test_narrow_second_state_of_wide_well(self):
         # the second symmetric state lies 3e-3 below threshold; its dip is

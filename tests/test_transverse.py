@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robinstrip
+from robinstrip import transverse
 from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSection,
                         RobinStripError, overlap_matrix, transversal_eigenvalues,
                         transversal_levels)
@@ -303,13 +304,31 @@ class TestModes:
         chi = self._table(7.0, 1.0, 4).chi(np.linspace(1e-6, 1.0 - 1e-6, 2001))
         assert [np.sum(np.diff(np.sign(row)) != 0) for row in chi] == [0, 1, 2, 3]
 
-    def test_table_is_shared_and_read_only(self):
+    def test_table_is_shared_and_read_only(self, bisections):
         cs = RobinCrossSection(3.0, 1.0)
         t = transversal_levels(cs, 4)
         assert transversal_levels(cs, 4) is t
+        # a smaller table is a prefix, a larger one is bisected whole
+        assert transversal_levels(cs, 2).k.tobytes() == t.k[:2].tobytes()
+        assert transversal_levels(cs, 6).norm_const[:4].tobytes() == t.norm_const.tobytes()
+        assert transversal_levels(cs, 2) is transversal_levels(cs, 2)
+        assert transversal_levels(cs, 3) is transversal_levels(cs, 3)
+        assert bisections == [(cs, 4), (cs, 6)]
         assert t.energy.tolist() == transversal_eigenvalues(cs, 4).tolist()
         with pytest.raises(ValueError):
             t.energy[0] = 0.0
+
+    @pytest.mark.parametrize("order", [(1, 32), (32, 1), (7, 16, 33)])
+    def test_levels_keep_their_bits_in_any_request_order(self, bisections, order):
+        # a prefix of a larger table has the bits of a table built at its size
+        cs = RobinCrossSection(20.0, 1.0)
+        grown = [transversal_levels(cs, n) for n in order]
+        for n, table in zip(order, grown):
+            transverse._tables.cache_clear()
+            fresh = transversal_levels(cs, n)
+            for a, b in ((table.energy, fresh.energy), (table.k, fresh.k),
+                         (table.norm_const, fresh.norm_const)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestOverlap:
@@ -375,6 +394,22 @@ class TestOverlap:
             tracemalloc.stop()
         assert O.shape == (512, 512)
         assert peak <= 32 * 2**20
+
+    def test_largest_block_is_built_in_row_chunks(self):
+        # the hard-wall block at the largest N a solve takes is 21 MiB; built
+        # whole, its temporaries peaked at 256 MiB.  Chunks of other sizes
+        # give the N = 1024 block bit for bit.
+        inner, outer = RobinCrossSection(1e-5, 1.0), RobinCrossSection(1e5, 1.0)
+        transversal_levels(inner, _MAX_SOLVE_N), transversal_levels(outer, _MAX_SOLVE_N)
+        tracemalloc.start()
+        try:
+            O = overlap_matrix(inner, outer, _MAX_SOLVE_N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert O.shape == (1672, 1672)
+        assert peak <= 64 * 2**20
+        assert O[:512, :512].tobytes() == overlap_matrix(inner, outer, 1024).tobytes()
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):
