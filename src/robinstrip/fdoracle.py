@@ -36,11 +36,12 @@ Vx (x) Qy (fast diagonalisation, Lynch, Rice and Thomas, Numer. Math. 6
 (1964) 185), less (alpha0 - alpha1) 2/hy on its p = a/hx inner wall
 nodes.  Its eigenvalues below the alpha0 spectrum are the roots of a p x
 p capacitance matrix (Buzbee, Dorr, George and Golub, SIAM J. Numer.
-Anal. 8 (1971) 722) whose inertia counts them, each pair checked against
-the assembled matrix.  The Richardson step between two grids assumes
-order 2 (the order observed so far is 0.90-0.99, so its error bar is
-optimistic), and the oracle shares none of the mode matching machinery
-it checks.
+Anal. 8 (1971) 722) whose inertia counts them, each pair checked by
+applying the block's 5-point stencil to it.  No solve assembles a
+matrix: assemble builds the CSR block only for the tests and the bench's
+size counts.  The Richardson step between two grids assumes order 2 (the
+order observed so far is 0.90-0.99, so its error bar is optimistic), and
+the oracle shares none of the mode matching machinery it checks.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class FdGrid:
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """An assembled sector block: a symmetric positive-semidefinite CSR
-    matrix with 5-point sparsity, and its dimension (bench/tracing.py reads
-    both fields from what assemble returns)."""
+    matrix with 5-point sparsity, and its dimension.  Only the tests and
+    bench/tracing.py call assemble, and the latter reads both fields."""
 
     dimension: int
     matrix: sp.csr_matrix
@@ -153,7 +154,7 @@ def _folded_ty(grid: FdGrid, even: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _inner_rows(config: WellConfig, grid: FdGrid, sector: ParitySector) -> int:
     """The number of folded Tx rows with |x| < a (alpha1), for a grid that
-    fits the well as assemble requires."""
+    fits the well as _stencil requires."""
     if abs(grid.hy * (grid.ny - 1) - config.d) > 1e-9 * config.d:
         raise ConfigError("grid hy/ny inconsistent with the strip width d")
     m = config.a / grid.hx
@@ -168,26 +169,53 @@ def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
     return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
 
 
-def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
-    """Assemble the symmetric FD operator of one x-parity sector on the
-    y-even half of the grid, for the coupling profile alpha(x) = alpha1 on
-    |x| < a, alpha0 outside (a node exactly on the jump gets alpha0):
-    A = Tx (x) I + I (x) Ty + diag(alpha(x)) (x) diag(walls) with the
-    folded Tx and Ty of the module docstring (Dirichlet at x = L) and
-    walls = (2/hy, 0, ..., 0).  alpha is classified by integer offset, so
-    the grid needs a node at x = 0 (nx odd) and a/hx an integer within
-    1e-9 (as make_grid ensures); any other grid is a ContractError."""
+def _stencil(config: WellConfig, grid: FdGrid,
+             sector: ParitySector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetric FD operator of one x-parity sector on the y-even half
+    of the grid, for the coupling profile alpha(x) = alpha1 on |x| < a,
+    alpha0 outside (a node exactly on the jump gets alpha0): A = Tx (x) I
+    + I (x) Ty + diag(alpha(x)) (x) diag(walls) with the folded Tx and Ty
+    of the module docstring (Dirichlet at x = L) and walls = (2/hy, 0, ...,
+    0), as its 5-point stencil: the main diagonal (x rows, y rows), the x
+    coupling ex and the y coupling ey.  alpha is classified by integer
+    offset, so the grid needs a node at x = 0 (nx odd) and a/hx an integer
+    within 1e-9 (as make_grid ensures); any other grid is a
+    ContractError."""
     inner = _inner_rows(config, grid, sector)
     tx, ex = _folded_tx(grid, sector)
     alpha_x = np.where(np.arange(tx.size) < inner, config.alpha1, config.alpha0).astype(float)
     ty, ey = _folded_ty(grid, even=True)
     walls = np.zeros(ty.size)
     walls[0] = 2.0 / grid.hy
-    # y is the fast index: the y coupling stops at each column's end
-    main = ((ty[None, :] + tx[:, None]) + alpha_x[:, None] * walls[None, :]).ravel()
-    ey_cols = np.tile(np.append(ey, 0.0), tx.size)[:-1]
-    ex_cols = np.repeat(ex, ty.size)
-    A = sp.diags([ex_cols, ey_cols, main, ey_cols, ex_cols], [-ty.size, -1, 0, 1, ty.size],
+    return (ty[None, :] + tx[:, None]) + alpha_x[:, None] * walls[None, :], ex, ey
+
+
+def _apply(main: np.ndarray, ex: np.ndarray, ey: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A u for grid values u shaped like main, from the stencil of A."""
+    out = main * u
+    out[1:] += ex[:, None] * u[:-1]
+    out[:-1] += ex[:, None] * u[1:]
+    out[:, 1:] += ey * u[:, :-1]
+    out[:, :-1] += ey * u[:, 1:]
+    return out
+
+
+def _norm_inf(main: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> float:
+    """||A||_inf from the stencil of A: the largest entry of |A| 1 (main > 0)."""
+    return float(_apply(main, np.abs(ex), np.abs(ey), np.ones_like(main)).max())
+
+
+def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
+    """The operator of _stencil(config, grid, sector) as a CSR matrix, y the
+    fast index.  The oracle never builds it (lowest_eigenpairs applies the
+    stencil); it is the reference the tests and the bench's size counts
+    read."""
+    main, ex, ey = _stencil(config, grid, sector)
+    nx, ny = main.shape
+    # the y coupling stops at each column's end
+    ey_cols = np.tile(np.append(ey, 0.0), nx)[:-1]
+    ex_cols = np.repeat(ex, ny)
+    A = sp.diags([ex_cols, ey_cols, main.ravel(), ey_cols, ex_cols], [-ny, -1, 0, 1, ny],
                  format="csr")
     return SparseOperator(dimension=A.shape[0], matrix=A)
 
@@ -306,7 +334,8 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid,
     operator's lowest eigenvalue up, to a step below the rounding of nu;
     its vector is (D0 - lambda)^(-1) U s, s the eigenvector of nu.  A step
     is one p x p eigh, 4 to 7 a root: the cost grows as count p^3.  Each
-    pair must satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf.
+    pair must satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf, both sides
+    taken from the block's stencil, with no matrix built.
     """
     lam_x, lam_y, qy = _separable_basis(config, grid, sector)
     p = _inner_rows(config, grid, sector)
@@ -355,15 +384,16 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid,
     else:
         raise NumericalError(f"FD eigensolver: eigenvalue {len(roots) + 1} of {count} below "
                              f"{top!r} not resolved in {64 * count} capacitance solves")
-    A = assemble(config, grid, sector).matrix
-    norm_a = float(np.max(np.abs(A).sum(axis=1)))
+    main, ex, ey = _stencil(config, grid, sector)
+    norm_a = _norm_inf(main, ex, ey)
     pairs = []
     for j, (lam, coef) in enumerate(zip(roots, coefs)):
-        v = (_vx(coef, sector) @ qy.T).ravel()
-        v /= np.linalg.norm(v)
-        resid = float(np.linalg.norm(A @ v - lam * v))
+        u = _vx(coef, sector) @ qy.T
+        u /= np.linalg.norm(u)
+        resid = float(np.linalg.norm(_apply(main, ex, ey, u) - lam * u))
         if resid > _RESIDUAL_TOL * norm_a:
             raise NumericalError(f"eigenpair {j} residual {resid:.3e} exceeds 1e-8 ||A||")
+        v = u.ravel()
         pairs.append((float(lam), v if v[np.argmax(np.abs(v))] > 0.0 else -v))
     return pairs
 

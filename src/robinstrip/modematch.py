@@ -333,7 +333,10 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     |lambda(N) - lambda(N/2)|, pairing roots that are each other's
     nearest.  Scans, coefficients and sigma_min all use the y-even
     channels of their truncation; matching_residual computes a state's
-    residual on request.  An empty list is a valid result.
+    residual on request.  An empty list is a valid result.  The
+    antisymmetric sector is not scanned when E_1(alpha1) + (pi/2a)^2, its
+    lowest level with the well cut off by Neumann conditions at |x| = a,
+    is at or above E_1(alpha0): it holds no state then.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses a solve whose scan_points *
@@ -348,6 +351,10 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     if scan_points * ((N + 1) // 2) ** 2 > _MAX_SOLVE_DOUBLES or N > _MAX_N:
         raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan matrix entries "
                             f"over 2^27 or mode table over N = {_MAX_N}")
+    # the second bracket's lower end is the sector's lowest Neumann-cut level
+    if parity is ParitySector.ANTISYMMETRIC and (
+            minimax_brackets(config, 2)[0] >= transversal_eigenvalues(config.outer, 1)[0]):
+        return []
     table = _mode_table(config.inner, config.outer, N)
     roots = _scan_roots(table, config.a, parity, scan_points)
     if not roots:

@@ -11,9 +11,10 @@ import robinstrip.fdoracle as fdoracle
 from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector,
                         WellConfig, bound_state_energies, oracle_bound_states,
                         transversal_eigenvalues)
-from robinstrip.fdoracle import (FdGrid, _capacitance, _folded_tx, _folded_ty, _inner_rows,
-                                 _separable_basis, _vx, assemble, lowest_eigenpairs,
-                                 make_grid, sector_floor, y_odd_floor)
+from robinstrip.fdoracle import (FdGrid, _apply, _capacitance, _folded_tx, _folded_ty,
+                                 _inner_rows, _norm_inf, _separable_basis, _stencil, _vx,
+                                 assemble, lowest_eigenpairs, make_grid, sector_floor,
+                                 y_odd_floor)
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 # alpha1 > alpha0, so min(alpha) lies outside; d = 1.25 puts a node on
@@ -160,6 +161,28 @@ class TestAssemblyPerSector:
         A = assemble(config, grid, sector).matrix.tocoo()
         ny_folded = mirror_basis(grid.ny, 1.0, centre=True).shape[1]
         assert (A.col - A.row).max() == ny_folded
+
+
+@pytest.mark.parametrize("sector", list(ParitySector))
+@SOLVER_CONFIGS
+@pytest.mark.parametrize("cells", [16, 17, 128])   # node on y = d/2 or none, a bench grid
+class TestStencil:
+    # the residual check applies the stencil; assemble is its CSR reference
+    def test_product_matches_the_matrix(self, sector, config, cells):
+        grid = make_grid(config, 2.0 * config.d, config.d / cells)
+        main, ex, ey = _stencil(config, grid, sector)
+        A = assemble(config, grid, sector).matrix
+        u = np.random.default_rng(cells).standard_normal(main.shape)
+        want = A @ u.ravel()
+        got = _apply(main, ex, ey, u).ravel()
+        norm = abs(A).sum(axis=1).max()
+        assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * norm * np.abs(u).max()
+
+    def test_norm_matches_the_row_sums(self, sector, config, cells):
+        grid = make_grid(config, 2.0 * config.d, config.d / cells)
+        want = abs(assemble(config, grid, sector).matrix).sum(axis=1).max()
+        assert _norm_inf(*_stencil(config, grid, sector)) == pytest.approx(
+            want, rel=4.0 * np.finfo(float).eps)
 
 
 def lowest_x_value(grid):
@@ -324,6 +347,11 @@ class TestEigensolver:
         a = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM)]
         b = [v for v, _ in lowest_eigenpairs(WELL, grid, SYM)]
         assert a == b
+
+    def test_residual_guard_fires(self, monkeypatch):
+        monkeypatch.setattr(fdoracle, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="residual"):
+            lowest_eigenpairs(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
 
 
 class TestYOddFloor:
@@ -501,6 +529,14 @@ class TestOracle:
         monkeypatch.setattr(fdoracle, "lowest_eigenpairs", coarse_top_below_ground_state)
         with pytest.raises(NumericalError, match="no coarse partner"):
             oracle_bound_states(WELL, L=8.0, refinements=2)
+
+    def test_assembles_no_matrix(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("matrix assembled")
+
+        monkeypatch.setattr(fdoracle, "assemble", fail)
+        states = oracle_bound_states(WELL, L=4.0, refinements=2, h0=1.0 / 32)
+        assert [len(states[sector]) for sector in ParitySector] == [1, 0]
 
     def test_validation(self):
         with pytest.raises(ContractError):

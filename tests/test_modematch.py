@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from conftest import neumann_state_cap, reference_overlaps
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
@@ -689,6 +689,25 @@ class TestBrackets:
         while minimax_brackets(cfg, count + 1)[0] < E1_out:
             count += 1
         assert neumann_state_cap(cfg) == count
+
+    @given(log_alpha0=st.floats(-7.0, 15.0), log_alpha1=st.floats(-7.0, 15.0),
+           a=st.floats(0.05, 3.0), N=st.sampled_from([8, 32]))
+    @settings(max_examples=60, deadline=None)
+    def test_neumann_skip_loses_no_state(self, log_alpha0, log_alpha1, a, N):
+        # wherever the second bracket is empty, the scan the antisymmetric
+        # sector skips finds no root either
+        cfg = WellConfig(10.0**log_alpha0, 10.0**log_alpha1, a, 1.0)
+        assume(minimax_brackets(cfg, 2)[0] >= transversal_eigenvalues(cfg.outer, 1)[0])
+        assert _scan_roots(_mode_table(cfg.inner, cfg.outer, N), a, ANTI, 400) == []
+
+    def test_neumann_skip_builds_no_table(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("mode table built")
+
+        monkeypatch.setattr(modematch, "_mode_table", fail)
+        assert bound_state_energies(WELL, ANTI, 32) == []
+        with pytest.raises(AssertionError, match="mode table built"):
+            bound_state_energies(WELL, SYM, 32)
 
 
 class TestWavefunction:
