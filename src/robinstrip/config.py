@@ -159,7 +159,8 @@ def load_config(path: str) -> RunConfig:
 
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's C parser where PyYAML has it; both loaders build the same tree
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

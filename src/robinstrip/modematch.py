@@ -47,14 +47,18 @@ batched SVD accepts the refined energies where sigma_min < 1e-8
 sigma_max.  A sign change finds a root however narrow its singular-value
 dip is, which a scan of sigma_min on the grid does not.  A state's
 a_coeffs and b_coeffs, of length (N + 1) // 2, hold the amplitudes of
-channels 1, 3, 5, ...
+channels 1, 3, 5, ...  The truncation-error companion, the same scan on the
+first (N // 2 + 1) // 2 channels, is scanned on first read of a state's
+lam_coarse, once per solve; a solve whose estimate nobody reads runs one
+scan.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -117,6 +121,10 @@ class WellConfig:
         return RobinCrossSection(self.alpha0, self.d)
 
 
+def _no_companion() -> None:
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class BoundState:
     """An accepted bound state with its coefficient vectors.
@@ -127,7 +135,8 @@ class BoundState:
     Entry j of either is the amplitude of the y-even channel n = 2j + 1,
     so both have length (N + 1) // 2.  lam_coarse is lambda(N/2) when the
     state is identifiable at half truncation (the two roots are each
-    other's nearest), else None.
+    other's nearest), else None; the N/2 truncation is scanned on first
+    read, once for all states of the solve, by the _companion callable.
     """
 
     lam: float
@@ -136,7 +145,16 @@ class BoundState:
     b_coeffs: np.ndarray
     sigma_min: float
     N: int
-    lam_coarse: float | None = None
+    _companion: Callable[[], float | None] = field(default=_no_companion, repr=False)
+
+    @cached_property
+    def lam_coarse(self) -> float | None:
+        """lambda(N/2) paired with this state, or None."""
+        return self._companion()
+
+    def __getstate__(self):
+        # a pickle carries the companion's value, not the closure that scans it
+        return {**self.__dict__, "lam_coarse": self.lam_coarse, "_companion": _no_companion}
 
     @property
     def trunc_err(self) -> float | None:
@@ -329,11 +347,13 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     Roots are sign changes of det of the regularized matrix between
     scan_points trial energies, refined to 8 ulp of lambda by Illinois
     steps and accepted iff sigma_min < 1e-8 sigma_max there.  A second
-    scan at truncation N/2 supplies each state's truncation-error estimate
-    |lambda(N) - lambda(N/2)|, pairing roots that are each other's
-    nearest.  Scans, coefficients and sigma_min all use the y-even
-    channels of their truncation; matching_residual computes a state's
-    residual on request.  An empty list is a valid result.  The
+    scan at truncation N/2, scanned on first read of any state's
+    lam_coarse and shared by the states of the call, supplies each
+    state's truncation-error estimate |lambda(N) - lambda(N/2)|, pairing
+    roots that are each other's nearest.  Scans, coefficients and
+    sigma_min all use the y-even channels of their truncation;
+    matching_residual computes a state's residual on request.  An empty
+    list is a valid result.  The
     antisymmetric sector is not scanned when E_1(alpha1) + (pi/2a)^2, its
     lowest level with the well cut off by Neumann conditions at |x| = a,
     is at or above E_1(alpha0): it holds no state then.
@@ -359,13 +379,16 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     roots = _scan_roots(table, config.a, parity, scan_points)
     if not roots:
         return []
-    coarse: list[float] = []
-    if N >= 4:
-        coarse = _scan_roots(table.prefix((N // 2 + 1) // 2), config.a, parity, scan_points)
-    companions = _pair_nearest(roots, coarse)
+
+    @cache
+    def companions() -> list[float | None]:
+        coarse: list[float] = []
+        if N >= 4:
+            coarse = _scan_roots(table.prefix((N // 2 + 1) // 2), config.a, parity, scan_points)
+        return _pair_nearest(roots, coarse)
 
     states = []
-    for lam, lam_coarse in zip(roots, companions):
+    for i, lam in enumerate(roots):
         Creg, colfac = (x[0] for x in _scan_matrices(table, config.a, parity, np.array([lam])))
         vt = np.linalg.svd(Creg)[2]
         a = vt[-1] * colfac
@@ -379,7 +402,7 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
         smin = float(np.linalg.svd(Creg / colfac, compute_uv=False)[-1])
         states.append(BoundState(
             lam=lam, parity=parity, a_coeffs=a, b_coeffs=table.overlaps @ a,
-            sigma_min=smin, N=N, lam_coarse=lam_coarse,
+            sigma_min=smin, N=N, _companion=lambda i=i: companions()[i],
         ))
     return states
 

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import eigsh
 
 from robinstrip import (BumpProfile, ContractError, WellConfig, transversal_eigenvalues,
                         transversal_levels)
-from robinstrip import transverse
+from robinstrip import modematch, transverse
 from robinstrip.fdoracle import assemble
 from robinstrip.quadrature import composite_gl
 from robinstrip.variational import trial_scale
@@ -116,6 +116,19 @@ def bisections(monkeypatch):
     transverse._tables.cache_clear()
     monkeypatch.setattr(transverse, "_bisect_levels", counting)
     return calls
+
+
+@pytest.fixture
+def scanned_channels(monkeypatch):
+    """The channel count of every table modematch._scan_roots scans."""
+    sizes, scan = [], modematch._scan_roots
+
+    def recording(table, *args):
+        sizes.append(table.overlaps.shape[0])
+        return scan(table, *args)
+
+    monkeypatch.setattr(modematch, "_scan_roots", recording)
+    return sizes
 
 
 def neumann_state_cap(config: WellConfig) -> int:

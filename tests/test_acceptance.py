@@ -170,9 +170,9 @@ def test_4_truncation_convergence(capsys):
     ground24 = bound_state_energies(WELL, ParitySector.SYMMETRIC, N=24)[0]
     ground48 = bound_state_energies(WELL, ParitySector.SYMMETRIC, N=48)[0]
     plain = abs(ground48.lam - ground24.lam)
-    # The truncation study runs on N in {12, 24, 48}: each solve carries its
-    # half-resolution companion, so lambda(N) here is the
-    # eliminated-leading-order estimate from the (N/2, N) pair.
+    # The truncation study runs on N in {12, 24, 48}: richardson() scans each
+    # solve's half-resolution companion on first read, so lambda(N) here is
+    # the eliminated-leading-order estimate from the (N/2, N) pair.
     extrap = abs(ground48.richardson() - ground24.richardson())
     tol = 1e-6 * (np.pi / WELL.d) ** 2
     dt = time.perf_counter() - t0

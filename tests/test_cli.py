@@ -1,7 +1,7 @@
 """CLI: config loading, subcommands, export schemas, exit codes."""
 
 import argparse
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import robinstrip
 from robinstrip import load_config, modematch, read_wavefunction
@@ -47,6 +48,82 @@ well:
 matching:
   N: 16
 """
+# Every config text the tests here load, less their output sections, which
+# name a temporary directory; TestConfigLoading.test_libyaml_parses_like_safe_loader
+# loads each through libyaml and through PyYAML's pure-Python SafeLoader.
+ROUND_TRIP_YAML = (
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
+    "matching: {N: 24, scan_points: 300}\n"
+    "sweep: {parameter: alpha_pair, values: [[50, 3], [70, 2]]}\n"
+    "oracle: {L: 6.0, refinements: 2}\n"
+    "output: {dir: results, formats: [csv, svg]}\n"
+)
+BAD_YAML = [
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nextra: {}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1, radius: 2}\n",
+    "matching: {N: 16}\n",                                    # no well
+    "well: {alpha0: -1, alpha1: 5, a: 0.3, d: 1}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1}\n",
+    # roots are refined to 8 ulp of lambda; there is no tolerance to set
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16, tol: 1.0e-12}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nsweep: {parameter: b}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noutput: {formats: [png]}\n",
+    # the oracle's closure is Dirichlet; nothing selects another
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {closure: neumann}\n",
+    "[1, 2, 3]\n",
+    # not YAML: an unclosed flow mapping, a tab in the indentation
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1\n",
+    "well:\n\talpha0: 20\n",
+]
+EXPONENT_YAML = "well: {alpha0: 1e5, alpha1: 1e-5, a: 0.3, d: 1}\n"
+NON_NUMERIC_YAML = [
+    "well: {alpha0: twenty, alpha1: 5, a: 0.3, d: 1}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16.5}\n",
+    "well: {alpha0: true, alpha1: 5, a: 0.3, d: 1}\n",
+    # integer fields with non-finite values
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e400}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .inf}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .nan}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {scan_points: -.inf}\n",
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {refinements: .nan}\n",
+]
+SWEEP_A_YAML = (
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
+    "matching: {N: 12}\n"
+    "sweep: {parameter: a, values: [1.2, 0.4, 0.8]}\n"   # unsorted on purpose
+)
+SVG_AXES = [("a", "[0.4, 0.8]", "a/d"), ("alpha_pair", "[[20, 5], [30, 5]]", "α0")]
+EMPTY_SWEEP_YAML = (
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
+    "sweep: {parameter: a, values: []}\n"
+)
+HUGE_N_YAML = "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e300}\n"
+
+
+def svg_axis_yaml(parameter, values):
+    return ("well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
+            "matching: {N: 8}\n"
+            f"sweep: {{parameter: {parameter}, values: {values}}}\n")
+
+
+CONFIG_TEXTS = [BASE_YAML, ROUND_TRIP_YAML, *BAD_YAML, EXPONENT_YAML, *NON_NUMERIC_YAML,
+                SWEEP_A_YAML, *(svg_axis_yaml(p, v) for p, v, _ in SVG_AXES),
+                EMPTY_SWEEP_YAML, HUGE_N_YAML]
+
+
+def _load_both(path, monkeypatch):
+    """load_config's RunConfig, or ConfigError, through the loader it picks
+    and through PyYAML's pure-Python SafeLoader."""
+    def load():
+        try:
+            return load_config(str(path))
+        except ConfigError:
+            return ConfigError
+
+    fast = load()
+    with monkeypatch.context() as m:
+        m.delattr(yaml, "CSafeLoader", raising=False)
+        return fast, load()
 
 
 @pytest.fixture
@@ -59,13 +136,7 @@ def base_cfg(tmp_path):
 class TestConfigLoading:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.yaml"
-        path.write_text(
-            "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
-            "matching: {N: 24, scan_points: 300}\n"
-            "sweep: {parameter: alpha_pair, values: [[50, 3], [70, 2]]}\n"
-            "oracle: {L: 6.0, refinements: 2}\n"
-            "output: {dir: results, formats: [csv, svg]}\n"
-        )
+        path.write_text(ROUND_TRIP_YAML)
         cfg = load_config(str(path))
         assert cfg.well.alpha0 == 20.0
         assert cfg.matching.N == 24
@@ -73,20 +144,7 @@ class TestConfigLoading:
         assert cfg.oracle.refinements == 2
         assert cfg.output.formats == ("csv", "svg")
 
-    @pytest.mark.parametrize("text", [
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nextra: {}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1, radius: 2}\n",
-        "matching: {N: 16}\n",                                    # no well
-        "well: {alpha0: -1, alpha1: 5, a: 0.3, d: 1}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1}\n",
-        # roots are refined to 8 ulp of lambda; there is no tolerance to set
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16, tol: 1.0e-12}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nsweep: {parameter: b}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noutput: {formats: [png]}\n",
-        # the oracle's closure is Dirichlet; nothing selects another
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {closure: neumann}\n",
-        "[1, 2, 3]\n",
-    ])
+    @pytest.mark.parametrize("text", BAD_YAML)
     def test_rejects_bad_configs(self, tmp_path, text):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -100,27 +158,55 @@ class TestConfigLoading:
     def test_yaml11_exponent_literals(self, tmp_path):
         # YAML 1.1 parses 1e-5 as a string; numeric fields must accept it
         path = tmp_path / "c.yaml"
-        path.write_text("well: {alpha0: 1e5, alpha1: 1e-5, a: 0.3, d: 1}\n")
+        path.write_text(EXPONENT_YAML)
         cfg = load_config(str(path))
         assert cfg.well.alpha0 == 1e5
         assert cfg.well.alpha1 == 1e-5
 
-    @pytest.mark.parametrize("text", [
-        "well: {alpha0: twenty, alpha1: 5, a: 0.3, d: 1}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16.5}\n",
-        "well: {alpha0: true, alpha1: 5, a: 0.3, d: 1}\n",
-        # integer fields with non-finite values
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e400}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .inf}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .nan}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {scan_points: -.inf}\n",
-        "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {refinements: .nan}\n",
-    ])
+    @pytest.mark.parametrize("text", NON_NUMERIC_YAML)
     def test_rejects_non_numeric_fields(self, tmp_path, text):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("text", CONFIG_TEXTS)
+    def test_libyaml_parses_like_safe_loader(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "c.yaml"
+        for body in (text, text + f"output: {{dir: {tmp_path / 'out'}, formats: [csv, svg]}}\n"):
+            path.write_text(body)
+            fast, pure = _load_both(path, monkeypatch)
+            assert fast == pure
+
+    def test_figure_script_configs_parse_like_safe_loader(self, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+        figures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(figures)
+        path = str(tmp_path / "c.yaml")
+        out = str(tmp_path / "out")
+        for write in (lambda: figures.sweep_config(path, 1e5, 1e-5, out, 32),
+                      lambda: figures.sweep_config(path, 20.0, 5.0, out, 32),
+                      lambda: figures.pair_config(path, out, 32)):
+            write()
+            fast, pure = _load_both(path, monkeypatch)
+            assert isinstance(fast, robinstrip.RunConfig)
+            assert fast == pure
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_uses_libyaml(self, tmp_path, monkeypatch):
+        used = []
+
+        class Recording(yaml.CSafeLoader):
+            def __init__(self, stream):
+                used.append(True)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Recording)
+        path = tmp_path / "c.yaml"
+        path.write_text(EXPONENT_YAML)
+        assert load_config(str(path)).well.alpha1 == 1e-5
+        assert used == [True]
 
 
 class TestSpectrum:
@@ -170,12 +256,8 @@ class TestSpectrum:
 class TestSweep:
     def test_a_family_with_all_formats(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
-        cfg.write_text(
-            "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
-            "matching: {N: 12}\n"
-            "sweep: {parameter: a, values: [1.2, 0.4, 0.8]}\n"   # unsorted on purpose
-            f"output: {{dir: {tmp_path / 'out'}, formats: [csv, json, svg]}}\n"
-        )
+        cfg.write_text(SWEEP_A_YAML
+                       + f"output: {{dir: {tmp_path / 'out'}, formats: [csv, json, svg]}}\n")
         assert main(["sweep", "--config", str(cfg)]) == 0
         csv_lines = (tmp_path / "out" / "sweep_a.csv").read_text().strip().split("\n")
         assert csv_lines[0] == CSV_HEADER
@@ -197,19 +279,12 @@ class TestSweep:
         assert len(polylines) == sum(1 for c in counts.values() if c >= 2)
         assert len(circles) == sum(1 for c in counts.values() if c == 1)
 
-    @pytest.mark.parametrize("parameter, values, label", [
-        ("a", "[0.4, 0.8]", "a/d"),
-        ("alpha_pair", "[[20, 5], [30, 5]]", "α0"),
-    ])
+    @pytest.mark.parametrize("parameter, values, label", SVG_AXES)
     def test_svg_x_axis_names_the_sweep_parameter(self, tmp_path, capsys,
                                                   parameter, values, label):
         cfg = tmp_path / "run.yaml"
-        cfg.write_text(
-            "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
-            "matching: {N: 8}\n"
-            f"sweep: {{parameter: {parameter}, values: {values}}}\n"
-            f"output: {{dir: {tmp_path / 'out'}, formats: [svg]}}\n"
-        )
+        cfg.write_text(svg_axis_yaml(parameter, values)
+                       + f"output: {{dir: {tmp_path / 'out'}, formats: [svg]}}\n")
         assert main(["sweep", "--config", str(cfg)]) == 0
         svg = ET.parse(tmp_path / "out" / f"sweep_{parameter}.svg").getroot()
         texts = [e.text for e in svg.iter() if e.tag.endswith("text")]
@@ -218,11 +293,7 @@ class TestSweep:
 
     def test_empty_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
-        cfg.write_text(
-            "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
-            "sweep: {parameter: a, values: []}\n"
-            f"output: {{dir: {tmp_path / 'out'}}}\n"
-        )
+        cfg.write_text(EMPTY_SWEEP_YAML + f"output: {{dir: {tmp_path / 'out'}}}\n")
         assert main(["sweep", "--config", str(cfg)]) == 0
         lines = (tmp_path / "out" / "sweep_a.csv").read_text().strip().split("\n")
         assert lines == [CSV_HEADER]
@@ -258,6 +329,23 @@ class TestWavefunction:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestTruncationCompanion:
+    """BoundState.lam_coarse, the root of the N/2 truncation, is scanned on
+    first read; no command reads it, so their solves scan at N only."""
+
+    @pytest.mark.parametrize("alpha0, alpha1, a, d", [(20, 5, 0.3, 1), (8, 1, 1.5, 1)])
+    def test_commands_never_scan_half_truncation(self, tmp_path, capsys, scanned_channels,
+                                                  alpha0, alpha1, a, d):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"well: {{alpha0: {alpha0}, alpha1: {alpha1}, a: {a}, d: {d}}}\n"
+                       "sweep: {parameter: a, values: [0.4, 1.5]}\n"
+                       f"output: {{dir: {tmp_path}}}\n")
+        for argv in (["spectrum"], ["sweep"], ["wavefunction", "--nx", "9", "--ny", "5"],
+                     ["oracle", "--L", str(4 * max(a, d)), "--refinements", "2"]):
+            assert main([*argv, "--config", str(cfg)]) == 0
+        assert scanned_channels and set(scanned_channels) == {(32 + 1) // 2}
+
+
 class TestOracleCommand:
     def test_comparison_table(self, tmp_path, capsys):
         code = main(["oracle", "--alpha0", "20", "--alpha1", "5", "--a", "0.3",
@@ -287,7 +375,7 @@ class TestOversizedInputs:
     # allocating, as configuration errors
     def test_huge_N_in_config(self, tmp_path, capsys):
         path = tmp_path / "big.yaml"
-        path.write_text("well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e300}\n")
+        path.write_text(HUGE_N_YAML)
         assert main(["spectrum", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 

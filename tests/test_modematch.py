@@ -2,6 +2,7 @@
 axial stiffness, the matching matrix C, root scan, bound states,
 wavefunctions, residuals."""
 
+import pickle
 import tracemalloc
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
                         bound_state_energies, matching_residual, minimax_brackets,
                         overlap_matrix, transversal_eigenvalues, wavefunction)
-from robinstrip import modematch
+from robinstrip import modematch, transverse
 from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
                                   _scan_roots, _scan_slogdet, _value_deriv, _window)
 from robinstrip.transverse import transversal_levels
@@ -655,6 +656,47 @@ class TestCompanionPairing:
         assert _pair_nearest([5.0, 5.01], [5.004]) == [5.004, None]
         # 5.15's nearest fine root is 5.2, so 5.0 has no companion
         assert _pair_nearest([5.0, 5.2], [5.15]) == [None, 5.15]
+
+
+class TestLazyCompanion:
+    """lam_coarse is scanned on first read, once for all states of a solve."""
+
+    CFG = WellConfig(8.0, 1.0, 1.5, 1.0)   # two symmetric states
+
+    @staticmethod
+    def _estimates(states):
+        return [(s.lam_coarse, s.trunc_err, s.richardson()) for s in states]
+
+    def test_one_prefix_scan_per_solve(self, scanned_channels):
+        states = bound_state_energies(self.CFG, SYM, 32)
+        assert len(states) >= 2 and scanned_channels == [16]
+        first = self._estimates(states)
+        assert self._estimates(states) == first
+        assert scanned_channels == [16, 8]
+        assert None not in (c for c, _, _ in first)
+
+    def test_estimates_survive_cleared_caches(self):
+        want = self._estimates(bound_state_energies(self.CFG, SYM, 32))
+        states = bound_state_energies(self.CFG, SYM, 32)
+        _mode_table.cache_clear()
+        transverse._tables.cache_clear()
+        assert self._estimates(states) == want
+
+    def test_pickle_carries_the_estimate(self):
+        states = bound_state_energies(self.CFG, SYM, 32)
+        copies = pickle.loads(pickle.dumps(states))
+        assert [(s.lam, s.sigma_min, s.a_coeffs.tolist()) for s in copies] == \
+            [(s.lam, s.sigma_min, s.a_coeffs.tolist()) for s in states]
+        assert self._estimates(copies) == self._estimates(states)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_no_companion_below_N_4(self, scanned_channels, N):
+        states = bound_state_energies(self.CFG, SYM, N)
+        # the one channel at N = 2 gives a 1 x 1 scan matrix, which the
+        # relative sigma_min test never accepts
+        assert states or N == 2
+        assert self._estimates(states) == [(None, None, None)] * len(states)
+        assert set(scanned_channels) == {(N + 1) // 2}
 
 
 class TestBrackets:
