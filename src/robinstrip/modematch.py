@@ -42,15 +42,14 @@ amplitude: on y-odd functions the operator is bounded below by
 E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
 block is taken on a grid over the window by batched LUs of at most 2^22
 doubles each; grid intervals where it changes sign are narrowed together
-by Illinois steps to 8 ulp of lambda, one batched LU per step, and one
-batched SVD accepts the refined energies where sigma_min < 1e-8
-sigma_max.  A sign change finds a root however narrow its singular-value
-dip is, which a scan of sigma_min on the grid does not.  A state's
-a_coeffs and b_coeffs, of length (N + 1) // 2, hold the amplitudes of
-channels 1, 3, 5, ...  The truncation-error companion, the same scan on the
-first (N // 2 + 1) // 2 channels, is scanned on first read of a state's
-lam_coarse, once per solve; a solve whose estimate nobody reads runs one
-scan.
+by Illinois steps to 8 ulp of lambda, one batched LU per step, and each
+is a root, since C_hat is continuous.  A sign change finds a root however
+narrow its singular-value dip is, which a scan of sigma_min on the grid
+does not.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2, hold
+the amplitudes of channels 1, 3, 5, ...  The truncation-error companion,
+the same scan on the first (N // 2 + 1) // 2 channels, is scanned on first
+read of a state's lam_coarse, once per solve; a solve whose estimate nobody
+reads runs one scan.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ from .quadrature import composite_gl
 from .transverse import (RobinCrossSection, _Levels, overlap_matrix, transversal_eigenvalues,
                          transversal_levels)
 
-# Acceptance threshold for a refined root: sigma_min < _ROOT_ACCEPT * sigma_max.
-_ROOT_ACCEPT = 1e-8
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
 # Size guard, 2^27 (1 GiB of doubles), on the scan's scan_points * ((N+1)//2)^2
@@ -293,17 +290,17 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
 
 def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
                 scan_points: int) -> list[float]:
-    """Accepted roots of the regularized matrix of table in the window, sorted.
+    """Roots of the regularized matrix of table in the window, sorted.
 
     The sign and log of |det| are taken at scan_points energies; every grid
     interval where the sign changes is narrowed by lockstep Illinois steps,
     one batched LU each: regula falsi on |det|, at least one ulp off the
     ends, an end kept twice in a row with its |det| halved, and a bisection
     for a bracket that three steps have not halved.  At 8 ulp of lambda,
-    which scales with the well as (alpha/s, s a, s d) does, its regula falsi
-    point is kept iff sigma_min < 1e-8 sigma_max there; an exact zero of
-    det is kept as it stands.  Near threshold det varies with
-    sqrt(E_1(alpha0) - lambda) and the accepted set can be one ulp wide.
+    which scales with the well as (alpha/s, s a, s d) does, its last regula
+    falsi point is the root, however few ulp below threshold, and an exact
+    zero of det on the grid is one as it stands: C_hat is continuous in the
+    window, so a sign change needs no sigma_min test.
     """
     win = _window(table)
     if win is None:
@@ -333,11 +330,7 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
         x[:, act[st == 0.0]] = t[st == 0.0]
         kept[act] = keep
         widths[:, act] = np.vstack([w, widths[:2, act]])
-    lam = np.sort(np.concatenate([grid[sg == 0.0], t]))
-    if not lam.size:
-        return []
-    s = np.linalg.svd(_scan_matrices(table, a, parity, lam)[0], compute_uv=False)
-    return lam[s[:, -1] < _ROOT_ACCEPT * s[:, 0]].tolist()
+    return np.sort(np.concatenate([grid[sg == 0.0], t])).tolist()
 
 
 def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
@@ -346,9 +339,9 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
 
     Roots are sign changes of det of the regularized matrix between
     scan_points trial energies, refined to 8 ulp of lambda by Illinois
-    steps and accepted iff sigma_min < 1e-8 sigma_max there.  A second
-    scan at truncation N/2, scanned on first read of any state's
-    lam_coarse and shared by the states of the call, supplies each
+    steps; every one is a state.  A second scan at truncation N/2,
+    scanned on first read of any state's lam_coarse and shared by the
+    states of the call, supplies each
     state's truncation-error estimate |lambda(N) - lambda(N/2)|, pairing
     roots that are each other's nearest.  Scans, coefficients and
     sigma_min all use the y-even channels of their truncation;
