@@ -24,7 +24,8 @@ class NumericalError(RobinStripError, RuntimeError):
 
 
 class BracketError(NumericalError):
-    """A root bracket did not contain the expected sign change."""
+    """A root bracket did not contain the expected sign change.  Kept for
+    callers that catch it; nothing in the package raises it any more."""
 
 
 class ConvergenceError(NumericalError):

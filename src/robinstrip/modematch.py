@@ -71,8 +71,8 @@ _RESIDUAL_PANELS = 8
 # Size guard, 2^27 (1 GiB of doubles), on the scan's scan_points * ((N+1)//2)^2
 # matrix entries.
 _MAX_SOLVE_DOUBLES = 2**27
-# Largest truncation order: the largest level table transverse._MIN_ALPHA_D
-# is derived for.
+# Largest truncation order: the largest level table whose top levels
+# transverse._MIN_ALPHA_D keeps above their Neumann ends.
 _MAX_N = 3344
 # Scan matrices per batched LU: 2^22 doubles (32 MiB), the whole grid at N = 32.
 _SCAN_CHUNK_DOUBLES = 2**22

@@ -17,13 +17,16 @@ The dispersion function factorizes over half-interval problems,
 
 so its roots split into an even family (k tan(kd/2) = alpha) and an odd
 family (tan(kd/2) = -k/alpha); the test suite uses independent bisection on
-the factors as an oracle.  E_n lies strictly between the Neumann and
-Dirichlet values ((n-1) pi/d)^2 and (n pi/d)^2, which makes bisection in
-k = sqrt(E) unconditionally convergent.  Near alpha*d = 1e16, E_n is an ulp
-from its Dirichlet end, so alpha*d is limited to 1e15; below about 2e-8 the
-rounding of sin at the bracket ends can hide the sign change, so alpha*d
-is at least 1e-7.  chi_n is normalized by a closed form of its squared
-norm, which the tests check by quadrature.
+the factors as an oracle.  With theta = kd/2 and c = alpha d/2, level n of
+either family solves
+
+    F(theta) = theta - (n-1) pi/2 - arctan(c/theta) = 0,
+
+whose root lies strictly between (n-1) pi/2 and n pi/2 and depends on c
+alone.  F is increasing and concave for theta > 0, so Newton from any start
+left of the root rises to it with no bracket; the tests hold k_n = 2 theta/d
+to 4 ulp of a 40-digit root.  chi_n is normalized by a closed form of its
+squared norm, which the tests check by quadrature.
 """
 
 from __future__ import annotations
@@ -33,18 +36,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, ConvergenceError, NumericalError
 
-# Relative bisection tolerance on k = sqrt(E).
-_K_REL_TOL = 1e-13
-# Largest alpha*d: E_n is 2/(alpha d) relative below (n pi/d)^2, an ulp near
-# alpha*d = 1e16, where its bracket loses the sign change.
+# Newton steps a level may take before the solve is a ConvergenceError.
+_NEWTON_STEPS = 16
+# Largest alpha*d: k_n lies 2/(alpha d) relative below its Dirichlet end
+# n pi/d, under an ulp from about alpha*d = 1e16, where every level is the
+# hard-wall one in binary64 and larger couplings cannot be told apart.
 _MAX_ALPHA_D = 1e15
-# Smallest alpha*d: at the bracket ends k d = m pi the dispersion is
-# +-2 alpha k, against a rounding term k^2 sin(fl(k d)) of up to
-# (m pi)^2 1.7 eps k/d; at m = 3344 (the largest table a solve builds) the
-# sign is safe only above alpha*d = 2.1e-8, and far below it the first
-# bracket silently yields the next level.
+# Smallest alpha*d: k_n lies about alpha d/(2 ((n-1) pi/2)^2) relative above
+# its Neumann end (n-1) pi/d, at n = 3344 (the largest table a solve builds)
+# 1.8e-8 alpha d: under an ulp below about alpha*d = 1e-8, where the top
+# levels lose the coupling; at 1e-7 they keep it to 8-16 ulp.
 _MIN_ALPHA_D = 1e-7
 # Squares of arrays use np.float_power, which calls libm pow exactly as a
 # scalar x ** 2 does; array x ** 2 computes x * x, which differs in the last
@@ -87,44 +90,36 @@ def dispersion(E, cs: RobinCrossSection):
     return f if f.ndim else float(f)
 
 
-def _bisect_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
-    """k_1 < ... < k_{n_max}: one bisection over all brackets
-    ((n-1) pi/d, n pi/d) at once.
+def _newton_step(theta, a, c):
+    """theta - F/F' for F(theta) = theta - a - arctan(c/theta), where
+    F' = 1 + c/(theta^2 + c^2)."""
+    return theta - (theta - a - np.arctan(c / theta)) / (1.0 + c / (theta * theta + c * c))
 
-    Every level follows the steps of a bisection on its own bracket: it
-    stops at an exact zero of the dispersion or once hi - lo <= 1e-13 hi,
-    and each step moves only the live levels, so the bits of a level do
-    not depend on n_max.  Signs are compared, not multiplied, so no
-    product of two values of f can overflow or underflow.
+
+def _newton_levels(cs: RobinCrossSection, n_max: int) -> np.ndarray:
+    """k_1 < ... < k_{n_max}: Newton on the arctan form, all levels at once.
+
+    Level n starts at (n-1) pi/2 + arctan(c/u), left of its root for any
+    upper bound u of it, and stops at the first step that does not raise
+    its theta.  Only live levels step, so a level's bits do not depend on n_max.
     """
+    c = 0.5 * cs.alpha * cs.d
     n = np.arange(1, n_max + 1)
-    lo = (n - 1) * np.pi / cs.d
-    lo[0] = 1e-12 / cs.d
-    hi = n * np.pi / cs.d
-    flo = dispersion(lo * lo, cs)
-    fhi = dispersion(hi * hi, cs)
-    k = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
-    live = np.isnan(k)
-    bad = np.flatnonzero(live & (np.sign(flo) == np.sign(fhi)))
-    if bad.size:
-        j = bad[0]
-        raise BracketError(
-            f"no sign change of the dispersion on k in ({lo[j]:g}, {hi[j]:g}) "
-            f"for level n={j + 1}, alpha={cs.alpha:g}, d={cs.d:g}"
-        )
-    live &= hi - lo > _K_REL_TOL * hi
-    negative = np.signbit(flo)
-    while live.any():
-        mid = 0.5 * (lo + hi)
-        fm = dispersion(mid * mid, cs)
-        # an exact zero stops its level below, whichever end it moved
-        up = live & (np.signbit(fm) == negative)
-        lo = np.where(up, mid, lo)
-        hi = np.where(live ^ up, mid, hi)
-        root = live & (fm == 0.0)
-        k = np.where(root, mid, k)
-        live &= ~root & (hi - lo > _K_REL_TOL * hi)
-    return np.where(np.isnan(k), 0.5 * (lo + hi), k)
+    a = (n - 1) * (0.5 * np.pi)
+    u = n * (0.5 * np.pi)
+    # theta tan(theta) >= theta^2 puts the first root below sqrt(c)
+    u[0] = min(np.sqrt(c), 0.5 * np.pi)
+    theta = a + np.arctan(c / u)
+    live = np.arange(n_max)
+    for _ in range(_NEWTON_STEPS):
+        new = _newton_step(theta[live], a[live], c)
+        up = new > theta[live]
+        live = live[up]
+        theta[live] = new[up]
+        if not live.size:
+            return 2.0 * theta / cs.d
+    raise ConvergenceError(f"alpha={cs.alpha:g}, d={cs.d:g}: {live.size} levels still rise "
+                           f"after {_NEWTON_STEPS} Newton steps")
 
 
 def _profile_norm_sq(alpha: float, d: float, k):
@@ -186,7 +181,7 @@ def transversal_levels(cs: RobinCrossSection, n_max: int) -> _Levels:
     norm_const arrays, with chi(y) and chi_deriv(y) evaluating every
     chi_n and chi_n' at once.  Cached and shared, so copy before editing:
     each (cs, n_max) gets one object, a prefix of the largest table built
-    for cs or else one bisected afresh, with the same bits.  Levels whose
+    for cs or else one solved afresh, with the same bits.  Levels whose
     arithmetic leaves binary64 (an overflow, underflow or NaN on the way,
     possible only at extreme d) are a NumericalError."""
     if n_max < 1:
@@ -197,7 +192,7 @@ def transversal_levels(cs: RobinCrossSection, n_max: int) -> _Levels:
         return tables.setdefault(n_max, tables[largest][:n_max])
     try:
         with np.errstate(all="raise"):
-            E = np.float_power(_bisect_levels(cs, n_max), 2.0)
+            E = np.float_power(_newton_levels(cs, n_max), 2.0)
             k = np.sqrt(E)
             norm_const = 1.0 / np.sqrt(_profile_norm_sq(cs.alpha, cs.d, k))
     except (FloatingPointError, OverflowError) as exc:

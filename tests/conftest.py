@@ -104,18 +104,29 @@ def lowest_fd_value(config, grid, sector) -> float:
 
 
 @pytest.fixture
-def bisections(monkeypatch):
-    """The (cross-section, n_max) of every _bisect_levels call, after
+def newton_levels(monkeypatch):
+    """The (cross-section, n_max) of every _newton_levels call, after
     emptying the level tables."""
-    calls, bisect = [], transverse._bisect_levels
+    calls, solve = [], transverse._newton_levels
 
     def counting(cs, n_max):
         calls.append((cs, n_max))
-        return bisect(cs, n_max)
+        return solve(cs, n_max)
 
     transverse._tables.cache_clear()
-    monkeypatch.setattr(transverse, "_bisect_levels", counting)
+    monkeypatch.setattr(transverse, "_newton_levels", counting)
     return calls
+
+
+def admitted_alpha(alpha_d, d):
+    """alpha_d / d for alpha_d in [1e-7, 1e15], moved inward an ulp at a
+    time while alpha * d rounds outside the admitted range."""
+    alpha = alpha_d / d
+    while alpha * d > transverse._MAX_ALPHA_D:
+        alpha = np.nextafter(alpha, 0.0)
+    while alpha * d < transverse._MIN_ALPHA_D:
+        alpha = np.nextafter(alpha, np.inf)
+    return float(alpha)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import neumann_state_cap, reference_overlaps
+from conftest import admitted_alpha, neumann_state_cap, reference_overlaps
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -341,18 +341,18 @@ class TestBoundStates:
         assert len(states) == 1
         assert states[0].lam == pytest.approx(52.92335, abs=1e-6)
 
-    def test_a_sweep_bisects_each_cross_section_once_per_N(self, bisections):
+    def test_a_sweep_solves_each_cross_section_once_per_N(self, newton_levels):
         # tables depend on (alpha, d) and N only; the N/2 companion and E_1
-        # read the first levels of the N table, and a larger N bisects a
+        # read the first levels of the N table, and a larger N solves a
         # whole new table
         _mode_table.cache_clear()
         for r in (0.3, 0.6, 0.9):
             for parity in ParitySector:
                 bound_state_energies(WellConfig(20.0, 5.0, r, 1.0), parity, 16)
-        assert sorted((cs.alpha, n) for cs, n in bisections) == [(5.0, 16), (20.0, 16)]
+        assert sorted((cs.alpha, n) for cs, n in newton_levels) == [(5.0, 16), (20.0, 16)]
         assert _mode_table.cache_info().misses == 1
         bound_state_energies(WellConfig(20.0, 5.0, 0.3, 1.0), SYM, 24)
-        assert sorted((cs.alpha, n) for cs, n in bisections[2:]) == [(5.0, 24), (20.0, 24)]
+        assert sorted((cs.alpha, n) for cs, n in newton_levels[2:]) == [(5.0, 24), (20.0, 24)]
 
     def test_narrow_second_state_of_wide_well(self):
         # the second symmetric state lies 3e-3 below threshold; its dip is
@@ -431,6 +431,7 @@ class TestBlockScan:
     @example(log_alpha0_d=np.log10(32.0), log_alpha1_d=np.log10(1.6), ratio=1.25,
              log_d=np.log10(0.8), N=16)
     @example(log_alpha0_d=12.0, log_alpha1_d=9.0, ratio=2.0, log_d=0.0, N=32)
+    @example(log_alpha0_d=15.0, log_alpha1_d=0.0, ratio=1.0, log_d=2.03125, N=2)
     @settings(max_examples=60, deadline=None)
     def test_sign_changes_count_accepted_roots(self, log_alpha0_d, log_alpha1_d, ratio,
                                                log_d, N):
@@ -439,7 +440,8 @@ class TestBlockScan:
         # the window, and both sectors together stay within the Neumann cap
         assume(log_alpha1_d < log_alpha0_d)
         d = 10.0**log_d
-        cfg = WellConfig(10.0**log_alpha0_d / d, 10.0**log_alpha1_d / d, ratio * d, d)
+        cfg = WellConfig(admitted_alpha(10.0**log_alpha0_d, d),
+                         admitted_alpha(10.0**log_alpha1_d, d), ratio * d, d)
         table = _mode_table(cfg.inner, cfg.outer, N)
         win = _window(table)
         total = 0

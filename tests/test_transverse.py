@@ -1,45 +1,24 @@
 """Transversal (cross-section) eigenproblem: dispersion relation,
-factorization, bracketing, normalization, overlaps."""
+factorization, the Newton level solve, normalization, overlaps."""
 
 import tracemalloc
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
-from conftest import even_factor, factor_roots, odd_factor, reference_overlaps
+from conftest import admitted_alpha, even_factor, factor_roots, odd_factor, reference_overlaps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robinstrip
 from robinstrip import transverse
-from robinstrip import (BracketError, ConfigError, ContractError, RobinCrossSection,
+from robinstrip import (ConfigError, ContractError, NumericalError, RobinCrossSection,
                         RobinStripError, overlap_matrix, transversal_eigenvalues,
                         transversal_levels)
 from robinstrip.modematch import _MAX_N as _MAX_SOLVE_N
 from robinstrip.quadrature import composite_gl, gauss_legendre
 from robinstrip.transverse import _MAX_ALPHA_D, _MIN_ALPHA_D, _profile_norm_sq, dispersion
-
-
-def _bisect_k(cs, lo, hi):
-    """Scalar reference: bisection of dispersion(k^2) on one bracket,
-    stopping at hi - lo <= 1e-13 hi or at an exact zero."""
-    flo = dispersion(lo * lo, cs)
-    fhi = dispersion(hi * hi, cs)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError("no sign change")
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        fm = dispersion(mid * mid, cs)
-        if fm == 0.0:
-            return mid
-        if fm * flo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def quadrature_norm_sq(cs, k):
@@ -57,13 +36,14 @@ def quadrature_norm_sq(cs, k):
     return I
 
 
-def scalar_levels(cs, n_max):
-    """E_n = k_n**2 level by level with the scalar reference bisection."""
-    return np.array([
-        _bisect_k(cs, (n - 1) * np.pi / cs.d if n > 1 else 1e-12 / cs.d,
-                  n * np.pi / cs.d) ** 2
-        for n in range(1, n_max + 1)
-    ])
+def mp_k(cs, n):
+    """k_n from a 40-digit root of the arctan form on its bracket
+    ((n-1) pi/2, n pi/2) in theta = k d/2; atan2 keeps theta = 0 finite."""
+    with mpmath.workdps(40):
+        c, a = mpmath.mpf(cs.alpha) * cs.d / 2, (n - 1) * mpmath.pi / 2
+        theta = mpmath.findroot(lambda t: t - a - mpmath.atan2(c, t), (a, a + mpmath.pi / 2),
+                                solver="anderson")
+        return 2 * theta / cs.d
 
 
 class TestDispersion:
@@ -144,13 +124,21 @@ class TestEigenvalues:
         assert E1 < np.pi**2
         assert np.pi**2 - E1 < 1e-7 * np.pi**2
 
-    @given(log_alpha_d=st.floats(-5.0, 9.0), d=st.floats(3e-3, 10.0),
-           n_max=st.integers(1, 24))
-    @settings(max_examples=80, deadline=None)
-    def test_bitwise_equal_to_scalar_bisection(self, log_alpha_d, d, n_max):
-        cs = RobinCrossSection(10.0**log_alpha_d / d, d)
-        E = transversal_eigenvalues(cs, n_max)
-        assert E.tolist() == scalar_levels(cs, n_max).tolist()
+    @given(log_alpha_d=st.floats(-7.0, 15.0), log_d=st.floats(-6.0, 6.0),
+           n=st.integers(3, _MAX_SOLVE_N - 1))
+    @example(log_alpha_d=-7.0, log_d=-6.0, n=3)
+    @example(log_alpha_d=-7.0, log_d=6.0, n=3)
+    @example(log_alpha_d=15.0, log_d=-6.0, n=3)
+    @example(log_alpha_d=15.0, log_d=6.0, n=3)
+    @example(log_alpha_d=0.0, log_d=0.0, n=17)
+    @settings(max_examples=40, deadline=None)
+    def test_levels_within_4_ulp_of_40_digit_roots(self, log_alpha_d, log_d, n):
+        d = 10.0**log_d
+        cs = RobinCrossSection(admitted_alpha(10.0**log_alpha_d, d), d)
+        k = transversal_levels(cs, _MAX_SOLVE_N).k
+        for m in (1, 2, n, _MAX_SOLVE_N):
+            ref = mp_k(cs, m)
+            assert abs(mpmath.mpf(float(k[m - 1])) - ref) <= 4 * np.spacing(float(ref))
 
     @given(alpha=st.floats(1e-4, 1e6), d=st.floats(0.01, 10.0),
            n=st.integers(1, 16))
@@ -171,7 +159,7 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("d", [1e-6, 1.0, 1e6])
     def test_levels_resolve_at_the_coupling_bound(self, d):
-        # every bracket keeps its sign change up to the largest N a solve admits
+        # every level stays strictly inside its bracket up to the largest N a solve admits
         n = np.arange(1, _MAX_SOLVE_N + 1)
         E = transversal_eigenvalues(RobinCrossSection(_MAX_ALPHA_D / d, d), _MAX_SOLVE_N)
         assert np.all((((n - 1) * np.pi / d) ** 2 < E) & (E < (n * np.pi / d) ** 2))
@@ -184,8 +172,7 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("d", [1e-6, 1.0, 1e6])
     def test_levels_resolve_at_the_weak_coupling_bound(self, d):
-        # at alpha*d = 1e-8, 82 of 305 log-uniform d in [1e-6, 1e6] lost a
-        # bracket's sign change at N = 3344 (d = 1e-6 among them)
+        # the top levels of N = 3344 sit 8-16 ulp above their Neumann ends here
         n = np.arange(1, _MAX_SOLVE_N + 1)
         E = transversal_eigenvalues(RobinCrossSection(_MIN_ALPHA_D / d, d), _MAX_SOLVE_N)
         assert np.all((((n - 1) * np.pi / d) ** 2 < E) & (E < (n * np.pi / d) ** 2))
@@ -201,8 +188,7 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("d", [1e-80, 1e80])
     def test_levels_scale_with_the_width(self, d):
-        # (alpha, d) -> (alpha / s, s d) maps E -> E / s^2; the bisection
-        # compares signs of f, whose products would leave binary64 here
+        # (alpha, d) -> (alpha / s, s d) maps E -> E / s^2, also 80 decades from d = 1
         E = transversal_eigenvalues(RobinCrossSection(20.0 / d, d), 16)
         ref = transversal_eigenvalues(RobinCrossSection(20.0, 1.0), 16)
         assert np.allclose(E * d * d, ref, rtol=1e-12, atol=0.0)
@@ -237,6 +223,73 @@ class TestEigenvalues:
             RobinCrossSection(np.inf, 1.0)
         with pytest.raises(ContractError):
             transversal_eigenvalues(RobinCrossSection(1.0, 1.0), 0)
+
+
+def newton_trace(cs, n_max):
+    """Solve cs afresh and return, level by level, the theta = k d/2 its
+    Newton steps end at and the number of steps it took (the last step,
+    which does not raise theta, counted)."""
+    thetas, steps, step = {}, Counter(), transverse._newton_step
+
+    def recording(theta, a, c):
+        # a = (n-1) pi/2 tells the live levels apart
+        thetas.update(zip(a.tolist(), theta.tolist()))
+        steps.update(a.tolist())
+        return step(theta, a, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transverse, "_newton_step", recording)
+        transverse._tables.cache_clear()
+        transversal_levels(cs, n_max)
+    keys = sorted(thetas)
+    assert len(keys) == n_max
+    return np.array([thetas[a] for a in keys]), np.array([steps[a] for a in keys])
+
+
+def unit_width_twin(alpha_d, d):
+    """A cross-section of width d and the one of width 1 with bitwise the
+    same c = 0.5 * alpha * d."""
+    cs = RobinCrossSection(admitted_alpha(alpha_d, d), d)
+    return cs, RobinCrossSection(2.0 * (0.5 * cs.alpha * d), 1.0)
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize("alpha_d", [_MIN_ALPHA_D, _MAX_ALPHA_D])
+    @pytest.mark.parametrize("d", [1e-6, 1e6])
+    def test_steps_at_the_coupling_corners(self, alpha_d, d):
+        _, steps = newton_trace(RobinCrossSection(admitted_alpha(alpha_d, d), d), _MAX_SOLVE_N)
+        assert steps.max() <= 8
+
+    @given(log_alpha_d=st.floats(-7.0, 15.0), log_d=st.floats(-6.0, 6.0),
+           n_max=st.integers(1, 256))
+    @settings(max_examples=60, deadline=None)
+    def test_steps_over_the_admitted_couplings(self, log_alpha_d, log_d, n_max):
+        d = 10.0**log_d
+        _, steps = newton_trace(RobinCrossSection(admitted_alpha(10.0**log_alpha_d, d), d), n_max)
+        assert steps.max() <= 8
+
+    @pytest.mark.parametrize("alpha_d", [_MIN_ALPHA_D, 0.6, 20.0, _MAX_ALPHA_D])
+    @pytest.mark.parametrize("d", [1e-6, 0.37, 3.0, 1e6])
+    def test_theta_depends_on_c_alone(self, alpha_d, d):
+        # the solve never sees d: equal 0.5 * alpha * d, bitwise equal theta
+        cs, twin = unit_width_twin(alpha_d, d)
+        assert newton_trace(cs, 64)[0].tobytes() == newton_trace(twin, 64)[0].tobytes()
+
+    @pytest.mark.parametrize("alpha_d", [_MIN_ALPHA_D, 0.6, 20.0, _MAX_ALPHA_D])
+    @pytest.mark.parametrize("d", [1e-6, 1e6])
+    def test_kd_agrees_to_2_ulp_across_widths(self, alpha_d, d):
+        # k d is 2 theta exactly at d = 1; elsewhere 2 theta / d and the
+        # product each round once
+        cs, twin = unit_width_twin(alpha_d, d)
+        ref = transversal_levels(twin, _MAX_SOLVE_N).k
+        kd = transversal_levels(cs, _MAX_SOLVE_N).k * d
+        assert np.all(np.abs(kd - ref) <= 2 * np.spacing(ref))
+
+    def test_step_that_keeps_rising_is_numerical_error(self, monkeypatch):
+        transverse._tables.cache_clear()
+        monkeypatch.setattr(transverse, "_newton_step", lambda theta, a, c: theta + 1.0)
+        with pytest.raises(NumericalError, match="Newton steps"):
+            transversal_levels(RobinCrossSection(20.0, 1.0), 8)
 
 
 class TestModes:
@@ -304,22 +357,22 @@ class TestModes:
         chi = self._table(7.0, 1.0, 4).chi(np.linspace(1e-6, 1.0 - 1e-6, 2001))
         assert [np.sum(np.diff(np.sign(row)) != 0) for row in chi] == [0, 1, 2, 3]
 
-    def test_table_is_shared_and_read_only(self, bisections):
+    def test_table_is_shared_and_read_only(self, newton_levels):
         cs = RobinCrossSection(3.0, 1.0)
         t = transversal_levels(cs, 4)
         assert transversal_levels(cs, 4) is t
-        # a smaller table is a prefix, a larger one is bisected whole
+        # a smaller table is a prefix, a larger one is solved whole
         assert transversal_levels(cs, 2).k.tobytes() == t.k[:2].tobytes()
         assert transversal_levels(cs, 6).norm_const[:4].tobytes() == t.norm_const.tobytes()
         assert transversal_levels(cs, 2) is transversal_levels(cs, 2)
         assert transversal_levels(cs, 3) is transversal_levels(cs, 3)
-        assert bisections == [(cs, 4), (cs, 6)]
+        assert newton_levels == [(cs, 4), (cs, 6)]
         assert t.energy.tolist() == transversal_eigenvalues(cs, 4).tolist()
         with pytest.raises(ValueError):
             t.energy[0] = 0.0
 
     @pytest.mark.parametrize("order", [(1, 32), (32, 1), (7, 16, 33)])
-    def test_levels_keep_their_bits_in_any_request_order(self, bisections, order):
+    def test_levels_keep_their_bits_in_any_request_order(self, newton_levels, order):
         # a prefix of a larger table has the bits of a table built at its size
         cs = RobinCrossSection(20.0, 1.0)
         grown = [transversal_levels(cs, n) for n in order]
