@@ -32,7 +32,11 @@ pure number at every scale.  A state's reported sigma_min is that of C
 with this row weight, recovered by dividing the columns of C_hat by
 V_n s_n: V_n is at least 1/2 or a positive expm1 ratio in the evanescent
 branch, and the cos or sin of a nonzero double in the oscillatory one, so
-never exactly zero.
+never exactly zero.  sigma_min is not a confidence measure: near threshold
+det C_hat varies as sqrt(E_1(alpha0) - lambda), so a provable weakly bound
+state reports one orders of magnitude larger than a well-bound state at the
+same 8-ulp refinement; (alpha0, alpha1, a, d) = (1e12, 1e9, 2, 1) gives
+5.9e-9 and (1e9, 1e8, 16, 6) 5.1e-10, against 1e-16 for (20, 5, 0.3, 1).
 
 Only the y-even channels, n = 1, 3, 5, ... <= N, are kept.  chi_n is
 even about y = d/2 for odd n and odd for even n, so the overlaps between
@@ -134,6 +138,8 @@ class BoundState:
     state is identifiable at half truncation (the two roots are each
     other's nearest), else None; the N/2 truncation is scanned on first
     read, once for all states of the solve, by the _companion callable.
+    sigma_min, that of the row-weighted C at lam, is not a confidence
+    measure: it is far larger near threshold (see the module docstring).
     """
 
     lam: float

@@ -15,8 +15,11 @@ collapses to the separable reduction
         + (chi_1(0)^2 + chi_1(d)^2) * int (alpha(x) - alpha0) phi_n(x)^2 dx,
 
 whose well term scales like -c/n against the kinetic +c'/n^2: the first n
-with Q < 0 certifies existence.  The tests check the reduction against a
-plain 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2.
+with Q < 0 certifies existence.  For the rectangular well, t = x/n turns
+the well integral into the bump's own mass on [-min(a/n, support),
+min(a/n, support)]: exact on the plateau, and one fixed Gauss-Legendre
+rule on the smoothstep transition.  The tests check the reduction against
+a plain 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .modematch import WellConfig
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_legendre
 from .transverse import transversal_levels
 
 _MAX_N = 2**20
-_Q_BLOCK = 64  # n per batched Simpson call in existence_test: memory stays bounded
+_Q_BLOCK = 64  # n per batched quadrature in existence_test: memory stays bounded
 
 
 def _g(t):
@@ -44,39 +47,41 @@ def _g(t):
 
 def _g_prime(t):
     t = np.asarray(t, dtype=float)
-    safe = np.where(t > 0.0, t, 1.0)
-    return np.where(t > 0.0, np.exp(-1.0 / safe) / safe**2, 0.0)
+    return _g(t) / np.where(t > 0.0, t, 1.0) ** 2
 
 
 def _smoothstep(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    a = _g(t)
-    b = _g(1.0 - t)
+    a, b = _g(t), _g(1.0 - t)
     return a / (a + b)
 
 
 def _smoothstep_deriv(t):
-    a = _g(t)
-    b = _g(1.0 - t)
-    da = _g_prime(t)
-    db = _g_prime(1.0 - t)
-    return (da * b + a * db) / (a + b) ** 2
+    a, b = _g(t), _g(1.0 - t)
+    return (_g_prime(t) * b + a * _g_prime(1.0 - t)) / (a + b) ** 2
+
+
+def _unit_integral(f, u0):
+    """int_{u0}^{1} f(u) du for each entry of u0, by one 64-point
+    Gauss-Legendre rule mapped onto [u0, 1]; f is C-infinity here, so the
+    rule reaches rounding, and u0 = 1 gives exactly 0.  Each row is summed
+    on its own, so a row has the bits of a one-row call."""
+    x, w = gauss_legendre(64)
+    half = 0.5 * (1.0 - np.asarray(u0, dtype=float))
+    return half * np.sum(f(1.0 - half[..., None] * (1.0 - x)) * w, axis=-1)
 
 
 @lru_cache(maxsize=16)
 def _bump_constants(plateau: float, support: float) -> tuple[float, float]:
-    """(raw L2 norm, ||phi'||^2 of the L2-normalized bump)."""
+    """(raw L2 norm, ||phi'||^2 of the L2-normalized bump).  With
+    u = (support - x)/w the transition is smoothstep on [0, 1], so
+    raw^2 = 2 (plateau + w T), T = int_0^1 smoothstep^2, summed before
+    doubling since 2 w T overflows near 1e308."""
     w = support - plateau
-
-    def raw_sq(x):
-        return _smoothstep((support - x) / w) ** 2
-
-    def raw_deriv_sq(x):
-        return (_smoothstep_deriv((support - x) / w) / w) ** 2
-
-    norm_sq = 2.0 * plateau + 2.0 * adaptive_simpson(raw_sq, plateau, support)
-    deriv_sq = 2.0 * adaptive_simpson(raw_deriv_sq, plateau, support)
-    return float(np.sqrt(norm_sq)), float(deriv_sq / norm_sq)
+    raw_sq = 2.0 * (plateau + w * float(_unit_integral(lambda u: _smoothstep(u) ** 2, 0.0)))
+    deriv = 2.0 * float(_unit_integral(lambda u: _smoothstep_deriv(u) ** 2, 0.0))
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.sqrt(raw_sq)), float(np.float64(deriv) / w / raw_sq)
 
 
 @dataclass(frozen=True)
@@ -92,13 +97,15 @@ class BumpProfile:
     support: float = 0.25
 
     def __post_init__(self):
-        ok = (np.isfinite(self.plateau) and np.isfinite(self.support)
-              and 0.0 < self.plateau < self.support)
-        if not ok:
-            raise ConfigError(
-                f"need 0 < plateau < support, got plateau={self.plateau!r} "
-                f"support={self.support!r}"
-            )
+        if not (np.isfinite(self.plateau) and np.isfinite(self.support)
+                and 0.0 < self.plateau < self.support):
+            raise ConfigError(f"need 0 < plateau < support, got plateau={self.plateau!r} "
+                              f"support={self.support!r}")
+        # raw^2 >= 2 plateau > 0; ||phi'||^2 underflows to 0 for a bump ~1e308 wide
+        raw, kinetic = _bump_constants(self.plateau, self.support)
+        if not (np.isfinite(raw) and np.isfinite(kinetic)):
+            raise ConfigError(f"the bump with plateau={self.plateau!r} support={self.support!r} "
+                              f"has L2 norm {raw!r} and ||phi'||^2 {kinetic!r}; both must be finite")
 
     @property
     def _norm(self) -> float:
@@ -156,20 +163,24 @@ def q_form(config: WellConfig, bump: BumpProfile, n: int) -> float:
     """Q[psi_n] by the separable reduction.
 
     For the rectangular well the coupling integral collapses to
-    (alpha1 - alpha0) int_{-a}^{a} phi_n^2, evaluated by adaptive Simpson
-    from 64 base points (the integration range is clipped to the trial
-    support)."""
+    (alpha1 - alpha0) int_{-a}^{a} phi_n^2.  With t = x/n this is the
+    normalized bump's mass on [-s, s], s = min(a/n, support): the plateau
+    part in closed form, the transition part by one 64-point
+    Gauss-Legendre rule, whose interval is empty once s <= plateau."""
     if n < 1:
         raise ContractError("n must be >= 1")
     return float(_q_values(config, bump, np.array([n]))[0])
 
 
 def _q_values(config: WellConfig, bump: BumpProfile, n: np.ndarray) -> np.ndarray:
-    """q_form at each entry of n, one adaptive Simpson row per n."""
+    """q_form at each entry of n, one quadrature row per n."""
     ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
     wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
-    hi = np.minimum(config.a, bump.support * n)
-    well = adaptive_simpson(lambda x, n: trial_scale(bump, n, x) ** 2, -hi, hi, n)
+    w = bump.support - bump.plateau
+    s = np.minimum(config.a / n, bump.support)
+    u0 = np.clip((bump.support - s) / w, 0.0, 1.0)
+    tail = w * _unit_integral(lambda u: _smoothstep(u) ** 2, u0)
+    well = 2.0 * (np.minimum(s, bump.plateau) + tail) / bump._norm**2
     return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
 
 
@@ -179,8 +190,8 @@ def existence_test(config: WellConfig, bump: BumpProfile, n_max: int) -> QReport
     well_hypothesis records whether int(alpha - alpha0) = 2a(alpha1 -
     alpha0) < 0 actually holds; with it False the test makes no claim
     (and Q stays positive).  Q is evaluated for 64 n at a time, one
-    batched Simpson each.  n_max above 2^20 (about 15 s of Q evaluations)
-    is a ContractError, raised before anything is allocated."""
+    64 x 64 Gauss-Legendre array each.  n_max above 2^20 (about 6 s of Q
+    evaluations) is a ContractError, raised before anything is allocated."""
     if not 1 <= n_max <= _MAX_N:
         raise ContractError(f"n_max must be in [1, {_MAX_N}], got {n_max}")
     n_values = tuple(range(1, n_max + 1))

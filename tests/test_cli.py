@@ -477,6 +477,20 @@ class TestExistenceCommand:
         assert data["first_negative_n"] == 40
         assert len(data["q_values"]) == 48
 
+    def test_sharp_bump(self, tmp_path):
+        # a transition 1e-6 of the plateau wide: the well integral needs no refinement
+        code = main(["existence", "--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1",
+                     "--plateau", "0.1", "--support", "0.1000001", "--out-dir", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "existence.json").read_text())
+        assert len(data["q_values"]) == 64 and data["well_hypothesis"] is True
+
+    def test_subnormal_bump_is_a_configuration_error(self, tmp_path, capsys):
+        code = main(["existence", "--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1",
+                     "--plateau", "1e-320", "--support", "2e-320", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "plateau=1e-320 support=2e-320" in capsys.readouterr().err
+
     def test_inverted_well_reports_no_claim(self, tmp_path, capsys):
         code = main(["existence", "--alpha0", "5", "--alpha1", "20", "--a", "0.3",
                      "--d", "1", "--n-max", "4", "--out-dir", str(tmp_path)])

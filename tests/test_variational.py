@@ -1,16 +1,18 @@
 """Variational existence test: bump profile, trial scaling, Q form."""
 
+import re
+
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import q_form_direct
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robinstrip import (BumpProfile, ConfigError, ContractError, ConvergenceError,
-                        QReport, WellConfig, existence_test, q_form)
+from robinstrip import (BumpProfile, ConfigError, ContractError, QReport, WellConfig,
+                        existence_test, q_form)
 from robinstrip import variational
 from robinstrip.variational import trial_scale
-from robinstrip.quadrature import adaptive_simpson
 from robinstrip.transverse import transversal_levels
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
@@ -18,8 +20,8 @@ BUMP = BumpProfile()
 
 
 def _scalar_simpson(f, lo, hi):
-    """The one-integral-at-a-time Simpson doubling that the batched rule
-    replaced: 32 panels, doubled until two levels agree to 1e-8."""
+    """Composite Simpson from 32 panels, doubled until two levels agree
+    to 1e-8: a reference independent of the package's Gauss-Legendre rule."""
     def simpson(npanels):
         x = np.linspace(lo, hi, 2 * npanels + 1)
         y = np.asarray(f(x), dtype=float)
@@ -37,13 +39,25 @@ def _scalar_simpson(f, lo, hi):
     raise AssertionError("reference Simpson did not converge")
 
 
-def _scalar_q(config, bump, n):
-    """Q[psi_n] by the separable reduction, one scalar Simpson per n."""
-    ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
-    wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
-    hi = min(config.a, bump.support * n)
-    well = _scalar_simpson(lambda x: trial_scale(bump, n, x) ** 2, -hi, hi)
-    return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
+def _mp_smoothstep(u):
+    if u <= 0:
+        return mp.mpf(0)
+    if u >= 1:
+        return mp.mpf(1)
+    a, b = mp.exp(-1 / u), mp.exp(-1 / (1 - u))
+    return a / (a + b)
+
+
+def _mp_smoothstep_deriv(u):
+    if u <= 0 or u >= 1:
+        return mp.mpf(0)
+    a, b = mp.exp(-1 / u), mp.exp(-1 / (1 - u))
+    return a * b * (1 / u**2 + 1 / (1 - u) ** 2) / (a + b) ** 2
+
+
+class _NoKinetic(BumpProfile):
+    """The bump with its kinetic term zeroed, so that Q is the well term alone."""
+    deriv_norm_sq = 0.0
 
 
 class TestBumpProfile:
@@ -58,7 +72,7 @@ class TestBumpProfile:
         assert np.allclose(BUMP(-mid), BUMP(mid))
 
     def test_unit_l2_norm(self):
-        total = 2 * adaptive_simpson(lambda x: BUMP(x) ** 2, 0.0, BUMP.support)
+        total = 2 * _scalar_simpson(lambda x: BUMP(x) ** 2, 0.0, BUMP.support)
         assert abs(total - 1.0) < 1e-10
 
     def test_derivative_matches_finite_differences(self):
@@ -77,6 +91,34 @@ class TestBumpProfile:
         with pytest.raises(ConfigError):
             BumpProfile(plateau=0.0, support=0.25)
 
+    @pytest.mark.parametrize("plateau, support", [(1e-320, 2e-320), (1.5e308, 1.7e308)])
+    def test_refuses_a_bump_whose_constants_overflow(self, plateau, support):
+        # ||phi'||^2 ~ 1/(w raw^2) overflows for the subnormal bump, raw^2 for the huge one
+        with pytest.raises(ConfigError, match=re.escape(f"plateau={plateau!r} support={support!r}")):
+            BumpProfile(plateau=plateau, support=support)
+
+    def test_widest_admitted_bump_still_certifies(self):
+        # raw^2 = 2 (plateau + w T(0)) is finite here, where 2 plateau + 2 w T(0) is not;
+        # ||phi'||^2 (about 1e-616) underflows to 0
+        bump = BumpProfile(plateau=1e307, support=1.7e308)
+        assert np.isfinite(bump._norm) and np.isfinite(bump.deriv_norm_sq)
+        report = existence_test(WELL, bump, 2)
+        assert report.first_negative_n == 1
+        assert report.q_values[0] < 0
+
+    def test_constants_match_mpmath(self):
+        # raw^2 = 2 (plateau + w T), ||phi'||^2 = 2 D / (w raw^2), with the two
+        # integrals over [0, 1] of smoothstep^2 and smoothstep'^2
+        with mp.workdps(30):
+            T = mp.quad(lambda u: _mp_smoothstep(u) ** 2, [0, 0.5, 1])
+            D = mp.quad(lambda u: _mp_smoothstep_deriv(u) ** 2, [0, 0.5, 1])
+            for bump in (BUMP, BumpProfile(1e-3, 1e-3 + 1e-9), BumpProfile(0.5, 7.0)):
+                w = mp.mpf(bump.support) - mp.mpf(bump.plateau)
+                raw_sq = 2 * (mp.mpf(bump.plateau) + w * T)
+                assert bump._norm ** 2 == pytest.approx(float(raw_sq), rel=1e-15)
+                assert bump.deriv_norm_sq == pytest.approx(float(2 * D / (w * raw_sq)),
+                                                           rel=1e-14)
+
 
 class TestTrialScale:
     def test_n_one_is_the_bump(self):
@@ -86,12 +128,12 @@ class TestTrialScale:
     def test_scaling_preserves_norm_and_shrinks_kinetic(self):
         for n in (2, 5, 16):
             s = BUMP.support * n
-            nrm = adaptive_simpson(lambda x: trial_scale(BUMP, n, x) ** 2, -s, s)
+            nrm = _scalar_simpson(lambda x: trial_scale(BUMP, n, x) ** 2, -s, s)
             assert abs(nrm - 1.0) < 1e-10
         # ||phi_n'|| = ||phi'|| / n, by change of variables
         n = 4
         s = BUMP.support * n
-        kin = adaptive_simpson(
+        kin = _scalar_simpson(
             lambda x: (BUMP.derivative(x / n) / n**1.5) ** 2, -s, s)
         assert kin == pytest.approx(BUMP.deriv_norm_sq / n**2, rel=1e-10)
 
@@ -168,15 +210,37 @@ class TestExistenceTest:
 
 
 class TestBatchedQ:
-    """existence_test evaluates Q for a block of n in one batched Simpson."""
+    """existence_test evaluates Q for a block of n in one batched quadrature."""
 
-    @settings(max_examples=20, deadline=None)
-    @given(alpha0_d=st.floats(0.5, 50.0), ratio=st.floats(0.02, 0.95),
-           a_d=st.floats(0.05, 2.0), d=st.floats(0.3, 3.0))
-    def test_q_values_are_bits_of_scalar_simpson(self, alpha0_d, ratio, a_d, d):
-        cfg = WellConfig(alpha0_d / d, ratio * alpha0_d / d, a_d * d, d)
-        report = existence_test(cfg, BUMP, 70)
-        assert list(report.q_values) == [_scalar_q(cfg, BUMP, n) for n in range(1, 71)]
+    @settings(max_examples=40, deadline=None)
+    @given(plateau=st.floats(1e-3, 1.0), log_ratio=st.floats(np.log(1 + 1e-6), np.log(10.0)),
+           case=st.sampled_from(["plateau", "transition", "support"]),
+           frac=st.floats(0.0, 1.0), n=st.sampled_from([1, 7, 64]))
+    @example(plateau=0.1, log_ratio=np.log(1.000001), case="transition", frac=0.5, n=1)
+    def test_well_integral_matches_mpmath(self, plateau, log_ratio, case, frac, n):
+        # a/n on the plateau, in the transition, or past the support
+        support = plateau * np.exp(log_ratio)
+        s = {"plateau": frac * plateau,
+             "transition": plateau + frac * (support - plateau),
+             "support": support * (1.0 + frac)}[case]
+        cfg = WellConfig(2.0, 1.0, max(s, 1e-300) * n, 1.0)
+        bump = _NoKinetic(plateau, support)
+        ends = transversal_levels(cfg.outer, 1).chi(np.array([0.0, cfg.d]))[0]
+        wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
+        well = q_form(cfg, bump, n) / (wall_weight * (cfg.alpha1 - cfg.alpha0))
+
+        # int_{-a}^{a} phi_n^2 in x, with phi_n = n^{-1/2} raw(x/n) / ||raw||
+        with mp.workdps(30):
+            p, sup, a = mp.mpf(plateau), mp.mpf(support), mp.mpf(cfg.a)
+
+            def raw_sq(t):
+                return _mp_smoothstep((sup - abs(t)) / (sup - p)) ** 2
+
+            norm_sq = 2 * (p + mp.quad(raw_sq, [p, sup]))
+            hi = min(a, n * sup)
+            knots = [0] + [k for k in (n * p,) if k < hi] + [hi]
+            ref = float(2 * mp.quad(lambda x: raw_sq(x / n) / n, knots) / norm_sq)
+        assert well == pytest.approx(ref, rel=1e-14)
 
     def test_q_form_is_the_batched_value(self):
         q = existence_test(WELL, BUMP, 130).q_values
@@ -185,32 +249,17 @@ class TestBatchedQ:
 
     def test_blocks_hold_at_most_64_rows(self, monkeypatch):
         blocks, rows = [], []
+        unit_integral = variational._unit_integral
 
-        def recording(f, lo, hi, *params):
-            def g(x, *cols):
-                rows.append(x.shape[0] if x.ndim == 2 else 1)
-                return f(x, *cols)
-            blocks.append(np.size(lo))
-            return adaptive_simpson(g, lo, hi, *params)
+        def recording(f, u0):
+            def g(u):
+                rows.append(u.shape[0] if u.ndim == 2 else 1)
+                return f(u)
+            blocks.append(np.size(u0))
+            return unit_integral(g, u0)
 
-        monkeypatch.setattr(variational, "adaptive_simpson", recording)
+        monkeypatch.setattr(variational, "_unit_integral", recording)
         report = existence_test(WELL, BUMP, 200)
         assert len(report.q_values) == 200
         assert blocks == [64, 64, 64, 8]
         assert max(rows) == 64
-
-    def test_rows_stop_at_their_own_doubling(self):
-        # row 1 never settles; the smooth rows converge, but the call raises
-        def f(x, k):
-            return np.where(k == 1, float(x.shape[1]), x**2)
-
-        lo, hi = np.zeros(3), np.ones(3)
-        with pytest.raises(ConvergenceError):
-            adaptive_simpson(f, lo, hi, np.arange(3))
-        out = adaptive_simpson(f, lo, hi, np.array([0, 2, 3]))
-        assert out == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_scalar_call_keeps_its_bits(self):
-        for hi in (0.1, 0.3, 1.7):
-            f = lambda x: np.exp(-x) * np.cos(3.0 * x)  # noqa: E731
-            assert adaptive_simpson(f, -hi, hi) == _scalar_simpson(f, -hi, hi)
