@@ -4,8 +4,9 @@ Subcommands: spectrum (single-point solve, both sectors), sweep (families
 over a/d or (alpha0, alpha1)), wavefunction (sample one bound state on a
 grid), oracle (finite-difference cross-check table), existence
 (variational test report).  Every subcommand accepts --config FILE plus
-flag overrides; exit codes are 0 on success, 2 for configuration errors,
-3 for numerical failures.
+flag overrides of the config fields it reads; exit codes are 0 on
+success, 2 for configuration errors (an unwritable output directory
+among them), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import (MatchingParams, OracleSpec, OutputSpec, RunConfig,
-                     SweepSpec, load_config)
+from .config import MatchingParams, RunConfig, load_config
 from .errors import ConfigError, ContractError, NumericalError
 from .modematch import (BoundState, ParitySector, WellConfig,
                         bound_state_energies, minimax_brackets, wavefunction)
@@ -35,44 +35,63 @@ _WELL_FLAGS = ("alpha0", "alpha1", "a", "d")
 _MAX_WAVEFUNCTION_POINTS = 2**22
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _format_list(text: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in text.split(",") if f.strip())
+
+
+# Every override flag once, by dest: the config field it sets and its type.
+# A subcommand takes only the flags whose fields it reads (_COMMAND_FLAGS).
+_OVERRIDES = {
+    **{name: ("well", name, float) for name in _WELL_FLAGS},
+    "N": ("matching", "N", int),
+    "scan_points": ("matching", "scan_points", int),
+    "out_dir": ("output", "dir", str),
+    "formats": ("output", "formats", _format_list),
+    "L": ("oracle", "L", float),
+    "refinements": ("oracle", "refinements", int),
+}
+_SOLVE_FLAGS = (*_WELL_FLAGS, "N", "scan_points", "out_dir")
+_COMMAND_FLAGS = {
+    "spectrum": (*_SOLVE_FLAGS, "formats"),
+    "sweep": (*_SOLVE_FLAGS, "formats"),
+    "wavefunction": _SOLVE_FLAGS,
+    "oracle": (*_SOLVE_FLAGS, "L", "refinements"),
+    "existence": (*_WELL_FLAGS, "out_dir"),
+}
+
+
+def _add_command(sub, command: str, func, summary: str) -> argparse.ArgumentParser:
+    """Subcommand command, with --config and the override flags it reads."""
+    p = sub.add_parser(command, help=summary)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="YAML run configuration")
-    for name in _WELL_FLAGS:
-        p.add_argument(f"--{name}", type=float, help=f"override well.{name}")
-    p.add_argument("--N", type=int, help="override matching.N")
-    p.add_argument("--scan-points", type=int, help="override matching.scan_points")
-    p.add_argument("--out-dir", help="override output.dir")
-    p.add_argument("--formats", help="override output.formats (comma separated)")
+    for dest in _COMMAND_FLAGS[command]:
+        section, field, kind = _OVERRIDES[dest]
+        note = " (comma separated)" if kind is _format_list else ""
+        p.add_argument("--" + dest.replace("_", "-"), type=kind,
+                       help=f"override {section}.{field}{note}")
+    return p
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
+    over: dict[str, dict] = {}
+    for dest, (section, field, _) in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            over.setdefault(section, {})[field] = value
     if args.config:
         cfg = load_config(args.config)
     else:
-        missing = [n for n in _WELL_FLAGS if getattr(args, n) is None]
+        well = over.pop("well", {})
+        missing = [n for n in _WELL_FLAGS if n not in well]
         if missing:
             raise ConfigError(
                 f"without --config the well must be fully specified; missing: {missing}"
             )
-        cfg = RunConfig(well=WellConfig(args.alpha0, args.alpha1, args.a, args.d))
-    well_over = {n: getattr(args, n) for n in _WELL_FLAGS if getattr(args, n) is not None}
-    if well_over and args.config:
-        cfg = dataclasses.replace(cfg, well=dataclasses.replace(cfg.well, **well_over))
-    match_over = {}
-    if args.N is not None:
-        match_over["N"] = args.N
-    if args.scan_points is not None:
-        match_over["scan_points"] = args.scan_points
-    if match_over:
-        cfg = dataclasses.replace(cfg, matching=dataclasses.replace(cfg.matching, **match_over))
-    out_over = {}
-    if args.out_dir is not None:
-        out_over["dir"] = args.out_dir
-    if args.formats is not None:
-        out_over["formats"] = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    if out_over:
-        cfg = dataclasses.replace(cfg, output=OutputSpec(**{
-            "dir": cfg.output.dir, "formats": cfg.output.formats, **out_over}))
+        cfg = RunConfig(well=WellConfig(**well))
+    for section, fields in over.items():
+        cfg = dataclasses.replace(
+            cfg, **{section: dataclasses.replace(getattr(cfg, section), **fields)})
     return cfg
 
 
@@ -104,7 +123,6 @@ def _point_rows(well: WellConfig, matching: MatchingParams,
 
 def _write_result(result: SweepResult, cfg: RunConfig, stem: str,
                   xlabel: str = "a/d") -> list[str]:
-    os.makedirs(cfg.output.dir, exist_ok=True)
     written = []
     for fmt in cfg.output.formats:
         path = os.path.join(cfg.output.dir, f"{stem}.{fmt}")
@@ -118,8 +136,7 @@ def _write_result(result: SweepResult, cfg: RunConfig, stem: str,
     return written
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = _point_rows(cfg.well, cfg.matching, cfg.well.a / cfg.well.d)
     result = SweepResult(rows=tuple(rows))
     written = _write_result(result, cfg, "spectrum")
@@ -129,8 +146,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep requires a 'sweep' section in the config")
     rows: list[SweepRow] = []
@@ -153,8 +169,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.nx < 2 or args.ny < 2:
         raise ConfigError(f"--nx and --ny must be >= 2, got {args.nx} and {args.ny}")
     if args.nx * args.ny > _MAX_WAVEFUNCTION_POINTS:
@@ -174,7 +189,6 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     x = np.linspace(-xmax, xmax, args.nx)
     y = np.linspace(0.0, cfg.well.d, args.ny)
     grid = wavefunction(cfg.well, state, x, y)
-    os.makedirs(cfg.output.dir, exist_ok=True)
     path = os.path.join(cfg.output.dir, f"wavefunction_{args.ordinal}.txt")
     write_wavefunction(grid, path)
     wy = np.trapezoid(grid.values**2, y, axis=1)
@@ -184,18 +198,11 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .fdoracle import oracle_bound_states  # scipy.sparse and scipy.linalg load only here
 
-    cfg = _resolve(args)
-    oracle_over = {}
-    if args.L is not None:
-        oracle_over["L"] = args.L
-    if args.refinements is not None:
-        oracle_over["refinements"] = args.refinements
-    spec = dataclasses.replace(cfg.oracle, **oracle_over) if oracle_over else cfg.oracle
     states = _merged_states(cfg.well, cfg.matching)
-    ref = oracle_bound_states(cfg.well, spec.resolve_L(cfg.well.d), spec.refinements)
+    ref = oracle_bound_states(cfg.well, cfg.oracle.resolve_L(cfg.well.d), cfg.oracle.refinements)
     lines = ["sector,index,lambda_matching,lambda_oracle,abs_diff"]
     for parity in ParitySector:
         matched = [s.lam for s in states if s.parity is parity]
@@ -206,7 +213,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             diff = repr(abs(matched[i] - oracle[i])) if lm and lo else ""
             lines.append(f"{parity.value},{i + 1},{lm},{lo},{diff}")
     table = "\n".join(lines) + "\n"
-    os.makedirs(cfg.output.dir, exist_ok=True)
     path = os.path.join(cfg.output.dir, "oracle_compare.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(table)
@@ -215,8 +221,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_existence(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def _cmd_existence(args: argparse.Namespace, cfg: RunConfig) -> int:
     bump = BumpProfile(plateau=args.plateau, support=args.support)
     report = existence_test(cfg.well, bump, args.n_max)
     payload = {
@@ -226,7 +231,6 @@ def _cmd_existence(args: argparse.Namespace) -> int:
         "well_hypothesis": report.well_hypothesis,
         "well": dataclasses.asdict(report.config),
     }
-    os.makedirs(cfg.output.dir, exist_ok=True)
     path = os.path.join(cfg.output.dir, "existence.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
@@ -252,36 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="bound states at a single configuration")
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="spectrum along a parameter family")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("wavefunction", help="sample one bound state on a grid")
-    _add_common(p)
+    _add_command(sub, "spectrum", _cmd_spectrum, "bound states at a single configuration")
+    _add_command(sub, "sweep", _cmd_sweep, "spectrum along a parameter family")
+    p = _add_command(sub, "wavefunction", _cmd_wavefunction, "sample one bound state on a grid")
     p.add_argument("--ordinal", type=int, default=1,
                    help="1-based ordinal in the merged spectrum (default 1)")
     p.add_argument("--xmax", type=float, help="half-width of the x grid (default a + 3d)")
     p.add_argument("--nx", type=int, default=241)
     p.add_argument("--ny", type=int, default=81)
-    p.set_defaults(func=_cmd_wavefunction)
-
-    p = sub.add_parser("oracle", help="finite-difference cross-check")
-    _add_common(p)
-    p.add_argument("--L", type=float, help="override oracle.L")
-    p.add_argument("--refinements", type=int, help="override oracle.refinements")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("existence", help="variational existence test")
-    _add_common(p)
+    _add_command(sub, "oracle", _cmd_oracle, "finite-difference cross-check")
+    p = _add_command(sub, "existence", _cmd_existence, "variational existence test")
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--plateau", type=float, default=0.125)
     p.add_argument("--support", type=float, default=0.25)
-    p.set_defaults(func=_cmd_existence)
-
     return parser
 
 
@@ -289,8 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ContractError) as exc:
+        cfg = _resolve(args)
+        os.makedirs(cfg.output.dir, exist_ok=True)
+        return args.func(args, cfg)
+    except (ConfigError, ContractError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -201,7 +201,9 @@ class _ModeTable:
         return _ModeTable(self.inner[:n], self.outer[:n], self.overlaps[:n, :n])
 
 
-@lru_cache(maxsize=64)
+# only the latest table is ever reused (a point's two sectors, an a sweep's
+# points); each older one held a 22 MB overlap block at N = 3344
+@lru_cache(maxsize=1)
 def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _ModeTable:
     """The y-even channels at truncation N: levels n = 1, 3, 5, ... <= N
     of both cross-sections and their overlaps.  Its prefix((M + 1) // 2)

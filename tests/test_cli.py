@@ -301,6 +301,16 @@ class TestSweep:
     def test_sweep_without_spec_is_config_error(self, base_cfg, capsys):
         assert main(["sweep", "--config", str(base_cfg)]) == 2
 
+    def test_alpha_pair_sweep_retains_one_mode_table(self, tmp_path, capsys):
+        # each pair has its own cross-sections; no command reuses an older table
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(svg_axis_yaml("alpha_pair", "[[20, 5], [30, 5], [40, 2]]")
+                       + f"output: {{dir: {tmp_path}}}\n")
+        modematch._mode_table.cache_clear()
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        info = modematch._mode_table.cache_info()
+        assert (info.misses, info.currsize) == (3, 1)
+
 
 class TestWavefunction:
     def test_export_normalized_and_symmetric(self, base_cfg, tmp_path, capsys):
@@ -423,24 +433,88 @@ class TestOversizedInputs:
 
 
 class TestFlagCensus:
-    COMMON = {"-h", "--help", "--config", "--alpha0", "--alpha1", "--a", "--d", "--N",
-              "--scan-points", "--out-dir", "--formats"}
-    EXTRA = {
-        "spectrum": set(),
-        "sweep": set(),
-        "wavefunction": {"--ordinal", "--xmax", "--nx", "--ny"},
-        "oracle": {"--L", "--refinements"},
-        "existence": {"--n-max", "--plateau", "--support"},
+    # each subcommand takes the override flags of the config fields it reads
+    WELL = {"--config", "--alpha0", "--alpha1", "--a", "--d", "--out-dir"}
+    SOLVE = WELL | {"--N", "--scan-points"}
+    FLAGS = {
+        "spectrum": SOLVE | {"--formats"},
+        "sweep": SOLVE | {"--formats"},
+        "wavefunction": SOLVE | {"--ordinal", "--xmax", "--nx", "--ny"},
+        "oracle": SOLVE | {"--L", "--refinements"},
+        "existence": WELL | {"--n-max", "--plateau", "--support"},
     }
 
     def test_every_subcommand_has_exactly_the_listed_flags(self):
         # adding or removing a flag must be a deliberate change to this list
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(self.EXTRA)
+        assert set(sub.choices) == set(self.FLAGS)
+        assert sum(map(len, self.FLAGS.values())) == 49
         for name, p in sub.choices.items():
             flags = {o for action in p._actions for o in action.option_strings}
-            assert flags == self.COMMON | self.EXTRA[name], name
+            assert flags == self.FLAGS[name] | {"-h", "--help"}, name
+
+
+# an invalid value for each override flag, and what its error names;
+# "{file}" is a regular file, so no directory can be made under it
+INVALID_OVERRIDES = {
+    "--alpha0": ("-1", "alpha0 must be positive"),
+    "--alpha1": ("0", "alpha1 must be positive"),
+    "--a": ("nan", "a must be positive"),
+    "--d": ("inf", "d must be positive"),
+    "--N": ("1", "matching.N must be >= 2"),
+    "--scan-points": ("7", "matching.scan_points must be >= 8"),
+    "--out-dir": ("{file}/out", "Not a directory"),
+    "--formats": ("csv,xml", "output format must be one of"),
+    "--L": ("-1", "oracle.L must be positive"),
+    "--refinements": ("1", "oracle.refinements must be >= 2"),
+}
+REMOVED_FLAGS = [("wavefunction", "--formats", "csv"), ("oracle", "--formats", "csv"),
+                 ("existence", "--N", "8"), ("existence", "--scan-points", "8"),
+                 ("existence", "--formats", "csv")]
+
+
+@pytest.fixture
+def refuse_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    for name in ("bound_state_energies", "existence_test"):
+        monkeypatch.setattr(robinstrip.cli, name, refuse)
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in TestFlagCensus.FLAGS.items()
+        for flag in sorted(flags & set(INVALID_OVERRIDES))
+    ])
+    def test_invalid_value_is_a_configuration_error(self, tmp_path, capsys, refuse_solves,
+                                                   command, flag):
+        # every flag reaches its config field, checked before any solve
+        (tmp_path / "file").write_text("")
+        value, message = INVALID_OVERRIDES[flag]
+        well = ["--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1"]
+        argv = [command, *well, "--out-dir", str(tmp_path / "out"),
+                f"{flag}={value.format(file=tmp_path / 'file')}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+    def test_removed_flag_is_unrecognized(self, capsys, command, flag, value):
+        # a flag for a config field the command never reads is refused
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1",
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_unwritable_output_file_is_a_configuration_error(self, tmp_path, capsys):
+        (tmp_path / "spectrum.csv").mkdir()
+        argv = ["spectrum", "--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1",
+                "--N", "8", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 class TestParserReuse:
@@ -524,6 +598,18 @@ class TestImport:
     def test_unexported_name_stays_in_its_module(self, module, name):
         assert getattr(importlib.import_module(f"robinstrip.{module}"), name) is not None
         assert not hasattr(robinstrip, name)
+
+
+class TestBudgetScript:
+    @pytest.mark.parametrize("megabytes, code", [("300", 0), ("1", 1)])
+    def test_exit_code_follows_the_budget(self, tmp_path, megabytes, code):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "within_budget.py"
+        argv = [sys.executable, str(script), "30", megabytes, "existence", "--alpha0", "20",
+                "--alpha1", "5", "--a", "0.3", "--d", "1", "--n-max", "4",
+                "--out-dir", str(tmp_path)]
+        out = subprocess.run(argv, capture_output=True, text=True)
+        assert out.returncode == code
+        assert "peak RSS" in out.stdout and (tmp_path / "existence.json").exists()
 
 
 class TestTracerHooks:

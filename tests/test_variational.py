@@ -55,6 +55,24 @@ def _mp_smoothstep_deriv(u):
     return a * b * (1 / u**2 + 1 / (1 - u) ** 2) / (a + b) ** 2
 
 
+def _q_with_quadrature_on_every_row(config, bump, n_max):
+    """Q for n = 1..n_max with the Gauss-Legendre rule run on every row,
+    64 rows at a time, u0 = 1 included."""
+    ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
+    wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
+    w = bump.support - bump.plateau
+    q = []
+    for start in range(1, n_max + 1, 64):
+        n = np.arange(start, min(start + 64, n_max + 1))
+        s = np.minimum(config.a / n, bump.support)
+        u0 = np.clip((bump.support - s) / w, 0.0, 1.0)
+        tail = w * variational._unit_integral(lambda u: variational._smoothstep(u) ** 2, u0)
+        well = 2.0 * (np.minimum(s, bump.plateau) + tail) / bump._norm**2
+        q.append(bump.deriv_norm_sq / n**2
+                 + wall_weight * (config.alpha1 - config.alpha0) * well)
+    return np.concatenate(q)
+
+
 class _NoKinetic(BumpProfile):
     """The bump with its kinetic term zeroed, so that Q is the well term alone."""
     deriv_norm_sq = 0.0
@@ -247,7 +265,9 @@ class TestBatchedQ:
         for n in (1, 2, 40, 64, 65, 130):
             assert q_form(WELL, BUMP, n) == q[n - 1]
 
-    def test_blocks_hold_at_most_64_rows(self, monkeypatch):
+    def test_only_rows_past_the_plateau_take_the_quadrature(self, monkeypatch):
+        # a/n > plateau for n < 300 here: 299 rows in blocks of at most 64
+        bump = BumpProfile(1e-3, 2e-3)
         blocks, rows = [], []
         unit_integral = variational._unit_integral
 
@@ -259,7 +279,20 @@ class TestBatchedQ:
             return unit_integral(g, u0)
 
         monkeypatch.setattr(variational, "_unit_integral", recording)
-        report = existence_test(WELL, BUMP, 200)
-        assert len(report.q_values) == 200
-        assert blocks == [64, 64, 64, 8]
+        report = existence_test(WELL, bump, 400)
+        assert len(report.q_values) == 400
+        assert blocks == [64, 64, 64, 64, 43]
         assert max(rows) == 64
+        blocks.clear()
+        existence_test(WELL, BUMP, 200)
+        assert blocks == [2]
+
+    @pytest.mark.parametrize("bump, n_max", [
+        (BUMP, 2**16), (BumpProfile(plateau=1e-7), 4096), (BumpProfile(1e-3, 2e-3), 400),
+        (BumpProfile(0.1, 0.1000001), 64),
+    ])
+    def test_skipped_rows_keep_every_bit(self, bump, n_max):
+        # the quadrature of a zero-width interval adds exactly 0
+        ref = _q_with_quadrature_on_every_row(WELL, bump, n_max)
+        q = np.array(existence_test(WELL, bump, n_max).q_values)
+        assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
