@@ -20,10 +20,10 @@ import sys
 
 import numpy as np
 
-from .config import MatchingParams, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, ContractError, NumericalError
-from .modematch import (BoundState, ParitySector, WellConfig,
-                        bound_state_energies, minimax_brackets, wavefunction)
+from .modematch import (BoundState, ParitySector, WellConfig, bound_states,
+                        minimax_brackets, wavefunction)
 from .outputs import (SweepResult, SweepRow, sweep_csv, write_sweep_csv,
                       write_sweep_json, write_wavefunction)
 from .svg import write_sweep_svg
@@ -95,17 +95,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _merged_states(well: WellConfig, matching: MatchingParams) -> list[BoundState]:
-    states = []
-    for parity in ParitySector:
-        states.extend(bound_state_energies(well, parity, matching.N,
-                                           scan_points=matching.scan_points))
-    return sorted(states, key=lambda s: s.lam)
-
-
-def _point_rows(well: WellConfig, matching: MatchingParams,
+def _point_rows(well: WellConfig, states: list[BoundState],
                 sweep_value: float) -> list[SweepRow]:
-    states = _merged_states(well, matching)
     if not states:
         return []
     E1_out = float(transversal_eigenvalues(well.outer, 1)[0])
@@ -137,7 +128,8 @@ def _write_result(result: SweepResult, cfg: RunConfig, stem: str,
 
 
 def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
-    rows = _point_rows(cfg.well, cfg.matching, cfg.well.a / cfg.well.d)
+    [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
+    rows = _point_rows(cfg.well, states, cfg.well.a / cfg.well.d)
     result = SweepResult(rows=tuple(rows))
     written = _write_result(result, cfg, "spectrum")
     print(sweep_csv(result), end="")
@@ -149,16 +141,17 @@ def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep requires a 'sweep' section in the config")
-    rows: list[SweepRow] = []
-    for v in cfg.sweep.values:
-        if cfg.sweep.parameter == "a":
-            well = dataclasses.replace(cfg.well, a=v * cfg.well.d)
-            sweep_value = v
-        else:
-            a0, a1 = v
-            well = dataclasses.replace(cfg.well, alpha0=a0, alpha1=a1)
-            sweep_value = a0
-        rows.extend(_point_rows(well, cfg.matching, sweep_value))
+    if cfg.sweep.parameter == "a":
+        wells = [dataclasses.replace(cfg.well, a=v * cfg.well.d) for v in cfg.sweep.values]
+        values = cfg.sweep.values
+    else:
+        wells = [dataclasses.replace(cfg.well, alpha0=a0, alpha1=a1) for a0, a1 in cfg.sweep.values]
+        values = [a0 for a0, _ in cfg.sweep.values]
+    # an a/d sweep's points share their cross-sections and are solved together;
+    # map lets go of a point's states before the next run of points is solved,
+    # so an alpha_pair sweep holds one mode table at a time
+    solved = bound_states(wells, cfg.matching.N, cfg.matching.scan_points)
+    rows = [row for point in map(_point_rows, wells, solved, values) for row in point]
     rows.sort(key=lambda r: (r.sweep_value, r.lam))
     result = SweepResult(rows=tuple(rows))
     written = _write_result(result, cfg, f"sweep_{cfg.sweep.parameter}",
@@ -179,7 +172,7 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError(f"--xmax must be positive and finite, got {args.xmax!r}")
     if args.ordinal < 1:
         raise ConfigError(f"--ordinal must be >= 1, got {args.ordinal}")
-    states = _merged_states(cfg.well, cfg.matching)
+    [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
     if args.ordinal > len(states):
         raise NumericalError(
             f"no bound state with ordinal {args.ordinal}: found {len(states)}"
@@ -201,7 +194,7 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .fdoracle import oracle_bound_states  # scipy.sparse and scipy.linalg load only here
 
-    states = _merged_states(cfg.well, cfg.matching)
+    [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
     ref = oracle_bound_states(cfg.well, cfg.oracle.resolve_L(cfg.well.d), cfg.oracle.refinements)
     lines = ["sector,index,lambda_matching,lambda_oracle,abs_diff"]
     for parity in ParitySector:

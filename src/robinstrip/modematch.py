@@ -45,23 +45,33 @@ y-odd block cannot be singular in the window, so a state has no y-odd
 amplitude: on y-odd functions the operator is bounded below by
 E_2(alpha1) > (pi/d)^2 > E_1(alpha0).  The sign of det of the y-even
 block is taken on a grid over the window by batched LUs of at most 2^22
-doubles each; grid intervals where it changes sign are narrowed together
-by Illinois steps to 8 ulp of lambda, one batched LU per step, and each
-is a root, since C_hat is continuous.  A sign change finds a root however
-narrow its singular-value dip is, which a scan of sigma_min on the grid
-does not.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2, hold
+doubles each, from the last grid point below the sector's Neumann floor
+E_1(alpha1) + (j pi/2a)^2 (j = 0 symmetric, 1 antisymmetric), under which
+the sector has no state; a sector whose floor is at or above E_1(alpha0)
+is not scanned.  Grid intervals where the sign changes are narrowed
+together by Illinois steps to 8 ulp of lambda, one batched LU per step,
+and each is a root, since C_hat is continuous.  A sign change finds a root
+however narrow its singular-value dip is, which a scan of sigma_min on the
+grid does not.  bound_states solves every (well, sector) job of wells that
+share their cross-sections, a point's two sectors or an a/d sweep's
+points, with one mode table: the brackets of all jobs step together, and
+the null vectors and sigma_min of all roots come from one batched SVD
+each.  Every matrix has its own LU and SVD and every step is elementwise
+per bracket, so a state has the same bits however many jobs share its
+solve.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2, hold
 the amplitudes of channels 1, 3, 5, ...  The truncation-error companion,
 the same scan on the first (N // 2 + 1) // 2 channels, is scanned on first
-read of a state's lam_coarse, once per solve; a solve whose estimate nobody
-reads runs one scan.
+read of a state's lam_coarse, once per (well, sector) solve; a solve whose
+estimate nobody reads runs one scan.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -217,18 +227,22 @@ def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _
 # axial profiles
 
 
-def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float | np.ndarray, parity: ParitySector):
+def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float | np.ndarray,
+                 parity: ParitySector | np.ndarray):
     """Value V and x-derivative D of each channel profile at x = a for each
-    trial energy: lam has shape (P,), E shape (n,), and a is a float (V
-    and D of shape (P, n)) or an array of shape (Q, 1) with P = 1 (shape
-    (Q, n)).  Both are scaled by exp(-l a), l = sqrt(E - lam), in the
-    evanescent branch.
+    trial energy: lam has shape (P,), E shape (n,), and V and D shape
+    (P, n).  a is a float or a (P, 1) column of per-row half-widths (or,
+    with P = 1, a (Q, 1) column of positions, giving shape (Q, n)); parity
+    is a ParitySector or a (P, 1) boolean column, True on symmetric rows.
+    Both are scaled by exp(-l a), l = sqrt(E - lam), in the evanescent
+    branch.
 
     V and D are entire functions of lambda (up to the smooth positive
     scaling) and never vanish simultaneously; D/V is the axial stiffness
     L_n, l tanh(l a) or l coth(l a), continued as -kappa tan(kappa a) or
     kappa cot(kappa a) above the channel energy.  They are what the
-    pole-free scan matrix is built from.
+    pole-free scan matrix is built from.  Rows of both parities take both
+    branches, elementwise, so each row has the bits of a one-parity call.
     """
     diff = E[None, :] - lam[:, None]
     hyp = diff >= 0.0
@@ -236,25 +250,34 @@ def _value_deriv(lam: np.ndarray, E: np.ndarray, a: float | np.ndarray, parity: 
     kap = np.sqrt(np.maximum(-diff, 0.0))
     em = np.exp(-2.0 * l * a)
     ka = kap * a
+    sym = parity is ParitySector.SYMMETRIC if isinstance(parity, ParitySector) else parity
     with np.errstate(divide="ignore", invalid="ignore"):
-        if parity is ParitySector.SYMMETRIC:
-            V = np.where(hyp, 0.5 * (1.0 + em), np.cos(ka))
-            D = np.where(hyp, 0.5 * l * (1.0 - em), -kap * np.sin(ka))
-        else:
-            Vh = -np.expm1(-2.0 * l * a) / (2.0 * l)
-            V = np.where(hyp, np.where(l == 0.0, a, Vh), np.sin(ka) / kap)
-            D = np.where(hyp, 0.5 * (1.0 + em), np.cos(ka))
-    return V, D
+        if np.all(sym) or not np.any(sym):
+            return _branch(hyp, l, kap, em, ka, a, bool(np.all(sym)))
+        (Vs, Ds), (Va, Da) = (_branch(hyp, l, kap, em, ka, a, s) for s in (True, False))
+    return np.where(sym, Vs, Va), np.where(sym, Ds, Da)
+
+
+def _branch(hyp, l, kap, em, ka, a, symmetric: bool):
+    """V and D of _value_deriv for one parity: cosh/cos or sinh/sin."""
+    if symmetric:
+        return (np.where(hyp, 0.5 * (1.0 + em), np.cos(ka)),
+                np.where(hyp, 0.5 * l * (1.0 - em), -kap * np.sin(ka)))
+    Vh = -np.expm1(-2.0 * l * a) / (2.0 * l)
+    return (np.where(hyp, np.where(l == 0.0, a, Vh), np.sin(ka) / kap),
+            np.where(hyp, 0.5 * (1.0 + em), np.cos(ka)))
 
 
 # --------------------------------------------------------------------------
 # matching matrices
 
 
-def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray):
+def _scan_matrices(table: _ModeTable, a: float | np.ndarray,
+                   parity: ParitySector | np.ndarray, lam: np.ndarray):
     """Pole-free scan matrices at the trial energies lam, shape (P, n, n),
     and the column factors (P, n) mapping a null vector back to
-    interface-value amplitudes.
+    interface-value amplitudes; a and parity are shared by every row or
+    given per row as (P, 1) columns (see _value_deriv).
 
     C_hat = C diag(V_n s_n) entrywise, with s_n a smooth positive
     normalization and row m divided by 1 + k_m d; same null space as C
@@ -274,14 +297,21 @@ def _scan_matrices(table: _ModeTable, a: float, parity: ParitySector, lam: np.nd
     return C, V
 
 
-def _scan_slogdet(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray):
+def _chunks(table: _ModeTable, a, parity, lam: np.ndarray):
+    """(a, parity, lam) in slices of at most 2^22 doubles of scan matrices;
+    a per-row column is sliced with lam, a shared value passed whole."""
+    step = max(1, _SCAN_CHUNK_DOUBLES // table.overlaps.size)
+    for i in range(0, lam.size, step):
+        yield tuple(v[i:i + step] if isinstance(v, np.ndarray) else v
+                    for v in (a, parity, lam))
+
+
+def _scan_slogdet(table: _ModeTable, a, parity, lam: np.ndarray):
     """Sign and log|det| of the scan matrices at lam (not empty), one batched
     LU per 2^22 doubles of matrices; each matrix has its own LU, so the bits
-    do not depend on the chunking."""
-    step = max(1, _SCAN_CHUNK_DOUBLES // table.overlaps.size)
-    chunks = (lam[i:i + step] for i in range(0, lam.size, step))
-    return np.concatenate([np.linalg.slogdet(_scan_matrices(table, a, parity, x)[0])
-                           for x in chunks], axis=1)
+    do not depend on the chunking or on the other rows."""
+    return np.concatenate([np.linalg.slogdet(_scan_matrices(table, *chunk)[0])
+                           for chunk in _chunks(table, a, parity, lam)], axis=1)
 
 
 def _window(table: _ModeTable) -> tuple[float, float] | None:
@@ -296,41 +326,81 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
     return lo + 1e-9 * w, hi - max(1e-9 * w, 2.0 * np.spacing(hi))
 
 
-def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
-                scan_points: int) -> list[float]:
-    """Roots of the regularized matrix of table in the window, sorted.
+def _neumann_floor(E1_in: float, a: float, parity: ParitySector) -> float:
+    """The sector's lowest level with the well cut off by Neumann conditions
+    at |x| = a, E_1(alpha1) + (j pi / 2a)^2 with j = 0 (symmetric) or 1
+    (antisymmetric), the lower end of minimax_brackets(config, j + 1): by
+    min-max the sector has no state below it."""
+    j = 0 if parity is ParitySector.SYMMETRIC else 1
+    return E1_in + (j * np.pi / (2.0 * a)) ** 2
 
-    The sign and log of |det| are taken at scan_points energies; every grid
-    interval where the sign changes is narrowed by lockstep Illinois steps,
-    one batched LU each: regula falsi on |det|, at least one ulp off the
-    ends, an end kept twice in a row with its |det| halved, and a bisection
-    for a bracket that three steps have not halved.  At 8 ulp of lambda,
-    which scales with the well as (alpha/s, s a, s d) does, its last regula
-    falsi point is the root, however few ulp below threshold, and an exact
-    zero of det on the grid is one as it stands: C_hat is continuous in the
-    window, so a sign change needs no sigma_min test.
+
+def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]],
+                scan_points: int) -> list[list[float]]:
+    """Roots, sorted, of the regularized matrix of table in the window for
+    each job (a, parity), a half-width and sector sharing the table.
+
+    Each job takes the sign and log of |det| on the same scan_points-energy
+    grid, from the last grid point below its Neumann floor on: no state of
+    the sector lies lower, so the grid points it skips hold no sign change.
+    Every grid interval where the sign changes is a bracket, and the
+    brackets of all jobs are narrowed together by Illinois steps, one
+    batched LU each (_refine).  An exact zero of det on the grid is a root
+    as it stands: C_hat is continuous in the window, so a sign change
+    needs no sigma_min test.
     """
     win = _window(table)
     if win is None:
-        return []
-
+        return [[] for _ in jobs]
     grid = np.linspace(*win, scan_points)
-    sg, lg = _scan_slogdet(table, a, parity, grid)
-    j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
-    # column i of x and ell: low and high end of bracket i and log|det| there;
-    # kept[i]: the end its last step kept, widths[:, i]: its last three widths
-    x, ell, sl = grid[[j, j + 1]], lg[[j, j + 1]], sg[j]
-    kept, widths = np.full(j.size, -1), np.full((3, j.size), np.inf)
+    E1_in = float(table.inner.energy[0])
+    zeros, ends, logs, signs, owner = [], [], [], [], []
+    for i, (a, parity) in enumerate(jobs):
+        g = grid[max(0, np.searchsorted(grid, _neumann_floor(E1_in, a, parity)) - 1):]
+        sg, lg = _scan_slogdet(table, a, parity, g)
+        j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+        zeros.append(g[sg == 0.0])
+        ends.append(g[[j, j + 1]])
+        logs.append(lg[[j, j + 1]])
+        signs.append(sg[j])
+        owner.append(np.full(j.size, i))
+    owner = np.concatenate(owner)
+    a = np.array([a for a, _ in jobs])[owner, None]
+    sym = np.array([p is ParitySector.SYMMETRIC for _, p in jobs])[owner, None]
+    t = _refine(table, a, sym, np.concatenate(ends, axis=1), np.concatenate(logs, axis=1),
+                np.concatenate(signs))
+    return [np.sort(np.concatenate([zeros[i], t[owner == i]])).tolist()
+            for i in range(len(jobs))]
+
+
+def _refine(table: _ModeTable, a: np.ndarray, sym: np.ndarray, x: np.ndarray,
+            ell: np.ndarray, sl: np.ndarray) -> np.ndarray:
+    """The root in each bracket: column i of x and ell holds the low and
+    high end of bracket i and log|det| there, sl[i] the sign of det at its
+    low end, and rows i of the (B, 1) columns a and sym its half-width and
+    parity.
+
+    All brackets step in lockstep, one batched LU per step for the active
+    ones: regula falsi on |det|, at least one ulp off the ends, an end
+    kept twice in a row with its |det| halved, and a bisection for a
+    bracket that three steps have not halved.  At 8 ulp of lambda, which
+    scales with the well as (alpha/s, s a, s d) does, its last regula falsi
+    point is the root, however few ulp below threshold.  Every step is
+    elementwise per bracket, so a bracket's root has the same bits whichever
+    others step with it.
+    """
+    # kept[i]: the end bracket i's last step kept, widths[:, i]: its last three widths
+    kept, widths = np.full(sl.size, -1), np.full((3, sl.size), np.inf)
     while True:
         w = x[1] - x[0]
         t = x[0] + w / (1.0 + np.exp(np.minimum(ell[1] - ell[0], 700.0)))
         act = np.flatnonzero(w > 8.0 * np.spacing(x[1]))
         if not act.size:
-            break
+            return t
         lo, hi, w = x[0, act], x[1, act], w[act]
         t = np.where(w > 0.5 * widths[2, act], 0.5 * (lo + hi),
                      np.clip(t[act], np.nextafter(lo, hi), np.nextafter(hi, lo)))
-        st, lt = _scan_slogdet(table, a, parity, t)
+        st, lt = _scan_slogdet(table, a[act], sym[act], t)
         keep = (st == sl[act]).astype(int)       # 1: t replaces the low end
         again = keep == kept[act]
         ell[keep[again], act[again]] -= np.log(2.0)
@@ -338,7 +408,118 @@ def _scan_roots(table: _ModeTable, a: float, parity: ParitySector,
         x[:, act[st == 0.0]] = t[st == 0.0]
         kept[act] = keep
         widths[:, act] = np.vstack([w, widths[:2, act]])
-    return np.sort(np.concatenate([grid[sg == 0.0], t])).tolist()
+
+
+def _null_vectors(table: _ModeTable, a: np.ndarray, sym: np.ndarray, lam: np.ndarray):
+    """At each root lam[i] (of half-width a[i] and parity sym[i], (P, 1)
+    columns): the right singular vector of C_hat for its smallest singular
+    value, its column factors, and sigma_min of the row-weighted C.  One
+    batched SVD each per 2^22 doubles of matrices; each matrix has its own."""
+    vt, colfac, smin = [], [], []
+    for chunk in _chunks(table, a, sym, lam):
+        C, V = _scan_matrices(table, *chunk)
+        # a copy, so the chunk's whole V^T is freed now
+        vt.append(np.linalg.svd(C)[2][:, -1].copy())
+        colfac.append(V)
+        # C_hat = C diag(colfac), so this is sigma_min of the row-weighted C
+        smin.append(np.linalg.svd(C / V[:, None, :], compute_uv=False)[:, -1])
+    return np.concatenate(vt), np.concatenate(colfac), np.concatenate(smin)
+
+
+def _check_size(N: int, scan_points: int) -> None:
+    """Refuse, before anything is allocated, a solve outside the sizes the
+    scan and the level tables are made for."""
+    if N < 2:
+        raise ContractError("truncation order N must be >= 2")
+    if scan_points < 8:
+        raise ContractError("scan_points must be >= 8")
+    if scan_points * ((N + 1) // 2) ** 2 > _MAX_SOLVE_DOUBLES or N > _MAX_N:
+        raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan matrix entries "
+                            f"over 2^27 or mode table over N = {_MAX_N}")
+
+
+def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int,
+           scan_points: int) -> list[list[BoundState]]:
+    """The states of each (well, sector) job, for wells that share their
+    cross-sections: one mode table, one lockstep refinement of every
+    job's brackets and one batched null-vector pass.  A job whose Neumann
+    floor is at or above E_1(alpha0) holds no state and is not scanned;
+    when no job is left, no table is built."""
+    inner, outer = jobs[0][0].inner, jobs[0][0].outer
+    # E_1 from the level tables at N, which the mode table reads as well
+    E1_in = float(transversal_levels(inner, N).energy[0])
+    E1_out = float(transversal_levels(outer, N).energy[0])
+    live = [i for i, (well, parity) in enumerate(jobs)
+            if _neumann_floor(E1_in, well.a, parity) < E1_out]
+    states: list[list[BoundState]] = [[] for _ in jobs]
+    if not live:
+        return states
+    table = _mode_table(inner, outer, N)
+    roots = _scan_roots(table, [(jobs[i][0].a, jobs[i][1]) for i in live], scan_points)
+    owner = [i for i, r in zip(live, roots) for _ in r]
+    if not owner:
+        return states
+    vt, colfac, smin = _null_vectors(
+        table, np.array([jobs[i][0].a for i in owner])[:, None],
+        np.array([jobs[i][1] is ParitySector.SYMMETRIC for i in owner])[:, None],
+        np.array([lam for r in roots for lam in r]))
+    row = 0
+    for i, job_roots in zip(live, roots):
+        companions = _companions(table, *jobs[i], N, scan_points, job_roots)
+        for k, lam in enumerate(job_roots):
+            a = vt[row] * colfac[row]
+            nrm = np.linalg.norm(a)
+            if nrm == 0.0 or not np.isfinite(nrm):
+                raise NumericalError(f"degenerate null vector at lambda={lam!r}")
+            a = a / nrm
+            if a[np.argmax(np.abs(a))] < 0.0:
+                a = -a
+            states[i].append(BoundState(
+                lam=lam, parity=jobs[i][1], a_coeffs=a, b_coeffs=table.overlaps @ a,
+                sigma_min=float(smin[row]), N=N, _companion=companions[k],
+            ))
+            row += 1
+    return states
+
+
+def _companions(table: _ModeTable, well: WellConfig, parity: ParitySector, N: int,
+                scan_points: int, roots: list[float]) -> list[Callable[[], float | None]]:
+    """For each root of one job, a callable giving its N/2 companion; the
+    first call of any of them scans the N/2 truncation for all."""
+    @cache
+    def pairs() -> list[float | None]:
+        coarse: list[float] = []
+        if N >= 4:
+            coarse = _scan_roots(table.prefix((N // 2 + 1) // 2), [(well.a, parity)],
+                                 scan_points)[0]
+        return _pair_nearest(roots, coarse)
+    return [lambda k=k: pairs()[k] for k in range(len(roots))]
+
+
+def bound_states(wells: Iterable[WellConfig], N: int,
+                 scan_points: int = 400) -> Iterator[list[BoundState]]:
+    """The bound states of both sectors of each well, sorted by lambda:
+    one list per well, in order, each as bound_state_energies gives them,
+    bit for bit.
+
+    Consecutive wells with the same (alpha0, alpha1, d), such as the points
+    of an a/d sweep, are solved together with one mode table: every
+    (well, sector) job scans its own grid, the brackets of all of them are
+    refined in one lockstep loop, and their null vectors taken by one
+    batched SVD.  The lists of such a run of wells are yielded when it is
+    solved, so an alpha_pair sweep holds one run's tables at a time.  The
+    sizes are checked as by bound_state_energies, before anything is solved.
+    """
+    _check_size(N, scan_points)
+    return _solve_runs(list(wells), N, scan_points)
+
+
+def _solve_runs(wells: list[WellConfig], N: int, scan_points: int) -> Iterator[list[BoundState]]:
+    for _, run in groupby(wells, key=lambda w: (w.inner, w.outer)):
+        states = _solve([(w, p) for w in run for p in ParitySector], N, scan_points)
+        while states:
+            # popped, so once its caller lets go of a list no state here pins the table
+            yield sorted(states.pop(0) + states.pop(0), key=lambda s: s.lam)
 
 
 def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
@@ -347,17 +528,19 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
 
     Roots are sign changes of det of the regularized matrix between
     scan_points trial energies, refined to 8 ulp of lambda by Illinois
-    steps; every one is a state.  A second scan at truncation N/2,
-    scanned on first read of any state's lam_coarse and shared by the
-    states of the call, supplies each
-    state's truncation-error estimate |lambda(N) - lambda(N/2)|, pairing
-    roots that are each other's nearest.  Scans, coefficients and
-    sigma_min all use the y-even channels of their truncation;
-    matching_residual computes a state's residual on request.  An empty
-    list is a valid result.  The
-    antisymmetric sector is not scanned when E_1(alpha1) + (pi/2a)^2, its
-    lowest level with the well cut off by Neumann conditions at |x| = a,
-    is at or above E_1(alpha0): it holds no state then.
+    steps; every one is a state.  The grid is evaluated from its last point
+    below the sector's Neumann floor, E_1(alpha1) + (j pi/2a)^2 with j = 0
+    symmetric and j = 1 antisymmetric (the lower end of
+    minimax_brackets(config, j + 1)), and a sector whose floor is at or
+    above E_1(alpha0) holds no state and builds no mode table.  A second
+    scan at truncation N/2, scanned on first read of any state's
+    lam_coarse and shared by the states of the call, supplies each state's
+    truncation-error estimate |lambda(N) - lambda(N/2)|, pairing roots
+    that are each other's nearest.  Scans, coefficients and sigma_min all
+    use the y-even channels of their truncation; matching_residual
+    computes a state's residual on request.  An empty list is a valid
+    result.  This is bound_states with one job: its states have the same
+    bits as there.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses a solve whose scan_points *
@@ -365,47 +548,8 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     default 400 points) or whose N exceeds 3344, the largest level table
     the weak-coupling bound on alpha*d is derived for.
     """
-    if N < 2:
-        raise ContractError("truncation order N must be >= 2")
-    if scan_points < 8:
-        raise ContractError("scan_points must be >= 8")
-    if scan_points * ((N + 1) // 2) ** 2 > _MAX_SOLVE_DOUBLES or N > _MAX_N:
-        raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan matrix entries "
-                            f"over 2^27 or mode table over N = {_MAX_N}")
-    # the second bracket's lower end is the sector's lowest Neumann-cut level
-    if parity is ParitySector.ANTISYMMETRIC and (
-            minimax_brackets(config, 2)[0] >= transversal_eigenvalues(config.outer, 1)[0]):
-        return []
-    table = _mode_table(config.inner, config.outer, N)
-    roots = _scan_roots(table, config.a, parity, scan_points)
-    if not roots:
-        return []
-
-    @cache
-    def companions() -> list[float | None]:
-        coarse: list[float] = []
-        if N >= 4:
-            coarse = _scan_roots(table.prefix((N // 2 + 1) // 2), config.a, parity, scan_points)
-        return _pair_nearest(roots, coarse)
-
-    states = []
-    for i, lam in enumerate(roots):
-        Creg, colfac = (x[0] for x in _scan_matrices(table, config.a, parity, np.array([lam])))
-        vt = np.linalg.svd(Creg)[2]
-        a = vt[-1] * colfac
-        nrm = np.linalg.norm(a)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise NumericalError(f"degenerate null vector at lambda={lam!r}")
-        a = a / nrm
-        if a[np.argmax(np.abs(a))] < 0.0:
-            a = -a
-        # C_hat = C diag(colfac), so this is sigma_min of the row-weighted C
-        smin = float(np.linalg.svd(Creg / colfac, compute_uv=False)[-1])
-        states.append(BoundState(
-            lam=lam, parity=parity, a_coeffs=a, b_coeffs=table.overlaps @ a,
-            sigma_min=smin, N=N, _companion=lambda i=i: companions()[i],
-        ))
-    return states
+    _check_size(N, scan_points)
+    return _solve([(config, parity)], N, scan_points)[0]
 
 
 def _pair_nearest(fine: list[float], coarse: list[float]) -> list[float | None]:

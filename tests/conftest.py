@@ -4,8 +4,9 @@ Gauss-Legendre rule built here, nothing of the package's level tables or
 quadrature; the variational form Q by plain 2D quadrature, which does
 read the package's level table, trial profile and Gauss-Legendre panels but
 skips the separable reduction that q_form relies on; the Neumann cap on
-the bound-state count; and the lowest eigenvalue of an assembled FD block
-by ARPACK, not the package's solver."""
+the bound-state count; a mode-matching scan of the whole window, with no
+Neumann floor; and the lowest eigenvalue of an assembled FD block by
+ARPACK, not the package's solver."""
 
 import numpy as np
 import pytest
@@ -155,3 +156,38 @@ def neumann_state_cap(config: WellConfig) -> int:
         return 0
     return 1 + int(np.floor(np.sqrt(E1_out - E1_in) * 2.0 * config.a / np.pi
                             * (1.0 - 1e-15)))
+
+
+def full_window_roots(table, a, parity, scan_points=400):
+    """Roots of one sector's scan matrix over the whole window: the sign of
+    det on every point of the solver's grid, each sign change narrowed by
+    the solver's Illinois steps one sector at a time.  The solver starts
+    each sector's grid at its Neumann floor and steps all sectors of a
+    table together; on a sector with no root below the floor both give the
+    same bits."""
+    win = modematch._window(table)
+    if win is None:
+        return []
+    grid = np.linspace(*win, scan_points)
+    sg, lg = modematch._scan_slogdet(table, a, parity, grid)
+    j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+    x, ell, sl = grid[[j, j + 1]], lg[[j, j + 1]], sg[j]
+    kept, widths = np.full(j.size, -1), np.full((3, j.size), np.inf)
+    while True:
+        w = x[1] - x[0]
+        t = x[0] + w / (1.0 + np.exp(np.minimum(ell[1] - ell[0], 700.0)))
+        act = np.flatnonzero(w > 8.0 * np.spacing(x[1]))
+        if not act.size:
+            break
+        lo, hi, w = x[0, act], x[1, act], w[act]
+        t = np.where(w > 0.5 * widths[2, act], 0.5 * (lo + hi),
+                     np.clip(t[act], np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        st, lt = modematch._scan_slogdet(table, a, parity, t)
+        keep = (st == sl[act]).astype(int)
+        again = keep == kept[act]
+        ell[keep[again], act[again]] -= np.log(2.0)
+        x[1 - keep, act], ell[1 - keep, act] = t, lt
+        x[:, act[st == 0.0]] = t[st == 0.0]
+        kept[act] = keep
+        widths[:, act] = np.vstack([w, widths[:2, act]])
+    return np.sort(np.concatenate([grid[sg == 0.0], t])).tolist()

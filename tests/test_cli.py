@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -301,15 +302,32 @@ class TestSweep:
     def test_sweep_without_spec_is_config_error(self, base_cfg, capsys):
         assert main(["sweep", "--config", str(base_cfg)]) == 2
 
-    def test_alpha_pair_sweep_retains_one_mode_table(self, tmp_path, capsys):
-        # each pair has its own cross-sections; no command reuses an older table
+    def test_alpha_pair_sweep_retains_one_mode_table(self, tmp_path, capsys, monkeypatch):
+        # each pair has its own cross-sections; no command reuses an older
+        # table, and no state of an earlier pair keeps its table alive while
+        # the next pair is scanned
         cfg = tmp_path / "run.yaml"
         cfg.write_text(svg_axis_yaml("alpha_pair", "[[20, 5], [30, 5], [40, 2]]")
                        + f"output: {{dir: {tmp_path}}}\n")
-        modematch._mode_table.cache_clear()
+        cached, scan = modematch._mode_table, modematch._scan_roots
+        built, alive = [], []
+
+        def recording_table(*args):
+            table = cached(*args)
+            built.append(weakref.ref(table))
+            return table
+
+        def recording_scan(table, *args):
+            alive.append(sum(ref() is not None for ref in built))
+            return scan(table, *args)
+
+        monkeypatch.setattr(modematch, "_mode_table", recording_table)
+        monkeypatch.setattr(modematch, "_scan_roots", recording_scan)
+        cached.cache_clear()
         assert main(["sweep", "--config", str(cfg)]) == 0
-        info = modematch._mode_table.cache_info()
+        info = cached.cache_info()
         assert (info.misses, info.currsize) == (3, 1)
+        assert alive == [1, 1, 1]
 
 
 class TestWavefunction:
@@ -478,7 +496,7 @@ REMOVED_FLAGS = [("wavefunction", "--formats", "csv"), ("oracle", "--formats", "
 def refuse_solves(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solve ran")
-    for name in ("bound_state_energies", "existence_test"):
+    for name in ("bound_states", "existence_test"):
         monkeypatch.setattr(robinstrip.cli, name, refuse)
 
 
@@ -624,7 +642,6 @@ class TestTracerHooks:
         ("fdoracle", "transversal_eigenvalues"),
         ("transverse", "overlap_matrix"),
         ("modematch", "overlap_matrix"),
-        ("cli", "bound_state_energies"),
         ("cli", "existence_test"),
         ("cli", "sweep_csv"),
         ("cli", "write_sweep_csv"),

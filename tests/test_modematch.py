@@ -2,13 +2,14 @@
 axial stiffness, the matching matrix C, root scan, bound states,
 wavefunctions, residuals."""
 
+import dataclasses
 import pickle
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import admitted_alpha, neumann_state_cap, reference_overlaps
+from conftest import admitted_alpha, full_window_roots, neumann_state_cap, reference_overlaps
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,8 @@ from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
                         overlap_matrix, transversal_eigenvalues, wavefunction)
 from robinstrip import modematch, transverse
 from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
-                                  _scan_roots, _scan_slogdet, _value_deriv, _window)
+                                  _scan_roots, _scan_slogdet, _value_deriv, _window,
+                                  bound_states)
 from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
@@ -270,16 +272,19 @@ class TestBoundStates:
         with pytest.raises(ContractError):
             bound_state_energies(WELL, SYM, 8, scan_points=4)
 
-    @given(alpha0=st.floats(0.5, 50.0), ratio=st.floats(0.02, 0.9),
+    @given(log_alpha0_d=st.floats(-7.0, 15.0), log_alpha1_d=st.floats(-7.0, 15.0),
            a=st.floats(0.1, 1.6))
+    @example(log_alpha0_d=np.log10(20.0), log_alpha1_d=np.log10(5.0), a=0.3)
+    @example(log_alpha0_d=5.0, log_alpha1_d=-5.0, a=1.6)
+    @example(log_alpha0_d=15.0, log_alpha1_d=-7.0, a=1.6)
     @settings(max_examples=25, deadline=None)
-    def test_count_within_rigorous_cap_and_brackets(self, alpha0, ratio, a):
-        cfg = WellConfig(alpha0, alpha0 * ratio, a, 1.0)
-        states = sorted(
-            bound_state_energies(cfg, SYM, 10, scan_points=200)
-            + bound_state_energies(cfg, ANTI, 10, scan_points=200),
-            key=lambda s: s.lam,
-        )
+    def test_count_within_rigorous_cap_and_brackets(self, log_alpha0_d, log_alpha1_d, a):
+        # over the admitted range of alpha*d, from a barely bound weak
+        # coupling to the hard-wall pair
+        assume(log_alpha1_d < log_alpha0_d)
+        cfg = WellConfig(admitted_alpha(10.0**log_alpha0_d, 1.0),
+                         admitted_alpha(10.0**log_alpha1_d, 1.0), a, 1.0)
+        [states] = bound_states([cfg], 10, scan_points=200)
         assert len(states) <= neumann_state_cap(cfg)
         E1_in = float(transversal_eigenvalues(cfg.inner, 1)[0])
         E1_out = float(transversal_eigenvalues(cfg.outer, 1)[0])
@@ -391,6 +396,61 @@ class TestBoundStates:
         assert np.all(np.diff(lams) > 0) and np.all(np.diff(lams) < 5e-4)
 
 
+class TestBatchedSolve:
+    """bound_states solves the wells that share a cross-section pair
+    together: every sector's brackets in one lockstep refinement, every
+    null vector in one batched SVD."""
+
+    @staticmethod
+    def _fields(states):
+        return [(s.lam, s.parity, s.a_coeffs.tobytes(), s.b_coeffs.tobytes(), s.sigma_min,
+                 s.lam_coarse) for s in states]
+
+    @classmethod
+    def _alone(cls, well, N):
+        """One bound_state_energies call per sector, merged by lambda."""
+        return cls._fields(sorted(bound_state_energies(well, SYM, N)
+                                  + bound_state_energies(well, ANTI, N), key=lambda s: s.lam))
+
+    @given(log_alpha0_d=st.floats(-7.0, 15.0), log_alpha1_d=st.floats(-7.0, 15.0),
+           log_d=st.floats(-2.0, 2.0),
+           ratios=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+           N=st.sampled_from([2, 3, 8, 32]))
+    @example(log_alpha0_d=np.log10(8.0), log_alpha1_d=0.0, log_d=0.0,
+             ratios=[0.6, 1.0, 1.5, 1.8], N=32)
+    @example(log_alpha0_d=5.0, log_alpha1_d=-5.0, log_d=0.0, ratios=[0.8, 2.0, 0.3], N=8)
+    @example(log_alpha0_d=np.log10(20.0), log_alpha1_d=np.log10(5.0), log_d=0.0,
+             ratios=[0.3, 0.3], N=2)
+    @settings(max_examples=40, deadline=None)
+    def test_batching_is_invisible(self, log_alpha0_d, log_alpha1_d, log_d, ratios, N):
+        # lam, coefficients, sigma_min and the N/2 companion of every state
+        # have the bits of one solve per (well, sector)
+        assume(log_alpha1_d < log_alpha0_d)
+        d = 10.0**log_d
+        alpha0 = admitted_alpha(10.0**log_alpha0_d, d)
+        alpha1 = admitted_alpha(10.0**log_alpha1_d, d)
+        wells = [WellConfig(alpha0, alpha1, r * d, d) for r in ratios]
+        batched = [self._fields(states) for states in bound_states(wells, N)]
+        assert batched == [self._alone(well, N) for well in wells]
+
+    def test_runs_of_one_cross_section_share_a_table(self):
+        # consecutive wells of one (alpha0, alpha1, d) share a mode table;
+        # a well of another pair in between starts a new run
+        other = WellConfig(40.0, 2.0, 1.0, 0.8)
+        wells = [WELL, dataclasses.replace(WELL, a=0.6), other, dataclasses.replace(WELL, a=0.9)]
+        alone = [self._alone(well, 16) for well in wells]
+        _mode_table.cache_clear()
+        batched = [self._fields(states) for states in bound_states(wells, 16)]
+        assert _mode_table.cache_info().misses == 3
+        assert batched == alone
+
+    def test_sizes_are_refused_before_any_solve(self):
+        with pytest.raises(ContractError):
+            bound_states([WELL], 1)
+        with pytest.raises(ContractError):
+            bound_states([WELL], 8, scan_points=4)
+
+
 class TestBlockScan:
     WELLS = (WELL, WellConfig(8.0, 1.0, 1.5, 1.0), WellConfig(40.0, 2.0, 1.0, 0.8))
     NEAR_THRESHOLD = tuple(WellConfig(20.0, 20.0 - eps, 0.3, 1.0) for eps in (1e-3, 1e-4, 1e-5))
@@ -446,7 +506,7 @@ class TestBlockScan:
         win = _window(table)
         total = 0
         for parity in ParitySector:
-            roots = _scan_roots(table, cfg.a, parity, 400)
+            roots = _scan_roots(table, [(cfg.a, parity)], 400)[0]
             total += len(roots)
             if win is None:
                 assert roots == []
@@ -487,7 +547,7 @@ class TestBlockScan:
             for N in (8, 16, 32, 33):
                 table, full = _mode_table(cfg.inner, cfg.outer, N), _full_table(cfg, N)
                 for parity in ParitySector:
-                    for lam in _scan_roots(table, cfg.a, parity, 400):
+                    for lam in _scan_roots(table, [(cfg.a, parity)], 400)[0]:
                         C = _scan_matrices(full, cfg.a, parity, np.array([lam]))[0][0]
                         s = np.linalg.svd(C, compute_uv=False)
                         assert s[-1] < 1e-8 * s[0]
@@ -512,7 +572,7 @@ class TestBlockScan:
     def test_rootless_sector_is_one_lu_and_no_svd(self, monkeypatch):
         table = _mode_table(WELL.inner, WELL.outer, 16)
         calls = self._count_work(monkeypatch)
-        assert _scan_roots(table, WELL.a, ANTI, 400) == []
+        assert _scan_roots(table, [(WELL.a, ANTI)], 400)[0] == []
         assert calls == {"matrices": 1, "svd": 0}
 
     def test_bisection_work_does_not_grow_with_root_count(self, monkeypatch):
@@ -527,7 +587,7 @@ class TestBlockScan:
             h = (hi - lo) / 399
             for parity in ParitySector:
                 calls.update(matrices=0, svd=0)
-                roots = _scan_roots(table, cfg.a, parity, 400)
+                roots = _scan_roots(table, [(cfg.a, parity)], 400)[0]
                 if roots:
                     counts.add(len(roots))
                     width = 8.0 * np.spacing(min(roots))
@@ -535,6 +595,34 @@ class TestBlockScan:
                     assert calls["svd"] == 0
         assert counts == {1, 2}
 
+    def test_sweep_refines_in_the_steps_of_its_slowest_job(self, monkeypatch):
+        # the brackets of every (well, sector) job of a table step together:
+        # past one grid LU per job (one chunk at N = 32), a 4-point a sweep
+        # takes no more batched LUs than its slowest job alone
+        wells = [WellConfig(8.0, 1.0, r, 1.0) for r in (0.6, 1.0, 1.5, 1.8)]
+        table = _mode_table(wells[0].inner, wells[0].outer, 32)
+        jobs = [(w.a, parity) for w in wells for parity in ParitySector]
+        lus = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda C: lus.append(1) or slogdet(C))
+        roots = _scan_roots(table, jobs, 400)
+        lockstep = len(lus) - len(jobs)
+        alone = []
+        for job, job_roots in zip(jobs, roots):
+            lus.clear()
+            assert _scan_roots(table, [job], 400)[0] == job_roots
+            alone.append(len(lus) - 1)
+        assert sum(bool(r) for r in roots) >= 6
+        assert lockstep <= max(alone) < sum(alone)
+
+    def test_a_sweep_takes_two_svd_calls(self, monkeypatch):
+        # one batched SVD for the null vectors of every root of the table
+        # and one for their sigma_min
+        wells = [WellConfig(8.0, 1.0, r, 1.0) for r in (0.6, 1.0, 1.5, 1.8)]
+        calls = self._count_work(monkeypatch)
+        solved = list(bound_states(wells, 32))
+        assert sum(map(len, solved)) >= 8
+        assert calls["svd"] == 2
 
     @staticmethod
     def _bisected_roots(table, a, parity, scan_points=400):
@@ -570,7 +658,7 @@ class TestBlockScan:
                 table = _mode_table(cfg.inner, cfg.outer, N)
                 for parity in ParitySector:
                     ref = self._bisected_roots(table, cfg.a, parity)
-                    roots = _scan_roots(table, cfg.a, parity, 400)
+                    roots = _scan_roots(table, [(cfg.a, parity)], 400)[0]
                     assert len(roots) == len(ref), (cfg, N, parity)
                     for lam, lam_ref in zip(roots, ref):
                         assert abs(lam - lam_ref) <= 8.0 * np.spacing(lam_ref)
@@ -591,7 +679,7 @@ class TestBlockScan:
                 table = _mode_table(cfg.inner, cfg.outer, N)
                 for parity in ParitySector:
                     calls.update(matrices=0, svd=0)
-                    if _scan_roots(table, cfg.a, parity, 400):
+                    if _scan_roots(table, [(cfg.a, parity)], 400)[0]:
                         rooted += 1
                         assert calls["matrices"] <= 2 + 20, (cfg, N, parity)
         assert rooted >= 80
@@ -614,7 +702,7 @@ class TestBlockScan:
             return (np.sign(d) * np.abs(d) ** power)[:, None, None], np.ones((lam.size, 1))
 
         monkeypatch.setattr(modematch, "_scan_matrices", fake)
-        _scan_roots(table, WELL.a, SYM, 400)
+        _scan_roots(table, [(WELL.a, SYM)], 400)
         halvings = np.ceil(np.log2(h / (8.0 * np.spacing(r))))
         assert len(calls) <= 2 + 4 * (halvings + 1)
 
@@ -638,7 +726,7 @@ class TestBlockScan:
                     if not states:
                         continue
                     coarse = _scan_roots(_mode_table(cfg.inner, cfg.outer, N // 2),
-                                         cfg.a, parity, 400)
+                                         [(cfg.a, parity)], 400)[0]
                     fine = [st.lam for st in states]
                     assert [st.lam_coarse for st in states] == _pair_nearest(fine, coarse)
                     paired += sum(st.lam_coarse is not None for st in states)
@@ -811,7 +899,28 @@ class TestBrackets:
         # sector skips finds no root either
         cfg = WellConfig(10.0**log_alpha0, 10.0**log_alpha1, a, 1.0)
         assume(minimax_brackets(cfg, 2)[0] >= transversal_eigenvalues(cfg.outer, 1)[0])
-        assert _scan_roots(_mode_table(cfg.inner, cfg.outer, N), a, ANTI, 400) == []
+        assert full_window_roots(_mode_table(cfg.inner, cfg.outer, N), a, ANTI) == []
+
+    @given(log_alpha0_d=st.floats(-7.0, 15.0), log_alpha1_d=st.floats(-7.0, 15.0),
+           ratio=st.floats(0.05, 3.0), N=st.sampled_from([4, 8, 32]))
+    @example(log_alpha0_d=np.log10(8.0), log_alpha1_d=0.0, ratio=1.5, N=32)
+    @example(log_alpha0_d=5.0, log_alpha1_d=-5.0, ratio=2.0, N=32)
+    @example(log_alpha0_d=np.log10(40.0), log_alpha1_d=np.log10(2.0), ratio=1.25, N=8)
+    @example(log_alpha0_d=np.log10(78.79), log_alpha1_d=np.log10(3.9), ratio=0.72, N=32)
+    @settings(max_examples=60, deadline=None)
+    def test_no_antisymmetric_root_below_its_neumann_floor(self, log_alpha0_d, log_alpha1_d,
+                                                           ratio, N):
+        # the solver starts the antisymmetric grid at its last point below
+        # E_1(alpha1) + (pi/2a)^2; over the admitted range of alpha*d a scan
+        # of the whole window finds no root below that floor, and the
+        # trimmed scan gives its roots bit for bit
+        assume(log_alpha1_d < log_alpha0_d)
+        cfg = WellConfig(admitted_alpha(10.0**log_alpha0_d, 1.0),
+                         admitted_alpha(10.0**log_alpha1_d, 1.0), ratio, 1.0)
+        table = _mode_table(cfg.inner, cfg.outer, N)
+        full = full_window_roots(table, cfg.a, ANTI)
+        assert all(lam >= minimax_brackets(cfg, 2)[0] for lam in full)
+        assert _scan_roots(table, [(cfg.a, ANTI)], 400)[0] == full
 
     def test_neumann_skip_builds_no_table(self, monkeypatch):
         def fail(*args):
@@ -887,8 +996,6 @@ class TestResidual:
         assert c0**2 == pytest.approx(1.0 - b_norm_sq, rel=1e-6, abs=1e-14)
 
     def test_derivative_jump_grows_off_root(self, reference_ground):
-        import dataclasses
-
         # c0 depends only on (a, b) and stays put; c1 carries the lambda
         # sensitivity, rising monotonically above its truncation floor
         c0, _c1 = matching_residual(WELL, reference_ground)
