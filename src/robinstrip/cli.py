@@ -214,20 +214,32 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+def _indented_json(payload: dict, lists: tuple[str, ...]) -> str:
+    """json.dumps(payload, indent=2) + "\n" for a payload that opens with
+    the keys in lists, each a non-empty flat sequence, and holds at least
+    one other key.  indent sends json.dumps to its pure-Python encoder,
+    which took about 3 s of the 3.8 s existence run at n_max = 2^20, so
+    the lists go through the C encoder with the indented item separator."""
+    head = "".join(f'  "{key}": [\n    '
+                   + json.dumps(payload[key], separators=(",\n    ", ": "))[1:-1] + "\n  ],\n"
+                   for key in lists)
+    rest = json.dumps({k: v for k, v in payload.items() if k not in lists}, indent=2)
+    return "{\n" + head + rest[2:] + "\n"
+
+
 def _cmd_existence(args: argparse.Namespace, cfg: RunConfig) -> int:
     bump = BumpProfile(plateau=args.plateau, support=args.support)
     report = existence_test(cfg.well, bump, args.n_max)
     payload = {
-        "n_values": list(report.n_values),
-        "q_values": list(report.q_values),
+        "n_values": report.n_values,
+        "q_values": report.q_values,
         "first_negative_n": report.first_negative_n,
         "well_hypothesis": report.well_hypothesis,
         "well": dataclasses.asdict(report.config),
     }
     path = os.path.join(cfg.output.dir, "existence.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(_indented_json(payload, ("n_values", "q_values")))
     if not report.well_hypothesis:
         verdict = "hypothesis false (alpha1 >= alpha0): no claim"
     elif report.first_negative_n is None:

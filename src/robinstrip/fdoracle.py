@@ -28,7 +28,7 @@ wall term is >= 0, so every y-odd eigenvalue is at least the lowest one
 of the 1D tridiagonal Ty_odd + min(alpha) walls_odd.  A y-even block is
 skipped too when a discrete Neumann cut at |x| = a (the x edge across
 the jump dropped) puts its whole spectrum at or above E_1(alpha0), where
-the keep rule accepts nothing (sector_floor, again from 1D tridiagonals);
+the keep rule accepts nothing (sector_floor, from 1D spectra);
 on a well whose Neumann cap is 1 that is the antisymmetric sector.
 
 A solved block is the separable alpha0 operator, diagonal in the basis
@@ -37,7 +37,10 @@ Vx (x) Qy (fast diagonalisation, Lynch, Rice and Thomas, Numer. Math. 6
 nodes.  Its eigenvalues below the alpha0 spectrum are the roots of a p x
 p capacitance matrix (Buzbee, Dorr, George and Golub, SIAM J. Numer.
 Anal. 8 (1971) 722) whose inertia counts them, each pair checked by
-applying the block's 5-point stencil to it.  No solve assembles a
+applying the block's 5-point stencil to it.  The 1D y spectra of a grid
+are set up once per oracle_bound_states call and shared by its floors,
+tops and both sectors' solves, and the fine grid's Newton steps start at
+the coarse grid's roots.  No solve assembles a
 matrix: assemble builds the CSR block only for the tests and the bench's
 size counts.  The Richardson step between two grids assumes order 2 (the
 order observed so far is 0.90-0.99, so its error bar is optimistic), and
@@ -46,12 +49,14 @@ the oracle shares none of the mode matching machinery it checks.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, null_space
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
 
 from .errors import ConfigError, ContractError, NumericalError
 from .modematch import ParitySector, WellConfig
@@ -121,16 +126,20 @@ def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
     return FdGrid(L=half * hx, nx=2 * half - 1, ny=ny1 + 1, hx=hx, hy=config.d / ny1)
 
 
+def _x_rows(grid: FdGrid, sector: ParitySector) -> int:
+    """The number of folded Tx rows of the sector."""
+    return (grid.nx + 1) // 2 - (0 if sector is ParitySector.SYMMETRIC else 1)
+
+
 def _folded_tx(grid: FdGrid, sector: ParitySector) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of Tx folded onto the nodes x >= 0 of the
     symmetric sector (row 0 the half-weight node on x = 0) or x > 0 of the
     antisymmetric one (Dirichlet at x = 0); the last row is the one next
     to the Dirichlet row at x = L."""
-    symmetric = sector is ParitySector.SYMMETRIC
-    n = (grid.nx + 1) // 2 - (0 if symmetric else 1)
+    n = _x_rows(grid, sector)
     diag = np.full(n, 2.0)
     off = -np.ones(n - 1)
-    if symmetric:
+    if sector is ParitySector.SYMMETRIC:
         off[0] = -_SQRT2
     return diag / grid.hx**2, off / grid.hx**2
 
@@ -169,25 +178,29 @@ def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
     return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
 
 
+def _alpha_x(config: WellConfig, grid: FdGrid, sector: ParitySector) -> np.ndarray:
+    """alpha on the folded Tx rows: alpha1 on |x| < a, alpha0 outside (a
+    node exactly on the jump gets alpha0)."""
+    inner = np.arange(_x_rows(grid, sector)) < _inner_rows(config, grid, sector)
+    return np.where(inner, config.alpha1, config.alpha0).astype(float)
+
+
 def _stencil(config: WellConfig, grid: FdGrid,
              sector: ParitySector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The symmetric FD operator of one x-parity sector on the y-even half
-    of the grid, for the coupling profile alpha(x) = alpha1 on |x| < a,
-    alpha0 outside (a node exactly on the jump gets alpha0): A = Tx (x) I
-    + I (x) Ty + diag(alpha(x)) (x) diag(walls) with the folded Tx and Ty
-    of the module docstring (Dirichlet at x = L) and walls = (2/hy, 0, ...,
-    0), as its 5-point stencil: the main diagonal (x rows, y rows), the x
-    coupling ex and the y coupling ey.  alpha is classified by integer
-    offset, so the grid needs a node at x = 0 (nx odd) and a/hx an integer
-    within 1e-9 (as make_grid ensures); any other grid is a
-    ContractError."""
-    inner = _inner_rows(config, grid, sector)
+    of the grid, for the coupling profile _alpha_x: A = Tx (x) I + I (x) Ty
+    + diag(alpha(x)) (x) diag(walls) with the folded Tx and Ty of the
+    module docstring (Dirichlet at x = L) and walls = (2/hy, 0, ..., 0), as
+    its 5-point stencil: the main diagonal (x rows, y rows), the x coupling
+    ex and the y coupling ey.  alpha is classified by integer offset, so
+    the grid needs a node at x = 0 (nx odd) and a/hx an integer within
+    1e-9 (as make_grid ensures); any other grid is a ContractError."""
+    alpha_x = _alpha_x(config, grid, sector)
     tx, ex = _folded_tx(grid, sector)
-    alpha_x = np.where(np.arange(tx.size) < inner, config.alpha1, config.alpha0).astype(float)
     ty, ey = _folded_ty(grid, even=True)
-    walls = np.zeros(ty.size)
-    walls[0] = 2.0 / grid.hy
-    return (ty[None, :] + tx[:, None]) + alpha_x[:, None] * walls[None, :], ex, ey
+    main = ty[None, :] + tx[:, None]
+    main[:, 0] += alpha_x * (2.0 / grid.hy)
+    return main, ex, ey
 
 
 def _apply(main: np.ndarray, ex: np.ndarray, ey: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -200,9 +213,23 @@ def _apply(main: np.ndarray, ex: np.ndarray, ey: np.ndarray, u: np.ndarray) -> n
     return out
 
 
-def _norm_inf(main: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> float:
-    """||A||_inf from the stencil of A: the largest entry of |A| 1 (main > 0)."""
-    return float(_apply(main, np.abs(ex), np.abs(ey), np.ones_like(main)).max())
+def _abs_row_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The row sums of |T| for a tridiagonal T with a positive diagonal."""
+    out = diag.copy()
+    out[1:] -= off
+    out[:-1] -= off
+    return out
+
+
+def _norm_inf(config: WellConfig, grid: FdGrid, sector: ParitySector) -> float:
+    """||A||_inf of _stencil(config, grid, sector) from its 1D parts, with
+    no pass over the grid: row (i, j) of |A| sums to X_i + Y_j + alpha_x[i]
+    walls_j, X and Y the row sums of |Tx| and |Ty| (off-diagonals < 0), and
+    walls is nonzero on the wall row j = 0 alone."""
+    x = _abs_row_sums(*_folded_tx(grid, sector))
+    y = _abs_row_sums(*_folded_ty(grid, even=True))
+    wall = (x + _alpha_x(config, grid, sector) * (2.0 / grid.hy)).max() + y[0]
+    return float(max(wall, x.max() + y[1:].max()))
 
 
 def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
@@ -229,96 +256,156 @@ def y_odd_floor(config: WellConfig, grid: FdGrid) -> float:
     return _lowest(ty, ey)
 
 
-def sector_floor(config: WellConfig, grid: FdGrid, sector: ParitySector) -> float:
+@dataclass(frozen=True, eq=False)
+class _YSpectra:
+    """The y spectra of one grid, which its sector floors, tops and solves
+    share: the eigenvalues tau of the folded y-even Ty and the squares w of
+    its orthonormal eigenvectors' wall entries, the eigenvalues lam_y and
+    orthonormal eigenvectors qy (columns, row 0 the wall) of Ty + alpha0
+    walls, all ascending, and the lowest eigenvalue low1 of Ty + alpha1
+    walls."""
+
+    tau: np.ndarray
+    w: np.ndarray
+    lam_y: np.ndarray
+    qy: np.ndarray
+    low1: float
+
+
+def _y_spectra(config: WellConfig, grid: FdGrid) -> _YSpectra:
+    """The _YSpectra of grid, for both x sectors: two tridiagonal
+    eigendecompositions and one lowest eigenvalue."""
+    ty, ey = _folded_ty(grid, even=True)
+    tau, vy = eigh_tridiagonal(ty, ey)
+    ty0 = ty.copy()
+    ty0[0] += config.alpha0 * 2.0 / grid.hy
+    lam_y, qy = eigh_tridiagonal(ty0, ey)
+    ty[0] += 2.0 * config.alpha1 / grid.hy
+    return _YSpectra(tau=tau, w=vy[0] ** 2, lam_y=lam_y, qy=qy, low1=_lowest(ty, ey))
+
+
+def _dirichlet_neumann(rows: int, h: float) -> float:
+    """The lowest eigenvalue of the second difference on rows nodes,
+    Dirichlet past one end and a Neumann cut (diagonal 1/h^2) at the other:
+    4 sin^2(theta/2)/h^2, theta = pi/(2 rows + 1)."""
+    return (2.0 * np.sin(0.5 * np.pi / (2 * rows + 1)) / h) ** 2
+
+
+def sector_floor(config: WellConfig, grid: FdGrid, sector: ParitySector,
+                 spectra: _YSpectra | None = None) -> float:
     """Lower bound on every eigenvalue of assemble(config, grid, sector) and
     on every value lowest_eigenpairs can return for it, from a discrete
-    Neumann cut at |x| = a.
+    Neumann cut at |x| = a; spectra is the grid's _y_spectra, built here if
+    not given.
 
     Removing the x edge between offsets m - 1 and m (m = a/hx; the node on
     the jump is on the alpha0 side) removes the positive semidefinite term
     (u_(m-1) - u_m)^2/hx^2 of the form, so A >= A_cut; the W^(-1/2)
-    similarity keeps the order, and the half-weight node on x = 0 (m = 1,
-    symmetric sector) loses 2/hx^2, every other end 1/hx^2.  A_cut is the
-    direct sum of an inner (alpha1) and an outer (alpha0) Kronecker sum, so
-    its lowest eigenvalue is the smaller of lambda_min(Tx_block) +
-    lambda_min(Ty + alpha_block walls) over the two blocks.  When the
+    similarity keeps the order.  A_cut is the direct sum of an inner
+    (alpha1) and an outer (alpha0) Kronecker sum, so its lowest eigenvalue
+    is the smaller of lambda_min(Tx_block) + lambda_min(Ty + alpha_block
+    walls) over the two blocks.  The Tx blocks are second differences with
+    a Neumann end at the cut: the outer one Dirichlet next to x = L, the
+    inner one Dirichlet at x = 0 (antisymmetric sector) or Neumann there too
+    (symmetric sector: its lowest eigenvalue is 0, the constant).  When the
     antisymmetric sector has no inner node (m = 1) nothing is cut.  The
     bound is lowered by _RESIDUAL_TOL ||A||_inf: lowest_eigenpairs puts
     each value it returns within that distance of the spectrum, and it
-    also covers the rounding of the four tridiagonal eigenvalues."""
+    also covers the rounding of the two tridiagonal eigenvalues."""
     p = _inner_rows(config, grid, sector)
-    tx, ex = _folded_tx(grid, sector)
-    ty, ey = _folded_ty(grid, even=True)
-    wall = 2.0 / grid.hy
+    ys = _y_spectra(config, grid) if spectra is None else spectra
     # ||A||_inf: a row of Tx or Ty sums to at most (3 + sqrt 2)/h^2 in absolute value
     norm = ((3.0 + _SQRT2) * (grid.hx**-2 + grid.hy**-2)
-            + max(config.alpha0, config.alpha1) * wall)
-    if p > 0:
-        tx[p - 1] -= (2.0 if p == 1 and sector is ParitySector.SYMMETRIC else 1.0) / grid.hx**2
-        tx[p] -= 1.0 / grid.hx**2
-    floor = np.inf
-    for alpha, t, e in ((config.alpha1, tx[:p], ex[:p - 1]), (config.alpha0, tx[p:], ex[p:])):
-        if t.size:
-            ty_alpha = ty.copy()
-            ty_alpha[0] += alpha * wall
-            floor = min(floor, _lowest(t, e) + _lowest(ty_alpha, ey))
+            + max(config.alpha0, config.alpha1) * 2.0 / grid.hy)
+    if p == 0:
+        floor = _lam_x(grid, sector)[0] + ys.lam_y[0]
+    else:
+        outer = _x_rows(grid, sector) - p
+        inner = 0.0 if sector is ParitySector.SYMMETRIC else _dirichlet_neumann(p, grid.hx)
+        floor = min(inner + ys.low1, _dirichlet_neumann(outer, grid.hx) + ys.lam_y[0])
     return floor - _RESIDUAL_TOL * norm
 
 
-def _vx(coef: np.ndarray, sector: ParitySector, axis: int = 0,
+def _vx(coef: np.ndarray, sector: ParitySector, n: int | None = None,
         transpose: bool = False) -> np.ndarray:
-    """Vx @ coef (Vx^T @ coef if transpose) along axis, where column k of
-    the orthogonal Vx is the eigenvector of the folded Tx for its k-th
-    eigenvalue: the orthonormal DCT-II (Vx) and DCT-III (Vx^T) in the
-    symmetric sector, the self-inverse orthonormal DST-I in the
-    antisymmetric one."""
+    """Vx @ coef (Vx^T @ coef if transpose) along axis 0, coef padded with
+    zero rows to n, where column k of the orthogonal Vx is the eigenvector
+    of the folded Tx for its k-th eigenvalue: the orthonormal DCT-II (Vx)
+    and DCT-III (Vx^T) in the symmetric sector, the self-inverse
+    orthonormal DST-I in the antisymmetric one."""
     if sector is ParitySector.SYMMETRIC:
-        return dct(coef, type=3 if transpose else 2, norm="ortho", axis=axis)
-    return dst(coef, type=1, norm="ortho", axis=axis)
+        return dct(coef, type=3 if transpose else 2, n=n, norm="ortho", axis=0)
+    return dst(coef, type=1, n=n, norm="ortho", axis=0)
 
 
-def _separable_basis(config: WellConfig, grid: FdGrid,
-                     sector: ParitySector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eigenvalues lam_x of the folded Tx, and the eigenvalues lam_y
-    and orthonormal eigenvectors Qy (columns, row 0 the wall) of the folded
-    y-even Ty + alpha0 walls, all ascending: the alpha0 operator is
-    (Vx (x) Qy) diag(lam_x (+) lam_y) (Vx (x) Qy)^T.  lam_x =
-    4 sin^2(theta_k/2)/hx^2 with theta_k = (2k + 1) pi/(2n) on the n
-    symmetric-sector rows (the x-even modes of the Dirichlet second
+def _lam_x(grid: FdGrid, sector: ParitySector) -> np.ndarray:
+    """The eigenvalues of the folded Tx, ascending, in the order of the
+    columns of Vx: 4 sin^2(theta_k/2)/hx^2 with theta_k = (2k + 1) pi/(2n)
+    on the n symmetric-sector rows (the x-even modes of the Dirichlet second
     difference on 2n - 1 nodes) and theta_k = (k + 1) pi/(n + 1) on the n
     antisymmetric ones."""
-    n = (grid.nx + 1) // 2 - (0 if sector is ParitySector.SYMMETRIC else 1)
+    n = _x_rows(grid, sector)
     k = np.arange(n)
     theta = ((2 * k + 1) * np.pi / (2 * n) if sector is ParitySector.SYMMETRIC
              else (k + 1) * np.pi / (n + 1))
-    ty, ey = _folded_ty(grid, even=True)
-    ty[0] += config.alpha0 * 2.0 / grid.hy
-    return (2.0 * np.sin(0.5 * theta) / grid.hx) ** 2, *eigh_tridiagonal(ty, ey)
+    return (2.0 * np.sin(0.5 * theta) / grid.hx) ** 2
 
 
-def _capacitance(g: np.ndarray, sector: ParitySector, p: int) -> np.ndarray:
-    """R diag(g) R^T, R = Vx[:p]: Toeplitz plus (symmetric sector: Vx[i, a]
-    = f_i cos(i theta_a), f_0^2 = 1/n, else 2/n) or minus (Vx[i, a] =
-    sqrt(2/(n + 1)) sin((i + 1) theta_a)) Hankel in C(m) = sum_a g_a cos(m
-    theta_a), one DCT of g, extended by its symmetry in m."""
-    n, i = g.size, np.arange(p)
-    if sector is ParitySector.SYMMETRIC:
-        cm = 0.5 * dct(g, type=2)
-        cm = np.r_[cm, 0.0, -cm[:0:-1]]             # C(2n - m) = -C(m)
-        f = np.sqrt(np.where(i == 0, 1.0, 2.0) / n)
-        return 0.5 * np.outer(f, f) * (cm[abs(i[:, None] - i)] + cm[i[:, None] + i])
-    cm = 0.5 * dct(np.r_[0.0, g, 0.0], type=1)
-    cm = np.r_[cm, cm[-2:0:-1]]                     # C(2n + 2 - m) = C(m)
-    return (cm[abs(i[:, None] - i)] - cm[i[:, None] + i + 2]) / (n + 1)
+def _capacitance(n: int, sector: ParitySector, p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map g -> R diag(g) R^T, R = Vx[:p], for g of size n: Toeplitz plus
+    (symmetric sector: Vx[i, a] = f_i cos(i theta_a), f_0^2 = 1/n, else 2/n)
+    or minus (Vx[i, a] = sqrt(2/(n + 1)) sin((i + 1) theta_a)) Hankel in
+    C(m) = sum_a g_a cos(m theta_a), one DCT of g, extended by its symmetry
+    in m.  The Toeplitz and Hankel parts are strided views of buffers for C,
+    set up here once for every g of a solve, so no p x p index is built."""
+    symmetric = sector is ParitySector.SYMMETRIC
+    shift = 0 if symmetric else 2
+    cm, padded = np.zeros(2 * n + shift), np.zeros(n + 2)
+    mirrored = np.empty(2 * p - 1)                  # C(|m|), m = 1 - p, ..., p - 1
+    toeplitz = sliding_window_view(mirrored, p)[::-1]
+    hankel = sliding_window_view(cm[shift:], p)[:p]
+    f = np.sqrt(np.where(np.arange(p) == 0, 1.0, 2.0) / n)
+    scale = 0.25 * np.outer(f, f) if symmetric else None
+
+    def capacitance(g: np.ndarray) -> np.ndarray:
+        if symmetric:
+            cm[:n] = dct(g, type=2)
+            cm[n + 1:] = -cm[n - 1:0:-1]            # C(2n - m) = -C(m), C(n) = 0
+        else:
+            padded[1:-1] = g
+            cm[:n + 2] = 0.5 * dct(padded, type=1)
+            cm[n + 2:] = cm[n:0:-1]                 # C(2n + 2 - m) = C(m)
+        mirrored[:p - 1] = cm[p - 1:0:-1]
+        mirrored[p - 1:] = cm[:p]
+        return scale * (toeplitz + hankel) if symmetric else (toeplitz - hankel) / (n + 1)
+    return capacitance
 
 
-def lowest_eigenpairs(config: WellConfig, grid: FdGrid,
-                      sector: ParitySector) -> list[tuple[float, np.ndarray]]:
+def _negatives_off(c: np.ndarray, r: np.ndarray) -> int:
+    """The number of negative eigenvalues of the symmetric c restricted to
+    the complement of r: that of (H c H)[1:, 1:], H = I - 2 v v^T/(v^T v)
+    the Householder reflector taking r onto the first axis, whose last
+    columns span that complement.  H c H = c - v u^T - u v^T, one rank-2
+    update."""
+    v = r.copy()
+    v[0] += np.copysign(np.linalg.norm(r), r[0])
+    vv = v @ v
+    y = c @ v * (2.0 / vv)
+    u = (y - (v @ y) / vv * v)[1:]
+    v = v[1:]
+    return int(np.sum(eigvalsh(c[1:, 1:] - np.outer(v, u) - np.outer(u, v)) < 0.0))
+
+
+def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
+                      spectra: _YSpectra | None = None,
+                      start: Sequence[float] = ()) -> list[tuple[float, np.ndarray]]:
     """Every eigenpair of assemble(config, grid, sector) below top, the
     lowest eigenvalue of its alpha0 operator: eigenvalues ascending,
     vectors orthonormal grid values with the largest entry positive.
+    spectra is the grid's _y_spectra, built here if not given; start[j],
+    if given, is a guess at eigenvalue j, such as a coarser grid's.
 
-    In the basis Vx (x) Qy of _separable_basis the block is D0 - c U U^T:
+    In the basis Vx (x) Qy (_lam_x, _YSpectra) the block is D0 - c U U^T:
     D0 = lam_x (+) lam_y, c = (alpha0 - alpha1) 2/hy, U = R^T (x) (row 0 of
     Qy), R = Vx[:p] (the p inner wall nodes); for c <= 0 or p = 0 it has
     nothing below top.  Else lambda < top is an eigenvalue iff N(lambda) =
@@ -332,38 +419,42 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid,
     eigenvalue nu of N comes from Newton steps on nu ~ alpha - beta/(top -
     lambda), exact at the pole, bracketed by the counts from the alpha1
     operator's lowest eigenvalue up, to a step below the rounding of nu;
-    its vector is (D0 - lambda)^(-1) U s, s the eigenvector of nu.  A step
-    is one p x p eigh, 4 to 7 a root: the cost grows as count p^3.  Each
-    pair must satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf, both sides
-    taken from the block's stencil, with no matrix built.
+    they begin at start[j] when it lies inside the bracket, else where the
+    last step left them.  Its vector is (D0 - lambda)^(-1) U s, s the
+    eigenvector of nu.  A step is one p x p eigh: on the bench's oracle
+    wells about 5.5 a root from the alpha1 value, 4 from the root of a grid
+    twice as coarse, so the cost grows as count p^3.  Each pair must
+    satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf, both sides taken from the
+    block's stencil, with no matrix built.
     """
-    lam_x, lam_y, qy = _separable_basis(config, grid, sector)
     p = _inner_rows(config, grid, sector)
     if not config.alpha1 < config.alpha0 or p == 0:
         return []
-    n, top = lam_x.size, lam_x[0] + lam_y[0]
-    ty, ey = _folded_ty(grid, even=True)
-    tau, vy = eigh_tridiagonal(ty, ey)
-    w = vy[0] ** 2
+    ys = _y_spectra(config, grid) if spectra is None else spectra
+    lam_x = _lam_x(grid, sector)
+    n, top = lam_x.size, lam_x[0] + ys.lam_y[0]
     k0, k1 = (2.0 * alpha / grid.hy for alpha in (config.alpha0, config.alpha1))
+    capacitance = _capacitance(n, sector, p)
 
-    def terms(lam: float) -> tuple[np.ndarray, np.ndarray]:
-        r = 1.0 / (tau[None, :] + (lam_x[:, None] - lam))
-        phi = r @ w
+    def terms(lam: float, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """h and dh/dlambda on lam_x[first:]."""
+        r = 1.0 / (ys.tau[None, :] + (lam_x[first:, None] - lam))
+        phi = r @ ys.w
         den = 1.0 + k0 * phi
-        return (1.0 + k1 * phi) / ((k0 - k1) * den), -((r * r) @ w) / den**2
+        return (1.0 + k1 * phi) / ((k0 - k1) * den), -((r * r) @ ys.w) / den**2
 
-    h = terms(top)[0]
-    h[0] = 0.0
-    q = null_space(_vx(np.eye(n, 1), sector)[:p].T)       # the complement of R[:, 0]
-    count = 1 + int(np.sum(eigvalsh(q.T @ _capacitance(h, sector, p) @ q) < 0.0))
-    ty[0] += k1
-    lam = lam_x[0] + _lowest(ty, ey)
+    h = np.zeros(n)                                   # h_0, the pole at top, left out
+    h[1:] = terms(top, 1)[0]
+    count = 1 + _negatives_off(capacitance(h), _vx(np.eye(n, 1), sector)[:p, 0])
+    lam = lam_x[0] + ys.low1                         # the alpha1 operator's lowest value
     seen, roots, coefs = [(lam, 0)], [], []
+    tried = 0                                         # the last root whose start was weighed
+    if start and lam < start[0] < top:
+        lam = start[0]
     for _ in range(64 * count):
         h, dh = terms(lam)
-        nu, s = eigh(_capacitance(h, sector, p), subset_by_index=(0, count - 1))
-        rs = _vx(np.pad(s, ((0, n - p), (0, 0))), sector, transpose=True)
+        nu, s = eigh(capacitance(h), subset_by_index=(0, count - 1))
+        rs = _vx(s, sector, n, transpose=True)
         dnu = dh @ rs**2
         seen.append((lam, int(np.sum(nu < 0.0))))
         while len(roots) < count:
@@ -375,20 +466,23 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid,
                     + 2.0 * np.spacing(lam):
                 break
             roots.append(new)
-            coefs.append(rs[:, j, None] * qy[0] / (lam_x[:, None] + lam_y - lam))
+            coefs.append(rs[:, j, None] * ys.qy[0] / (lam_x[:, None] + ys.lam_y - lam))
         if len(roots) == count:
             break
         lo = max(at for at, below in seen if below <= j)
         hi = min([top] + [at for at, below in seen if below > j])
-        lam = new if lo < new < hi else 0.5 * (lo + hi)
+        if tried < j < len(start) and lo < start[j] < hi:
+            lam, tried = start[j], j
+        else:
+            lam = new if lo < new < hi else 0.5 * (lo + hi)
     else:
         raise NumericalError(f"FD eigensolver: eigenvalue {len(roots) + 1} of {count} below "
                              f"{top!r} not resolved in {64 * count} capacitance solves")
     main, ex, ey = _stencil(config, grid, sector)
-    norm_a = _norm_inf(main, ex, ey)
+    norm_a = _norm_inf(config, grid, sector)
     pairs = []
     for j, (lam, coef) in enumerate(zip(roots, coefs)):
-        u = _vx(coef, sector) @ qy.T
+        u = _vx(coef, sector) @ ys.qy.T
         u /= np.linalg.norm(u)
         resid = float(np.linalg.norm(_apply(main, ex, ey, u) - lam * u))
         if resid > _RESIDUAL_TOL * norm_a:
@@ -412,10 +506,11 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     Builds the two finest grids of h0, h0/2, ..., h0/2^(refinements-1)
     (h0 defaults to d/64) before solving either, so an oversized one fails
     at once, and pairs the eigenvalues of their y-even blocks below top
-    (lowest_eigenpairs) by index.  Each pair is extrapolated by the order-2
-    rule lambda + (lambda_f - lambda_c)/3 and kept below E_1(alpha0) -
-    margin with margin = 3 (discretization estimate + exp(-k_1 L)
-    domain-truncation bound).  If the y-odd floor of either grid could pass
+    (lowest_eigenpairs, each grid's y spectra set up once for both sectors,
+    the fine solve started at the coarse values) by index.  Each pair is
+    extrapolated by the order-2 rule lambda + (lambda_f - lambda_c)/3 and
+    kept below E_1(alpha0) - margin with margin = 3 (discretization
+    estimate + exp(-k_1 L) domain-truncation bound).  If the y-odd floor of either grid could pass
     that rule (with a zero discretization estimate), the y-odd blocks
     cannot be excluded and it raises NumericalError.
 
@@ -439,19 +534,22 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     if _confident(floor, 0.0, E1_out, L):
         raise NumericalError(f"y-odd floor {floor!r} could pass the keep rule below "
                              f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
-    out = {}
+    out = {sector: [] for sector in ParitySector}
+    # a kept lambda_f < E_1(alpha0) lies above the floor, and for
+    # alpha1 >= alpha0 at or above top
+    if not config.alpha1 < config.alpha0:
+        return out
+    spectra = [_y_spectra(config, grid) for grid in grids]
     for sector in ParitySector:
-        # a kept lambda_f < E_1(alpha0) lies above the floor, and for
-        # alpha1 >= alpha0 at or above top
-        if not config.alpha1 < config.alpha0 or sector_floor(config, grids[-1], sector) >= E1_out:
-            out[sector] = []
+        if sector_floor(config, grids[-1], sector, spectra[-1]) >= E1_out:
             continue
-        tops = [sum(lam[0] for lam in _separable_basis(config, grid, sector)[:2]) for grid in grids]
+        tops = [_lam_x(grid, sector)[0] + ys.lam_y[0] for grid, ys in zip(grids, spectra)]
         if not tops[-1] > E1_out:
             raise NumericalError(f"finest grid's lowest alpha0 value {tops[-1]!r} is not above "
                                  f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
-        coarse, fine = ([lam for lam, _ in lowest_eigenpairs(config, grid, sector)]
-                        for grid in grids)
+        coarse = [lam for lam, _ in lowest_eigenpairs(config, grids[0], sector, spectra[0])]
+        fine = [lam for lam, _ in lowest_eigenpairs(config, grids[1], sector, spectra[1],
+                                                    coarse)]
         kept = []
         for j, lf in enumerate(fine):
             # past the coarse list the partner is at or above the coarse top,

@@ -569,6 +569,21 @@ class TestExistenceCommand:
         assert data["first_negative_n"] == 40
         assert len(data["q_values"]) == 48
 
+    @pytest.mark.parametrize("alpha0, alpha1, n_max, first", [
+        ("20", "5", "48", 40),          # certified
+        ("20", "5", "8", None),         # inconclusive
+        ("5", "20", "4", None),         # hypothesis false
+    ])
+    def test_report_bytes_are_the_indented_dump(self, tmp_path, alpha0, alpha1, n_max, first):
+        code = main(["existence", "--alpha0", alpha0, "--alpha1", alpha1, "--a", "0.3",
+                     "--d", "1", "--n-max", n_max, "--out-dir", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "existence.json").read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert payload["first_negative_n"] == first
+        assert payload["well_hypothesis"] is (alpha1 == "5")
+        assert text == json.dumps(payload, indent=2) + "\n"
+
     def test_sharp_bump(self, tmp_path):
         # a transition 1e-6 of the plateau wide: the well integral needs no refinement
         code = main(["existence", "--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1",

@@ -1,18 +1,20 @@
 """Finite-difference oracle: grid construction, assembly, eigensolver,
 extrapolated bound-state extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import lowest_fd_value
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
 
 import robinstrip.fdoracle as fdoracle
 from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector,
                         WellConfig, bound_state_energies, oracle_bound_states,
                         transversal_eigenvalues)
 from robinstrip.fdoracle import (FdGrid, _apply, _capacitance, _folded_tx, _folded_ty,
-                                 _inner_rows, _norm_inf, _separable_basis, _stencil, _vx,
+                                 _inner_rows, _lam_x, _norm_inf, _stencil, _vx, _y_spectra,
                                  assemble, lowest_eigenpairs, make_grid, sector_floor,
                                  y_odd_floor)
 
@@ -181,7 +183,7 @@ class TestStencil:
     def test_norm_matches_the_row_sums(self, sector, config, cells):
         grid = make_grid(config, 2.0 * config.d, config.d / cells)
         want = abs(assemble(config, grid, sector).matrix).sum(axis=1).max()
-        assert _norm_inf(*_stencil(config, grid, sector)) == pytest.approx(
+        assert _norm_inf(config, grid, sector) == pytest.approx(
             want, rel=4.0 * np.finfo(float).eps)
 
 
@@ -236,11 +238,15 @@ class TestAssembly:
             assemble(wrong_d, grid, SYM)
 
 
+def alpha0_top(config, grid, sector):
+    """The lowest eigenvalue of the block's alpha0 operator."""
+    return _lam_x(grid, sector)[0] + _y_spectra(config, grid).lam_y[0]
+
+
 def top_and_dense(config, grid, sector):
     """The lowest eigenvalue of the block's alpha0 operator, and the dense
     eigenpairs of the block."""
-    lam_x, lam_y, _ = _separable_basis(config, grid, sector)
-    return lam_x[0] + lam_y[0], *eigh(assemble(config, grid, sector).matrix.toarray())
+    return alpha0_top(config, grid, sector), *eigh(assemble(config, grid, sector).matrix.toarray())
 
 
 class TestEigensolver:
@@ -282,12 +288,13 @@ class TestEigensolver:
         # eigenvalues below lambda, at midpoints between them
         grid = make_grid(config, 6.0, 1.0 / 16)
         top, ref_vals, _ = top_and_dense(config, grid, sector)
-        lam_x, lam_y, qy = _separable_basis(config, grid, sector)
+        lam_x, ys = _lam_x(grid, sector), _y_spectra(config, grid)
         c, p = (config.alpha0 - config.alpha1) * 2.0 / grid.hy, _inner_rows(config, grid, sector)
+        capacitance = _capacitance(lam_x.size, sector, p)
         below = ref_vals[ref_vals < top]
         for lam in np.r_[below[0] - 1.0, 0.5 * (below[:-1] + below[1:]), 0.5 * (below[-1] + top)]:
-            h = 1.0 / c - (qy[0] ** 2 / (lam_x[:, None] + lam_y - lam)).sum(axis=1)
-            nu = eigvalsh(_capacitance(h, sector, p))
+            h = 1.0 / c - (ys.qy[0] ** 2 / (lam_x[:, None] + ys.lam_y - lam)).sum(axis=1)
+            nu = eigvalsh(capacitance(h))
             assert np.sum(nu < 0.0) == np.sum(ref_vals < lam)
 
     @pytest.mark.parametrize("config, L, roots", [
@@ -308,6 +315,42 @@ class TestEigensolver:
         assert len(lowest_eigenpairs(config, make_grid(config, L, 1.0 / 128), SYM)) == roots
         assert len(calls) <= 8 * roots
 
+    @pytest.mark.parametrize("config, L, rel", [
+        (WELL, 4.0, 1e-14),
+        # the hard wall's nu at its root is rounding noise (1e-26 against a
+        # slope of 2e-13), which fixes the root to about 1.6e-14 only
+        (HARD_WALL, 4.0, 3e-14),
+        (WellConfig(8.0, 1.0, 1.5, 1.0), 6.0, 1e-14),
+    ], ids=["well", "hard_wall", "two_sector"])
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    def test_coarse_root_start_takes_fewer_solves(self, monkeypatch, config, L, rel, sector):
+        calls, eigh = [], fdoracle.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(fdoracle, "eigh", counting)
+        coarse, fine = (make_grid(config, L, h) for h in (1.0 / 64, 1.0 / 128))
+        start = [lam for lam, _ in lowest_eigenpairs(config, coarse, sector)]
+        calls.clear()
+        floor = [lam for lam, _ in lowest_eigenpairs(config, fine, sector)]
+        from_floor = len(calls)
+        calls.clear()
+        started = [lam for lam, _ in lowest_eigenpairs(config, fine, sector, None, start)]
+        assert len(started) == len(floor) == len(start) >= 1
+        assert len(calls) < from_floor
+        assert started == pytest.approx(floor, rel=rel, abs=0.0)
+
+    def test_start_outside_the_bracket_is_ignored(self):
+        # a guess at or above top, or below the alpha1 value, falls back to
+        # the alpha1 value's Newton steps
+        grid = make_grid(WELL, 4.0, 1.0 / 64)
+        want = lowest_eigenpairs(WELL, grid, SYM)
+        for start in ([1e9], [-1.0], [np.nan]):
+            got = lowest_eigenpairs(WELL, grid, SYM, None, start)
+            assert [lam for lam, _ in got] == [lam for lam, _ in want]
+
     @pytest.mark.parametrize("sector", list(ParitySector))
     @pytest.mark.parametrize("p", [1, 7, 64, 128])     # up to every row of Vx
     def test_toeplitz_hankel_is_the_product(self, sector, p):
@@ -315,7 +358,7 @@ class TestEigensolver:
         g = np.random.default_rng(p).uniform(0.1, 10.0, n)
         rows = _vx(np.eye(n), sector)[:p]                 # R = Vx[:p]
         ref = (rows * g) @ rows.T
-        got = _capacitance(g, sector, p)
+        got = _capacitance(n, sector, p)(g)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("sector", list(ParitySector))
@@ -323,7 +366,7 @@ class TestEigensolver:
         # the DCT/DST columns and values are those of the folded Tx
         grid = make_grid(WELL, 2.0, 1.0 / 32)
         lam, vecs = eigh_tridiagonal(*_folded_tx(grid, sector))
-        lam_x = _separable_basis(WELL, grid, sector)[0]
+        lam_x = _lam_x(grid, sector)
         assert np.abs(lam_x - lam).max() <= 1e-12 * lam.max()
         vx = _vx(np.eye(lam.size), sector)
         assert np.abs(np.abs(np.sum(vx * vecs, axis=0)) - 1.0).max() <= 1e-12
@@ -407,6 +450,31 @@ class TestSectorFloor:
         assert sector_floor(config, grid, sector) <= lowest
 
     @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("config", [WELL, ANTI_WELL, WellConfig(20.0, 5.0, 1.0 / 32, 1.0)],
+                             ids=["well", "anti_well", "first_offset"])
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 33, 1.0 / 128])
+    def test_closed_forms_are_the_cut_blocks(self, sector, config, h):
+        # the floor from the cut Tx blocks' tridiagonals, with the Ty + alpha
+        # walls' lowest values
+        grid = make_grid(config, 2.0, h)
+        p = _inner_rows(config, grid, sector)
+        tx, ex = _folded_tx(grid, sector)
+        if p > 0:
+            tx[p - 1] -= (2.0 if p == 1 and sector is SYM else 1.0) / grid.hx**2
+            tx[p] -= 1.0 / grid.hx**2
+        ty, ey = _folded_ty(grid, even=True)
+        want = np.inf
+        for alpha, t, e in ((config.alpha1, tx[:p], ex[:p - 1]), (config.alpha0, tx[p:], ex[p:])):
+            if t.size:
+                walls = ty.copy()
+                walls[0] += alpha * 2.0 / grid.hy
+                want = min(want, eigvalsh_tridiagonal(t, e)[0] + eigvalsh_tridiagonal(walls, ey)[0])
+        norm = (3.0 + np.sqrt(2.0)) * (grid.hx**-2 + grid.hy**-2) + max(
+            config.alpha0, config.alpha1) * 2.0 / grid.hy
+        got = sector_floor(config, grid, sector) + fdoracle._RESIDUAL_TOL * norm
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * grid.hx**-2)
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
     @pytest.mark.parametrize("alpha0, alpha1", [(20.0, 5.0), (1.0, 20.0)])
     def test_cut_at_the_first_offset(self, sector, alpha0, alpha1):
         # a = hx: the symmetric cut ends on the half-weight node x = 0, which
@@ -422,7 +490,7 @@ class TestSectorFloor:
         if sector is ANTI:
             assert vals[0] - floor <= 2e-8 * abs(A).sum(axis=1).max()
         # one inner wall node (symmetric) or none: the solver still agrees
-        top = sum(lam[0] for lam in _separable_basis(cfg, grid, sector)[:2])
+        top = alpha0_top(cfg, grid, sector)
         got = [lam for lam, _ in lowest_eigenpairs(cfg, grid, sector)]
         assert got == pytest.approx(vals[vals < (1.0 - 1e-9) * top], rel=1e-10)
 
@@ -486,9 +554,9 @@ class TestOracle:
         # at L = 32d the lowest x value (pi/64)^2 no longer lifts the d/32
         # grid's lowest alpha0 cross-section value, 3.5e-3 under E_1(alpha0),
         # above E_1(alpha0): a kept value could lie above every solved one
-        lam_x, lam_y, _ = _separable_basis(WELL, make_grid(WELL, 32.0, 1.0 / 32), SYM)
+        top = alpha0_top(WELL, make_grid(WELL, 32.0, 1.0 / 32), SYM)
         E1 = float(transversal_eigenvalues(WELL.outer, 1)[0])
-        assert lam_x[0] + lam_y[0] - E1 == pytest.approx(-1.08e-3, abs=1e-5)
+        assert top - E1 == pytest.approx(-1.08e-3, abs=1e-5)
         with pytest.raises(NumericalError, match="not above E_1"):
             oracle_bound_states(WELL, L=32.0, refinements=2, h0=1.0 / 16)
 
@@ -522,13 +590,37 @@ class TestOracle:
         coarse = make_grid(WELL, 8.0, 1.0 / 64)
         solve = fdoracle.lowest_eigenpairs
 
-        def coarse_top_below_ground_state(config, grid, sector):
-            pairs = solve(config, grid, sector)
+        def coarse_top_below_ground_state(config, grid, sector, *args, **kwargs):
+            pairs = solve(config, grid, sector, *args, **kwargs)
             return pairs[1:] if grid == coarse else pairs
 
         monkeypatch.setattr(fdoracle, "lowest_eigenpairs", coarse_top_below_ground_state)
         with pytest.raises(NumericalError, match="no coarse partner"):
             oracle_bound_states(WELL, L=8.0, refinements=2)
+
+    def test_each_tridiagonal_is_solved_once(self, monkeypatch):
+        # per grid: Ty and Ty + alpha0 walls decomposed, the lowest values of
+        # Ty + alpha1 walls and of the y-odd floor's tridiagonal; the cut Tx
+        # blocks of the sector floors have closed forms
+        solved = []
+        for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
+            def recording(diag, off, *args, solve=getattr(fdoracle, name), **kwargs):
+                solved.append((diag.tobytes(), off.tobytes()))
+                return solve(diag, off, *args, **kwargs)
+            monkeypatch.setattr(fdoracle, name, recording)
+        states = oracle_bound_states(WELL, L=4.0, refinements=2)
+        assert [len(states[sector]) for sector in ParitySector] == [1, 0]
+        assert len(set(solved)) == len(solved) <= 2 * 4
+
+    def test_no_warning_where_the_pole_term_vanishes(self):
+        # 1 + k0 phi_0 rounds to exactly 0 at this well's top, where h_0 is
+        # left out; a bench oracle well
+        cfg = WellConfig(26.70849451403646, 2.231601872899484, 0.6301354314659016,
+                         1.405519113311714)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            states = oracle_bound_states(cfg, L=5.622076453246856, refinements=2)
+        assert [len(states[sector]) for sector in ParitySector] == [1, 0]
 
     def test_assembles_no_matrix(self, monkeypatch):
         def fail(*args):
