@@ -37,7 +37,13 @@ Vx (x) Qy (fast diagonalisation, Lynch, Rice and Thomas, Numer. Math. 6
 nodes.  Its eigenvalues below the alpha0 spectrum are the roots of a p x
 p capacitance matrix (Buzbee, Dorr, George and Golub, SIAM J. Numer.
 Anal. 8 (1971) 722) whose inertia counts them, each pair checked by
-applying the block's 5-point stencil to it.  The 1D y spectra of a grid
+applying the block's 5-point stencil to it.  The wall entry of the
+wall-free Ty's resolvent, which the matrix is built from, has a closed
+form (a lattice Green's function), so a Newton step costs O(n) before its
+p x p eigensolve; the count is the inertia of one LDL^T factorisation,
+and both, like the bisection for a tridiagonal's lowest eigenvalue, are
+direct LAPACK calls (dsytrf, dsyevr, dstebz) whose info and outputs are
+checked.  The 1D y spectra of a grid
 are set up once per oracle_bound_states call and shared by its floors,
 tops and both sectors' solves, and the fine grid's Newton steps start at
 the coarse grid's roots.  No solve assembles a
@@ -56,7 +62,8 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dsyevr, dsyevr_lwork, dsytrf
 
 from .errors import ConfigError, ContractError, NumericalError
 from .modematch import ParitySector, WellConfig
@@ -174,8 +181,12 @@ def _inner_rows(config: WellConfig, grid: FdGrid, sector: ParitySector) -> int:
 
 
 def _lowest(diag: np.ndarray, off: np.ndarray) -> float:
-    """The lowest eigenvalue of a symmetric tridiagonal."""
-    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+    """The lowest eigenvalue of a symmetric tridiagonal, by bisection
+    (LAPACK dstebz, called directly)."""
+    _, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0 or not np.isfinite(w[0]):
+        raise NumericalError(f"tridiagonal eigenvalue bisection failed (info {info})")
+    return float(w[0])
 
 
 def _alpha_x(config: WellConfig, grid: FdGrid, sector: ParitySector) -> np.ndarray:
@@ -259,29 +270,60 @@ def y_odd_floor(config: WellConfig, grid: FdGrid) -> float:
 @dataclass(frozen=True, eq=False)
 class _YSpectra:
     """The y spectra of one grid, which its sector floors, tops and solves
-    share: the eigenvalues tau of the folded y-even Ty and the squares w of
-    its orthonormal eigenvectors' wall entries, the eigenvalues lam_y and
-    orthonormal eigenvectors qy (columns, row 0 the wall) of Ty + alpha0
-    walls, all ascending, and the lowest eigenvalue low1 of Ty + alpha1
-    walls."""
+    share: the eigenvalues lam_y and orthonormal eigenvectors qy (columns,
+    row 0 the wall) of the folded y-even Ty + alpha0 walls, ascending, and
+    the lowest eigenvalue low1 of Ty + alpha1 walls."""
 
-    tau: np.ndarray
-    w: np.ndarray
     lam_y: np.ndarray
     qy: np.ndarray
     low1: float
 
 
 def _y_spectra(config: WellConfig, grid: FdGrid) -> _YSpectra:
-    """The _YSpectra of grid, for both x sectors: two tridiagonal
-    eigendecompositions and one lowest eigenvalue."""
+    """The _YSpectra of grid, for both x sectors: one tridiagonal
+    eigendecomposition and one lowest eigenvalue.  Ty itself needs none:
+    the wall entry of its resolvent has a closed form (_inverse_corner)."""
     ty, ey = _folded_ty(grid, even=True)
-    tau, vy = eigh_tridiagonal(ty, ey)
     ty0 = ty.copy()
     ty0[0] += config.alpha0 * 2.0 / grid.hy
     lam_y, qy = eigh_tridiagonal(ty0, ey)
     ty[0] += 2.0 * config.alpha1 / grid.hy
-    return _YSpectra(tau=tau, w=vy[0] ** 2, lam_y=lam_y, qy=qy, low1=_lowest(ty, ey))
+    return _YSpectra(lam_y=lam_y, qy=qy, low1=_lowest(ty, ey))
+
+
+def _inverse_corner(mu: np.ndarray, m: int, hy: float) -> tuple[np.ndarray, np.ndarray]:
+    """psi = 1/phi and dpsi/dmu for phi(mu) = e_0^T (Ty - mu)^(-1) e_0, Ty
+    the folded y-even Ty of a grid with m = ny - 1 intervals across the
+    strip, at every mu < (2 sin(pi/2m)/hy)^2, the first zero of phi.
+
+    phi is the wall entry of the resolvent of the Neumann second
+    difference, a lattice Green's function in closed form (Economou,
+    Green's Functions in Quantum Physics, ch. 5).  With s = mu hy^2,
+    s = -4 sinh^2(kappa/2) below the spectrum of Ty and s = 4 sin^2(theta/2)
+    in it:
+
+        phi = hy^2 coth(m kappa/2) / (2 sinh kappa),
+        phi = -hy^2 cot(m theta/2) / (2 sin theta),
+
+    the spectral sum over tau_k = 4 sin^2(pi k/m)/hy^2 with wall weights
+    2/m (1/m at k = 0 and k = m/2) summed.  psi has no pole at mu = 0
+    (tau_0), where it is 0 with slope -m."""
+    s = mu * hy**2
+    psi, dpsi = np.empty_like(s), np.empty_like(s)
+    below = s < 0.0
+    kappa = 2.0 * np.arcsinh(0.5 * np.sqrt(-s[below]))
+    decay = -m * kappa
+    q = np.exp(decay)
+    tanh, sinh = -np.expm1(decay) / (1.0 + q), np.sinh(kappa)
+    psi[below] = 2.0 * sinh * tanh / hy**2
+    dpsi[below] = -(np.cosh(kappa) * tanh / sinh + 2.0 * m * q / (1.0 + q) ** 2)
+    theta = 2.0 * np.arcsin(0.5 * np.sqrt(s[~below]))
+    tan, sin = np.tan(0.5 * m * theta), np.sin(theta)
+    # tan(m theta/2)/sin(theta) -> m/2 at theta = 0
+    ratio = np.divide(tan, sin, out=np.full_like(tan, 0.5 * m), where=sin != 0.0)
+    psi[~below] = -2.0 * sin * tan / hy**2
+    dpsi[~below] = -(np.cos(theta) * ratio + 0.5 * m * (1.0 + tan**2))
+    return psi, dpsi
 
 
 def _dirichlet_neumann(rows: int, h: float) -> float:
@@ -381,19 +423,36 @@ def _capacitance(n: int, sector: ParitySector, p: int) -> Callable[[np.ndarray],
     return capacitance
 
 
-def _negatives_off(c: np.ndarray, r: np.ndarray) -> int:
-    """The number of negative eigenvalues of the symmetric c restricted to
-    the complement of r: that of (H c H)[1:, 1:], H = I - 2 v v^T/(v^T v)
-    the Householder reflector taking r onto the first axis, whose last
-    columns span that complement.  H c H = c - v u^T - u v^T, one rank-2
-    update."""
+def _negatives_off(c: np.ndarray, r: np.ndarray, lam: float) -> int:
+    """The number of negative eigenvalues of the symmetric c, the
+    capacitance matrix at lam, restricted to the complement of r: that of
+    (H c H)[1:, 1:], H = I - 2 v v^T/(v^T v) the Householder reflector
+    taking r onto the first axis, whose last columns span that complement.
+    H c H = c - v u^T - u v^T, one rank-2 update.  The count is the inertia
+    of one Bunch-Kaufman LDL^T factorisation (LAPACK dsytrf, called
+    directly): a negative 1 x 1 pivot counts one, a 2 x 2 pivot one if its
+    determinant is negative, else two if its trace is."""
     v = r.copy()
     v[0] += np.copysign(np.linalg.norm(r), r[0])
     vv = v @ v
     y = c @ v * (2.0 / vv)
     u = (y - (v @ y) / vv * v)[1:]
     v = v[1:]
-    return int(np.sum(eigvalsh(c[1:, 1:] - np.outer(v, u) - np.outer(u, v)) < 0.0))
+    ldu, ipiv, info = dsytrf(c[1:, 1:] - np.outer(v, u) - np.outer(u, v), lower=1)
+    d, e = np.diag(ldu), np.diag(ldu, -1)
+    if info < 0 or not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise NumericalError(f"FD eigensolver: capacitance matrix at lambda={lam!r} "
+                             f"has no finite LDL^T factorisation (info {info})")
+    negatives, k = 0, 0
+    while k < d.size:
+        if ipiv[k] > 0:
+            negatives += int(d[k] < 0.0)
+            k += 1
+        else:
+            det = d[k] * d[k + 1] - e[k] ** 2
+            negatives += 1 if det < 0.0 else 2 * int(d[k] + d[k + 1] < 0.0)
+            k += 2
+    return negatives
 
 
 def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
@@ -413,16 +472,21 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
     Rev. 15 (1973) 318), and N has as many negative eigenvalues as lie
     below lambda (Haynsworth inertia).  h_a = (1 + k1 phi_a)/(c (1 + k0
     phi_a)), k = 2 alpha/hy, phi_a = e_0^T (Ty - lambda + lam_x[a])^(-1)
-    e_0, cancels no digit against 1/c however hard the wall.  h_0 has a
+    e_0, cancels no digit against 1/c however hard the wall; phi_a and its
+    derivative come from the closed form of _inverse_corner, O(n) a step,
+    through psi = 1/phi: h_a = (psi_a + k1)/(c (psi_a + k0)).  h_0 has a
     pole at top, so the count below top is 1 plus the negative eigenvalues
-    of N(top) without it on the complement of R[:, 0].  Root j of the j-th
-    eigenvalue nu of N comes from Newton steps on nu ~ alpha - beta/(top -
-    lambda), exact at the pole, bracketed by the counts from the alpha1
-    operator's lowest eigenvalue up, to a step below the rounding of nu;
-    they begin at start[j] when it lies inside the bracket, else where the
-    last step left them.  Its vector is (D0 - lambda)^(-1) U s, s the
-    eigenvector of nu.  A step is one p x p eigh: on the bench's oracle
-    wells about 5.5 a root from the alpha1 value, 4 from the root of a grid
+    of N(top) without it on the complement of R[:, 0], the inertia of one
+    LDL^T factorisation (_negatives_off).  Root j of the j-th eigenvalue nu
+    of N comes from Newton steps on nu ~ alpha - beta/(top - lambda), exact
+    at the pole, bracketed by the counts from the alpha1 operator's lowest
+    eigenvalue up, to a step below the rounding of nu; they begin at
+    start[j] when it lies inside the bracket, else where the last step
+    left them.  Its vector is (D0 - lambda)^(-1) U s, s the eigenvector of
+    nu.  A step is one direct LAPACK dsyevr for the count lowest pairs of
+    N, its workspace sized once per call; a failed or non-finite solve is
+    a NumericalError naming lambda.  On the bench's oracle wells a root
+    takes about 5.5 steps from the alpha1 value, 4 from the root of a grid
     twice as coarse, so the cost grows as count p^3.  Each pair must
     satisfy ||A v - lambda v|| <= 1e-8 ||A||_inf, both sides taken from the
     block's stencil, with no matrix built.
@@ -438,14 +502,14 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
 
     def terms(lam: float, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """h and dh/dlambda on lam_x[first:]."""
-        r = 1.0 / (ys.tau[None, :] + (lam_x[first:, None] - lam))
-        phi = r @ ys.w
-        den = 1.0 + k0 * phi
-        return (1.0 + k1 * phi) / ((k0 - k1) * den), -((r * r) @ ys.w) / den**2
+        psi, dpsi = _inverse_corner(lam - lam_x[first:], grid.ny - 1, grid.hy)
+        den = psi + k0
+        return (psi + k1) / ((k0 - k1) * den), dpsi / den**2
 
     h = np.zeros(n)                                   # h_0, the pole at top, left out
     h[1:] = terms(top, 1)[0]
-    count = 1 + _negatives_off(capacitance(h), _vx(np.eye(n, 1), sector)[:p, 0])
+    count = 1 + _negatives_off(capacitance(h), _vx(np.eye(n, 1), sector)[:p, 0], top)
+    work, iwork, _ = dsyevr_lwork(p, lower=1)
     lam = lam_x[0] + ys.low1                         # the alpha1 operator's lowest value
     seen, roots, coefs = [(lam, 0)], [], []
     tried = 0                                         # the last root whose start was weighed
@@ -453,7 +517,12 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
         lam = start[0]
     for _ in range(64 * count):
         h, dh = terms(lam)
-        nu, s = eigh(capacitance(h), subset_by_index=(0, count - 1))
+        nu, s, found, _, info = dsyevr(capacitance(h), range="I", lower=1, iu=count,
+                                       lwork=int(work), liwork=iwork, overwrite_a=1)
+        nu = nu[:count]
+        if info != 0 or found != count or not (np.isfinite(nu).all() and np.isfinite(s).all()):
+            raise NumericalError(f"FD eigensolver: capacitance eigensolve at lambda={lam!r} "
+                                 f"failed (info {info})")
         rs = _vx(s, sector, n, transpose=True)
         dnu = dh @ rs**2
         seen.append((lam, int(np.sum(nu < 0.0))))

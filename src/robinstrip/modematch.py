@@ -52,8 +52,11 @@ is not scanned.  Grid intervals where the sign changes are narrowed
 together by Illinois steps to 8 ulp of lambda, one batched LU per step,
 and each is a root, since C_hat is continuous.  A sign change finds a root
 however narrow its singular-value dip is, which a scan of sigma_min on the
-grid does not.  bound_states solves every (well, sector) job of wells that
-share their cross-sections, a point's two sectors or an a/d sweep's
+grid does not, but two roots in one grid interval give none: each job's
+root count must lie between the Dirichlet lower count and the Neumann
+cap of cuts at |x| = a, else the solve raises NumericalError.
+bound_states solves every (well, sector) job of wells that share their
+cross-sections, a point's two sectors or an a/d sweep's
 points, with one mode table: the brackets of all jobs step together, and
 the null vectors and sigma_min of all roots come from one batched SVD
 each.  Every matrix has its own LU and SVD and every step is elementwise
@@ -335,6 +338,33 @@ def _neumann_floor(E1_in: float, a: float, parity: ParitySector) -> float:
     return E1_in + (j * np.pi / (2.0 * a)) ** 2
 
 
+def _count_bounds(E1_in: float, E1_out: float, a: float,
+                  parity: ParitySector) -> tuple[int, int]:
+    """The sector's Dirichlet lower count and Neumann cap: cutting the
+    strip at |x| = a with Dirichlet (Neumann) conditions raises (lowers)
+    the operator, and the inner levels below E_1(alpha0) of either cut are
+    E_1(alpha1) + (k pi/2a)^2, k >= 1 odd (symmetric) or even
+    (antisymmetric) for Dirichlet, k >= 0 even (symmetric) or odd
+    (antisymmetric) for Neumann; by min-max the sector has at least as
+    many states as the first and at most as many as the second."""
+    def below(k: int) -> bool:
+        return E1_in + (k * np.pi / (2.0 * a)) ** 2 < E1_out
+
+    # n = #{k >= 0: below(k)} from its real-valued estimate, which is off
+    # by at most one level below 2^52 and corrected on the inequality
+    # itself there; past it no scan comes near the count, so it stands
+    x = 2.0 * a * np.sqrt(max(E1_out - E1_in, 0.0)) / np.pi
+    n = int(np.ceil(min(x, 2.0**62)))
+    if n < 2**52:
+        while below(n):
+            n += 1
+        while n > 0 and not below(n - 1):
+            n -= 1
+    if parity is ParitySector.SYMMETRIC:
+        return n // 2, (n + 1) // 2
+    return max(n - 1, 0) // 2, n // 2
+
+
 def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]],
                 scan_points: int) -> list[list[float]]:
     """Roots, sorted, of the regularized matrix of table in the window for
@@ -443,19 +473,28 @@ def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int,
     """The states of each (well, sector) job, for wells that share their
     cross-sections: one mode table, one lockstep refinement of every
     job's brackets and one batched null-vector pass.  A job whose Neumann
-    floor is at or above E_1(alpha0) holds no state and is not scanned;
-    when no job is left, no table is built."""
+    cap is 0 (its Neumann floor at or above E_1(alpha0)) holds no state
+    and is not scanned; when no job is left, no table is built.  A job
+    whose root count lies outside _count_bounds raises NumericalError."""
     inner, outer = jobs[0][0].inner, jobs[0][0].outer
     # E_1 from the level tables at N, which the mode table reads as well
     E1_in = float(transversal_levels(inner, N).energy[0])
     E1_out = float(transversal_levels(outer, N).energy[0])
-    live = [i for i, (well, parity) in enumerate(jobs)
-            if _neumann_floor(E1_in, well.a, parity) < E1_out]
+    bounds = [_count_bounds(E1_in, E1_out, well.a, parity) for well, parity in jobs]
+    # a Neumann cap of 0 is a floor at or above E_1(alpha0)
+    live = [i for i, (_, cap) in enumerate(bounds) if cap > 0]
     states: list[list[BoundState]] = [[] for _ in jobs]
     if not live:
         return states
     table = _mode_table(inner, outer, N)
     roots = _scan_roots(table, [(jobs[i][0].a, jobs[i][1]) for i in live], scan_points)
+    for i, job_roots in zip(live, roots):
+        (well, parity), (lower, cap) = jobs[i], bounds[i]
+        if not lower <= len(job_roots) <= cap:
+            raise NumericalError(
+                f"{parity.value} sector of a = {well.a!r}: {len(job_roots)} roots found, outside "
+                f"[{lower}, {cap}] (Dirichlet lower count, Neumann cap); two roots may share "
+                f"a scan interval, try a larger --scan-points or N")
     owner = [i for i, r in zip(live, roots) for _ in r]
     if not owner:
         return states
@@ -540,7 +579,9 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     use the y-even channels of their truncation; matching_residual
     computes a state's residual on request.  An empty list is a valid
     result.  This is bound_states with one job: its states have the same
-    bits as there.
+    bits as there.  A root count below the sector's Dirichlet lower count
+    or above its Neumann cap (two roots lost in one grid interval, or a
+    spurious one) raises NumericalError.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses a solve whose scan_points *

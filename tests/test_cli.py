@@ -356,6 +356,16 @@ class TestWavefunction:
         assert main(["wavefunction", "--config", str(base_cfg), "--ordinal", "7"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_short_state_count_is_numerical_failure(self, tmp_path, capsys):
+        # a scan of 8 points loses states of a wide well; the Dirichlet
+        # lower count and the Neumann cap say so
+        argv = ["spectrum", "--alpha0", "20", "--alpha1", "5", "--a", "20", "--d", "1",
+                "--scan-points", "8", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "outside [11, 11]" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestTruncationCompanion:
     """BoundState.lam_coarse, the root of the N/2 truncation, is scanned on

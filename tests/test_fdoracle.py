@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import lowest_fd_value
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, null_space
+from scipy.linalg.lapack import dsytrf
 
 import robinstrip.fdoracle as fdoracle
 from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector,
                         WellConfig, bound_state_energies, oracle_bound_states,
                         transversal_eigenvalues)
 from robinstrip.fdoracle import (FdGrid, _apply, _capacitance, _folded_tx, _folded_ty,
-                                 _inner_rows, _lam_x, _norm_inf, _stencil, _vx, _y_spectra,
-                                 assemble, lowest_eigenpairs, make_grid, sector_floor,
-                                 y_odd_floor)
+                                 _inner_rows, _inverse_corner, _lam_x, _lowest, _negatives_off,
+                                 _norm_inf, _stencil, _vx, _y_spectra, assemble,
+                                 lowest_eigenpairs, make_grid, sector_floor, y_odd_floor)
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
 # alpha1 > alpha0, so min(alpha) lies outside; d = 1.25 puts a node on
@@ -249,6 +250,19 @@ def top_and_dense(config, grid, sector):
     return alpha0_top(config, grid, sector), *eigh(assemble(config, grid, sector).matrix.toarray())
 
 
+def count_capacitance_solves(monkeypatch):
+    """Record the shape of every capacitance eigensolve (the Newton steps'
+    dsyevr calls) in the list returned."""
+    calls, dsyevr = [], fdoracle.dsyevr
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dsyevr(*args, **kwargs)
+
+    monkeypatch.setattr(fdoracle, "dsyevr", counting)
+    return calls
+
+
 class TestEigensolver:
     @pytest.mark.parametrize("sector", list(ParitySector))
     @SOLVER_CONFIGS
@@ -305,15 +319,9 @@ class TestEigensolver:
     def test_few_capacitance_solves(self, monkeypatch, config, L, roots):
         # Newton steps on the pole model take 5-7 solves per root (a wrong
         # derivative would leave them to bisection, about 40)
-        calls, eigh = [], fdoracle.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(fdoracle, "eigh", counting)
+        calls = count_capacitance_solves(monkeypatch)
         assert len(lowest_eigenpairs(config, make_grid(config, L, 1.0 / 128), SYM)) == roots
-        assert len(calls) <= 8 * roots
+        assert 0 < len(calls) <= 8 * roots
 
     @pytest.mark.parametrize("config, L, rel", [
         (WELL, 4.0, 1e-14),
@@ -324,13 +332,7 @@ class TestEigensolver:
     ], ids=["well", "hard_wall", "two_sector"])
     @pytest.mark.parametrize("sector", list(ParitySector))
     def test_coarse_root_start_takes_fewer_solves(self, monkeypatch, config, L, rel, sector):
-        calls, eigh = [], fdoracle.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(fdoracle, "eigh", counting)
+        calls = count_capacitance_solves(monkeypatch)
         coarse, fine = (make_grid(config, L, h) for h in (1.0 / 64, 1.0 / 128))
         start = [lam for lam, _ in lowest_eigenpairs(config, coarse, sector)]
         calls.clear()
@@ -339,7 +341,7 @@ class TestEigensolver:
         calls.clear()
         started = [lam for lam, _ in lowest_eigenpairs(config, fine, sector, None, start)]
         assert len(started) == len(floor) == len(start) >= 1
-        assert len(calls) < from_floor
+        assert 0 < len(calls) < from_floor
         assert started == pytest.approx(floor, rel=rel, abs=0.0)
 
     def test_start_outside_the_bracket_is_ignored(self):
@@ -395,6 +397,104 @@ class TestEigensolver:
         monkeypatch.setattr(fdoracle, "_RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError, match="residual"):
             lowest_eigenpairs(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
+
+
+def ty_spectrum(m, hy):
+    """The eigenvalues tau_k = 4 sin^2(pi k/m)/hy^2 of the folded y-even Ty
+    of a grid with m intervals across the strip, and the squares of its
+    orthonormal eigenvectors' wall entries: 2/m, 1/m at k = 0 and k = m/2."""
+    k = np.arange(m // 2 + 1)
+    return (2.0 * np.sin(np.pi * k / m) / hy) ** 2, np.where((k == 0) | (2 * k == m), 1.0, 2.0) / m
+
+
+class TestNewtonStepParts:
+    @pytest.mark.parametrize("m", [32, 33, 64, 65, 128, 129, 256])
+    def test_closed_form_ty_spectrum(self, m):
+        ty, ey = _folded_ty(make_grid(WellConfig(20.0, 5.0, 0.3, 1.0), 2.0, 1.0 / m), even=True)
+        tau, vecs = eigh_tridiagonal(ty, ey)
+        want_tau, want_w = ty_spectrum(m, 1.0 / m)
+        assert np.abs(tau - want_tau).max() <= 1e-14 * want_tau.max()
+        assert np.abs(vecs[0] ** 2 - want_w).max() <= 1e-13
+
+    @pytest.mark.parametrize("m", [32, 33, 64, 65, 128, 129, 256])
+    def test_corner_matches_spectral_sum(self, m):
+        hy = 1.0 / m
+        tau, w = ty_spectrum(m, hy)
+        first_zero = (2.0 * np.sin(0.5 * np.pi / m) / hy) ** 2
+        # below the spectrum (s < 0) from deep to near 0, and inside it
+        # (0 < s) up to near the first zero of phi
+        mu = np.r_[-3.9 / hy**2, -1e4, -50.0, -1e-3, 1e-6, 1e-3, 3.0,
+                   0.5 * first_zero, 0.99 * first_zero]
+        psi, dpsi = _inverse_corner(mu, m, hy)
+        phi = (w / (tau - mu[:, None])).sum(axis=1)
+        dphi = (w / (tau - mu[:, None]) ** 2).sum(axis=1)
+        assert np.all(np.abs(1.0 / psi - phi) <= 1e-13 * np.abs(phi))
+        assert np.all(np.abs(-dpsi / psi**2 - dphi) <= 1e-13 * dphi)
+
+    def test_corner_at_the_pole_of_phi(self):
+        # phi has its pole at mu = tau_0 = 0, where psi = 1/phi is 0 with
+        # slope -m; the two branches meet there
+        psi, dpsi = _inverse_corner(np.array([-1e-12, 0.0, 1e-12]), 64, 1.0 / 64)
+        assert psi[1] == 0.0 and dpsi[1] == -64.0
+        assert np.abs(psi - 64e-12 * np.array([1.0, 0.0, -1.0])).max() <= 1e-20
+        assert np.abs(dpsi + 64.0).max() <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ldl_inertia_matches_eigvalsh(self, seed):
+        # a zero diagonal makes every Bunch-Kaufman pivot of the first
+        # column search a 2 x 2 one
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        c = rng.standard_normal((n, n))
+        c = c + c.T
+        np.fill_diagonal(c, 0.0)
+        assert (dsytrf(c[1:, 1:], lower=1)[1] < 0).any()
+        assert _negatives_off(c, np.eye(n)[0], 0.0) == np.sum(eigvalsh(c[1:, 1:]) < 0.0)
+        r = rng.standard_normal(n)
+        q = null_space(r[None, :])
+        assert _negatives_off(c, r, 0.0) == np.sum(eigvalsh(q.T @ c @ q) < 0.0)
+
+    @pytest.mark.parametrize("sector", list(ParitySector))
+    @pytest.mark.parametrize("config", [WELL, HARD_WALL], ids=["well", "hard_wall"])
+    def test_ldl_inertia_of_capacitance_matrices(self, sector, config):
+        # N(lambda) without its first direction, below the root, between
+        # and at the top, the count lowest_eigenpairs takes there
+        grid = make_grid(config, 4.0, 1.0 / 32)
+        lam_x, ys = _lam_x(grid, sector), _y_spectra(config, grid)
+        c, p = (config.alpha0 - config.alpha1) * 2.0 / grid.hy, _inner_rows(config, grid, sector)
+        capacitance = _capacitance(lam_x.size, sector, p)
+        r = _vx(np.eye(lam_x.size, 1), sector)[:p, 0]
+        q = null_space(r[None, :])
+        top = lam_x[0] + ys.lam_y[0]
+        for lam in np.linspace(lam_x[0] + ys.low1, top, 7)[:-1]:
+            h = 1.0 / c - (ys.qy[0] ** 2 / (lam_x[:, None] + ys.lam_y - lam)).sum(axis=1)
+            n = capacitance(h)
+            assert _negatives_off(n, r, lam) == np.sum(eigvalsh(q.T @ n @ q) < 0.0)
+
+    def test_non_finite_capacitance_raises(self, monkeypatch):
+        def not_finite(n, sector, p):
+            return lambda g: np.full((p, p), np.nan)
+
+        monkeypatch.setattr(fdoracle, "_capacitance", not_finite)
+        with pytest.raises(NumericalError, match="lambda="):
+            lowest_eigenpairs(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
+        # the count alone, before any eigensolve could see it
+        c = np.eye(5)
+        c[2, 3] = c[3, 2] = np.nan
+        with pytest.raises(NumericalError, match="LDL"):
+            _negatives_off(c, np.eye(5)[0], 1.0)
+
+    def test_failed_eigensolve_raises(self, monkeypatch):
+        def failing(a, **kwargs):
+            return np.zeros(a.shape[0]), np.zeros((a.shape[0], 1)), 1, None, 1
+
+        monkeypatch.setattr(fdoracle, "dsyevr", failing)
+        with pytest.raises(NumericalError, match="lambda="):
+            lowest_eigenpairs(WELL, make_grid(WELL, 4.0, 1.0 / 32), SYM)
+
+    def test_non_finite_tridiagonal_raises(self):
+        with pytest.raises(NumericalError):
+            _lowest(np.array([np.nan, 1.0, 2.0]), np.array([-1.0, -1.0]))
 
 
 class TestYOddFloor:
@@ -599,18 +699,18 @@ class TestOracle:
             oracle_bound_states(WELL, L=8.0, refinements=2)
 
     def test_each_tridiagonal_is_solved_once(self, monkeypatch):
-        # per grid: Ty and Ty + alpha0 walls decomposed, the lowest values of
-        # Ty + alpha1 walls and of the y-odd floor's tridiagonal; the cut Tx
-        # blocks of the sector floors have closed forms
+        # per grid: Ty + alpha0 walls decomposed, the lowest values of Ty +
+        # alpha1 walls and of the y-odd floor's tridiagonal; Ty's resolvent
+        # and the cut Tx blocks of the sector floors have closed forms
         solved = []
-        for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
+        for name in ("eigh_tridiagonal", "dstebz"):
             def recording(diag, off, *args, solve=getattr(fdoracle, name), **kwargs):
                 solved.append((diag.tobytes(), off.tobytes()))
                 return solve(diag, off, *args, **kwargs)
             monkeypatch.setattr(fdoracle, name, recording)
         states = oracle_bound_states(WELL, L=4.0, refinements=2)
         assert [len(states[sector]) for sector in ParitySector] == [1, 0]
-        assert len(set(solved)) == len(solved) <= 2 * 4
+        assert 0 < len(set(solved)) == len(solved) <= 2 * 3
 
     def test_no_warning_where_the_pole_term_vanishes(self):
         # 1 + k0 phi_0 rounds to exactly 0 at this well's top, where h_0 is

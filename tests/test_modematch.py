@@ -13,13 +13,13 @@ from conftest import admitted_alpha, full_window_roots, neumann_state_cap, refer
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from robinstrip import (ConfigError, ContractError, ParitySector, WellConfig,
+from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector, WellConfig,
                         bound_state_energies, matching_residual, minimax_brackets,
                         overlap_matrix, transversal_eigenvalues, wavefunction)
 from robinstrip import modematch, transverse
-from robinstrip.modematch import (_mode_table, _ModeTable, _pair_nearest, _scan_matrices,
-                                  _scan_roots, _scan_slogdet, _value_deriv, _window,
-                                  bound_states)
+from robinstrip.modematch import (_count_bounds, _mode_table, _ModeTable, _pair_nearest,
+                                  _scan_matrices, _scan_roots, _scan_slogdet, _value_deriv,
+                                  _window, bound_states)
 from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
@@ -930,6 +930,51 @@ class TestBrackets:
         assert bound_state_energies(WELL, ANTI, 32) == []
         with pytest.raises(AssertionError, match="mode table built"):
             bound_state_energies(WELL, SYM, 32)
+
+
+class TestCountGuard:
+    @pytest.mark.parametrize("cfg", [WELL, WellConfig(20.0, 5.0, 100.0, 1.0),
+                                     WellConfig(1e3, 1.0, 100.0, 1.0),
+                                     WellConfig(1e5, 1e-5, 2.0, 1.0),
+                                     WellConfig(20.0, 20.0, 0.3, 1.0)],
+                             ids=["reference", "wide", "deep_wide", "hard_wall", "no_well"])
+    def test_bounds_count_the_cut_levels(self, cfg):
+        # k >= 1 of the sector's parity for the Dirichlet cut, k >= 0 for
+        # the Neumann one, counted level by level
+        E1_in = float(transversal_levels(cfg.inner, 32).energy[0])
+        E1_out = float(transversal_levels(cfg.outer, 32).energy[0])
+        below = [k for k in range(100_000) if E1_in + (k * np.pi / (2.0 * cfg.a)) ** 2 < E1_out]
+        for parity, odd in ((SYM, 1), (ANTI, 0)):
+            lower = sum(1 for k in below if k >= 1 and k % 2 == odd)
+            cap = sum(1 for k in below if k % 2 != odd)
+            assert _count_bounds(E1_in, E1_out, cfg.a, parity) == (lower, cap)
+        # the caps of both sectors add up to the test suite's own cap
+        assert sum(_count_bounds(E1_in, E1_out, cfg.a, p)[1] for p in ParitySector) == \
+            neumann_state_cap(cfg)
+
+    @pytest.mark.parametrize("a", [1e20, 1e306, 1e308])
+    def test_huge_widths_count_at_once(self, a):
+        # past 2^52 levels the estimate stands, with no level-by-level steps
+        for parity in ParitySector:
+            lower, cap = _count_bounds(1.0, 2.0, a, parity)
+            assert 2**52 <= lower <= cap
+
+    @pytest.mark.parametrize("cfg, N, scan_points, found, lower", [
+        # two roots in one scan interval: both are lost
+        (WellConfig(20.0, 5.0, 100.0, 1.0), 16, 400, 53, 55),
+        (WellConfig(20.0, 5.0, 20.0, 1.0), 32, 8, 3, 11),
+    ], ids=["wide_n16", "scan_points_8"])
+    def test_short_count_raises(self, cfg, N, scan_points, found, lower):
+        match = f"symmetric sector.*{found} roots found, outside \\[{lower}, "
+        with pytest.raises(NumericalError, match=match):
+            next(bound_states([cfg], N, scan_points))
+        with pytest.raises(NumericalError, match=match):
+            bound_state_energies(cfg, SYM, N, scan_points)
+
+    def test_reference_well_passes(self):
+        assert [s.lam for s in next(bound_states([WELL], 32))] == \
+            [s.lam for s in bound_state_energies(WELL, SYM, 32)]
+        assert len(bound_state_energies(WELL, SYM, 32)) == 1
 
 
 class TestWavefunction:
