@@ -3,8 +3,8 @@ Robin boundary coupling: transversal modes, mode-matched bound states, a
 variational existence test, and a finite-difference oracle."""
 
 from .config import RunConfig, load_config
-from .errors import (BracketError, ConfigError, ContractError,
-                     ConvergenceError, NumericalError, RobinStripError)
+from .errors import (ConfigError, ContractError, ConvergenceError,
+                     NumericalError, RobinStripError)
 from .modematch import (BoundState, ParitySector, WavefunctionGrid,
                         WellConfig, bound_state_energies, matching_residual,
                         minimax_brackets, wavefunction)
@@ -18,7 +18,7 @@ from .variational import BumpProfile, QReport, existence_test, q_form
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundState", "BracketError", "BumpProfile", "ConfigError",
+    "BoundState", "BumpProfile", "ConfigError",
     "ContractError", "ConvergenceError", "NumericalError", "ParitySector",
     "QReport", "RobinCrossSection", "RobinStripError", "RunConfig",
     "SweepResult", "SweepRow", "WavefunctionGrid", "WellConfig",

@@ -195,7 +195,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .fdoracle import oracle_bound_states  # scipy.sparse and scipy.linalg load only here
 
     [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
-    ref = oracle_bound_states(cfg.well, cfg.oracle.resolve_L(cfg.well.d), cfg.oracle.refinements)
+    ref = oracle_bound_states(cfg.well, cfg.oracle.resolve_L(cfg.well), cfg.oracle.refinements)
     lines = ["sector,index,lambda_matching,lambda_oracle,abs_diff"]
     for parity in ParitySector:
         matched = [s.lam for s in states if s.parity is parity]

@@ -74,7 +74,8 @@ class SweepSpec:
 @dataclass(frozen=True)
 class OracleSpec:
     """Finite-difference oracle knobs.  L is the absolute truncation
-    half-length; None means 8 d, resolved when the oracle runs."""
+    half-length; None means max(8 d, 4 a), resolved from the well when the
+    oracle runs, the least that meets its L >= 4 max(a, d) contract."""
 
     L: float | None = None
     refinements: int = 3
@@ -85,8 +86,8 @@ class OracleSpec:
         if self.refinements < 2:
             raise ConfigError(f"oracle.refinements must be >= 2, got {self.refinements!r}")
 
-    def resolve_L(self, d: float) -> float:
-        return 8.0 * d if self.L is None else self.L
+    def resolve_L(self, well: WellConfig) -> float:
+        return max(8.0 * well.d, 4.0 * well.a) if self.L is None else self.L
 
 
 @dataclass(frozen=True)

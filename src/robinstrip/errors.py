@@ -23,10 +23,5 @@ class NumericalError(RobinStripError, RuntimeError):
     """A numerical procedure failed to produce a trustworthy result."""
 
 
-class BracketError(NumericalError):
-    """A root bracket did not contain the expected sign change.  Kept for
-    callers that catch it; nothing in the package raises it any more."""
-
-
 class ConvergenceError(NumericalError):
     """An iterative refinement did not converge within its budget."""

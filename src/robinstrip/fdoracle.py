@@ -46,11 +46,11 @@ direct LAPACK calls (dsytrf, dsyevr, dstebz) whose info and outputs are
 checked.  The 1D y spectra of a grid
 are set up once per oracle_bound_states call and shared by its floors,
 tops and both sectors' solves, and the fine grid's Newton steps start at
-the coarse grid's roots.  No solve assembles a
-matrix: assemble builds the CSR block only for the tests and the bench's
-size counts.  The Richardson step between two grids assumes order 2 (the
-order observed so far is 0.90-0.99, so its error bar is optimistic), and
-the oracle shares none of the mode matching machinery it checks.
+the coarse grid's roots.  No solve assembles a matrix: assemble builds
+the CSR block as the tests' reference only.  The Richardson step between
+two grids assumes order 2 (the order observed so far is 0.90-0.99, so its
+error bar is optimistic), and the oracle shares none of the mode matching
+machinery it checks.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class FdGrid:
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """An assembled sector block: a symmetric positive-semidefinite CSR
-    matrix with 5-point sparsity, and its dimension.  Only the tests and
-    bench/tracing.py call assemble, and the latter reads both fields."""
+    matrix with 5-point sparsity, and its dimension.  Only the tests call
+    assemble; the oracle never does."""
 
     dimension: int
     matrix: sp.csr_matrix
@@ -246,8 +246,7 @@ def _norm_inf(config: WellConfig, grid: FdGrid, sector: ParitySector) -> float:
 def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
     """The operator of _stencil(config, grid, sector) as a CSR matrix, y the
     fast index.  The oracle never builds it (lowest_eigenpairs applies the
-    stencil); it is the reference the tests and the bench's size counts
-    read."""
+    stencil); it is the tests' reference only."""
     main, ex, ey = _stencil(config, grid, sector)
     nx, ny = main.shape
     # the y coupling stops at each column's end

@@ -62,18 +62,16 @@ the null vectors and sigma_min of all roots come from one batched SVD
 each.  Every matrix has its own LU and SVD and every step is elementwise
 per bracket, so a state has the same bits however many jobs share its
 solve.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2, hold
-the amplitudes of channels 1, 3, 5, ...  The truncation-error companion,
-the same scan on the first (N // 2 + 1) // 2 channels, is scanned on first
-read of a state's lam_coarse, once per (well, sector) solve; a solve whose
-estimate nobody reads runs one scan.
+the amplitudes of channels 1, 3, 5, ...  A truncation-error estimate is a
+second solve at another N, such as N // 2, made by the caller.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -135,10 +133,6 @@ class WellConfig:
         return RobinCrossSection(self.alpha0, self.d)
 
 
-def _no_companion() -> None:
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class BoundState:
     """An accepted bound state with its coefficient vectors.
@@ -147,12 +141,9 @@ class BoundState:
     profiles are normalized to value 1 at x = a), with ||a||_2 = 1 and the
     largest-magnitude entry positive; b_coeffs = O a are the outer ones.
     Entry j of either is the amplitude of the y-even channel n = 2j + 1,
-    so both have length (N + 1) // 2.  lam_coarse is lambda(N/2) when the
-    state is identifiable at half truncation (the two roots are each
-    other's nearest), else None; the N/2 truncation is scanned on first
-    read, once for all states of the solve, by the _companion callable.
-    sigma_min, that of the row-weighted C at lam, is not a confidence
-    measure: it is far larger near threshold (see the module docstring).
+    so both have length (N + 1) // 2.  sigma_min, that of the row-weighted
+    C at lam, is not a confidence measure: it is far larger near threshold
+    (see the module docstring).
     """
 
     lam: float
@@ -161,28 +152,6 @@ class BoundState:
     b_coeffs: np.ndarray
     sigma_min: float
     N: int
-    _companion: Callable[[], float | None] = field(default=_no_companion, repr=False)
-
-    @cached_property
-    def lam_coarse(self) -> float | None:
-        """lambda(N/2) paired with this state, or None."""
-        return self._companion()
-
-    def __getstate__(self):
-        # a pickle carries the companion's value, not the closure that scans it
-        return {**self.__dict__, "lam_coarse": self.lam_coarse, "_companion": _no_companion}
-
-    @property
-    def trunc_err(self) -> float | None:
-        """|lambda(N) - lambda(N/2)|, or None without a companion."""
-        return None if self.lam_coarse is None else abs(self.lam - self.lam_coarse)
-
-    def richardson(self) -> float | None:
-        """Order-2 extrapolation in the truncation order, lambda +
-        (lambda(N) - lambda(N/2)) / 3, or None without a companion."""
-        if self.lam_coarse is None:
-            return None
-        return self.lam + (self.lam - self.lam_coarse) / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,18 +178,13 @@ class _ModeTable:
     outer: _Levels
     overlaps: np.ndarray
 
-    def prefix(self, n: int) -> _ModeTable:
-        """The first n channels and the top-left n x n overlaps block."""
-        return _ModeTable(self.inner[:n], self.outer[:n], self.overlaps[:n, :n])
-
 
 # only the latest table is ever reused (a point's two sectors, an a sweep's
 # points); each older one held a 22 MB overlap block at N = 3344
 @lru_cache(maxsize=1)
 def _mode_table(inner: RobinCrossSection, outer: RobinCrossSection, N: int) -> _ModeTable:
     """The y-even channels at truncation N: levels n = 1, 3, 5, ... <= N
-    of both cross-sections and their overlaps.  Its prefix((M + 1) // 2)
-    is bitwise the table at truncation M <= N."""
+    of both cross-sections and their overlaps."""
     O = overlap_matrix(inner, outer, N)
     O.flags.writeable = False
     return _ModeTable(transversal_levels(inner, N)[::2], transversal_levels(outer, N)[::2], O)
@@ -504,8 +468,7 @@ def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int,
         np.array([lam for r in roots for lam in r]))
     row = 0
     for i, job_roots in zip(live, roots):
-        companions = _companions(table, *jobs[i], N, scan_points, job_roots)
-        for k, lam in enumerate(job_roots):
+        for lam in job_roots:
             a = vt[row] * colfac[row]
             nrm = np.linalg.norm(a)
             if nrm == 0.0 or not np.isfinite(nrm):
@@ -513,26 +476,11 @@ def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int,
             a = a / nrm
             if a[np.argmax(np.abs(a))] < 0.0:
                 a = -a
-            states[i].append(BoundState(
-                lam=lam, parity=jobs[i][1], a_coeffs=a, b_coeffs=table.overlaps @ a,
-                sigma_min=float(smin[row]), N=N, _companion=companions[k],
-            ))
+            states[i].append(BoundState(lam=lam, parity=jobs[i][1], a_coeffs=a,
+                                        b_coeffs=table.overlaps @ a,
+                                        sigma_min=float(smin[row]), N=N))
             row += 1
     return states
-
-
-def _companions(table: _ModeTable, well: WellConfig, parity: ParitySector, N: int,
-                scan_points: int, roots: list[float]) -> list[Callable[[], float | None]]:
-    """For each root of one job, a callable giving its N/2 companion; the
-    first call of any of them scans the N/2 truncation for all."""
-    @cache
-    def pairs() -> list[float | None]:
-        coarse: list[float] = []
-        if N >= 4:
-            coarse = _scan_roots(table.prefix((N // 2 + 1) // 2), [(well.a, parity)],
-                                 scan_points)[0]
-        return _pair_nearest(roots, coarse)
-    return [lambda k=k: pairs()[k] for k in range(len(roots))]
 
 
 def bound_states(wells: Iterable[WellConfig], N: int,
@@ -556,9 +504,8 @@ def bound_states(wells: Iterable[WellConfig], N: int,
 def _solve_runs(wells: list[WellConfig], N: int, scan_points: int) -> Iterator[list[BoundState]]:
     for _, run in groupby(wells, key=lambda w: (w.inner, w.outer)):
         states = _solve([(w, p) for w in run for p in ParitySector], N, scan_points)
-        while states:
-            # popped, so once its caller lets go of a list no state here pins the table
-            yield sorted(states.pop(0) + states.pop(0), key=lambda s: s.lam)
+        for sym, anti in zip(states[::2], states[1::2]):
+            yield sorted(sym + anti, key=lambda s: s.lam)
 
 
 def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
@@ -571,17 +518,14 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     below the sector's Neumann floor, E_1(alpha1) + (j pi/2a)^2 with j = 0
     symmetric and j = 1 antisymmetric (the lower end of
     minimax_brackets(config, j + 1)), and a sector whose floor is at or
-    above E_1(alpha0) holds no state and builds no mode table.  A second
-    scan at truncation N/2, scanned on first read of any state's
-    lam_coarse and shared by the states of the call, supplies each state's
-    truncation-error estimate |lambda(N) - lambda(N/2)|, pairing roots
-    that are each other's nearest.  Scans, coefficients and sigma_min all
-    use the y-even channels of their truncation; matching_residual
-    computes a state's residual on request.  An empty list is a valid
-    result.  This is bound_states with one job: its states have the same
-    bits as there.  A root count below the sector's Dirichlet lower count
-    or above its Neumann cap (two roots lost in one grid interval, or a
-    spurious one) raises NumericalError.
+    above E_1(alpha0) holds no state and builds no mode table.  Scans,
+    coefficients and sigma_min all use the y-even channels of the
+    truncation; a truncation-error estimate is a second call at another N,
+    such as N // 2, and matching_residual computes a state's residual on
+    request.  An empty list is a valid result.  This is bound_states with
+    one job: its states have the same bits as there.  A root count below
+    the sector's Dirichlet lower count or above its Neumann cap (two roots
+    lost in one grid interval, or a spurious one) raises NumericalError.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses a solve whose scan_points *
@@ -591,18 +535,6 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
     """
     _check_size(N, scan_points)
     return _solve([(config, parity)], N, scan_points)[0]
-
-
-def _pair_nearest(fine: list[float], coarse: list[float]) -> list[float | None]:
-    """For each fine root, the coarse root it is paired with: the nearest
-    one, provided the fine root is in turn the nearest to it; else None."""
-    if not coarse:
-        return [None] * len(fine)
-    dist = np.abs(np.subtract.outer(fine, coarse))
-    nearest_coarse = dist.argmin(axis=1)
-    nearest_fine = dist.argmin(axis=0)
-    return [coarse[j] if nearest_fine[j] == i else None
-            for i, j in enumerate(nearest_coarse)]
 
 
 def minimax_brackets(config: WellConfig, n: int) -> tuple[float, float]:

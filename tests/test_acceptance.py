@@ -167,13 +167,16 @@ def test_3_oracle_equivalence(capsys):
 
 def test_4_truncation_convergence(capsys):
     t0 = time.perf_counter()
-    ground24 = bound_state_energies(WELL, ParitySector.SYMMETRIC, N=24)[0]
-    ground48 = bound_state_energies(WELL, ParitySector.SYMMETRIC, N=48)[0]
-    plain = abs(ground48.lam - ground24.lam)
-    # The truncation study runs on N in {12, 24, 48}: richardson() scans each
-    # solve's half-resolution companion on first read, so lambda(N) here is
-    # the eliminated-leading-order estimate from the (N/2, N) pair.
-    extrap = abs(ground48.richardson() - ground24.richardson())
+    lam = {N: bound_state_energies(WELL, ParitySector.SYMMETRIC, N=N)[0].lam
+           for N in (12, 24, 48)}
+    plain = abs(lam[48] - lam[24])
+    # The truncation study runs on N in {12, 24, 48}: lambda(N) here is the
+    # order-2 Richardson step lambda(N) + (lambda(N) - lambda(N/2)) / 3,
+    # which eliminates the leading order of the (N/2, N) pair.
+    def extrapolated(N):
+        return lam[N] + (lam[N] - lam[N // 2]) / 3.0
+
+    extrap = abs(extrapolated(48) - extrapolated(24))
     tol = 1e-6 * (np.pi / WELL.d) ** 2
     dt = time.perf_counter() - t0
     ok = extrap <= tol and dt < 30.0

@@ -22,7 +22,7 @@ from robinstrip.errors import ConfigError
 from robinstrip.outputs import CSV_HEADER
 
 PUBLIC = {
-    "BoundState", "BracketError", "BumpProfile", "ConfigError", "ContractError",
+    "BoundState", "BumpProfile", "ConfigError", "ContractError",
     "ConvergenceError", "NumericalError", "ParitySector", "QReport", "RobinCrossSection",
     "RobinStripError", "RunConfig", "SweepResult", "SweepRow", "WavefunctionGrid",
     "WellConfig", "bound_state_energies", "existence_test", "load_config",
@@ -368,8 +368,8 @@ class TestWavefunction:
 
 
 class TestTruncationCompanion:
-    """BoundState.lam_coarse, the root of the N/2 truncation, is scanned on
-    first read; no command reads it, so their solves scan at N only."""
+    """No command reports a truncation-error estimate, so every solve a
+    command runs scans at its N only, never at a second truncation."""
 
     @pytest.mark.parametrize("alpha0, alpha1, a, d", [(20, 5, 0.3, 1), (8, 1, 1.5, 1)])
     def test_commands_never_scan_half_truncation(self, tmp_path, capsys, scanned_channels,
@@ -398,6 +398,14 @@ class TestOracleCommand:
         assert abs(float(lam_m) - float(lam_o)) == pytest.approx(float(diff))
         assert float(diff) < 0.05
 
+    def test_default_L_admits_a_wide_well(self, tmp_path, capsys):
+        # a > 2d: the default half-length is 4a, not 8d, so the oracle's
+        # L >= 4 max(a, d) contract holds without --L
+        code = main(["oracle", "--alpha0", "20", "--alpha1", "5", "--a", "3", "--d", "1",
+                     "--refinements", "2", "--out-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        lines = (tmp_path / "oracle_compare.csv").read_text().strip().split("\n")
+        assert len(lines) > 1 and all(line.split(",")[3] for line in lines[1:])
 
     def test_closure_flag_is_gone(self, capsys):
         # the oracle's closure is Dirichlet; nothing selects another

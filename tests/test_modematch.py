@@ -3,8 +3,10 @@ axial stiffness, the matching matrix C, root scan, bound states,
 wavefunctions, residuals."""
 
 import dataclasses
+import gc
 import pickle
 import tracemalloc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -13,13 +15,13 @@ from conftest import admitted_alpha, full_window_roots, neumann_state_cap, refer
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector, WellConfig,
-                        bound_state_energies, matching_residual, minimax_brackets,
+from robinstrip import (BoundState, ConfigError, ContractError, NumericalError, ParitySector,
+                        WellConfig, bound_state_energies, matching_residual, minimax_brackets,
                         overlap_matrix, transversal_eigenvalues, wavefunction)
-from robinstrip import modematch, transverse
-from robinstrip.modematch import (_count_bounds, _mode_table, _ModeTable, _pair_nearest,
-                                  _scan_matrices, _scan_roots, _scan_slogdet, _value_deriv,
-                                  _window, bound_states)
+from robinstrip import modematch
+from robinstrip.modematch import (_count_bounds, _mode_table, _ModeTable, _scan_matrices,
+                                  _scan_roots, _scan_slogdet, _value_deriv, _window,
+                                  bound_states)
 from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
@@ -206,8 +208,32 @@ class TestBoundStates:
         assert s.a_coeffs[0] > 0.9  # dominated by the first channel
         assert np.linalg.norm(s.a_coeffs) == pytest.approx(1.0, abs=1e-12)
         assert s.sigma_min < 1e-10
-        assert s.trunc_err == abs(s.lam - s.lam_coarse) and s.trunc_err < 5e-3
-        assert s.richardson() == pytest.approx(s.lam, abs=5e-3)
+
+    def test_pickle_round_trip(self):
+        states = bound_state_energies(WellConfig(8.0, 1.0, 1.5, 1.0), SYM, 32)
+        copies = pickle.loads(pickle.dumps(states))
+        names = [f.name for f in dataclasses.fields(BoundState)]
+        assert names == ["lam", "parity", "a_coeffs", "b_coeffs", "sigma_min", "N"]
+        assert len(copies) == len(states) == 2
+        for s, c in zip(states, copies):
+            for name in names:
+                want, got = getattr(s, name), getattr(c, name)
+                if isinstance(want, np.ndarray):
+                    assert (got.dtype, got.shape, got.tobytes()) == \
+                        (want.dtype, want.shape, want.tobytes())
+                else:
+                    assert type(got) is type(want) and got == want
+
+    def test_held_state_does_not_pin_its_mode_table(self):
+        # a state is a plain record: once the cache lets go of its table,
+        # holding the state keeps no overlap block alive
+        _mode_table.cache_clear()
+        states = bound_state_energies(WELL, SYM, 64)
+        table = weakref.ref(_mode_table(WELL.inner, WELL.outer, 64))
+        assert _mode_table.cache_info().hits == 1
+        _mode_table.cache_clear()
+        gc.collect()
+        assert states and table() is None
 
     def test_no_antisymmetric_state_in_narrow_well(self):
         assert bound_state_energies(WELL, ANTI, 16) == []
@@ -347,9 +373,8 @@ class TestBoundStates:
         assert states[0].lam == pytest.approx(52.92335, abs=1e-6)
 
     def test_a_sweep_solves_each_cross_section_once_per_N(self, newton_levels):
-        # tables depend on (alpha, d) and N only; the N/2 companion and E_1
-        # read the first levels of the N table, and a larger N solves a
-        # whole new table
+        # tables depend on (alpha, d) and N only; E_1 reads the first levels
+        # of the N table, and a larger N solves a whole new table
         _mode_table.cache_clear()
         for r in (0.3, 0.6, 0.9):
             for parity in ParitySector:
@@ -403,8 +428,8 @@ class TestBatchedSolve:
 
     @staticmethod
     def _fields(states):
-        return [(s.lam, s.parity, s.a_coeffs.tobytes(), s.b_coeffs.tobytes(), s.sigma_min,
-                 s.lam_coarse) for s in states]
+        return [(s.lam, s.parity, s.a_coeffs.tobytes(), s.b_coeffs.tobytes(), s.sigma_min)
+                for s in states]
 
     @classmethod
     def _alone(cls, well, N):
@@ -423,8 +448,8 @@ class TestBatchedSolve:
              ratios=[0.3, 0.3], N=2)
     @settings(max_examples=40, deadline=None)
     def test_batching_is_invisible(self, log_alpha0_d, log_alpha1_d, log_d, ratios, N):
-        # lam, coefficients, sigma_min and the N/2 companion of every state
-        # have the bits of one solve per (well, sector)
+        # lam, coefficients and sigma_min of every state have the bits of
+        # one solve per (well, sector)
         assume(log_alpha1_d < log_alpha0_d)
         d = 10.0**log_d
         alpha0 = admitted_alpha(10.0**log_alpha0_d, d)
@@ -715,23 +740,6 @@ class TestBlockScan:
             top = float(table.outer.energy[0])
             assert _window(table)[1] <= top - 2.0 * np.spacing(top)
 
-    def test_companion_roots_are_the_half_truncation_scan(self):
-        # the N/2 companion scans a prefix of the y-even table; its roots
-        # are bitwise those of the table built at N // 2
-        paired = 0
-        for cfg in self.WELLS + (WellConfig(1e5, 1e-5, 2.0, 1.0),):
-            for N in (16, 32, 33):
-                for parity in ParitySector:
-                    states = bound_state_energies(cfg, parity, N)
-                    if not states:
-                        continue
-                    coarse = _scan_roots(_mode_table(cfg.inner, cfg.outer, N // 2),
-                                         [(cfg.a, parity)], 400)[0]
-                    fine = [st.lam for st in states]
-                    assert [st.lam_coarse for st in states] == _pair_nearest(fine, coarse)
-                    paired += sum(st.lam_coarse is not None for st in states)
-        assert paired >= 20
-
 
 class TestScanChunks:
     WELLS = (WELL, WellConfig(1e5, 1e-5, 0.8, 1.0), WellConfig(8.0, 1.0, 1.5, 1.0))
@@ -755,8 +763,7 @@ class TestScanChunks:
 
     def test_states_do_not_depend_on_the_chunk(self, monkeypatch):
         def fields(states):
-            return [(s.lam, s.lam_coarse, s.sigma_min, s.a_coeffs.tolist())
-                    for s in states]
+            return [(s.lam, s.sigma_min, s.a_coeffs.tolist()) for s in states]
 
         for cfg in self.WELLS:
             for parity in ParitySector:
@@ -798,64 +805,45 @@ class TestSizeGuard:
             bound_state_energies(WELL, SYM, N, scan_points=scan_points)
 
 
-class TestCompanionPairing:
-    def test_pairs_by_proximity_not_index(self):
-        assert _pair_nearest([5.0, 6.0], [4.2, 5.001, 6.002]) == [5.001, 6.002]
-
-    def test_unmatched_roots_get_none(self):
-        assert _pair_nearest([5.0, 6.0], []) == [None, None]
-        # 5.004 is nearest to both fine roots but pairs only with 5.0
-        assert _pair_nearest([5.0, 5.01], [5.004]) == [5.004, None]
-        # 5.15's nearest fine root is 5.2, so 5.0 has no companion
-        assert _pair_nearest([5.0, 5.2], [5.15]) == [None, 5.15]
-
-
-class TestLazyCompanion:
-    """lam_coarse is scanned on first read, once for all states of a solve."""
+class TestPlainRecord:
+    """A BoundState is a frozen record of its solve; a truncation estimate
+    is a second, explicit solve at N // 2."""
 
     CFG = WellConfig(8.0, 1.0, 1.5, 1.0)   # two symmetric states
 
-    @staticmethod
-    def _estimates(states):
-        return [(s.lam_coarse, s.trunc_err, s.richardson()) for s in states]
-
-    def test_one_prefix_scan_per_solve(self, scanned_channels):
-        states = bound_state_energies(self.CFG, SYM, 32)
-        assert len(states) >= 2 and scanned_channels == [16]
-        first = self._estimates(states)
-        assert self._estimates(states) == first
-        assert scanned_channels == [16, 8]
-        assert None not in (c for c, _, _ in first)
-
-    @pytest.mark.parametrize("N", [4, 5])
-    def test_one_channel_companion_pairs(self, scanned_channels, N):
-        # the N/2 companion of N = 4 and 5 is a 1 x 1 scan
-        states = bound_state_energies(WELL, SYM, N)
-        assert len(states) == 1 and states[0].lam_coarse is not None
-        assert scanned_channels == [(N + 1) // 2, 1]
-
-    def test_estimates_survive_cleared_caches(self):
-        want = self._estimates(bound_state_energies(self.CFG, SYM, 32))
-        states = bound_state_energies(self.CFG, SYM, 32)
-        _mode_table.cache_clear()
-        transverse._tables.cache_clear()
-        assert self._estimates(states) == want
-
-    def test_pickle_carries_the_estimate(self):
-        states = bound_state_energies(self.CFG, SYM, 32)
-        copies = pickle.loads(pickle.dumps(states))
-        assert [(s.lam, s.sigma_min, s.a_coeffs.tolist()) for s in copies] == \
-            [(s.lam, s.sigma_min, s.a_coeffs.tolist()) for s in states]
-        assert self._estimates(copies) == self._estimates(states)
-
-    @pytest.mark.parametrize("N", [2, 3])
-    def test_no_companion_below_N_4(self, scanned_channels, N):
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 16, 32, 33])
+    def test_one_scan_per_solve(self, scanned_channels, N):
+        # reading, copying and pickling every field scans nothing more
         states = bound_state_energies(self.CFG, SYM, N)
-        # the one channel at N = 2 gives a 1 x 1 scan matrix, and its sign
-        # change is a state like any other
         assert states
-        assert self._estimates(states) == [(None, None, None)] * len(states)
-        assert set(scanned_channels) == {(N + 1) // 2}
+        for s in states:
+            dataclasses.replace(s)
+            pickle.loads(pickle.dumps(s))
+            for f in dataclasses.fields(s):
+                getattr(s, f.name)
+        assert scanned_channels == [(N + 1) // 2]
+
+    def test_state_is_frozen(self):
+        s = bound_state_energies(self.CFG, SYM, 16)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.lam = 0.0
+        assert not any(hasattr(s, name)
+                       for name in ("lam_coarse", "trunc_err", "richardson", "_companion"))
+
+    def test_half_truncation_is_its_own_solve(self):
+        # the N // 2 solve a caller makes for an estimate gives the bits of
+        # that solve alone, whether or not the N solve ran first
+        found = 0
+        for N in (16, 32, 33):
+            for parity in ParitySector:
+                _mode_table.cache_clear()
+                alone = [s.lam for s in bound_state_energies(self.CFG, parity, N // 2)]
+                _mode_table.cache_clear()
+                bound_state_energies(self.CFG, parity, N)
+                after = [s.lam for s in bound_state_energies(self.CFG, parity, N // 2)]
+                assert after == alone
+                found += len(alone)
+        assert found >= 6
 
 
 class TestBrackets:
