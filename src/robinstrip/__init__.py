@@ -32,7 +32,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the FD oracle needs scipy.sparse and scipy.linalg, so it loads on first use
+    # the FD oracle needs scipy.linalg and scipy.fft, so it loads on first use
     if name == "oracle_bound_states":
         from .fdoracle import oracle_bound_states
         return oracle_bound_states

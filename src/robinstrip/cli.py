@@ -44,13 +44,12 @@ def _format_list(text: str) -> tuple[str, ...]:
 _OVERRIDES = {
     **{name: ("well", name, float) for name in _WELL_FLAGS},
     "N": ("matching", "N", int),
-    "scan_points": ("matching", "scan_points", int),
     "out_dir": ("output", "dir", str),
     "formats": ("output", "formats", _format_list),
     "L": ("oracle", "L", float),
     "refinements": ("oracle", "refinements", int),
 }
-_SOLVE_FLAGS = (*_WELL_FLAGS, "N", "scan_points", "out_dir")
+_SOLVE_FLAGS = (*_WELL_FLAGS, "N", "out_dir")
 _COMMAND_FLAGS = {
     "spectrum": (*_SOLVE_FLAGS, "formats"),
     "sweep": (*_SOLVE_FLAGS, "formats"),
@@ -128,7 +127,7 @@ def _write_result(result: SweepResult, cfg: RunConfig, stem: str,
 
 
 def _cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> int:
-    [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
+    [states] = bound_states([cfg.well], cfg.matching.N)
     rows = _point_rows(cfg.well, states, cfg.well.a / cfg.well.d)
     result = SweepResult(rows=tuple(rows))
     written = _write_result(result, cfg, "spectrum")
@@ -150,7 +149,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     # an a/d sweep's points share their cross-sections and are solved together;
     # map lets go of a point's states before the next run of points is solved,
     # so an alpha_pair sweep holds one mode table at a time
-    solved = bound_states(wells, cfg.matching.N, cfg.matching.scan_points)
+    solved = bound_states(wells, cfg.matching.N)
     rows = [row for point in map(_point_rows, wells, solved, values) for row in point]
     rows.sort(key=lambda r: (r.sweep_value, r.lam))
     result = SweepResult(rows=tuple(rows))
@@ -172,7 +171,7 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError(f"--xmax must be positive and finite, got {args.xmax!r}")
     if args.ordinal < 1:
         raise ConfigError(f"--ordinal must be >= 1, got {args.ordinal}")
-    [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
+    [states] = bound_states([cfg.well], cfg.matching.N)
     if args.ordinal > len(states):
         raise NumericalError(
             f"no bound state with ordinal {args.ordinal}: found {len(states)}"
@@ -192,9 +191,9 @@ def _cmd_wavefunction(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .fdoracle import oracle_bound_states  # scipy.sparse and scipy.linalg load only here
+    from .fdoracle import oracle_bound_states  # scipy.linalg and scipy.fft load only here
 
-    [states] = bound_states([cfg.well], cfg.matching.N, cfg.matching.scan_points)
+    [states] = bound_states([cfg.well], cfg.matching.N)
     ref = oracle_bound_states(cfg.well, cfg.oracle.resolve_L(cfg.well), cfg.oracle.refinements)
     lines = ["sector,index,lambda_matching,lambda_oracle,abs_diff"]
     for parity in ParitySector:

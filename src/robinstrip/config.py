@@ -3,7 +3,7 @@
 A config file is a mapping with up to five sections -- well (required),
 matching, sweep, oracle, output -- whose keys mirror the dataclass
 fields exactly.  Unknown sections or keys are errors: silently ignoring a
-typo like scan_pionts would change results without a trace.
+typo like refinments would change results without a trace.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ _FORMATS = ("csv", "json", "svg")
 
 @dataclass(frozen=True)
 class MatchingParams:
-    """Mode-matching knobs: truncation order and scan resolution.  Roots
-    are refined to 8 ulp of lambda, so there is no tolerance to set."""
+    """Mode matching's one knob, the truncation order.  The scan grid
+    follows from N and from each sector's closed-form state count, and
+    roots are refined to 8 ulp of lambda, so there is no resolution or
+    tolerance to set."""
 
     N: int = 32
-    scan_points: int = 400
 
     def __post_init__(self):
         if self.N < 2:
             raise ConfigError(f"matching.N must be >= 2, got {self.N!r}")
-        if self.scan_points < 8:
-            raise ConfigError(f"matching.scan_points must be >= 8, got {self.scan_points!r}")
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ direct LAPACK calls (dsytrf, dsyevr, dstebz) whose info and outputs are
 checked.  The 1D y spectra of a grid
 are set up once per oracle_bound_states call and shared by its floors,
 tops and both sectors' solves, and the fine grid's Newton steps start at
-the coarse grid's roots.  No solve assembles a matrix: assemble builds
-the CSR block as the tests' reference only.  The Richardson step between
+the coarse grid's roots.  No solve assembles a matrix, and the module
+does not load scipy.sparse.  The Richardson step between
 two grids assumes order 2 (the order observed so far is 0.90-0.99, so its
 error bar is optimistic), and the oracle shares none of the mode matching
 machinery it checks.
@@ -59,7 +59,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
 from scipy.linalg import eigh_tridiagonal
@@ -95,16 +94,6 @@ class FdGrid:
             raise ConfigError(f"grid too coarse: nx={self.nx}, ny={self.ny} (need >= 16)")
         if abs(self.hx - 2.0 * self.L / (self.nx + 1)) > 1e-9 * self.hx:
             raise ConfigError("hx inconsistent with L and nx (expect hx = 2L/(nx+1))")
-
-
-@dataclass(frozen=True, eq=False)
-class SparseOperator:
-    """An assembled sector block: a symmetric positive-semidefinite CSR
-    matrix with 5-point sparsity, and its dimension.  Only the tests call
-    assemble; the oracle never does."""
-
-    dimension: int
-    matrix: sp.csr_matrix
 
 
 def make_grid(config: WellConfig, L: float, h: float) -> FdGrid:
@@ -243,20 +232,6 @@ def _norm_inf(config: WellConfig, grid: FdGrid, sector: ParitySector) -> float:
     return float(max(wall, x.max() + y[1:].max()))
 
 
-def assemble(config: WellConfig, grid: FdGrid, sector: ParitySector) -> SparseOperator:
-    """The operator of _stencil(config, grid, sector) as a CSR matrix, y the
-    fast index.  The oracle never builds it (lowest_eigenpairs applies the
-    stencil); it is the tests' reference only."""
-    main, ex, ey = _stencil(config, grid, sector)
-    nx, ny = main.shape
-    # the y coupling stops at each column's end
-    ey_cols = np.tile(np.append(ey, 0.0), nx)[:-1]
-    ex_cols = np.repeat(ex, ny)
-    A = sp.diags([ex_cols, ey_cols, main.ravel(), ey_cols, ex_cols], [-ny, -1, 0, 1, ny],
-                 format="csr")
-    return SparseOperator(dimension=A.shape[0], matrix=A)
-
-
 def y_odd_floor(config: WellConfig, grid: FdGrid) -> float:
     """Lower bound on every eigenvalue of the grid's operator on y-odd
     functions (either x sector): the lowest eigenvalue of the folded y-odd
@@ -334,10 +309,10 @@ def _dirichlet_neumann(rows: int, h: float) -> float:
 
 def sector_floor(config: WellConfig, grid: FdGrid, sector: ParitySector,
                  spectra: _YSpectra | None = None) -> float:
-    """Lower bound on every eigenvalue of assemble(config, grid, sector) and
-    on every value lowest_eigenpairs can return for it, from a discrete
-    Neumann cut at |x| = a; spectra is the grid's _y_spectra, built here if
-    not given.
+    """Lower bound on every eigenvalue of the block _stencil(config, grid,
+    sector) and on every value lowest_eigenpairs can return for it, from a
+    discrete Neumann cut at |x| = a; spectra is the grid's _y_spectra,
+    built here if not given.
 
     Removing the x edge between offsets m - 1 and m (m = a/hx; the node on
     the jump is on the alpha0 side) removes the positive semidefinite term
@@ -457,8 +432,8 @@ def _negatives_off(c: np.ndarray, r: np.ndarray, lam: float) -> int:
 def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
                       spectra: _YSpectra | None = None,
                       start: Sequence[float] = ()) -> list[tuple[float, np.ndarray]]:
-    """Every eigenpair of assemble(config, grid, sector) below top, the
-    lowest eigenvalue of its alpha0 operator: eigenvalues ascending,
+    """Every eigenpair of the block _stencil(config, grid, sector) below
+    top, the lowest eigenvalue of its alpha0 operator: eigenvalues ascending,
     vectors orthonormal grid values with the largest entry positive.
     spectra is the grid's _y_spectra, built here if not given; start[j],
     if given, is a guess at eigenvalue j, such as a coarser grid's.

@@ -48,13 +48,22 @@ block is taken on a grid over the window by batched LUs of at most 2^22
 doubles each, from the last grid point below the sector's Neumann floor
 E_1(alpha1) + (j pi/2a)^2 (j = 0 symmetric, 1 antisymmetric), under which
 the sector has no state; a sector whose floor is at or above E_1(alpha0)
-is not scanned.  Grid intervals where the sign changes are narrowed
-together by Illinois steps to 8 ulp of lambda, one batched LU per step,
-and each is a root, since C_hat is continuous.  A sign change finds a root
-however narrow its singular-value dip is, which a scan of sigma_min on the
-grid does not, but two roots in one grid interval give none: each job's
-root count must lie between the Dirichlet lower count and the Neumann
-cap of cuts at |x| = a, else the solve raises NumericalError.
+is not scanned.  The grid has min(400, 2^27 // n^2) points for the n =
+(N + 1) // 2 channels, 48 at N = 3344; there is no knob to set it.
+Grid intervals where the sign changes are narrowed together by Illinois
+steps to 8 ulp of lambda, one batched LU per step, and each is a root,
+since C_hat is continuous.  A sign change finds a root however narrow its
+singular-value dip is, which a scan of sigma_min on the grid does not,
+but two roots in one grid interval give none, so a scan loses roots in
+pairs only.  Each sector's count lies between the Dirichlet lower count
+and the Neumann cap of cuts at |x| = a (Dirichlet-Neumann bracketing,
+Reed-Simon IV XIII.15), which differ by at most 1.  A job whose count is
+below its Dirichlet count is rescanned alone on grids of 2 p - 1 points
+until it is met, at most 2^20 points or 2^27 scan matrix entries; a
+count still outside the bounds raises NumericalError.  So no state is
+lost whenever the truncated problem's own count lies within the bounds: a
+scan's count falls short of it by an even number, and a count within
+bounds at most 1 apart is that count.
 bound_states solves every (well, sector) job of wells that share their
 cross-sections, a point's two sectors or an a/d sweep's
 points, with one mode table: the brackets of all jobs step together, and
@@ -83,9 +92,11 @@ from .transverse import (RobinCrossSection, _Levels, overlap_matrix, transversal
 
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
-# Size guard, 2^27 (1 GiB of doubles), on the scan's scan_points * ((N+1)//2)^2
-# matrix entries.
+# Scan matrix entries of a grid, 2^27 (1 GiB of doubles), and its points: the
+# first has min(400, 2^27 // n^2) for n = (N+1)//2 channels, a refined one at
+# most 2^20 (8 MiB of energies, the bound at small N).
 _MAX_SOLVE_DOUBLES = 2**27
+_MAX_SCAN_POINTS = 2**20
 # Largest truncation order: the largest level table whose top levels
 # transverse._MIN_ALPHA_D keeps above their Neumann ends.
 _MAX_N = 3344
@@ -293,13 +304,18 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
     return lo + 1e-9 * w, hi - max(1e-9 * w, 2.0 * np.spacing(hi))
 
 
+def _segment_level(E1_in: float, a: float, k: int) -> float:
+    """E_1(alpha1) + (k pi / 2a)^2: level k of the well |x| < a cut off at
+    |x| = a, by Dirichlet conditions for k >= 1, by Neumann ones for k >= 0."""
+    return E1_in + (k * np.pi / (2.0 * a)) ** 2
+
+
 def _neumann_floor(E1_in: float, a: float, parity: ParitySector) -> float:
     """The sector's lowest level with the well cut off by Neumann conditions
-    at |x| = a, E_1(alpha1) + (j pi / 2a)^2 with j = 0 (symmetric) or 1
-    (antisymmetric), the lower end of minimax_brackets(config, j + 1): by
-    min-max the sector has no state below it."""
-    j = 0 if parity is ParitySector.SYMMETRIC else 1
-    return E1_in + (j * np.pi / (2.0 * a)) ** 2
+    at |x| = a, k = 0 (symmetric) or 1 (antisymmetric), the lower end of
+    minimax_brackets(config, k + 1): by min-max the sector has no state
+    below it."""
+    return _segment_level(E1_in, a, 0 if parity is ParitySector.SYMMETRIC else 1)
 
 
 def _count_bounds(E1_in: float, E1_out: float, a: float,
@@ -307,12 +323,12 @@ def _count_bounds(E1_in: float, E1_out: float, a: float,
     """The sector's Dirichlet lower count and Neumann cap: cutting the
     strip at |x| = a with Dirichlet (Neumann) conditions raises (lowers)
     the operator, and the inner levels below E_1(alpha0) of either cut are
-    E_1(alpha1) + (k pi/2a)^2, k >= 1 odd (symmetric) or even
-    (antisymmetric) for Dirichlet, k >= 0 even (symmetric) or odd
-    (antisymmetric) for Neumann; by min-max the sector has at least as
-    many states as the first and at most as many as the second."""
+    _segment_level k >= 1 odd (symmetric) or even (antisymmetric) for
+    Dirichlet, k >= 0 even (symmetric) or odd (antisymmetric) for Neumann;
+    by min-max the sector has at least as many states as the first and at
+    most as many as the second."""
     def below(k: int) -> bool:
-        return E1_in + (k * np.pi / (2.0 * a)) ** 2 < E1_out
+        return _segment_level(E1_in, a, k) < E1_out
 
     # n = #{k >= 0: below(k)} from its real-valued estimate, which is off
     # by at most one level below 2^52 and corrected on the inequality
@@ -329,30 +345,45 @@ def _count_bounds(E1_in: float, E1_out: float, a: float,
     return max(n - 1, 0) // 2, n // 2
 
 
-def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]],
-                scan_points: int) -> list[list[float]]:
+def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]]) -> list[list[float]]:
     """Roots, sorted, of the regularized matrix of table in the window for
     each job (a, parity), a half-width and sector sharing the table.
 
-    Each job takes the sign and log of |det| on the same scan_points-energy
-    grid, from the last grid point below its Neumann floor on: no state of
-    the sector lies lower, so the grid points it skips hold no sign change.
-    Every grid interval where the sign changes is a bracket, and the
-    brackets of all jobs are narrowed together by Illinois steps, one
-    batched LU each (_refine).  An exact zero of det on the grid is a root
-    as it stands: C_hat is continuous in the window, so a sign change
-    needs no sigma_min test.
+    Each job takes the sign and log of |det| on a grid of min(400, 2^27 //
+    n^2) energies over the window, from the last grid point below its
+    Neumann floor on: no state of the sector lies lower, so the grid points
+    it skips hold no sign change.  Every grid interval where the sign
+    changes is a bracket, and an exact zero of det on the grid is a root as
+    it stands: C_hat is continuous in the window, so a sign change needs no
+    sigma_min test.  A job short of its Dirichlet lower count is scanned
+    again on its own grid of 2 p - 1 points until the count is met or the
+    grid would pass 2^20 points or 2^27 scan matrix entries; a count then
+    outside _count_bounds raises NumericalError.  The brackets of all jobs
+    are narrowed together by Illinois steps, one batched LU each (_refine).
     """
     win = _window(table)
     if win is None:
         return [[] for _ in jobs]
-    grid = np.linspace(*win, scan_points)
-    E1_in = float(table.inner.energy[0])
+    most = min(_MAX_SCAN_POINTS, _MAX_SOLVE_DOUBLES // table.overlaps.size)
+    E1_in, E1_out = float(table.inner.energy[0]), float(table.outer.energy[0])
+    base = np.linspace(*win, min(400, most))
     zeros, ends, logs, signs, owner = [], [], [], [], []
     for i, (a, parity) in enumerate(jobs):
-        g = grid[max(0, np.searchsorted(grid, _neumann_floor(E1_in, a, parity)) - 1):]
-        sg, lg = _scan_slogdet(table, a, parity, g)
-        j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+        lower, cap = _count_bounds(E1_in, E1_out, a, parity)
+        grid = base
+        while True:
+            g = grid[max(0, np.searchsorted(grid, _neumann_floor(E1_in, a, parity)) - 1):]
+            sg, lg = _scan_slogdet(table, a, parity, g)
+            j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+            count = j.size + np.count_nonzero(sg == 0.0)
+            if count >= lower or 2 * grid.size - 1 > most:
+                break
+            grid = np.linspace(*win, 2 * grid.size - 1)
+        if not lower <= count <= cap:
+            raise NumericalError(
+                f"{parity.value} sector of a = {a!r}: {count} roots found, outside "
+                f"[{lower}, {cap}] (Dirichlet lower count, Neumann cap) on a scan grid "
+                f"of {grid.size} points")
         zeros.append(g[sg == 0.0])
         ends.append(g[[j, j + 1]])
         logs.append(lg[[j, j + 1]])
@@ -420,45 +451,33 @@ def _null_vectors(table: _ModeTable, a: np.ndarray, sym: np.ndarray, lam: np.nda
     return np.concatenate(vt), np.concatenate(colfac), np.concatenate(smin)
 
 
-def _check_size(N: int, scan_points: int) -> None:
-    """Refuse, before anything is allocated, a solve outside the sizes the
-    scan and the level tables are made for."""
+def _check_size(N: int) -> None:
+    """Refuse, before anything is allocated, a truncation order outside
+    the level tables' range."""
     if N < 2:
         raise ContractError("truncation order N must be >= 2")
-    if scan_points < 8:
-        raise ContractError("scan_points must be >= 8")
-    if scan_points * ((N + 1) // 2) ** 2 > _MAX_SOLVE_DOUBLES or N > _MAX_N:
-        raise ContractError(f"N={N:.3g}, scan_points={scan_points:.3g}: scan matrix entries "
-                            f"over 2^27 or mode table over N = {_MAX_N}")
+    if N > _MAX_N:
+        raise ContractError(f"N = {N}: mode table over N = {_MAX_N}")
 
 
-def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int,
-           scan_points: int) -> list[list[BoundState]]:
+def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int) -> list[list[BoundState]]:
     """The states of each (well, sector) job, for wells that share their
     cross-sections: one mode table, one lockstep refinement of every
     job's brackets and one batched null-vector pass.  A job whose Neumann
     cap is 0 (its Neumann floor at or above E_1(alpha0)) holds no state
     and is not scanned; when no job is left, no table is built.  A job
-    whose root count lies outside _count_bounds raises NumericalError."""
+    whose root count stays outside _count_bounds raises NumericalError."""
     inner, outer = jobs[0][0].inner, jobs[0][0].outer
     # E_1 from the level tables at N, which the mode table reads as well
     E1_in = float(transversal_levels(inner, N).energy[0])
     E1_out = float(transversal_levels(outer, N).energy[0])
-    bounds = [_count_bounds(E1_in, E1_out, well.a, parity) for well, parity in jobs]
-    # a Neumann cap of 0 is a floor at or above E_1(alpha0)
-    live = [i for i, (_, cap) in enumerate(bounds) if cap > 0]
+    live = [i for i, (well, parity) in enumerate(jobs)
+            if _neumann_floor(E1_in, well.a, parity) < E1_out]
     states: list[list[BoundState]] = [[] for _ in jobs]
     if not live:
         return states
     table = _mode_table(inner, outer, N)
-    roots = _scan_roots(table, [(jobs[i][0].a, jobs[i][1]) for i in live], scan_points)
-    for i, job_roots in zip(live, roots):
-        (well, parity), (lower, cap) = jobs[i], bounds[i]
-        if not lower <= len(job_roots) <= cap:
-            raise NumericalError(
-                f"{parity.value} sector of a = {well.a!r}: {len(job_roots)} roots found, outside "
-                f"[{lower}, {cap}] (Dirichlet lower count, Neumann cap); two roots may share "
-                f"a scan interval, try a larger --scan-points or N")
+    roots = _scan_roots(table, [(jobs[i][0].a, jobs[i][1]) for i in live])
     owner = [i for i, r in zip(live, roots) for _ in r]
     if not owner:
         return states
@@ -483,8 +502,7 @@ def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int,
     return states
 
 
-def bound_states(wells: Iterable[WellConfig], N: int,
-                 scan_points: int = 400) -> Iterator[list[BoundState]]:
+def bound_states(wells: Iterable[WellConfig], N: int) -> Iterator[list[BoundState]]:
     """The bound states of both sectors of each well, sorted by lambda:
     one list per well, in order, each as bound_state_energies gives them,
     bit for bit.
@@ -494,47 +512,47 @@ def bound_states(wells: Iterable[WellConfig], N: int,
     (well, sector) job scans its own grid, the brackets of all of them are
     refined in one lockstep loop, and their null vectors taken by one
     batched SVD.  The lists of such a run of wells are yielded when it is
-    solved, so an alpha_pair sweep holds one run's tables at a time.  The
-    sizes are checked as by bound_state_energies, before anything is solved.
+    solved, so an alpha_pair sweep holds one run's tables at a time.  N is
+    checked as by bound_state_energies, before anything is solved.
     """
-    _check_size(N, scan_points)
-    return _solve_runs(list(wells), N, scan_points)
+    _check_size(N)
+    return _solve_runs(list(wells), N)
 
 
-def _solve_runs(wells: list[WellConfig], N: int, scan_points: int) -> Iterator[list[BoundState]]:
+def _solve_runs(wells: list[WellConfig], N: int) -> Iterator[list[BoundState]]:
     for _, run in groupby(wells, key=lambda w: (w.inner, w.outer)):
-        states = _solve([(w, p) for w in run for p in ParitySector], N, scan_points)
+        states = _solve([(w, p) for w in run for p in ParitySector], N)
         for sym, anti in zip(states[::2], states[1::2]):
             yield sorted(sym + anti, key=lambda s: s.lam)
 
 
-def bound_state_energies(config: WellConfig, parity: ParitySector, N: int,
-                         scan_points: int = 400) -> list[BoundState]:
+def bound_state_energies(config: WellConfig, parity: ParitySector, N: int) -> list[BoundState]:
     """All bound states of one parity sector in (E_1(alpha1), E_1(alpha0)).
 
-    Roots are sign changes of det of the regularized matrix between
-    scan_points trial energies, refined to 8 ulp of lambda by Illinois
-    steps; every one is a state.  The grid is evaluated from its last point
-    below the sector's Neumann floor, E_1(alpha1) + (j pi/2a)^2 with j = 0
-    symmetric and j = 1 antisymmetric (the lower end of
-    minimax_brackets(config, j + 1)), and a sector whose floor is at or
-    above E_1(alpha0) holds no state and builds no mode table.  Scans,
+    Roots are sign changes of det of the regularized matrix between trial
+    energies, refined to 8 ulp of lambda by Illinois steps; every one is a
+    state.  The grid has min(400, 2^27 // n^2) points for n = (N + 1) // 2
+    and is evaluated from its last point below the sector's Neumann floor,
+    E_1(alpha1) + (j pi/2a)^2 with j = 0 symmetric and j = 1 antisymmetric
+    (the lower end of minimax_brackets(config, j + 1)); a sector whose
+    floor is at or above E_1(alpha0) holds no state and builds no mode
+    table.  A sector short of its Dirichlet lower count is rescanned on
+    finer grids until the count is met (see the module docstring), so no
+    state is lost whenever the truncated problem's own count lies within
+    that count and the Neumann cap; a count still outside them raises
+    NumericalError.  Scans,
     coefficients and sigma_min all use the y-even channels of the
     truncation; a truncation-error estimate is a second call at another N,
     such as N // 2, and matching_residual computes a state's residual on
     request.  An empty list is a valid result.  This is bound_states with
-    one job: its states have the same bits as there.  A root count below
-    the sector's Dirichlet lower count or above its Neumann cap (two roots
-    lost in one grid interval, or a spurious one) raises NumericalError.
+    one job: its states have the same bits as there.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
-    allocated, a ContractError refuses a solve whose scan_points *
-    ((N+1)//2)^2 scan matrix entries exceed 2^27 (N = 1024 fits at the
-    default 400 points) or whose N exceeds 3344, the largest level table
-    the weak-coupling bound on alpha*d is derived for.
+    allocated, a ContractError refuses N < 2 or N > 3344, the largest
+    level table the weak-coupling bound on alpha*d is derived for.
     """
-    _check_size(N, scan_points)
-    return _solve([(config, parity)], N, scan_points)[0]
+    _check_size(N)
+    return _solve([(config, parity)], N)[0]
 
 
 def minimax_brackets(config: WellConfig, n: int) -> tuple[float, float]:
@@ -549,9 +567,8 @@ def minimax_brackets(config: WellConfig, n: int) -> tuple[float, float]:
         raise ContractError("ordinal n must be >= 1")
     E1_in = float(transversal_eigenvalues(config.inner, 1)[0])
     E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
-    lower = E1_in + ((n - 1) * np.pi / (2.0 * config.a)) ** 2
-    upper = min(E1_in + (n * np.pi / (2.0 * config.a)) ** 2, E1_out)
-    return lower, upper
+    return (_segment_level(E1_in, config.a, n - 1),
+            min(_segment_level(E1_in, config.a, n), E1_out))
 
 
 # --------------------------------------------------------------------------

@@ -5,18 +5,22 @@ quadrature; the variational form Q by plain 2D quadrature, which does
 read the package's level table, trial profile and Gauss-Legendre panels but
 skips the separable reduction that q_form relies on; the Neumann cap on
 the bound-state count; a mode-matching scan of the whole window, with no
-Neumann floor; and the lowest eigenvalue of an assembled FD block by
-ARPACK, not the package's solver."""
+Neumann floor; an FD sector block assembled as a CSR matrix, which the
+package never builds, and its lowest eigenvalue by ARPACK, not the
+package's solver."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
 from robinstrip import (BumpProfile, ContractError, WellConfig, transversal_eigenvalues,
                         transversal_levels)
 from robinstrip import modematch, transverse
-from robinstrip.fdoracle import assemble
+from robinstrip.fdoracle import _stencil
 from robinstrip.quadrature import composite_gl
 from robinstrip.variational import trial_scale
 
@@ -95,6 +99,29 @@ def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     return float(bulk + walls)
 
 
+@dataclass(frozen=True, eq=False)
+class SparseOperator:
+    """An assembled sector block: a symmetric positive-semidefinite CSR
+    matrix with 5-point sparsity, and its dimension."""
+
+    dimension: int
+    matrix: sp.csr_matrix
+
+
+def assemble(config, grid, sector) -> SparseOperator:
+    """The operator of fdoracle._stencil(config, grid, sector) as a CSR
+    matrix, y the fast index: the reference the oracle's matrix-free solve
+    is checked against."""
+    main, ex, ey = _stencil(config, grid, sector)
+    nx, ny = main.shape
+    # the y coupling stops at each column's end
+    ey_cols = np.tile(np.append(ey, 0.0), nx)[:-1]
+    ex_cols = np.repeat(ex, ny)
+    A = sp.diags([ex_cols, ey_cols, main.ravel(), ey_cols, ex_cols], [-ny, -1, 0, 1, ny],
+                 format="csr")
+    return SparseOperator(dimension=A.shape[0], matrix=A)
+
+
 def lowest_fd_value(config, grid, sector) -> float:
     """The lowest eigenvalue of assemble(config, grid, sector), by
     shift-invert Lanczos about 0 (the block is positive definite).  A
@@ -158,9 +185,10 @@ def neumann_state_cap(config: WellConfig) -> int:
                             * (1.0 - 1e-15)))
 
 
-def full_window_roots(table, a, parity, scan_points=400):
+def full_window_roots(table, a, parity, points=400):
     """Roots of one sector's scan matrix over the whole window: the sign of
-    det on every point of the solver's grid, each sign change narrowed by
+    det on a grid of points energies over the solver's window (400, the
+    solver's first grid below N = 1159), each sign change narrowed by
     the solver's Illinois steps one sector at a time.  The solver starts
     each sector's grid at its Neumann floor and steps all sectors of a
     table together; on a sector with no root below the floor both give the
@@ -168,7 +196,7 @@ def full_window_roots(table, a, parity, scan_points=400):
     win = modematch._window(table)
     if win is None:
         return []
-    grid = np.linspace(*win, scan_points)
+    grid = np.linspace(*win, points)
     sg, lg = modematch._scan_slogdet(table, a, parity, grid)
     j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
     x, ell, sl = grid[[j, j + 1]], lg[[j, j + 1]], sg[j]

@@ -36,7 +36,7 @@ UNEXPORTED = [
     ("transverse", "dispersion"), ("variational", "trial_scale"),
     ("config", "MatchingParams"),
     ("config", "OracleSpec"), ("config", "OutputSpec"), ("config", "SweepSpec"),
-    ("fdoracle", "FdGrid"), ("fdoracle", "make_grid"), ("fdoracle", "assemble"),
+    ("fdoracle", "FdGrid"), ("fdoracle", "make_grid"),
     ("fdoracle", "lowest_eigenpairs"),
 ]
 
@@ -54,7 +54,7 @@ matching:
 # loads each through libyaml and through PyYAML's pure-Python SafeLoader.
 ROUND_TRIP_YAML = (
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\n"
-    "matching: {N: 24, scan_points: 300}\n"
+    "matching: {N: 24}\n"
     "sweep: {parameter: alpha_pair, values: [[50, 3], [70, 2]]}\n"
     "oracle: {L: 6.0, refinements: 2}\n"
     "output: {dir: results, formats: [csv, svg]}\n"
@@ -67,6 +67,8 @@ BAD_YAML = [
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1}\n",
     # roots are refined to 8 ulp of lambda; there is no tolerance to set
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 16, tol: 1.0e-12}\n",
+    # the scan grid follows from N; there is no resolution to set
+    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {scan_points: 400}\n",
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nsweep: {parameter: b}\n",
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noutput: {formats: [png]}\n",
     # the oracle's closure is Dirichlet; nothing selects another
@@ -85,7 +87,6 @@ NON_NUMERIC_YAML = [
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: 1e400}\n",
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .inf}\n",
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {N: .nan}\n",
-    "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\nmatching: {scan_points: -.inf}\n",
     "well: {alpha0: 20, alpha1: 5, a: 0.3, d: 1}\noracle: {refinements: .nan}\n",
 ]
 SWEEP_A_YAML = (
@@ -356,15 +357,18 @@ class TestWavefunction:
         assert main(["wavefunction", "--config", str(base_cfg), "--ordinal", "7"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_short_state_count_is_numerical_failure(self, tmp_path, capsys):
-        # a scan of 8 points loses states of a wide well; the Dirichlet
-        # lower count and the Neumann cap say so
-        argv = ["spectrum", "--alpha0", "20", "--alpha1", "5", "--a", "20", "--d", "1",
-                "--scan-points", "8", "--out-dir", str(tmp_path)]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "outside [11, 11]" in err
+    def test_wide_well_needs_no_scan_flag(self, tmp_path, capsys):
+        # an 8-point scan lost states of this wide well in pairs; the flag
+        # that set it is gone, and the grid derived from N finds all 22
+        well = ["--alpha0", "20", "--alpha1", "5", "--a", "20", "--d", "1",
+                "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *well, "--scan-points", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scan-points 8" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+        assert main(["spectrum", *well, "--formats", "csv"]) == 0
+        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 1 + 22
 
 
 class TestTruncationCompanion:
@@ -442,13 +446,13 @@ class TestOversizedInputs:
 
 
     def test_mode_table_over_the_guard(self, tmp_path, monkeypatch, capsys):
-        # 8 * 4096^2 scan entries pass the scan bound; N = 8191 is over the
-        # largest mode table, N = 3344, and must be refused before it is built
+        # N = 8191 is over the largest mode table, N = 3344, and must be
+        # refused before it is built
         def refuse(*args):
             raise AssertionError("the mode table was built past the size guard")
         monkeypatch.setattr(modematch, "overlap_matrix", refuse)
         well = ["--alpha0", "20", "--alpha1", "5", "--a", "0.3", "--d", "1"]
-        argv = ["spectrum", "--N", "8191", "--scan-points", "8", "--out-dir", str(tmp_path)]
+        argv = ["spectrum", "--N", "8191", "--out-dir", str(tmp_path)]
         assert main(argv + well) == 2
         assert "mode table" in capsys.readouterr().err
 
@@ -471,7 +475,7 @@ class TestOversizedInputs:
 class TestFlagCensus:
     # each subcommand takes the override flags of the config fields it reads
     WELL = {"--config", "--alpha0", "--alpha1", "--a", "--d", "--out-dir"}
-    SOLVE = WELL | {"--N", "--scan-points"}
+    SOLVE = WELL | {"--N"}
     FLAGS = {
         "spectrum": SOLVE | {"--formats"},
         "sweep": SOLVE | {"--formats"},
@@ -485,7 +489,7 @@ class TestFlagCensus:
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) == set(self.FLAGS)
-        assert sum(map(len, self.FLAGS.values())) == 49
+        assert sum(map(len, self.FLAGS.values())) == 45
         for name, p in sub.choices.items():
             flags = {o for action in p._actions for o in action.option_strings}
             assert flags == self.FLAGS[name] | {"-h", "--help"}, name
@@ -499,15 +503,16 @@ INVALID_OVERRIDES = {
     "--a": ("nan", "a must be positive"),
     "--d": ("inf", "d must be positive"),
     "--N": ("1", "matching.N must be >= 2"),
-    "--scan-points": ("7", "matching.scan_points must be >= 8"),
     "--out-dir": ("{file}/out", "Not a directory"),
     "--formats": ("csv,xml", "output format must be one of"),
     "--L": ("-1", "oracle.L must be positive"),
     "--refinements": ("1", "oracle.refinements must be >= 2"),
 }
 REMOVED_FLAGS = [("wavefunction", "--formats", "csv"), ("oracle", "--formats", "csv"),
-                 ("existence", "--N", "8"), ("existence", "--scan-points", "8"),
-                 ("existence", "--formats", "csv")]
+                 ("existence", "--N", "8"), ("existence", "--formats", "csv"),
+                 # the scan grid follows from N on every subcommand
+                 *((command, "--scan-points", "400") for command in
+                   ("spectrum", "sweep", "wavefunction", "oracle", "existence"))]
 
 
 @pytest.fixture
@@ -680,7 +685,6 @@ class TestTracerHooks:
         ("cli", "write_sweep_csv"),
         ("cli", "write_sweep_json"),
         ("cli", "write_sweep_svg"),
-        ("fdoracle", "assemble"),
         ("fdoracle", "lowest_eigenpairs"),
         ("variational", "q_form"),
     ])
@@ -691,10 +695,8 @@ class TestTracerHooks:
         assert isinstance(modematch.np, types.ModuleType)
         assert callable(modematch.np.linalg.svd)
 
-    def test_assembled_operator_reports_its_size(self):
+    def test_no_matrix_is_assembled_in_the_package(self):
+        # the CSR reference block lives in the tests' conftest, so the
+        # tracer's fdoracle.assemble metrics read 0
         fdoracle = importlib.import_module("robinstrip.fdoracle")
-        well = robinstrip.WellConfig(20.0, 5.0, 0.3, 1.0)
-        grid = fdoracle.make_grid(well, 4.0, 1.0 / 16.0)
-        op = fdoracle.assemble(well, grid, robinstrip.ParitySector.SYMMETRIC)
-        assert op.dimension == op.matrix.shape[0] > 0
-        assert op.matrix.nnz > 0
+        assert not hasattr(fdoracle, "assemble") and not hasattr(fdoracle, "SparseOperator")

@@ -1,12 +1,15 @@
 """Finite-difference oracle: grid construction, assembly, eigensolver,
 extrapolated bound-state extraction."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import lowest_fd_value
+from conftest import assemble, lowest_fd_value
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, null_space
 from scipy.linalg.lapack import dsytrf
 
@@ -16,7 +19,7 @@ from robinstrip import (ConfigError, ContractError, NumericalError, ParitySector
                         transversal_eigenvalues)
 from robinstrip.fdoracle import (FdGrid, _apply, _capacitance, _folded_tx, _folded_ty,
                                  _inner_rows, _inverse_corner, _lam_x, _lowest, _negatives_off,
-                                 _norm_inf, _stencil, _vx, _y_spectra, assemble,
+                                 _norm_inf, _stencil, _vx, _y_spectra,
                                  lowest_eigenpairs, make_grid, sector_floor, y_odd_floor)
 
 WELL = WellConfig(alpha0=20.0, alpha1=5.0, a=0.3, d=1.0)
@@ -722,13 +725,18 @@ class TestOracle:
             states = oracle_bound_states(cfg, L=5.622076453246856, refinements=2)
         assert [len(states[sector]) for sector in ParitySector] == [1, 0]
 
-    def test_assembles_no_matrix(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("matrix assembled")
-
-        monkeypatch.setattr(fdoracle, "assemble", fail)
-        states = oracle_bound_states(WELL, L=4.0, refinements=2, h0=1.0 / 32)
-        assert [len(states[sector]) for sector in ParitySector] == [1, 0]
+    def test_loads_no_sparse_matrices(self):
+        # no solve assembles a matrix, so a fresh interpreter that imports
+        # the oracle and runs it never loads scipy.sparse
+        code = ("import sys; from robinstrip import WellConfig, ParitySector\n"
+                "from robinstrip.fdoracle import oracle_bound_states\n"
+                "states = oracle_bound_states(WellConfig(20.0, 5.0, 0.3, 1.0), L=4.0,\n"
+                "                             refinements=2, h0=1.0 / 32)\n"
+                "print(*(len(states[s]) for s in ParitySector), 'scipy.sparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "0", "False"]
 
     def test_validation(self):
         with pytest.raises(ContractError):

@@ -296,7 +296,7 @@ class TestBoundStates:
         with pytest.raises(ContractError):
             bound_state_energies(WELL, SYM, 1)
         with pytest.raises(ContractError):
-            bound_state_energies(WELL, SYM, 8, scan_points=4)
+            bound_state_energies(WELL, SYM, 3345)
 
     @given(log_alpha0_d=st.floats(-7.0, 15.0), log_alpha1_d=st.floats(-7.0, 15.0),
            a=st.floats(0.1, 1.6))
@@ -310,7 +310,7 @@ class TestBoundStates:
         assume(log_alpha1_d < log_alpha0_d)
         cfg = WellConfig(admitted_alpha(10.0**log_alpha0_d, 1.0),
                          admitted_alpha(10.0**log_alpha1_d, 1.0), a, 1.0)
-        [states] = bound_states([cfg], 10, scan_points=200)
+        [states] = bound_states([cfg], 10)
         assert len(states) <= neumann_state_cap(cfg)
         E1_in = float(transversal_eigenvalues(cfg.inner, 1)[0])
         E1_out = float(transversal_eigenvalues(cfg.outer, 1)[0])
@@ -473,7 +473,7 @@ class TestBatchedSolve:
         with pytest.raises(ContractError):
             bound_states([WELL], 1)
         with pytest.raises(ContractError):
-            bound_states([WELL], 8, scan_points=4)
+            bound_states([WELL], 3345)
 
 
 class TestBlockScan:
@@ -531,7 +531,7 @@ class TestBlockScan:
         win = _window(table)
         total = 0
         for parity in ParitySector:
-            roots = _scan_roots(table, [(cfg.a, parity)], 400)[0]
+            roots = _scan_roots(table, [(cfg.a, parity)])[0]
             total += len(roots)
             if win is None:
                 assert roots == []
@@ -572,7 +572,7 @@ class TestBlockScan:
             for N in (8, 16, 32, 33):
                 table, full = _mode_table(cfg.inner, cfg.outer, N), _full_table(cfg, N)
                 for parity in ParitySector:
-                    for lam in _scan_roots(table, [(cfg.a, parity)], 400)[0]:
+                    for lam in _scan_roots(table, [(cfg.a, parity)])[0]:
                         C = _scan_matrices(full, cfg.a, parity, np.array([lam]))[0][0]
                         s = np.linalg.svd(C, compute_uv=False)
                         assert s[-1] < 1e-8 * s[0]
@@ -597,7 +597,7 @@ class TestBlockScan:
     def test_rootless_sector_is_one_lu_and_no_svd(self, monkeypatch):
         table = _mode_table(WELL.inner, WELL.outer, 16)
         calls = self._count_work(monkeypatch)
-        assert _scan_roots(table, [(WELL.a, ANTI)], 400)[0] == []
+        assert _scan_roots(table, [(WELL.a, ANTI)])[0] == []
         assert calls == {"matrices": 1, "svd": 0}
 
     def test_bisection_work_does_not_grow_with_root_count(self, monkeypatch):
@@ -612,7 +612,7 @@ class TestBlockScan:
             h = (hi - lo) / 399
             for parity in ParitySector:
                 calls.update(matrices=0, svd=0)
-                roots = _scan_roots(table, [(cfg.a, parity)], 400)[0]
+                roots = _scan_roots(table, [(cfg.a, parity)])[0]
                 if roots:
                     counts.add(len(roots))
                     width = 8.0 * np.spacing(min(roots))
@@ -630,12 +630,12 @@ class TestBlockScan:
         lus = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda C: lus.append(1) or slogdet(C))
-        roots = _scan_roots(table, jobs, 400)
+        roots = _scan_roots(table, jobs)
         lockstep = len(lus) - len(jobs)
         alone = []
         for job, job_roots in zip(jobs, roots):
             lus.clear()
-            assert _scan_roots(table, [job], 400)[0] == job_roots
+            assert _scan_roots(table, [job])[0] == job_roots
             alone.append(len(lus) - 1)
         assert sum(bool(r) for r in roots) >= 6
         assert lockstep <= max(alone) < sum(alone)
@@ -650,7 +650,7 @@ class TestBlockScan:
         assert calls["svd"] == 2
 
     @staticmethod
-    def _bisected_roots(table, a, parity, scan_points=400):
+    def _bisected_roots(table, a, parity, points=400):
         """The lockstep bisection that the Illinois refinement replaced,
         with its window: every sign-change interval halved until it is 8
         ulp wide, its midpoint the root."""
@@ -662,7 +662,7 @@ class TestBlockScan:
         def sign(lam):
             return np.linalg.slogdet(_scan_matrices(table, a, parity, lam)[0])[0]
 
-        grid = np.linspace(lo + 1e-9 * w, hi - 1e-9 * w, scan_points)
+        grid = np.linspace(lo + 1e-9 * w, hi - 1e-9 * w, points)
         sg = sign(grid)
         j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
         gl, gh, sl = grid[j], grid[j + 1], sg[j]
@@ -683,7 +683,7 @@ class TestBlockScan:
                 table = _mode_table(cfg.inner, cfg.outer, N)
                 for parity in ParitySector:
                     ref = self._bisected_roots(table, cfg.a, parity)
-                    roots = _scan_roots(table, [(cfg.a, parity)], 400)[0]
+                    roots = _scan_roots(table, [(cfg.a, parity)])[0]
                     assert len(roots) == len(ref), (cfg, N, parity)
                     for lam, lam_ref in zip(roots, ref):
                         assert abs(lam - lam_ref) <= 8.0 * np.spacing(lam_ref)
@@ -704,7 +704,7 @@ class TestBlockScan:
                 table = _mode_table(cfg.inner, cfg.outer, N)
                 for parity in ParitySector:
                     calls.update(matrices=0, svd=0)
-                    if _scan_roots(table, [(cfg.a, parity)], 400)[0]:
+                    if _scan_roots(table, [(cfg.a, parity)])[0]:
                         rooted += 1
                         assert calls["matrices"] <= 2 + 20, (cfg, N, parity)
         assert rooted >= 80
@@ -727,7 +727,7 @@ class TestBlockScan:
             return (np.sign(d) * np.abs(d) ** power)[:, None, None], np.ones((lam.size, 1))
 
         monkeypatch.setattr(modematch, "_scan_matrices", fake)
-        _scan_roots(table, [(WELL.a, SYM)], 400)
+        _scan_roots(table, [(WELL.a, SYM)])
         halvings = np.ceil(np.log2(h / (8.0 * np.spacing(r))))
         assert len(calls) <= 2 + 4 * (halvings + 1)
 
@@ -789,20 +789,33 @@ class TestSizeGuard:
     class Admitted(Exception):
         pass
 
-    @pytest.mark.parametrize("N, scan_points, admitted", [
-        (1024, 400, True), (1158, 400, True), (1159, 400, False),
-        (3344, 8, True), (3345, 8, False),
-        # 8 * 4096^2 scan entries are exactly 2^27, but N is over 3344, the
-        # largest level table the weak-coupling bound is derived for
-        (8191, 8, False),
+    @pytest.mark.parametrize("N, admitted", [
+        (1, False), (2, True), (1024, True), (1158, True), (1159, True), (3344, True),
+        # over 3344, the largest level table the weak-coupling bound is derived for
+        (3345, False), (8191, False),
     ])
-    def test_guard_bounds(self, monkeypatch, N, scan_points, admitted):
+    def test_guard_bounds(self, monkeypatch, N, admitted):
         # a solve the guard admits stops where its mode table would be built
         def admit(*args):
             raise self.Admitted
         monkeypatch.setattr(modematch, "_mode_table", admit)
         with pytest.raises(self.Admitted if admitted else ContractError):
-            bound_state_energies(WELL, SYM, N, scan_points=scan_points)
+            bound_state_energies(WELL, SYM, N)
+
+    @pytest.mark.parametrize("N, points", [(2, 400), (32, 400), (1158, 400), (1159, 398),
+                                           (3344, 48)])
+    def test_base_grid_follows_from_N(self, monkeypatch, N, points):
+        # min(400, 2^27 // n^2) energies for n = (N + 1) // 2 channels: the
+        # 400 of every N <= 1158, and 48 at N = 3344 (a table of that size
+        # is stood in for by a read-only view of one zero)
+        n = (N + 1) // 2
+        table = dataclasses.replace(_mode_table(WELL.inner, WELL.outer, 8),
+                                    overlaps=np.broadcast_to(0.0, (n, n)))
+        sizes = []
+        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
+                            sizes.append(lam.size) or (np.ones_like(lam), np.zeros_like(lam)))
+        assert _scan_roots(table, [(WELL.a, SYM)]) == [[]]
+        assert sizes == [points]
 
 
 class TestPlainRecord:
@@ -908,7 +921,7 @@ class TestBrackets:
         table = _mode_table(cfg.inner, cfg.outer, N)
         full = full_window_roots(table, cfg.a, ANTI)
         assert all(lam >= minimax_brackets(cfg, 2)[0] for lam in full)
-        assert _scan_roots(table, [(cfg.a, ANTI)], 400)[0] == full
+        assert _scan_roots(table, [(cfg.a, ANTI)])[0] == full
 
     def test_neumann_skip_builds_no_table(self, monkeypatch):
         def fail(*args):
@@ -947,17 +960,78 @@ class TestCountGuard:
             lower, cap = _count_bounds(1.0, 2.0, a, parity)
             assert 2**52 <= lower <= cap
 
-    @pytest.mark.parametrize("cfg, N, scan_points, found, lower", [
-        # two roots in one scan interval: both are lost
-        (WellConfig(20.0, 5.0, 100.0, 1.0), 16, 400, 53, 55),
-        (WellConfig(20.0, 5.0, 20.0, 1.0), 32, 8, 3, 11),
-    ], ids=["wide_n16", "scan_points_8"])
-    def test_short_count_raises(self, cfg, N, scan_points, found, lower):
-        match = f"symmetric sector.*{found} roots found, outside \\[{lower}, "
+    @pytest.mark.parametrize("cfg, counts, scans", [
+        # at 400 points, two roots share a grid interval and both are lost
+        (WellConfig(20.0, 5.0, 100.0, 1.0), [55, 55], [3, 2]),
+        (WellConfig(1e3, 1.0, 100.0, 1.0), [91, 91], [5, 4]),
+    ], ids=["wide", "deep_wide"])
+    def test_short_scan_is_refined_until_the_count_is_met(self, monkeypatch, cfg, counts,
+                                                          scans):
+        # each sector is rescanned alone on 2 p - 1 points until it reaches
+        # its Dirichlet lower count, and then holds every state both bounds
+        # prove; the symmetric grid covers the whole window, so it is a
+        # whole-window scan at that size, bit for bit
+        points = [399 * 2**k + 1 for k in range(max(scans))]
+        table = _mode_table(cfg.inner, cfg.outer, 16)
+        E1_in, E1_out = float(table.inner.energy[0]), float(table.outer.energy[0])
+        [states] = bound_states([cfg], 16)
+        for parity, count in zip(ParitySector, counts):
+            lam = [s.lam for s in states if s.parity is parity]
+            lower, cap = _count_bounds(E1_in, E1_out, cfg.a, parity)
+            assert lower <= len(lam) == count <= cap
+            assert lam == [s.lam for s in bound_state_energies(cfg, parity, 16)]
+        assert [s.lam for s in states if s.parity is SYM] == \
+            full_window_roots(table, cfg.a, SYM, points[scans[0] - 1])
+        sizes, grids = [], []
+        scan, refine = modematch._scan_slogdet, modematch._refine
+        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
+                            sizes.append(lam.size) or scan(table, a, parity, lam))
+        monkeypatch.setattr(modematch, "_refine", lambda *args: grids.append(list(sizes)) or
+                            refine(*args))
+        _scan_roots(table, [(cfg.a, p) for p in ParitySector])
+        [grid] = grids
+        # the antisymmetric grids start at the Neumann floor, so at most as long
+        assert grid[:scans[0]] == points[:scans[0]]
+        assert len(grid) == sum(scans)
+        assert all(n <= p for n, p in zip(grid[scans[0]:], points))
+
+    def test_short_count_past_the_entry_cap_raises(self, monkeypatch):
+        # with room for 1,000 points of the 8 x 8 matrices, the 799-point
+        # grid is the last, and it still misses a pair of roots
+        wide = WellConfig(20.0, 5.0, 100.0, 1.0)
+        monkeypatch.setattr(modematch, "_MAX_SOLVE_DOUBLES", 1000 * 8 * 8)
+        match = (r"symmetric sector of a = 100\.0: 53 roots found, outside \[55, 55\] "
+                 r"\(Dirichlet lower count, Neumann cap\) on a scan grid of 799 points")
         with pytest.raises(NumericalError, match=match):
-            next(bound_states([cfg], N, scan_points))
+            next(bound_states([wide], 16))
         with pytest.raises(NumericalError, match=match):
-            bound_state_energies(cfg, SYM, N, scan_points)
+            bound_state_energies(wide, SYM, 16)
+
+    def test_one_channel_refinement_stops_at_the_point_cap(self, monkeypatch):
+        # at N = 2 the 2^27 entries would allow 2^27 points; 2^20 is the
+        # cap, so a scan that never finds a sign change stops at 817,153
+        sizes = []
+        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
+                            sizes.append(lam.size) or (np.ones_like(lam), np.zeros_like(lam)))
+        with pytest.raises(NumericalError, match="0 roots found.* 817153 points"):
+            bound_state_energies(WellConfig(20.0, 5.0, 100.0, 1.0), SYM, 2)
+        assert sizes == [399 * 2**k + 1 for k in range(12)]
+
+    @pytest.mark.parametrize("cfg, jobs", [(WELL, 1), (WellConfig(8.0, 1.0, 1.5, 1.0), 2),
+                                           (WellConfig(20.0, 5.0, 20.0, 1.0), 2),
+                                           (WellConfig(1e5, 1e-5, 2.0, 1.0), 2)])
+    def test_full_count_scans_its_grid_once(self, monkeypatch, cfg, jobs):
+        # a sector whose count is met at 400 points is not scanned again:
+        # one grid pass per live job, then the lockstep refinement
+        sizes, grids = [], []
+        scan, refine = modematch._scan_slogdet, modematch._refine
+        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
+                            sizes.append(lam.size) or scan(table, a, parity, lam))
+        monkeypatch.setattr(modematch, "_refine", lambda *args: grids.append(list(sizes)) or
+                            refine(*args))
+        assert next(bound_states([cfg], 32))
+        [grid] = grids
+        assert len(grid) == jobs and grid[0] == 400 and max(grid) == 400
 
     def test_reference_well_passes(self):
         # one symmetric root within [0, 1]; the antisymmetric cap is 0, so
