@@ -106,8 +106,8 @@ def _point_rows(well: WellConfig, states: list[BoundState],
     for i, s in enumerate(states, start=1):
         lo, hi = minimax_brackets(well, i)
         rows.append(SweepRow(sweep_value=sweep_value, sector=s.parity.value, n=i,
-                             lam=s.lam, lam_pi2=s.lam * unit, sigma_min=s.sigma_min,
-                             bracket_lo=lo, bracket_hi=hi, gap1=gap1))
+                             lam=s.lam, lam_pi2=s.lam * unit, bracket_lo=lo, bracket_hi=hi,
+                             gap1=gap1))
     return rows
 
 

@@ -28,15 +28,7 @@ functions of lambda, and a smooth positive normalization s_n.  C_hat has
 the null space of C and no poles, and it is continuous in lambda below
 threshold, so its determinant changes sign exactly across its simple
 singular points.  Row m of C and of C_hat is divided by 1 + k_m d, a
-pure number at every scale.  A state's reported sigma_min is that of C
-with this row weight, recovered by dividing the columns of C_hat by
-V_n s_n: V_n is at least 1/2 or a positive expm1 ratio in the evanescent
-branch, and the cos or sin of a nonzero double in the oscillatory one, so
-never exactly zero.  sigma_min is not a confidence measure: near threshold
-det C_hat varies as sqrt(E_1(alpha0) - lambda), so a provable weakly bound
-state reports one orders of magnitude larger than a well-bound state at the
-same 8-ulp refinement; (alpha0, alpha1, a, d) = (1e12, 1e9, 2, 1) gives
-5.9e-9 and (1e9, 1e8, 16, 6) 5.1e-10, against 1e-16 for (20, 5, 0.3, 1).
+pure number at every scale.
 
 Only the y-even channels, n = 1, 3, 5, ... <= N, are kept.  chi_n is
 even about y = d/2 for odd n and odd for even n, so the overlaps between
@@ -48,31 +40,32 @@ block is taken on a grid over the window by batched LUs of at most 2^22
 doubles each, from the last grid point below the sector's Neumann floor
 E_1(alpha1) + (j pi/2a)^2 (j = 0 symmetric, 1 antisymmetric), under which
 the sector has no state; a sector whose floor is at or above E_1(alpha0)
-is not scanned.  The grid has min(400, 2^27 // n^2) points for the n =
-(N + 1) // 2 channels, 48 at N = 3344; there is no knob to set it.
-Grid intervals where the sign changes are narrowed together by Illinois
-steps to 8 ulp of lambda, one batched LU per step, and each is a root,
-since C_hat is continuous.  A sign change finds a root however narrow its
-singular-value dip is, which a scan of sigma_min on the grid does not,
-but two roots in one grid interval give none, so a scan loses roots in
-pairs only.  Each sector's count lies between the Dirichlet lower count
-and the Neumann cap of cuts at |x| = a (Dirichlet-Neumann bracketing,
-Reed-Simon IV XIII.15), which differ by at most 1.  A job whose count is
-below its Dirichlet count is rescanned alone on grids of 2 p - 1 points
-until it is met, at most 2^20 points or 2^27 scan matrix entries; a
-count still outside the bounds raises NumericalError.  So no state is
-lost whenever the truncated problem's own count lies within the bounds: a
-scan's count falls short of it by an even number, and a count within
-bounds at most 1 apart is that count.
+is not scanned.  The first grid is one LU chunk, min(400, 2^22 // n^2)
+points (at least 2) for the n = (N + 1) // 2 channels: 400 up to N = 204,
+16 at N = 1024 and 2 at N = 3344; there is no knob to set it.  Grid
+intervals where the sign changes are narrowed together by Illinois steps
+to 8 ulp of lambda, one batched LU per step, and each is a root, since
+C_hat is continuous.  A sign change finds a root however narrow its
+singular-value dip is, but two roots in one grid interval give none, so
+a scan loses roots in pairs only.  Each sector's count lies between the
+Dirichlet lower count and the Neumann cap of cuts at |x| = a
+(Dirichlet-Neumann bracketing, Reed-Simon IV XIII.15), which differ by at
+most 1.  A job whose count is below its Dirichlet count is rescanned
+alone on grids of 2 p - 1 points, only their new midpoints scanned, until
+it is met; the last grid has the most points allowed, 2^20 or 2^27 scan
+matrix entries, and a count still outside the bounds raises
+NumericalError.  So no state is lost whenever the truncated problem's own
+count lies within the bounds: a scan's count falls short of it by an even
+number, and a count within bounds at most 1 apart is that count.
 bound_states solves every (well, sector) job of wells that share their
-cross-sections, a point's two sectors or an a/d sweep's
-points, with one mode table: the brackets of all jobs step together, and
-the null vectors and sigma_min of all roots come from one batched SVD
-each.  Every matrix has its own LU and SVD and every step is elementwise
-per bracket, so a state has the same bits however many jobs share its
-solve.  A state's a_coeffs and b_coeffs, of length (N + 1) // 2, hold
-the amplitudes of channels 1, 3, 5, ...  A truncation-error estimate is a
-second solve at another N, such as N // 2, made by the caller.
+cross-sections, a point's two sectors or an a/d sweep's points, with one
+mode table: the brackets of all jobs step together, and the null vectors
+of all roots come from one batched SVD.  Every matrix has its own LU and
+SVD and every step is elementwise per bracket, so a state has the same
+bits however many jobs share its solve.  A state's a_coeffs and b_coeffs,
+of length (N + 1) // 2, hold the amplitudes of channels 1, 3, 5, ...  A
+truncation-error estimate is a second solve at another N, such as N // 2,
+made by the caller.
 """
 
 from __future__ import annotations
@@ -92,15 +85,15 @@ from .transverse import (RobinCrossSection, _Levels, overlap_matrix, transversal
 
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
-# Scan matrix entries of a grid, 2^27 (1 GiB of doubles), and its points: the
-# first has min(400, 2^27 // n^2) for n = (N+1)//2 channels, a refined one at
-# most 2^20 (8 MiB of energies, the bound at small N).
+# Scan matrix entries of a grid, 2^27 (1 GiB of doubles), and its points: a
+# refined grid has at most 2^20 (8 MiB of energies, the bound at small N).
 _MAX_SOLVE_DOUBLES = 2**27
 _MAX_SCAN_POINTS = 2**20
 # Largest truncation order: the largest level table whose top levels
 # transverse._MIN_ALPHA_D keeps above their Neumann ends.
 _MAX_N = 3344
-# Scan matrices per batched LU: 2^22 doubles (32 MiB), the whole grid at N = 32.
+# Scan matrices per batched LU: 2^22 doubles (32 MiB), the whole first grid
+# of min(400, 2^22 // n^2) points for n = (N+1)//2 channels.
 _SCAN_CHUNK_DOUBLES = 2**22
 
 
@@ -152,16 +145,13 @@ class BoundState:
     profiles are normalized to value 1 at x = a), with ||a||_2 = 1 and the
     largest-magnitude entry positive; b_coeffs = O a are the outer ones.
     Entry j of either is the amplitude of the y-even channel n = 2j + 1,
-    so both have length (N + 1) // 2.  sigma_min, that of the row-weighted
-    C at lam, is not a confidence measure: it is far larger near threshold
-    (see the module docstring).
+    so both have length (N + 1) // 2.
     """
 
     lam: float
     parity: ParitySector
     a_coeffs: np.ndarray
     b_coeffs: np.ndarray
-    sigma_min: float
     N: int
 
 
@@ -306,8 +296,12 @@ def _window(table: _ModeTable) -> tuple[float, float] | None:
 
 def _segment_level(E1_in: float, a: float, k: int) -> float:
     """E_1(alpha1) + (k pi / 2a)^2: level k of the well |x| < a cut off at
-    |x| = a, by Dirichlet conditions for k >= 1, by Neumann ones for k >= 0."""
-    return E1_in + (k * np.pi / (2.0 * a)) ** 2
+    |x| = a, by Dirichlet conditions for k >= 1, by Neumann ones for k >= 0;
+    inf where the square overflows, as it does for a below about 1e-154."""
+    try:
+        return E1_in + (k * np.pi / (2.0 * a)) ** 2
+    except OverflowError:
+        return np.inf
 
 
 def _neumann_floor(E1_in: float, a: float, parity: ParitySector) -> float:
@@ -349,15 +343,15 @@ def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]]) -> li
     """Roots, sorted, of the regularized matrix of table in the window for
     each job (a, parity), a half-width and sector sharing the table.
 
-    Each job takes the sign and log of |det| on a grid of min(400, 2^27 //
-    n^2) energies over the window, from the last grid point below its
-    Neumann floor on: no state of the sector lies lower, so the grid points
-    it skips hold no sign change.  Every grid interval where the sign
-    changes is a bracket, and an exact zero of det on the grid is a root as
-    it stands: C_hat is continuous in the window, so a sign change needs no
-    sigma_min test.  A job short of its Dirichlet lower count is scanned
-    again on its own grid of 2 p - 1 points until the count is met or the
-    grid would pass 2^20 points or 2^27 scan matrix entries; a count then
+    Each job takes the sign and log of |det| on a first grid of one LU
+    chunk over the window, from the last grid point below its Neumann
+    floor on: no state of the sector lies lower, so the grid points it
+    skips hold no sign change.  Every grid interval where the sign changes
+    is a bracket, and an exact zero of det on the grid is a root as it
+    stands: C_hat is continuous in the window, so a sign change needs no
+    singular-value test.  A job short of its Dirichlet lower count is
+    scanned again on its own grid of 2 p - 1 points, only at the new
+    midpoints, and last on a grid of the most points allowed; a count then
     outside _count_bounds raises NumericalError.  The brackets of all jobs
     are narrowed together by Illinois steps, one batched LU each (_refine).
     """
@@ -366,19 +360,32 @@ def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]]) -> li
         return [[] for _ in jobs]
     most = min(_MAX_SCAN_POINTS, _MAX_SOLVE_DOUBLES // table.overlaps.size)
     E1_in, E1_out = float(table.inner.energy[0]), float(table.outer.energy[0])
-    base = np.linspace(*win, min(400, most))
+    base = np.linspace(*win, min(400, most, max(2, _SCAN_CHUNK_DOUBLES // table.overlaps.size)))
     zeros, ends, logs, signs, owner = [], [], [], [], []
     for i, (a, parity) in enumerate(jobs):
         lower, cap = _count_bounds(E1_in, E1_out, a, parity)
-        grid = base
+        floor = _neumann_floor(E1_in, a, parity)
+        grid, slog = base, None     # sign and log|det| on grid[k0:]
         while True:
-            g = grid[max(0, np.searchsorted(grid, _neumann_floor(E1_in, a, parity)) - 1):]
-            sg, lg = _scan_slogdet(table, a, parity, g)
+            k = max(0, np.searchsorted(grid, floor) - 1)
+            if slog is None:
+                k0, slog = k, _scan_slogdet(table, a, parity, grid[k:])
+            g, (sg, lg) = grid[k:], slog[:, k - k0:]
             j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
             count = j.size + np.count_nonzero(sg == 0.0)
-            if count >= lower or 2 * grid.size - 1 > most:
+            if count >= lower or grid.size == most:
                 break
-            grid = np.linspace(*win, 2 * grid.size - 1)
+            if 2 * grid.size - 1 > most:
+                grid, slog = np.linspace(*win, most), None
+                continue
+            # every interval halved: the points of grid keep their values,
+            # and only the midpoints from the floor on are scanned
+            fine = np.linspace(*win, 2 * grid.size - 1)
+            fine[::2] = grid
+            both = np.empty((2, 2 * g.size - 1))
+            both[:, ::2] = slog[:, k - k0:]
+            both[:, 1::2] = _scan_slogdet(table, a, parity, fine[2 * k + 1::2])
+            grid, k0, slog = fine, 2 * k, both
         if not lower <= count <= cap:
             raise NumericalError(
                 f"{parity.value} sector of a = {a!r}: {count} roots found, outside "
@@ -437,18 +444,15 @@ def _refine(table: _ModeTable, a: np.ndarray, sym: np.ndarray, x: np.ndarray,
 
 def _null_vectors(table: _ModeTable, a: np.ndarray, sym: np.ndarray, lam: np.ndarray):
     """At each root lam[i] (of half-width a[i] and parity sym[i], (P, 1)
-    columns): the right singular vector of C_hat for its smallest singular
-    value, its column factors, and sigma_min of the row-weighted C.  One
-    batched SVD each per 2^22 doubles of matrices; each matrix has its own."""
-    vt, colfac, smin = [], [], []
+    columns): the interface amplitudes of the null vector, the right
+    singular vector of C_hat for its smallest singular value times its
+    column factors.  One batched SVD per 2^22 doubles of matrices; each
+    matrix has its own."""
+    amps = []
     for chunk in _chunks(table, a, sym, lam):
         C, V = _scan_matrices(table, *chunk)
-        # a copy, so the chunk's whole V^T is freed now
-        vt.append(np.linalg.svd(C)[2][:, -1].copy())
-        colfac.append(V)
-        # C_hat = C diag(colfac), so this is sigma_min of the row-weighted C
-        smin.append(np.linalg.svd(C / V[:, None, :], compute_uv=False)[:, -1])
-    return np.concatenate(vt), np.concatenate(colfac), np.concatenate(smin)
+        amps.append(np.linalg.svd(C)[2][:, -1] * V)
+    return np.concatenate(amps)
 
 
 def _check_size(N: int) -> None:
@@ -481,24 +485,20 @@ def _solve(jobs: list[tuple[WellConfig, ParitySector]], N: int) -> list[list[Bou
     owner = [i for i, r in zip(live, roots) for _ in r]
     if not owner:
         return states
-    vt, colfac, smin = _null_vectors(
+    lams = [lam for r in roots for lam in r]
+    amps = _null_vectors(
         table, np.array([jobs[i][0].a for i in owner])[:, None],
         np.array([jobs[i][1] is ParitySector.SYMMETRIC for i in owner])[:, None],
-        np.array([lam for r in roots for lam in r]))
-    row = 0
-    for i, job_roots in zip(live, roots):
-        for lam in job_roots:
-            a = vt[row] * colfac[row]
-            nrm = np.linalg.norm(a)
-            if nrm == 0.0 or not np.isfinite(nrm):
-                raise NumericalError(f"degenerate null vector at lambda={lam!r}")
-            a = a / nrm
-            if a[np.argmax(np.abs(a))] < 0.0:
-                a = -a
-            states[i].append(BoundState(lam=lam, parity=jobs[i][1], a_coeffs=a,
-                                        b_coeffs=table.overlaps @ a,
-                                        sigma_min=float(smin[row]), N=N))
-            row += 1
+        np.array(lams))
+    for i, lam, a in zip(owner, lams, amps):
+        nrm = np.linalg.norm(a)
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise NumericalError(f"degenerate null vector at lambda={lam!r}")
+        a = a / nrm
+        if a[np.argmax(np.abs(a))] < 0.0:
+            a = -a
+        states[i].append(BoundState(lam=lam, parity=jobs[i][1], a_coeffs=a,
+                                    b_coeffs=table.overlaps @ a, N=N))
     return states
 
 
@@ -531,17 +531,16 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int) -> li
 
     Roots are sign changes of det of the regularized matrix between trial
     energies, refined to 8 ulp of lambda by Illinois steps; every one is a
-    state.  The grid has min(400, 2^27 // n^2) points for n = (N + 1) // 2
-    and is evaluated from its last point below the sector's Neumann floor,
-    E_1(alpha1) + (j pi/2a)^2 with j = 0 symmetric and j = 1 antisymmetric
-    (the lower end of minimax_brackets(config, j + 1)); a sector whose
-    floor is at or above E_1(alpha0) holds no state and builds no mode
-    table.  A sector short of its Dirichlet lower count is rescanned on
+    state.  The first grid has min(400, 2^22 // n^2) points (at least 2)
+    for n = (N + 1) // 2 and is evaluated from its last point below the
+    sector's Neumann floor, E_1(alpha1) + (j pi/2a)^2 with j = 0 symmetric
+    and j = 1 antisymmetric (the lower end of minimax_brackets(config,
+    j + 1)); a sector whose floor is at or above E_1(alpha0) holds no
+    state and builds no mode table.  A sector short of its Dirichlet lower count is rescanned on
     finer grids until the count is met (see the module docstring), so no
     state is lost whenever the truncated problem's own count lies within
     that count and the Neumann cap; a count still outside them raises
-    NumericalError.  Scans,
-    coefficients and sigma_min all use the y-even channels of the
+    NumericalError.  Scans and coefficients use the y-even channels of the
     truncation; a truncation-error estimate is a second call at another N,
     such as N // 2, and matching_residual computes a state's residual on
     request.  An empty list is a valid result.  This is bound_states with

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ContractError
 from .modematch import WavefunctionGrid
 
-CSV_HEADER = "sweep_value,sector,n,lambda,lambda_pi2,sigma_min,bracket_lo,bracket_hi,gap1"
+CSV_HEADER = "sweep_value,sector,n,lambda,lambda_pi2,bracket_lo,bracket_hi,gap1"
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class SweepRow:
     n: int
     lam: float
     lam_pi2: float
-    sigma_min: float
     bracket_lo: float
     bracket_hi: float
     gap1: float
@@ -60,7 +59,7 @@ def sweep_csv(result: SweepResult) -> str:
     for r in result.rows:
         lines.append(",".join((
             _fmt(r.sweep_value), r.sector, str(r.n), _fmt(r.lam), _fmt(r.lam_pi2),
-            _fmt(r.sigma_min), _fmt(r.bracket_lo), _fmt(r.bracket_hi), _fmt(r.gap1),
+            _fmt(r.bracket_lo), _fmt(r.bracket_hi), _fmt(r.gap1),
         )))
     return "\n".join(lines) + "\n"
 

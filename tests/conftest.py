@@ -188,7 +188,7 @@ def neumann_state_cap(config: WellConfig) -> int:
 def full_window_roots(table, a, parity, points=400):
     """Roots of one sector's scan matrix over the whole window: the sign of
     det on a grid of points energies over the solver's window (400, the
-    solver's first grid below N = 1159), each sign change narrowed by
+    solver's first grid up to N = 204), each sign change narrowed by
     the solver's Illinois steps one sector at a time.  The solver starts
     each sector's grid at its Neumann floor and steps all sectors of a
     table together; on a sector with no root below the floor both give the

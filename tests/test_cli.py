@@ -216,16 +216,17 @@ class TestSpectrum:
         assert main(["spectrum", "--config", str(base_cfg)]) == 0
         out = capsys.readouterr().out
         lines = out.strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == ("sweep_value,sector,n,lambda,lambda_pi2,"
+                                          "bracket_lo,bracket_hi,gap1")
         assert len(lines) == 2
         fields = lines[1].split(",")
-        assert len(fields) == 9
+        assert len(fields) == 8
         assert fields[1] == "symmetric"
         assert fields[2] == "1"
         lam = float(fields[3])
         assert float(fields[0]) == 0.3                     # sweep value a/d
         assert float(fields[4]) == lam * (1.0 / np.pi) ** 2
-        assert float(fields[6]) < lam < float(fields[7])   # bracket columns
+        assert float(fields[5]) < lam < float(fields[6])   # bracket columns
         csv_path = tmp_path / "out" / "spectrum.csv"
         assert csv_path.read_text().split("\n")[0] == CSV_HEADER
 
@@ -247,6 +248,24 @@ class TestSpectrum:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    def test_tiny_width_is_an_answer_not_a_traceback(self, tmp_path, capsys):
+        # (k pi / 2a)^2 overflowed a double for a below about 1.2e-154
+        # and every command exited 1 with an OverflowError
+        well = ["--alpha0", "20", "--alpha1", "5", "--a", "1e-200", "--d", "1",
+                "--out-dir", str(tmp_path)]
+        assert main(["spectrum", *well]) == 0
+        assert capsys.readouterr().out.strip() == CSV_HEADER
+        assert main(["wavefunction", *well]) == 3
+        assert "no bound state" in capsys.readouterr().err
+        assert main(["oracle", *well]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("well: {alpha0: 20, alpha1: 5, a: 1.0e-200, d: 1}\n"
+                       "sweep: {parameter: a, values: [1.0e-200, 1.0e-300]}\n"
+                       f"output: {{dir: {tmp_path}, formats: [csv]}}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert (tmp_path / "sweep_a.csv").read_text() == CSV_HEADER + "\n"
+
     def test_constant_profile_zero_rows(self, tmp_path, capsys):
         code = main(["spectrum", "--alpha0", "20", "--alpha1", "20", "--a", "0.3",
                      "--d", "1", "--N", "8", "--out-dir", str(tmp_path)])
@@ -267,9 +286,11 @@ class TestSweep:
         sweep_vals = [float(r[0]) for r in rows]
         assert sweep_vals == sorted(sweep_vals)
         for r in rows:
-            assert float(r[6]) <= float(r[3]) <= float(r[7])
+            assert float(r[5]) <= float(r[3]) <= float(r[6])
         data = json.loads((tmp_path / "out" / "sweep_a.json").read_text())
         assert len(data) == len(rows)
+        assert list(data[0]) == ["sweep_value", "sector", "n", "lam", "lam_pi2",
+                                 "bracket_lo", "bracket_hi", "gap1"]
         assert data[0]["sector"] in ("symmetric", "antisymmetric")
         svg = ET.parse(tmp_path / "out" / "sweep_a.svg").getroot()
         assert svg.tag.endswith("svg")

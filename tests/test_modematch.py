@@ -71,6 +71,19 @@ def _matching_matrix(table, cfg, parity, lam):
     return (L[None, :] + k[:, None]) * table.overlaps / (1.0 + k * cfg.d)[:, None]
 
 
+def _sigma_min(cfg, state):
+    """Smallest singular value of the y-even block of C at state.lam, on
+    the solver's overlaps."""
+    table = _mode_table(cfg.inner, cfg.outer, state.N)
+    C = _matching_matrix(table, cfg, state.parity, state.lam)
+    return np.linalg.svd(C, compute_uv=False)[-1]
+
+
+def _no_sign_change(lam):
+    """A stand-in for _scan_slogdet: det = 1 at every energy."""
+    return np.array([np.ones_like(lam), np.zeros_like(lam)])
+
+
 def _scattered(state):
     """a_coeffs in the odd-n slots of a length-N vector, zeros elsewhere."""
     a = np.zeros(state.N)
@@ -177,13 +190,16 @@ class TestMatchingMatrix:
             assert np.linalg.norm(C @ _scattered(st)) <= 1e-8 * np.linalg.norm(C, 2)
 
     @pytest.mark.parametrize("cfg,parity,N", STATES)
-    def test_sigma_min_is_that_of_C(self, cfg, parity, N):
+    def test_coefficients_are_the_null_vector_of_the_y_even_block(self, cfg, parity, N):
         # the y-even block of C (the y-odd one is regular in the window) on
-        # the solver's overlaps, so only the column rescaling is under test
+        # the solver's overlaps, so only the column rescaling is under test:
+        # a_coeffs leaves a residual of sigma_min to rounding
         table = _mode_table(cfg.inner, cfg.outer, N)
         for st in bound_state_energies(cfg, parity, N):
-            s = np.linalg.svd(_matching_matrix(table, cfg, parity, st.lam), compute_uv=False)
-            assert abs(st.sigma_min - s[-1]) <= 1e-15 * s[0]
+            C = _matching_matrix(table, cfg, parity, st.lam)
+            s = np.linalg.svd(C, compute_uv=False)
+            assert s[-1] < 1e-10
+            assert np.linalg.norm(C @ st.a_coeffs) <= s[-1] + 1e-15 * s[0]
 
     @pytest.mark.parametrize("cfg,parity,N", STATES)
     def test_row_weight_away_from_a_root(self, cfg, parity, N):
@@ -207,13 +223,13 @@ class TestBoundStates:
         assert s.parity is SYM
         assert s.a_coeffs[0] > 0.9  # dominated by the first channel
         assert np.linalg.norm(s.a_coeffs) == pytest.approx(1.0, abs=1e-12)
-        assert s.sigma_min < 1e-10
+        assert _sigma_min(WELL, s) < 1e-10
 
     def test_pickle_round_trip(self):
         states = bound_state_energies(WellConfig(8.0, 1.0, 1.5, 1.0), SYM, 32)
         copies = pickle.loads(pickle.dumps(states))
         names = [f.name for f in dataclasses.fields(BoundState)]
-        assert names == ["lam", "parity", "a_coeffs", "b_coeffs", "sigma_min", "N"]
+        assert names == ["lam", "parity", "a_coeffs", "b_coeffs", "N"]
         assert len(copies) == len(states) == 2
         for s, c in zip(states, copies):
             for name in names:
@@ -265,7 +281,7 @@ class TestBoundStates:
     def test_narrow_window_keeps_its_ground_state(self, cfg, N):
         # every well has a state below E_1(alpha0); on these windows, about
         # 1e-8 E_1 wide, it binds by 1e-15 to 1e-14 E_1, so at 8 ulp of
-        # lambda its sigma_min is still about 5e-8 sigma_max and only the
+        # lambda sigma_min of C is still about 5e-8 sigma_max and only the
         # sign change of det certifies it
         states = bound_state_energies(cfg, SYM, N)
         E1_in = float(transversal_eigenvalues(cfg.inner, 1)[0])
@@ -396,7 +412,7 @@ class TestBoundStates:
             states = bound_state_energies(cfg, SYM, N)
             assert len(states) == 2
             assert lo < states[1].lam < hi <= E1_out
-            assert states[1].sigma_min < 1e-10
+            assert _sigma_min(cfg, states[1]) < 1e-10
             lams.append(states[1].lam)
         # converging from below as N grows
         assert np.all(np.diff(lams) > 0) and np.all(np.diff(lams) < 2e-4)
@@ -415,7 +431,7 @@ class TestBoundStates:
         for N in (32, 48, 64):
             states = bound_state_energies(cfg, ANTI, N)
             assert len(states) == 1
-            assert states[0].sigma_min < 1e-10
+            assert _sigma_min(cfg, states[0]) < 1e-10
             lams.append(states[0].lam)
         assert lams[-1] == pytest.approx(29.3099721, abs=1e-7)
         assert np.all(np.diff(lams) > 0) and np.all(np.diff(lams) < 5e-4)
@@ -428,8 +444,7 @@ class TestBatchedSolve:
 
     @staticmethod
     def _fields(states):
-        return [(s.lam, s.parity, s.a_coeffs.tobytes(), s.b_coeffs.tobytes(), s.sigma_min)
-                for s in states]
+        return [(s.lam, s.parity, s.a_coeffs.tobytes(), s.b_coeffs.tobytes()) for s in states]
 
     @classmethod
     def _alone(cls, well, N):
@@ -448,7 +463,7 @@ class TestBatchedSolve:
              ratios=[0.3, 0.3], N=2)
     @settings(max_examples=40, deadline=None)
     def test_batching_is_invisible(self, log_alpha0_d, log_alpha1_d, log_d, ratios, N):
-        # lam, coefficients and sigma_min of every state have the bits of
+        # lam and coefficients of every state have the bits of
         # one solve per (well, sector)
         assume(log_alpha1_d < log_alpha0_d)
         d = 10.0**log_d
@@ -640,14 +655,13 @@ class TestBlockScan:
         assert sum(bool(r) for r in roots) >= 6
         assert lockstep <= max(alone) < sum(alone)
 
-    def test_a_sweep_takes_two_svd_calls(self, monkeypatch):
+    def test_a_sweep_takes_one_svd_call(self, monkeypatch):
         # one batched SVD for the null vectors of every root of the table
-        # and one for their sigma_min
         wells = [WellConfig(8.0, 1.0, r, 1.0) for r in (0.6, 1.0, 1.5, 1.8)]
         calls = self._count_work(monkeypatch)
         solved = list(bound_states(wells, 32))
         assert sum(map(len, solved)) >= 8
-        assert calls["svd"] == 2
+        assert calls["svd"] == 1
 
     @staticmethod
     def _bisected_roots(table, a, parity, points=400):
@@ -763,7 +777,7 @@ class TestScanChunks:
 
     def test_states_do_not_depend_on_the_chunk(self, monkeypatch):
         def fields(states):
-            return [(s.lam, s.sigma_min, s.a_coeffs.tolist()) for s in states]
+            return [(s.lam, s.a_coeffs.tolist(), s.b_coeffs.tolist()) for s in states]
 
         for cfg in self.WELLS:
             for parity in ParitySector:
@@ -771,6 +785,21 @@ class TestScanChunks:
                 monkeypatch.setattr(modematch, "_SCAN_CHUNK_DOUBLES", 7 * 16 * 16)
                 assert fields(bound_state_energies(cfg, parity, 32)) == whole
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize("cfg", WELLS + (WellConfig(20.0, 5.0, 20.0, 1.0),))
+    def test_chunk_sized_first_grid_finds_the_400_point_roots(self, cfg):
+        # at N = 256 the first grid is one chunk, 2^22 // 128^2 = 256 points,
+        # and its roots are those of a 400-point scan to 8 ulp
+        table = _mode_table(cfg.inner, cfg.outer, 256)
+        found = 0
+        for parity in ParitySector:
+            roots = _scan_roots(table, [(cfg.a, parity)])[0]
+            ref = full_window_roots(table, cfg.a, parity, 400)
+            assert len(roots) == len(ref), parity
+            for lam, lam_ref in zip(roots, ref):
+                assert abs(lam - lam_ref) <= 8.0 * np.spacing(lam_ref)
+            found += len(roots)
+        assert found >= 1
 
     def test_scan_memory_does_not_grow_with_the_grid(self):
         # at N = 512 the 400-energy stack alone would be 400 * 256^2 doubles
@@ -802,18 +831,18 @@ class TestSizeGuard:
         with pytest.raises(self.Admitted if admitted else ContractError):
             bound_state_energies(WELL, SYM, N)
 
-    @pytest.mark.parametrize("N, points", [(2, 400), (32, 400), (1158, 400), (1159, 398),
-                                           (3344, 48)])
+    @pytest.mark.parametrize("N, points", [(2, 400), (32, 400), (204, 400), (205, 395),
+                                           (1024, 16), (1158, 12), (1159, 12), (3344, 2)])
     def test_base_grid_follows_from_N(self, monkeypatch, N, points):
-        # min(400, 2^27 // n^2) energies for n = (N + 1) // 2 channels: the
-        # 400 of every N <= 1158, and 48 at N = 3344 (a table of that size
-        # is stood in for by a read-only view of one zero)
+        # one LU chunk, min(400, 2^22 // n^2) energies for n = (N + 1) // 2
+        # channels: the 400 of every N <= 204, and 2 at N = 3344 (a table
+        # of that size is stood in for by a read-only view of one zero)
         n = (N + 1) // 2
         table = dataclasses.replace(_mode_table(WELL.inner, WELL.outer, 8),
                                     overlaps=np.broadcast_to(0.0, (n, n)))
         sizes = []
         monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
-                            sizes.append(lam.size) or (np.ones_like(lam), np.zeros_like(lam)))
+                            sizes.append(lam.size) or _no_sign_change(lam))
         assert _scan_roots(table, [(WELL.a, SYM)]) == [[]]
         assert sizes == [points]
 
@@ -872,6 +901,18 @@ class TestBrackets:
     def test_empty_bracket_signals_no_guarantee(self):
         lo, hi = minimax_brackets(WELL, 4)
         assert lo >= hi  # no 4th state is guaranteed in the reference well
+
+    def test_tiny_width_levels_overflow_to_inf(self):
+        # (k pi / 2a)^2 overflows a double for a below about 1.2e-154: the
+        # level is inf, and a level that does not overflow is unchanged
+        cfg = WellConfig(20.0, 5.0, 1e-200, 1.0)
+        E1_in = float(transversal_eigenvalues(cfg.inner, 1)[0])
+        E1_out = float(transversal_eigenvalues(cfg.outer, 1)[0])
+        assert minimax_brackets(cfg, 1) == (E1_in, E1_out)
+        assert minimax_brackets(cfg, 2) == (np.inf, E1_out)
+        assert _count_bounds(E1_in, E1_out, cfg.a, ANTI) == (0, 0)
+        assert next(bound_states([cfg], 16)) == []
+        assert modematch._segment_level(1.0, 2e-154, 1) == 1.0 + (np.pi / 4e-154) ** 2
 
     def test_cap_counts_bracketed_levels(self):
         assert neumann_state_cap(WELL) == 1
@@ -967,11 +1008,13 @@ class TestCountGuard:
     ], ids=["wide", "deep_wide"])
     def test_short_scan_is_refined_until_the_count_is_met(self, monkeypatch, cfg, counts,
                                                           scans):
-        # each sector is rescanned alone on 2 p - 1 points until it reaches
-        # its Dirichlet lower count, and then holds every state both bounds
-        # prove; the symmetric grid covers the whole window, so it is a
-        # whole-window scan at that size, bit for bit
+        # each sector is rescanned alone on 2 p - 1 points, of which only
+        # the p - 1 new midpoints are scanned, until it reaches its Dirichlet
+        # lower count, and then holds every state both bounds prove; the
+        # symmetric grid covers the whole window, so it is a whole-window
+        # scan at that size, bit for bit
         points = [399 * 2**k + 1 for k in range(max(scans))]
+        scanned = [400] + [399 * 2**k for k in range(max(scans) - 1)]
         table = _mode_table(cfg.inner, cfg.outer, 16)
         E1_in, E1_out = float(table.inner.energy[0]), float(table.outer.energy[0])
         [states] = bound_states([cfg], 16)
@@ -991,17 +1034,17 @@ class TestCountGuard:
         _scan_roots(table, [(cfg.a, p) for p in ParitySector])
         [grid] = grids
         # the antisymmetric grids start at the Neumann floor, so at most as long
-        assert grid[:scans[0]] == points[:scans[0]]
+        assert grid[:scans[0]] == scanned[:scans[0]]
         assert len(grid) == sum(scans)
-        assert all(n <= p for n, p in zip(grid[scans[0]:], points))
+        assert all(n <= p for n, p in zip(grid[scans[0]:], scanned))
 
     def test_short_count_past_the_entry_cap_raises(self, monkeypatch):
-        # with room for 1,000 points of the 8 x 8 matrices, the 799-point
-        # grid is the last, and it still misses a pair of roots
+        # with room for 1,000 points of the 8 x 8 matrices, the grid after
+        # 799 points has 1,000, the last, and it still misses a pair of roots
         wide = WellConfig(20.0, 5.0, 100.0, 1.0)
         monkeypatch.setattr(modematch, "_MAX_SOLVE_DOUBLES", 1000 * 8 * 8)
         match = (r"symmetric sector of a = 100\.0: 53 roots found, outside \[55, 55\] "
-                 r"\(Dirichlet lower count, Neumann cap\) on a scan grid of 799 points")
+                 r"\(Dirichlet lower count, Neumann cap\) on a scan grid of 1000 points")
         with pytest.raises(NumericalError, match=match):
             next(bound_states([wide], 16))
         with pytest.raises(NumericalError, match=match):
@@ -1009,13 +1052,27 @@ class TestCountGuard:
 
     def test_one_channel_refinement_stops_at_the_point_cap(self, monkeypatch):
         # at N = 2 the 2^27 entries would allow 2^27 points; 2^20 is the
-        # cap, so a scan that never finds a sign change stops at 817,153
+        # cap, so a scan that never finds a sign change halves its grid's
+        # intervals up to 817,153 points and ends on 2^20 scanned whole
         sizes = []
         monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
-                            sizes.append(lam.size) or (np.ones_like(lam), np.zeros_like(lam)))
-        with pytest.raises(NumericalError, match="0 roots found.* 817153 points"):
+                            sizes.append(lam.size) or _no_sign_change(lam))
+        with pytest.raises(NumericalError, match="0 roots found.* 1048576 points"):
             bound_state_energies(WellConfig(20.0, 5.0, 100.0, 1.0), SYM, 2)
-        assert sizes == [399 * 2**k + 1 for k in range(12)]
+        assert sizes == [400] + [399 * 2**k for k in range(11)] + [2**20]
+
+    @pytest.mark.parametrize("most, sizes_want", [(401, [400, 401]), (798, [400, 798]),
+                                                  (1234, [400, 399, 1234])])
+    def test_last_grid_has_the_most_points(self, monkeypatch, most, sizes_want):
+        # where the next 2 p - 1 points would pass the room, one last grid
+        # of exactly that many is scanned whole
+        sizes = []
+        monkeypatch.setattr(modematch, "_MAX_SOLVE_DOUBLES", most * 8 * 8)
+        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
+                            sizes.append(lam.size) or _no_sign_change(lam))
+        with pytest.raises(NumericalError, match=f"0 roots found.* {most} points"):
+            bound_state_energies(WellConfig(20.0, 5.0, 100.0, 1.0), SYM, 16)
+        assert sizes == sizes_want
 
     @pytest.mark.parametrize("cfg, jobs", [(WELL, 1), (WellConfig(8.0, 1.0, 1.5, 1.0), 2),
                                            (WellConfig(20.0, 5.0, 20.0, 1.0), 2),
