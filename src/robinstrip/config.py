@@ -21,10 +21,10 @@ _FORMATS = ("csv", "json", "svg")
 
 @dataclass(frozen=True)
 class MatchingParams:
-    """Mode matching's one knob, the truncation order.  The scan grid
-    follows from N and from each sector's closed-form state count, and
-    roots are refined to 8 ulp of lambda, so there is no resolution or
-    tolerance to set."""
+    """Mode matching's one knob, the truncation order.  The first scan grid
+    follows from N, a sector short of its closed-form state count is
+    isolated by root counts, and roots are refined to 8 ulp of lambda, so
+    there is no resolution or tolerance to set."""
 
     N: int = 32
 

@@ -50,10 +50,10 @@ singular-value dip is, but two roots in one grid interval give none, so
 a scan loses roots in pairs only.  Each sector's count lies between the
 Dirichlet lower count and the Neumann cap of cuts at |x| = a
 (Dirichlet-Neumann bracketing, Reed-Simon IV XIII.15), which differ by at
-most 1.  A job whose count is below its Dirichlet count is rescanned
-alone on grids of 2 p - 1 points, only their new midpoints scanned, until
-it is met; the last grid has the most points allowed, 2^20 or 2^27 scan
-matrix entries, and a count still outside the bounds raises
+most 1.  A job short of its Dirichlet count is bisected on the root count
+of the square interface form M (_count_below) until no interval holds two
+roots of M, then its intervals without a sign change are halved until the
+count is met, within 2^20 points; a count still outside the bounds raises
 NumericalError.  So no state is lost whenever the truncated problem's own
 count lies within the bounds: a scan's count falls short of it by an even
 number, and a count within bounds at most 1 apart is that count.
@@ -85,10 +85,8 @@ from .transverse import (RobinCrossSection, _Levels, overlap_matrix, transversal
 
 # Gauss-Legendre panels (64 points each) of the residual quadrature on (0, d).
 _RESIDUAL_PANELS = 8
-# Scan matrix entries of a grid, 2^27 (1 GiB of doubles), and its points: a
-# refined grid has at most 2^20 (8 MiB of energies, the bound at small N).
-_MAX_SOLVE_DOUBLES = 2**27
-_MAX_SCAN_POINTS = 2**20
+# Separators a short sector's isolation may take, 2^20 (8 MiB of energies).
+_MAX_POINTS = 2**20
 # Largest truncation order: the largest level table whose top levels
 # transverse._MIN_ALPHA_D keeps above their Neumann ends.
 _MAX_N = 3344
@@ -339,6 +337,55 @@ def _count_bounds(E1_in: float, E1_out: float, a: float,
     return max(n - 1, 0) // 2, n // 2
 
 
+def _count_below(table: _ModeTable, a: float, parity: ParitySector, lam: np.ndarray) -> np.ndarray:
+    """N_D(lam) + neg M(lam), the roots of det M below each energy of lam
+    (Friedlander, Arch. Rational Mech. Anal. 116 (1991) 153), for the
+    interface form diag(L) + O^T K O, K = diag(k_m), under the pole-free
+    congruence diag(s V): M = diag(s^2 V D) + (O diag(s V))^T K (O diag(s V)).
+    N_D, _count_bounds' lower count with lam for E_1(alpha0), counts the
+    poles of L.  The count is the square (lower) form's, not a certificate."""
+    neg = []
+    for _, _, x in _chunks(table, a, parity, lam):
+        V, D = _value_deriv(x, table.inner.energy, a, parity)
+        s = 1.0 / np.hypot(V / a, D)
+        k = np.sqrt(np.maximum(table.outer.energy[None, :] - x[:, None], 0.0))
+        W = np.sqrt(k)[:, :, None] * table.overlaps * (s * V)[:, None, :]
+        M = np.swapaxes(W, 1, 2) @ W
+        M[:, range(V.shape[1]), range(V.shape[1])] += s * s * V * D
+        neg.append(np.count_nonzero(np.linalg.eigvalsh(M) < 0.0, axis=1))
+    return np.concatenate(neg) + [_count_bounds(float(table.inner.energy[0]), x, a, parity)[0]
+                                  for x in lam]
+
+
+def _found(sign: np.ndarray) -> int:
+    """Roots a scan's signs of det show: sign changes and exact zeros."""
+    return int(np.count_nonzero(sign[:-1] * sign[1:] < 0.0) + np.count_nonzero(sign == 0.0))
+
+
+def _isolate(table: _ModeTable, a: float, parity: ParitySector, g: np.ndarray,
+             sl: np.ndarray, lower: int) -> tuple[np.ndarray, np.ndarray]:
+    """Separators from g on (a short sector's ends) and det's sign and
+    log|det| there (sl): intervals holding two or more roots of M
+    (_count_below) are bisected until none is left, then those where det
+    keeps a nonzero sign are halved until the roots found reach lower, with
+    new midpoints only, strictly inside, and no round past _MAX_POINTS."""
+    c = _count_below(table, a, parity, g)
+    while True:
+        mid = 0.5 * (g[:-1] + g[1:])
+        room = (g[:-1] < mid) & (mid < g[1:])
+        pick = np.flatnonzero(room & (np.diff(c) >= 2))
+        counting = pick.size > 0
+        if not counting and _found(sl[0]) < lower:
+            pick = np.flatnonzero(room & (sl[0, :-1] * sl[0, 1:] > 0.0))
+        if not pick.size or g.size + pick.size > _MAX_POINTS:
+            return g, sl
+        mid = mid[pick]
+        g = np.insert(g, pick + 1, mid)
+        sl = np.insert(sl, pick + 1, _scan_slogdet(table, a, parity, mid), axis=1)
+        # the halving reads no counts: a midpoint takes its left end's
+        c = np.insert(c, pick + 1, _count_below(table, a, parity, mid) if counting else c[pick])
+
+
 def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]]) -> list[list[float]]:
     """Roots, sorted, of the regularized matrix of table in the window for
     each job (a, parity), a half-width and sector sharing the table.
@@ -350,47 +397,30 @@ def _scan_roots(table: _ModeTable, jobs: list[tuple[float, ParitySector]]) -> li
     is a bracket, and an exact zero of det on the grid is a root as it
     stands: C_hat is continuous in the window, so a sign change needs no
     singular-value test.  A job short of its Dirichlet lower count is
-    scanned again on its own grid of 2 p - 1 points, only at the new
-    midpoints, and last on a grid of the most points allowed; a count then
-    outside _count_bounds raises NumericalError.  The brackets of all jobs
-    are narrowed together by Illinois steps, one batched LU each (_refine).
+    isolated (_isolate); a count outside _count_bounds, on an empty window
+    too, raises NumericalError.  The brackets of all jobs are narrowed
+    together by Illinois steps, one batched LU each (_refine).
     """
     win = _window(table)
-    if win is None:
-        return [[] for _ in jobs]
-    most = min(_MAX_SCAN_POINTS, _MAX_SOLVE_DOUBLES // table.overlaps.size)
     E1_in, E1_out = float(table.inner.energy[0]), float(table.outer.energy[0])
-    base = np.linspace(*win, min(400, most, max(2, _SCAN_CHUNK_DOUBLES // table.overlaps.size)))
     zeros, ends, logs, signs, owner = [], [], [], [], []
     for i, (a, parity) in enumerate(jobs):
         lower, cap = _count_bounds(E1_in, E1_out, a, parity)
-        floor = _neumann_floor(E1_in, a, parity)
-        grid, slog = base, None     # sign and log|det| on grid[k0:]
-        while True:
-            k = max(0, np.searchsorted(grid, floor) - 1)
-            if slog is None:
-                k0, slog = k, _scan_slogdet(table, a, parity, grid[k:])
-            g, (sg, lg) = grid[k:], slog[:, k - k0:]
-            j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
-            count = j.size + np.count_nonzero(sg == 0.0)
-            if count >= lower or grid.size == most:
-                break
-            if 2 * grid.size - 1 > most:
-                grid, slog = np.linspace(*win, most), None
-                continue
-            # every interval halved: the points of grid keep their values,
-            # and only the midpoints from the floor on are scanned
-            fine = np.linspace(*win, 2 * grid.size - 1)
-            fine[::2] = grid
-            both = np.empty((2, 2 * g.size - 1))
-            both[:, ::2] = slog[:, k - k0:]
-            both[:, 1::2] = _scan_slogdet(table, a, parity, fine[2 * k + 1::2])
-            grid, k0, slog = fine, 2 * k, both
+        if win is None:
+            g, (sg, lg), where = np.empty(0), np.empty((2, 0)), "a window empty to rounding"
+        else:
+            base = np.linspace(*win, min(400, max(2, _SCAN_CHUNK_DOUBLES // table.overlaps.size)))
+            g = base[max(0, np.searchsorted(base, _neumann_floor(E1_in, a, parity)) - 1):]
+            sl = _scan_slogdet(table, a, parity, g)
+            if _found(sl[0]) < lower < _MAX_POINTS:
+                g, sl = _isolate(table, a, parity, g[[0, -1]], sl[:, [0, -1]], lower)
+            (sg, lg), where = sl, f"{g.size} scan points"
+        j = np.flatnonzero(sg[:-1] * sg[1:] < 0.0)
+        count = _found(sg)
         if not lower <= count <= cap:
             raise NumericalError(
                 f"{parity.value} sector of a = {a!r}: {count} roots found, outside "
-                f"[{lower}, {cap}] (Dirichlet lower count, Neumann cap) on a scan grid "
-                f"of {grid.size} points")
+                f"[{lower}, {cap}] (Dirichlet lower count, Neumann cap) on {where}")
         zeros.append(g[sg == 0.0])
         ends.append(g[[j, j + 1]])
         logs.append(lg[[j, j + 1]])
@@ -531,20 +561,18 @@ def bound_state_energies(config: WellConfig, parity: ParitySector, N: int) -> li
 
     Roots are sign changes of det of the regularized matrix between trial
     energies, refined to 8 ulp of lambda by Illinois steps; every one is a
-    state.  The first grid has min(400, 2^22 // n^2) points (at least 2)
-    for n = (N + 1) // 2 and is evaluated from its last point below the
-    sector's Neumann floor, E_1(alpha1) + (j pi/2a)^2 with j = 0 symmetric
-    and j = 1 antisymmetric (the lower end of minimax_brackets(config,
-    j + 1)); a sector whose floor is at or above E_1(alpha0) holds no
-    state and builds no mode table.  A sector short of its Dirichlet lower count is rescanned on
-    finer grids until the count is met (see the module docstring), so no
-    state is lost whenever the truncated problem's own count lies within
-    that count and the Neumann cap; a count still outside them raises
-    NumericalError.  Scans and coefficients use the y-even channels of the
-    truncation; a truncation-error estimate is a second call at another N,
-    such as N // 2, and matching_residual computes a state's residual on
-    request.  An empty list is a valid result.  This is bound_states with
-    one job: its states have the same bits as there.
+    state.  The first grid, its trim at the sector's Neumann floor (the
+    lower end of minimax_brackets(config, j + 1), j = 0 symmetric and 1
+    antisymmetric) and the isolation of a sector short of its Dirichlet
+    lower count are those of the module docstring; a sector whose floor is
+    at or above E_1(alpha0) holds no state and builds no mode table.  A
+    count outside the Dirichlet lower count and the Neumann cap raises
+    NumericalError, as does a proven state in a window empty to rounding.
+    Scans and coefficients use the y-even channels of the truncation; a
+    truncation-error estimate is a second call at another N, such as
+    N // 2, and matching_residual computes a state's residual on request.
+    An empty list is a valid result.  This is bound_states with one job:
+    its states have the same bits as there.
 
     The grid is scanned in chunks of 2^22 doubles.  Before anything is
     allocated, a ContractError refuses N < 2 or N > 3344, the largest

@@ -266,6 +266,16 @@ class TestSpectrum:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert (tmp_path / "sweep_a.csv").read_text() == CSV_HEADER + "\n"
 
+    def test_window_empty_to_rounding_is_a_numerical_failure(self, tmp_path, capsys):
+        # the cut levels prove 122 symmetric states in a window within
+        # rounding of empty, where this printed the header alone and exited 0
+        code = main(["spectrum", "--alpha0", "20", "--alpha1", "19.999999999998", "--a", "1e9",
+                     "--d", "1", "--N", "16", "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: symmetric sector of a = 1000000000.0: ")
+        assert "[122, 122] (Dirichlet lower count, Neumann cap)" in err
+
     def test_constant_profile_zero_rows(self, tmp_path, capsys):
         code = main(["spectrum", "--alpha0", "20", "--alpha1", "20", "--a", "0.3",
                      "--d", "1", "--N", "8", "--out-dir", str(tmp_path)])

@@ -19,9 +19,9 @@ from robinstrip import (BoundState, ConfigError, ContractError, NumericalError, 
                         WellConfig, bound_state_energies, matching_residual, minimax_brackets,
                         overlap_matrix, transversal_eigenvalues, wavefunction)
 from robinstrip import modematch
-from robinstrip.modematch import (_count_bounds, _mode_table, _ModeTable, _scan_matrices,
-                                  _scan_roots, _scan_slogdet, _value_deriv, _window,
-                                  bound_states)
+from robinstrip.modematch import (_count_bounds, _found, _mode_table, _ModeTable,
+                                  _scan_matrices, _scan_roots, _scan_slogdet, _value_deriv,
+                                  _window, bound_states)
 from robinstrip.transverse import transversal_levels
 
 SYM = ParitySector.SYMMETRIC
@@ -1001,78 +1001,86 @@ class TestCountGuard:
             lower, cap = _count_bounds(1.0, 2.0, a, parity)
             assert 2**52 <= lower <= cap
 
-    @pytest.mark.parametrize("cfg, counts, scans", [
-        # at 400 points, two roots share a grid interval and both are lost
-        (WellConfig(20.0, 5.0, 100.0, 1.0), [55, 55], [3, 2]),
-        (WellConfig(1e3, 1.0, 100.0, 1.0), [91, 91], [5, 4]),
-    ], ids=["wide", "deep_wide"])
-    def test_short_scan_is_refined_until_the_count_is_met(self, monkeypatch, cfg, counts,
-                                                          scans):
-        # each sector is rescanned alone on 2 p - 1 points, of which only
-        # the p - 1 new midpoints are scanned, until it reaches its Dirichlet
-        # lower count, and then holds every state both bounds prove; the
-        # symmetric grid covers the whole window, so it is a whole-window
-        # scan at that size, bit for bit
-        points = [399 * 2**k + 1 for k in range(max(scans))]
-        scanned = [400] + [399 * 2**k for k in range(max(scans) - 1)]
-        table = _mode_table(cfg.inner, cfg.outer, 16)
-        E1_in, E1_out = float(table.inner.energy[0]), float(table.outer.energy[0])
+    def test_deep_wide_well_holds_every_state_at_N_384(self):
+        # at N = 384 the first grid has 113 points and both sectors are
+        # short; the rescans that replaced it stopped at 89 of 91 symmetric
+        # roots, while the isolation by counts finds them all
+        cfg = WellConfig(1e3, 1.0, 100.0, 1.0)
+        [states] = bound_states([cfg], 384)
+        E1_in = float(transversal_levels(cfg.inner, 384).energy[0])
+        E1_out = float(transversal_levels(cfg.outer, 384).energy[0])
+        for parity in ParitySector:
+            count = sum(s.parity is parity for s in states)
+            assert count == 91 == _count_bounds(E1_in, E1_out, cfg.a, parity)[1]
+
+    def test_short_sector_needs_a_halving_round(self, monkeypatch):
+        # bisected on counts from the ends of its first grid, the
+        # antisymmetric sector of this well at N = 16 shows 89 of its 91
+        # roots, since the roots of M do not interlace those of C_hat
+        # everywhere; one round of halving the intervals without a sign
+        # change splits the last pair
+        cfg = WellConfig(1e3, 1.0, 100.0, 1.0)
+        found, isolate = {}, modematch._isolate
+
+        def spy(table, a, parity, g, sl, lower):
+            counted = isolate(table, a, parity, g, sl, 0)[1][0]
+            g, sl = isolate(table, a, parity, g, sl, lower)
+            found[parity] = (_found(counted), _found(sl[0]))
+            return g, sl
+
+        monkeypatch.setattr(modematch, "_isolate", spy)
         [states] = bound_states([cfg], 16)
-        for parity, count in zip(ParitySector, counts):
-            lam = [s.lam for s in states if s.parity is parity]
-            lower, cap = _count_bounds(E1_in, E1_out, cfg.a, parity)
-            assert lower <= len(lam) == count <= cap
-            assert lam == [s.lam for s in bound_state_energies(cfg, parity, 16)]
-        assert [s.lam for s in states if s.parity is SYM] == \
-            full_window_roots(table, cfg.a, SYM, points[scans[0] - 1])
-        sizes, grids = [], []
-        scan, refine = modematch._scan_slogdet, modematch._refine
-        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
-                            sizes.append(lam.size) or scan(table, a, parity, lam))
-        monkeypatch.setattr(modematch, "_refine", lambda *args: grids.append(list(sizes)) or
-                            refine(*args))
-        _scan_roots(table, [(cfg.a, p) for p in ParitySector])
-        [grid] = grids
-        # the antisymmetric grids start at the Neumann floor, so at most as long
-        assert grid[:scans[0]] == scanned[:scans[0]]
-        assert len(grid) == sum(scans)
-        assert all(n <= p for n, p in zip(grid[scans[0]:], scanned))
+        assert found == {SYM: (91, 91), ANTI: (89, 91)}
+        assert [sum(s.parity is p for s in states) for p in ParitySector] == [91, 91]
 
-    def test_short_count_past_the_entry_cap_raises(self, monkeypatch):
-        # with room for 1,000 points of the 8 x 8 matrices, the grid after
-        # 799 points has 1,000, the last, and it still misses a pair of roots
-        wide = WellConfig(20.0, 5.0, 100.0, 1.0)
-        monkeypatch.setattr(modematch, "_MAX_SOLVE_DOUBLES", 1000 * 8 * 8)
-        match = (r"symmetric sector of a = 100\.0: 53 roots found, outside \[55, 55\] "
-                 r"\(Dirichlet lower count, Neumann cap\) on a scan grid of 1000 points")
-        with pytest.raises(NumericalError, match=match):
-            next(bound_states([wide], 16))
-        with pytest.raises(NumericalError, match=match):
-            bound_state_energies(wide, SYM, 16)
-
-    def test_one_channel_refinement_stops_at_the_point_cap(self, monkeypatch):
-        # at N = 2 the 2^27 entries would allow 2^27 points; 2^20 is the
-        # cap, so a scan that never finds a sign change halves its grid's
-        # intervals up to 817,153 points and ends on 2^20 scanned whole
+    def test_isolation_without_a_sign_change_stops_at_the_point_bound(self, monkeypatch):
+        # with det = 1 everywhere every interval is halved each round, so
+        # the separators double until the next round would pass 2^20:
+        # 57 after the counts, 917,505 at the end, in about 0.1 s
         sizes = []
         monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
                             sizes.append(lam.size) or _no_sign_change(lam))
-        with pytest.raises(NumericalError, match="0 roots found.* 1048576 points"):
+        match = (r"^symmetric sector of a = 100\.0: 0 roots found, outside \[55, 55\] "
+                 r"\(Dirichlet lower count, Neumann cap\) on 917505 scan points$")
+        with pytest.raises(NumericalError, match=match):
             bound_state_energies(WellConfig(20.0, 5.0, 100.0, 1.0), SYM, 2)
-        assert sizes == [400] + [399 * 2**k for k in range(11)] + [2**20]
+        assert sizes[0] == 400 and sum(sizes[1:]) == 917503 < modematch._MAX_POINTS
+        assert sizes[-1] == 458752
 
-    @pytest.mark.parametrize("most, sizes_want", [(401, [400, 401]), (798, [400, 798]),
-                                                  (1234, [400, 399, 1234])])
-    def test_last_grid_has_the_most_points(self, monkeypatch, most, sizes_want):
-        # where the next 2 p - 1 points would pass the room, one last grid
-        # of exactly that many is scanned whole
-        sizes = []
-        monkeypatch.setattr(modematch, "_MAX_SOLVE_DOUBLES", most * 8 * 8)
-        monkeypatch.setattr(modematch, "_scan_slogdet", lambda table, a, parity, lam:
-                            sizes.append(lam.size) or _no_sign_change(lam))
-        with pytest.raises(NumericalError, match=f"0 roots found.* {most} points"):
-            bound_state_energies(WellConfig(20.0, 5.0, 100.0, 1.0), SYM, 16)
-        assert sizes == sizes_want
+    @pytest.mark.parametrize("s", [2.0**-40, 2.0**30])
+    def test_isolated_roots_scale_bit_for_bit(self, s):
+        # midpoints, counts and signs of det are exact under a power-of-2
+        # scaling (alpha / s, s a, s d), so s^2 lambda keeps its bits
+        for cfg in (WellConfig(20.0, 5.0, 100.0, 1.0), WellConfig(1e3, 1.0, 100.0, 1.0)):
+            scaled = WellConfig(cfg.alpha0 / s, cfg.alpha1 / s, cfg.a * s, cfg.d * s)
+            [states], [copies] = bound_states([cfg], 16), bound_states([scaled], 16)
+            assert [x.lam for x in states] == [s * s * x.lam for x in copies]
+            assert len(states) == {20.0: 110, 1e3: 182}[cfg.alpha0]
+
+    @pytest.mark.parametrize("cfg, N", [(WELL, 32), (WellConfig(8.0, 1.0, 1.5, 1.0), 32),
+                                        (WellConfig(20.0, 5.0, 20.0, 1.0), 32),
+                                        (WellConfig(1e5, 1e-5, 2.0, 1.0), 64),
+                                        (WellConfig(20.0, 5.0, 100.0, 1.0), 16)])
+    def test_count_at_the_top_is_the_root_count(self, cfg, N):
+        # N_D + neg M counts no root at the window's bottom, and at its top
+        # as many as the scan returns, in both sectors
+        table = _mode_table(cfg.inner, cfg.outer, N)
+        [states] = bound_states([cfg], N)
+        for parity in ParitySector:
+            counts = modematch._count_below(table, cfg.a, parity, np.array(_window(table)))
+            assert counts.tolist() == [0, sum(s.parity is parity for s in states)]
+
+    def test_window_empty_to_rounding_with_proven_states_raises(self):
+        # the window is 1e-13 of E_1 wide, within rounding, yet the cut
+        # levels prove 122 symmetric and at least 121 antisymmetric states
+        cfg = WellConfig(20.0, 19.999999999998, 1e9, 1.0)
+        assert _window(_mode_table(cfg.inner, cfg.outer, 16)) is None
+        match = (r"^symmetric sector of a = 1000000000\.0: 0 roots found, outside \[122, 122\] "
+                 r"\(Dirichlet lower count, Neumann cap\) on a window empty to rounding$")
+        with pytest.raises(NumericalError, match=match):
+            next(bound_states([cfg], 16))
+        with pytest.raises(NumericalError, match=r"^antisymmetric .* \[121, 122\]"):
+            bound_state_energies(cfg, ANTI, 16)
 
     @pytest.mark.parametrize("cfg, jobs", [(WELL, 1), (WellConfig(8.0, 1.0, 1.5, 1.0), 2),
                                            (WellConfig(20.0, 5.0, 20.0, 1.0), 2),
