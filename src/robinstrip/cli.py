@@ -213,36 +213,22 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _indented_json(payload: dict, lists: tuple[str, ...]) -> str:
-    """json.dumps(payload, indent=2) + "\n" for a payload that opens with
-    the keys in lists, each a non-empty flat sequence, and holds at least
-    one other key.  indent sends json.dumps to its pure-Python encoder,
-    which took about 3 s of the 3.8 s existence run at n_max = 2^20, so
-    the lists go through the C encoder with the indented item separator."""
-    head = "".join(f'  "{key}": [\n    '
-                   + json.dumps(payload[key], separators=(",\n    ", ": "))[1:-1] + "\n  ],\n"
-                   for key in lists)
-    rest = json.dumps({k: v for k, v in payload.items() if k not in lists}, indent=2)
-    return "{\n" + head + rest[2:] + "\n"
-
-
 def _cmd_existence(args: argparse.Namespace, cfg: RunConfig) -> int:
     bump = BumpProfile(plateau=args.plateau, support=args.support)
-    report = existence_test(cfg.well, bump, args.n_max)
+    report = existence_test(cfg.well, bump)
     payload = {
-        "n_values": report.n_values,
-        "q_values": report.q_values,
         "first_negative_n": report.first_negative_n,
+        "q_first": report.q_first,
         "well_hypothesis": report.well_hypothesis,
         "well": dataclasses.asdict(report.config),
     }
     path = os.path.join(cfg.output.dir, "existence.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_indented_json(payload, ("n_values", "q_values")))
+        fh.write(json.dumps(payload, indent=2) + "\n")
     if not report.well_hypothesis:
         verdict = "hypothesis false (alpha1 >= alpha0): no claim"
     elif report.first_negative_n is None:
-        verdict = f"inconclusive up to n_max={args.n_max}"
+        verdict = "inconclusive: Q changes sign past the largest binary64 n"
     else:
         verdict = f"bound state certified: Q < 0 at n={report.first_negative_n}"
     print(verdict)
@@ -270,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=81)
     _add_command(sub, "oracle", _cmd_oracle, "finite-difference cross-check")
     p = _add_command(sub, "existence", _cmd_existence, "variational existence test")
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--plateau", type=float, default=0.125)
-    p.add_argument("--support", type=float, default=0.25)
+    p.add_argument("--plateau", type=float, default=0.125, help="in units of d")
+    p.add_argument("--support", type=float, default=0.25, help="in units of d")
     return parser
 
 

@@ -535,10 +535,10 @@ def lowest_eigenpairs(config: WellConfig, grid: FdGrid, sector: ParitySector,
     return pairs
 
 
-def _confident(lam: float, err_est: float, E1_out: float, L: float) -> bool:
-    """The keep rule: lam < E_1(alpha0) - 3 (err_est + exp(-k_1 L))."""
+def _confident(lam: float, err_est: float, E1_out: float, L: float, d: float) -> bool:
+    """The keep rule: lam < E_1(alpha0) - 3 (err_est + exp(-k_1 L)/d^2)."""
     k1 = np.sqrt(max(E1_out - lam, 0.0))
-    return bool(lam < E1_out - 3.0 * (err_est + np.exp(-k1 * L)))
+    return bool(lam < E1_out - 3.0 * (err_est + np.exp(-k1 * L) / d**2))
 
 
 def oracle_bound_states(config: WellConfig, L: float, refinements: int,
@@ -553,7 +553,7 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     the fine solve started at the coarse values) by index.  Each pair is
     extrapolated by the order-2 rule lambda + (lambda_f - lambda_c)/3 and
     kept below E_1(alpha0) - margin with margin = 3 (discretization
-    estimate + exp(-k_1 L) domain-truncation bound).  If the y-odd floor of either grid could pass
+    estimate + exp(-k_1 L)/d^2 domain-truncation bound).  If the y-odd floor of either grid could pass
     that rule (with a zero discretization estimate), the y-odd blocks
     cannot be excluded and it raises NumericalError.
 
@@ -574,7 +574,7 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
     E1_out = float(transversal_eigenvalues(config.outer, 1)[0])
     grids = [make_grid(config, L, h0 * 0.5**j) for j in (refinements - 2, refinements - 1)]
     floor = min(y_odd_floor(config, grid) for grid in grids)
-    if _confident(floor, 0.0, E1_out, L):
+    if _confident(floor, 0.0, E1_out, L, config.d):
         raise NumericalError(f"y-odd floor {floor!r} could pass the keep rule below "
                              f"E_1(alpha0) = {E1_out!r}; refine the grid or shorten L")
     out = {sector: [] for sector in ParitySector}
@@ -599,7 +599,7 @@ def oracle_bound_states(config: WellConfig, L: float, refinements: int,
             # and lam + 3 err_est is least there at max(coarse top, lambda_f)
             lc = coarse[j] if j < len(coarse) else max(tops[0], lf)
             lam = lf + (lf - lc) / 3.0
-            if _confident(lam, abs(lf - lc) / 3.0, E1_out, L):
+            if _confident(lam, abs(lf - lc) / 3.0, E1_out, L, config.d):
                 if j >= len(coarse):
                     raise NumericalError(f"fine-grid value {lf!r} could be kept with no coarse "
                                          f"partner below {tops[0]!r}; refine the grid or shorten L")

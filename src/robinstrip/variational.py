@@ -3,27 +3,32 @@
 For a coupling profile alpha(x) with alpha -> alpha0 at infinity and
 integral(alpha - alpha0) < 0, a bound state below E_1(alpha0) exists.
 The proof is constructive: with psi_n(x, y) = phi_n(x) chi_1(y; alpha0),
-phi_n(x) = n^{-1/2} phi(x/n) a widening smooth bump, the shifted form
-
-    Q[psi_n] = h[psi_n] - E_1(alpha0) ||psi_n||^2
-
+phi_n(x) = (n d)^{-1/2} phi(x/(n d)) a smooth bump widened to n strip
+widths, the shifted form Q[psi_n] = h[psi_n] - E_1(alpha0) ||psi_n||^2
 eventually turns negative.  Using the transversal eigen-identity
 int |chi_1'|^2 + alpha0 (chi_1(0)^2 + chi_1(d)^2) = E_1(alpha0), Q
 collapses to the separable reduction
 
-    Q = n^{-2} ||phi'||^2
-        + (chi_1(0)^2 + chi_1(d)^2) * int (alpha(x) - alpha0) phi_n(x)^2 dx,
+    Q = (n d)^{-2} ||phi'||^2 + W (alpha1 - alpha0) m(min(rho/n, support)),
 
-whose well term scales like -c/n against the kinetic +c'/n^2: the first n
-with Q < 0 certifies existence.  For the rectangular well, t = x/n turns
-the well integral into the bump's own mass on [-min(a/n, support),
-min(a/n, support)]: exact on the plateau, and one fixed Gauss-Legendre
-rule on the smoothstep transition.  The tests check the reduction against
-a plain 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2.
+W = chi_1(0)^2 + chi_1(d)^2, rho = a/d, m(s) the normalized bump's mass
+on [-s, s].  The bump's plateau and support are in units of d, so d^2 Q
+depends on (alpha0 d, alpha1 d, a/d) alone.  The tests check the
+reduction against a plain 2D quadrature of the form.
+
+n^2 Q changes sign once: d/dn [n^2 m(rho/n)] = n (2 m(s) - s m'(s)) at
+s = rho/n, and phi^2 does not increase on [0, support], so m(s) =
+2 int_0^s phi^2 >= 2 s phi(s)^2 = s m'(s) and n^2 m(rho/n) strictly
+increases.  For alpha1 < alpha0, n^2 Q therefore strictly decreases and
+crosses zero exactly once, and the least n with Q < 0 is found by
+bisection.  On the plateau (rho/n <= plateau) m(s) = 2 s/raw^2, so Q < 0
+exactly for n > n_c = ||phi'||^2 raw^2 / (2 rho W d (alpha0 - alpha1) d).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,9 +38,6 @@ from .errors import ConfigError, ContractError
 from .modematch import WellConfig
 from .quadrature import gauss_legendre
 from .transverse import transversal_levels
-
-_MAX_N = 2**20
-_Q_BLOCK = 64  # n per batched quadrature: memory stays bounded
 
 
 def _g(t):
@@ -62,10 +64,8 @@ def _smoothstep_deriv(t):
 
 
 def _unit_integral(f, u0):
-    """int_{u0}^{1} f(u) du for each entry of u0, by one 64-point
-    Gauss-Legendre rule mapped onto [u0, 1]; f is C-infinity here, so the
-    rule reaches rounding, and u0 = 1 gives exactly 0.  Each row is summed
-    on its own, so a row has the bits of a one-row call."""
+    """int_{u0}^{1} f(u) du by one 64-point Gauss-Legendre rule mapped onto
+    [u0, 1]; f is C-infinity here, so the rule reaches rounding."""
     x, w = gauss_legendre(64)
     half = 0.5 * (1.0 - np.asarray(u0, dtype=float))
     return half * np.sum(f(1.0 - half[..., None] * (1.0 - x)) * w, axis=-1)
@@ -87,7 +87,8 @@ def _bump_constants(plateau: float, support: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class BumpProfile:
     """Smooth even bump: 1 on [-plateau, plateau], 0 outside
-    [-support, support], C-infinity in between, L2-normalized.
+    [-support, support], C-infinity in between, L2-normalized.  The trial
+    functions widen it by n d, so plateau and support are in units of d.
 
     The evaluation methods return the normalized profile, so
     self(0) = 1/raw_norm rather than 1.
@@ -130,80 +131,87 @@ class BumpProfile:
 
 @dataclass(frozen=True)
 class QReport:
-    """Q values along the widening trial sequence.
+    """first_negative_n is the least n with Q[psi_n] < 0 and q_first is
+    q_form there (<= 0, and -0.0 where |Q| underflows).  Both are None when
+    well_hypothesis is False (alpha1 >= alpha0: no claim) or the crossing
+    lies past the largest binary64 (inconclusive)."""
 
-    first_negative_n is the least n with Q < 0, or None if the sequence
-    stayed nonnegative up to n_max (inconclusive when well_hypothesis is
-    True: the test is sufficient, not sharp at finite n; no claim at all
-    when it is False)."""
-
-    n_values: tuple[int, ...]
-    q_values: tuple[float, ...]
     first_negative_n: int | None
+    q_first: float | None
     config: WellConfig
     well_hypothesis: bool
 
     def __post_init__(self):
-        if len(self.n_values) != len(self.q_values):
-            raise ContractError("n_values and q_values must have equal length")
-        if not np.isfinite(self.q_values).all():
-            raise ContractError("q_values must be finite")
+        if self.q_first is not None and not np.isfinite(self.q_first):
+            raise ContractError("q_first must be finite")
 
 
-def trial_scale(bump: BumpProfile, n: int, x):
-    """The widened trial profile phi_n(x) = n^{-1/2} phi(x/n); the scaling
-    keeps ||phi_n||_{L2} = 1 while ||phi_n'|| = ||phi'||/n; n may be an
-    array broadcasting against x."""
-    if np.any(np.less(n, 1)):
-        raise ContractError("n must be >= 1")
-    return bump(np.asarray(x, dtype=float) / n) / np.sqrt(n)
+def trial_scale(bump: BumpProfile, width, x):
+    """phi(x/width)/sqrt(width), width = n d for psi_n: the L2 norm stays 1
+    and the derivative's is ||phi'||/width; width may broadcast against x."""
+    if not np.all(np.greater(width, 0.0)):
+        raise ContractError("width must be positive")
+    return bump(np.asarray(x, dtype=float) / width) / np.sqrt(width)
+
+
+def _gap(config: WellConfig) -> float:
+    """W d (alpha0 - alpha1) d, a pure number."""
+    ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
+    wall = float(ends[0]) ** 2 + float(ends[1]) ** 2
+    return wall * config.d * ((config.alpha0 - config.alpha1) * config.d)
+
+
+def _tail(bump: BumpProfile, s: float) -> float:
+    """int_plateau^s of the raw bump squared; the quadrature runs only past the plateau."""
+    w = bump.support - bump.plateau
+    u0 = min(max((bump.support - s) / w, 0.0), 1.0)
+    if u0 == 1.0:
+        return 0.0
+    return w * float(_unit_integral(lambda u: _smoothstep(u) ** 2, u0))
+
+
+def _nq(bump: BumpProfile, rho: float, gap: float, n: int) -> float:
+    """n d^2 Q[psi_n] = ||phi'||^2/n - gap n m(rho/n) with n m = 2 (min(rho,
+    plateau n) + n tail)/raw^2: n^2 is never formed, so neither term
+    overflows or underflows as n grows."""
+    x = float(n)
+    tail = _tail(bump, min(rho / x, bump.support))
+    mass = 2.0 * (min(rho, bump.plateau * x) + x * tail) / bump._norm**2
+    return bump.deriv_norm_sq / x - gap * mass
 
 
 def q_form(config: WellConfig, bump: BumpProfile, n: int) -> float:
-    """Q[psi_n] by the separable reduction.
-
-    For the rectangular well the coupling integral collapses to
-    (alpha1 - alpha0) int_{-a}^{a} phi_n^2.  With t = x/n this is the
-    normalized bump's mass on [-s, s], s = min(a/n, support): the plateau
-    part in closed form, the transition part by one 64-point
-    Gauss-Legendre rule, whose interval is empty once s <= plateau."""
+    """Q[psi_n] by the separable reduction: the plateau part of the bump's
+    mass in closed form, the transition part by one 64-point Gauss-Legendre
+    rule, whose interval is empty once a/(n d) <= plateau."""
     if n < 1:
         raise ContractError("n must be >= 1")
-    return float(_q_values(config, bump, np.array([n]))[0])
+    return _nq(bump, config.a / config.d, _gap(config), n) / float(n) / config.d / config.d
 
 
-def _q_values(config: WellConfig, bump: BumpProfile, n: np.ndarray) -> np.ndarray:
-    """q_form at each entry of n.  Only rows with u0 < 1 (s past the
-    plateau) take the quadrature, _Q_BLOCK at a time; the others add
-    exactly 0, and each row keeps the bits of a one-row call."""
-    ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
-    wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
-    w = bump.support - bump.plateau
-    s = np.minimum(config.a / n, bump.support)
-    u0 = np.clip((bump.support - s) / w, 0.0, 1.0)
-    tail = np.zeros_like(u0)
-    rows = np.flatnonzero(u0 < 1.0)
-    for start in range(0, rows.size, _Q_BLOCK):
-        block = rows[start:start + _Q_BLOCK]
-        tail[block] = w * _unit_integral(lambda u: _smoothstep(u) ** 2, u0[block])
-    well = 2.0 * (np.minimum(s, bump.plateau) + tail) / bump._norm**2
-    return bump.deriv_norm_sq / n**2 + wall_weight * (config.alpha1 - config.alpha0) * well
-
-
-def existence_test(config: WellConfig, bump: BumpProfile, n_max: int) -> QReport:
-    """Evaluate Q along n = 1..n_max and report the first sign change.
+def existence_test(config: WellConfig, bump: BumpProfile) -> QReport:
+    """The least n with Q[psi_n] < 0, by bisection on the one sign change
+    of n^2 Q (module docstring).
 
     well_hypothesis records whether int(alpha - alpha0) = 2a(alpha1 -
-    alpha0) < 0 actually holds; with it False the test makes no claim
-    (and Q stays positive).  Q is evaluated for all n at once; the
-    quadrature runs only for the n with a/n past the plateau, 64 n at a
-    time, one 64 x 64 Gauss-Legendre array each.  n_max = 2^20 takes
-    about 0.2 s on the reference well; n_max above it is a ContractError,
-    raised before anything is allocated."""
-    if not 1 <= n_max <= _MAX_N:
-        raise ContractError(f"n_max must be in [1, {_MAX_N}], got {n_max}")
-    q = _q_values(config, bump, np.arange(1, n_max + 1))
-    negative = np.flatnonzero(q < 0.0)
-    return QReport(n_values=tuple(range(1, n_max + 1)), q_values=tuple(q.tolist()),
-                   first_negative_n=int(negative[0]) + 1 if negative.size else None,
-                   config=config, well_hypothesis=config.alpha1 < config.alpha0)
+    alpha0) < 0 holds; with it False the test makes no claim.  The upper
+    end is max(ceil(rho/plateau), floor(n_c) + 1), doubled while rounding
+    leaves Q >= 0 there; n is a Python int, exact past 2^53.  The report
+    is inconclusive only where that end is not finite in binary64."""
+    if not config.is_well:
+        return QReport(None, None, config, False)
+    rho, gap = config.a / config.d, _gap(config)
+    n_c = bump.deriv_norm_sq * bump._norm * bump._norm / 2.0 / gap / rho if rho else math.inf
+    edge = rho / bump.plateau
+    if not (math.isfinite(n_c) and math.isfinite(edge)):
+        return QReport(None, None, config, True)
+    lo, hi = 0, max(math.ceil(edge), math.floor(n_c) + 1)
+    while not _nq(bump, rho, gap, hi) < 0.0:
+        hi *= 2
+        if hi > sys.float_info.max:
+            return QReport(None, None, config, True)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _nq(bump, rho, gap, mid) < 0.0 else (mid, hi)
+    q = _nq(bump, rho, gap, hi) / float(hi) / config.d / config.d
+    return QReport(hi, q, config, True)

@@ -71,13 +71,15 @@ def reference_overlaps(inner, outer, n_max, panels=16):
 
 def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     """Q[psi_n] by direct 2D quadrature of h[psi_n] - E_1(alpha0)||psi_n||^2
-    on the truncated domain [-s n, s n] x [0, d], 64-point Gauss-Legendre
-    panels split at the kinks: no separable reduction, no eigen-identity.
+    on the truncated domain [-s n d, s n d] x [0, d], s the bump's support,
+    64-point Gauss-Legendre panels split at the kinks: no separable
+    reduction, no eigen-identity.
     Cross-validates q_form."""
     if n < 1:
         raise ContractError("n must be >= 1")
     a, d = config.a, config.d
-    sn, pn = bump.support * n, bump.plateau * n
+    width = n * d
+    sn, pn = bump.support * width, bump.plateau * width
     knots = sorted({v for v in (-a, a, -pn, pn) if -sn < v < sn})
     x, wx = composite_gl(-sn, sn, knots=tuple(knots))
     y, wy = composite_gl(0.0, d)
@@ -88,8 +90,8 @@ def q_form_direct(config: WellConfig, bump: BumpProfile, n: int) -> float:
     chi_p = level.chi_deriv(y)[0]
     chi0, chid = (float(v) for v in level.chi(np.array([0.0, d]))[0])
 
-    phi = trial_scale(bump, n, x)
-    phi_p = bump.derivative(x / n) / n**1.5
+    phi = trial_scale(bump, width, x)
+    phi_p = bump.derivative(x / width) / width**1.5
     alpha_x = np.where(np.abs(x) < a, config.alpha1, config.alpha0)
 
     grad_sq = phi_p[:, None] ** 2 * chi[None, :] ** 2 + phi[:, None] ** 2 * chi_p[None, :] ** 2

@@ -247,7 +247,7 @@ def test_6_hard_wall_limit_trend(capsys):
 def test_7_variational_existence_certificate(capsys):
     t0 = time.perf_counter()
     bump = BumpProfile()
-    report = existence_test(WELL, bump, n_max=64)
+    report = existence_test(WELL, bump)
     reduction_diff = max(abs(q_form(WELL, bump, n) - q_form_direct(WELL, bump, n))
                          for n in (1, 4, 16))
     dt = time.perf_counter() - t0

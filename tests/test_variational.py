@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from conftest import q_form_direct
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robinstrip import (BumpProfile, ConfigError, ContractError, QReport, WellConfig,
@@ -57,20 +57,26 @@ def _mp_smoothstep_deriv(u):
 
 def _q_with_quadrature_on_every_row(config, bump, n_max):
     """Q for n = 1..n_max with the Gauss-Legendre rule run on every row,
-    64 rows at a time, u0 = 1 included."""
+    64 rows at a time, u0 = 1 included: n d^2 Q / n / d^2 with
+    n d^2 Q = ||phi'||^2/n - W d (alpha0 - alpha1) d n m(a/(n d))."""
     ends = transversal_levels(config.outer, 1).chi(np.array([0.0, config.d]))[0]
     wall_weight = float(ends[0]) ** 2 + float(ends[1]) ** 2
-    w = bump.support - bump.plateau
+    gap = wall_weight * config.d * ((config.alpha0 - config.alpha1) * config.d)
+    rho, w = config.a / config.d, bump.support - bump.plateau
     q = []
     for start in range(1, n_max + 1, 64):
-        n = np.arange(start, min(start + 64, n_max + 1))
-        s = np.minimum(config.a / n, bump.support)
+        n = np.arange(start, min(start + 64, n_max + 1)).astype(float)
+        s = np.minimum(rho / n, bump.support)
         u0 = np.clip((bump.support - s) / w, 0.0, 1.0)
         tail = w * variational._unit_integral(lambda u: variational._smoothstep(u) ** 2, u0)
-        well = 2.0 * (np.minimum(s, bump.plateau) + tail) / bump._norm**2
-        q.append(bump.deriv_norm_sq / n**2
-                 + wall_weight * (config.alpha1 - config.alpha0) * well)
+        mass = 2.0 * (np.minimum(rho, bump.plateau * n) + n * tail) / bump._norm**2
+        q.append((bump.deriv_norm_sq / n - gap * mass) / n / config.d / config.d)
     return np.concatenate(q)
+
+
+def _first_negative_by_loop(config, bump, n_max):
+    """The least n <= n_max with q_form < 0, by trying every n; None past n_max."""
+    return next((n for n in range(1, n_max + 1) if q_form(config, bump, n) < 0.0), None)
 
 
 class _NoKinetic(BumpProfile):
@@ -120,9 +126,9 @@ class TestBumpProfile:
         # ||phi'||^2 (about 1e-616) underflows to 0
         bump = BumpProfile(plateau=1e307, support=1.7e308)
         assert np.isfinite(bump._norm) and np.isfinite(bump.deriv_norm_sq)
-        report = existence_test(WELL, bump, 2)
+        report = existence_test(WELL, bump)
         assert report.first_negative_n == 1
-        assert report.q_values[0] < 0
+        assert report.q_first < 0
 
     def test_constants_match_mpmath(self):
         # raw^2 = 2 (plateau + w T), ||phi'||^2 = 2 D / (w raw^2), with the two
@@ -144,9 +150,9 @@ class TestTrialScale:
         assert np.allclose(trial_scale(BUMP, 1, x), BUMP(x))
 
     def test_scaling_preserves_norm_and_shrinks_kinetic(self):
-        for n in (2, 5, 16):
-            s = BUMP.support * n
-            nrm = _scalar_simpson(lambda x: trial_scale(BUMP, n, x) ** 2, -s, s)
+        for width in (2, 5, 16, 0.375):
+            s = BUMP.support * width
+            nrm = _scalar_simpson(lambda x: trial_scale(BUMP, width, x) ** 2, -s, s)
             assert abs(nrm - 1.0) < 1e-10
         # ||phi_n'|| = ||phi'|| / n, by change of variables
         n = 4
@@ -155,9 +161,10 @@ class TestTrialScale:
             lambda x: (BUMP.derivative(x / n) / n**1.5) ** 2, -s, s)
         assert kin == pytest.approx(BUMP.deriv_norm_sq / n**2, rel=1e-10)
 
-    def test_requires_positive_n(self):
-        with pytest.raises(ContractError):
-            trial_scale(BUMP, 0, 0.0)
+    def test_requires_positive_width(self):
+        for width in (0, -1.0, np.nan):
+            with pytest.raises(ContractError):
+                trial_scale(BUMP, width, 0.0)
 
 
 class TestQForm:
@@ -173,9 +180,11 @@ class TestQForm:
         for n in (1, 8, 32):
             assert q_form(deep, BUMP, n) <= q_form(shallow, BUMP, n)
 
-    def test_reduction_matches_direct_2d(self):
+    @pytest.mark.parametrize("well", [WELL, WellConfig(7.0, 2.0, 0.5, 0.7)])
+    def test_reduction_matches_direct_2d(self, well):
+        # the trial width is n d
         for n in (1, 4, 16):
-            assert abs(q_form(WELL, BUMP, n) - q_form_direct(WELL, BUMP, n)) < 1e-10
+            assert abs(q_form(well, BUMP, n) - q_form_direct(well, BUMP, n)) < 1e-10
 
     def test_well_term_dominates_eventually(self):
         # n Q -> negative constant: the n-scaled sequence decreases toward it
@@ -190,45 +199,100 @@ class TestQForm:
 
 class TestExistenceTest:
     def test_reference_well_certified(self):
-        report = existence_test(WELL, BUMP, 64)
+        report = existence_test(WELL, BUMP)
         assert report.well_hypothesis
-        assert report.first_negative_n is not None
-        assert report.first_negative_n <= 64
-        assert report.q_values[report.first_negative_n - 1] < 0
-        assert all(q >= 0 for q in report.q_values[:report.first_negative_n - 1])
+        assert report.first_negative_n == 40
+        assert report.q_first == q_form(WELL, BUMP, 40) < 0 <= q_form(WELL, BUMP, 39)
 
     def test_hypothesis_violated_no_claim(self):
         inverted = WellConfig(5.0, 20.0, 0.3, 1.0)
-        report = existence_test(inverted, BUMP, 16)
+        report = existence_test(inverted, BUMP)
         assert not report.well_hypothesis
-        assert report.first_negative_n is None
-        assert all(q > 0 for q in report.q_values)
+        assert report.first_negative_n is None and report.q_first is None
+        assert all(q_form(inverted, BUMP, n) > 0 for n in (1, 40, 10**6))
 
-    def test_inconclusive_below_first_negative(self):
-        report = existence_test(WELL, BUMP, 8)
+    @pytest.mark.parametrize("well", [WellConfig(20.0, 5.0, 5e-324, 1.0),
+                                      WellConfig(1e-9, 5e-10, 1e-320, 1e10)])
+    def test_inconclusive_where_the_crossing_is_past_binary64(self, well):
+        # n_c = ||phi'||^2 raw^2 / (2 (a/d) W d (alpha0 - alpha1) d) overflows,
+        # and a/d underflows to 0 for the second well
+        report = existence_test(well, BUMP)
         assert report.well_hypothesis
-        assert report.first_negative_n is None  # 8 < 40, the true crossover
+        assert report.first_negative_n is None and report.q_first is None
 
     def test_narrower_well_needs_wider_trials(self):
-        n1 = existence_test(WELL, BUMP, 64).first_negative_n
-        narrow = WellConfig(20.0, 5.0, 0.03, 1.0)
-        n2 = existence_test(narrow, BUMP, 512).first_negative_n
+        n1 = existence_test(WELL, BUMP).first_negative_n
+        n2 = existence_test(WellConfig(20.0, 5.0, 0.03, 1.0), BUMP).first_negative_n
         assert n1 is not None and n2 is not None
         assert n2 > n1
 
+    @pytest.mark.parametrize("well, first", [
+        (WellConfig(1e5, 1e-5, 0.7, 1.0), 47429),
+        (WellConfig(20.0, 19.9, 0.3, 1.0), 5994),
+        (WellConfig(20.0, 20.0 * (1.0 - 1e-12), 0.3, 1.0), 29970710966582),
+    ])
+    def test_wells_past_the_old_default_width(self, well, first):
+        # each needs trials wider than 64 strip widths
+        report = existence_test(well, BUMP)
+        assert report.first_negative_n == first
+        assert report.q_first < 0 <= q_form(well, BUMP, first - 1)
+
+    def test_crossing_past_2_53_is_an_exact_int(self):
+        well = WellConfig(20.0, 20.0 * (1.0 - 1e-15), 0.3, 1.0)
+        n = existence_test(well, BUMP).first_negative_n
+        assert type(n) is int and n > 2**53
+        # neighbours round to one binary64 here, so the bisection stops where float(n) moves
+        assert q_form(well, BUMP, n) < 0 <= q_form(well, BUMP, n - 1)
+        rho, gap = well.a / well.d, variational._gap(well)
+        n_c = BUMP.deriv_norm_sq * BUMP._norm**2 / (2.0 * rho * gap)
+        assert n == pytest.approx(n_c, rel=1e-12)
+
+    def test_tiny_well_is_certified(self):
+        report = existence_test(WellConfig(20.0, 5.0, 1e-200, 1.0), BUMP)
+        assert report.first_negative_n > 10**200
+        assert report.q_first == 0.0 and np.signbit(report.q_first)   # Q underflows to -0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha0_d=st.floats(0.1, 1e4), ratio=st.floats(1e-6, 0.998),
+           a_d=st.floats(1e-2, 1e2), k=st.integers(-8, 8))
+    def test_certificate_is_the_first_negative_n_of_a_loop(self, alpha0_d, ratio, a_d, k):
+        d = 4.0**k
+        cfg = WellConfig(alpha0_d / d, alpha0_d * ratio / d, a_d * d, d)
+        first = _first_negative_by_loop(cfg, BUMP, 2048)
+        assume(first is not None)
+        assert existence_test(cfg, BUMP).first_negative_n == first
+
+    @pytest.mark.parametrize("k", [-100, -5, 5, 100])
+    def test_scaled_copy_has_the_same_certificate(self, k):
+        s = 4.0**k
+        copy = WellConfig(WELL.alpha0 / s, WELL.alpha1 / s, WELL.a * s, WELL.d * s)
+        ref, got = existence_test(WELL, BUMP), existence_test(copy, BUMP)
+        assert got.first_negative_n == ref.first_negative_n == 40
+        assert got.q_first * s * s == ref.q_first
+        for n in (1, 39, 40, 10**6):
+            assert q_form(copy, BUMP, n) * s * s == q_form(WELL, BUMP, n)
+
+    def test_wall_term_is_computed_once(self, monkeypatch):
+        calls = []
+        levels = variational.transversal_levels
+
+        def counting(cs, n):
+            calls.append(cs)
+            return levels(cs, n)
+
+        monkeypatch.setattr(variational, "transversal_levels", counting)
+        existence_test(WellConfig(20.0, 19.9, 0.3, 1.0), BUMP)
+        assert len(calls) == 1
+
     def test_report_validation(self):
         with pytest.raises(ContractError):
-            QReport(n_values=(1, 2), q_values=(0.5,), first_negative_n=None,
-                    config=WELL, well_hypothesis=True)
+            QReport(first_negative_n=1, q_first=np.nan, config=WELL, well_hypothesis=True)
         with pytest.raises(ContractError):
-            QReport(n_values=(1,), q_values=(np.nan,), first_negative_n=None,
-                    config=WELL, well_hypothesis=True)
-        with pytest.raises(ContractError):
-            existence_test(WELL, BUMP, 0)
+            QReport(first_negative_n=1, q_first=-np.inf, config=WELL, well_hypothesis=True)
 
 
-class TestBatchedQ:
-    """existence_test evaluates Q for a block of n in one batched quadrature."""
+class TestWellIntegral:
+    """q_form's well term, quadrature on the smoothstep transition only."""
 
     @settings(max_examples=40, deadline=None)
     @given(plateau=st.floats(1e-3, 1.0), log_ratio=st.floats(np.log(1 + 1e-6), np.log(10.0)),
@@ -260,32 +324,25 @@ class TestBatchedQ:
             ref = float(2 * mp.quad(lambda x: raw_sq(x / n) / n, knots) / norm_sq)
         assert well == pytest.approx(ref, rel=1e-14)
 
-    def test_q_form_is_the_batched_value(self):
-        q = existence_test(WELL, BUMP, 130).q_values
-        for n in (1, 2, 40, 64, 65, 130):
-            assert q_form(WELL, BUMP, n) == q[n - 1]
-
-    def test_only_rows_past_the_plateau_take_the_quadrature(self, monkeypatch):
-        # a/n > plateau for n < 300 here: 299 rows in blocks of at most 64
-        bump = BumpProfile(1e-3, 2e-3)
-        blocks, rows = [], []
+    def test_only_n_past_the_plateau_take_the_quadrature(self, monkeypatch):
+        # a/n > plateau for n < 300 here, and for n < 3 with the default bump
+        calls = []
         unit_integral = variational._unit_integral
 
         def recording(f, u0):
-            def g(u):
-                rows.append(u.shape[0] if u.ndim == 2 else 1)
-                return f(u)
-            blocks.append(np.size(u0))
-            return unit_integral(g, u0)
+            calls.append(u0)
+            return unit_integral(f, u0)
 
+        bump = BumpProfile(1e-3, 2e-3)
+        assert bump.deriv_norm_sq > 0 and BUMP.deriv_norm_sq > 0   # the bump constants are cached
         monkeypatch.setattr(variational, "_unit_integral", recording)
-        report = existence_test(WELL, bump, 400)
-        assert len(report.q_values) == 400
-        assert blocks == [64, 64, 64, 64, 43]
-        assert max(rows) == 64
-        blocks.clear()
-        existence_test(WELL, BUMP, 200)
-        assert blocks == [2]
+        for n in range(1, 401):
+            q_form(WELL, bump, n)
+        assert len(calls) == 299
+        calls.clear()
+        for n in range(1, 201):
+            q_form(WELL, BUMP, n)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("bump, n_max", [
         (BUMP, 2**16), (BumpProfile(plateau=1e-7), 4096), (BumpProfile(1e-3, 2e-3), 400),
@@ -294,5 +351,5 @@ class TestBatchedQ:
     def test_skipped_rows_keep_every_bit(self, bump, n_max):
         # the quadrature of a zero-width interval adds exactly 0
         ref = _q_with_quadrature_on_every_row(WELL, bump, n_max)
-        q = np.array(existence_test(WELL, bump, n_max).q_values)
+        q = np.array([q_form(WELL, bump, n) for n in range(1, n_max + 1)])
         assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
